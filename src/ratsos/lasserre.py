@@ -20,7 +20,7 @@ from .arith import Mat, affine_solution_set, rat
 from .numeric import AffineFamily, alternating_projection
 from .poly import MPoly, poly_text
 from .quadforms import SosCert, SymMat, is_psd, weighted_square_decomposition
-from .sos import DENOMINATOR_LADDER, VerifyResult
+from .sos import DENOMINATOR_LADDER, VerifyResult, json_field
 
 
 def monomials_upto(nvars: int, degree: int) -> list[tuple[int, ...]]:
@@ -241,6 +241,7 @@ class ModuleSearch:
     status: str  # found / infeasible / unknown
     cert: ModuleCert | None
     detail: str
+    converged: bool = False  # the numeric phase ran and met its tolerance
 
 
 def module_cert_search(
@@ -341,10 +342,10 @@ def module_cert_search(
             params = [Fraction(float(v)).limit_denominator(bound) for v in t]
             cert = accept(exact_params(params))
             if cert is not None:
-                return ModuleSearch("found", cert, f"denominator bound {bound}")
+                return ModuleSearch("found", cert, f"denominator bound {bound}", converged)
     if not converged:
         return ModuleSearch("unknown", None, f"numeric phase stalled at gap {gap:.2e}")
-    return ModuleSearch("unknown", None, "rationalization failed")
+    return ModuleSearch("unknown", None, "rationalization failed", converged)
 
 
 def _numeric_feasible(f: MPoly, gs, d: int, max_sweeps: int, tol: float) -> bool:
@@ -354,11 +355,7 @@ def _numeric_feasible(f: MPoly, gs, d: int, max_sweeps: int, tol: float) -> bool
     alternating projection counts as feasible-looking.
     """
     search = module_cert_search(f, gs, d, max_sweeps=max_sweeps, tol=tol, denominators=())
-    if search.status == "found":
-        return True
-    if search.status == "infeasible":
-        return False
-    return "stalled" not in search.detail
+    return search.status == "found" or search.converged
 
 
 @dataclass
@@ -448,7 +445,10 @@ def module_cert_from_json(doc: dict, nvars: int) -> ModuleCert:
     from .poly import parse_poly
 
     sigmas = []
-    for item in doc["sigmas"]:
-        terms = tuple((rat(t["weight"]), parse_poly(t["poly"], nvars)) for t in item["terms"])
+    for item in json_field(doc, "sigmas"):
+        terms = tuple(
+            (rat(json_field(t, "weight")), parse_poly(json_field(t, "poly"), nvars))
+            for t in json_field(item, "terms")
+        )
         sigmas.append(SosCert(terms))
     return ModuleCert(sigmas)

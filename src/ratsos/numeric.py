@@ -1,6 +1,10 @@
-"""Floating-point helpers for the certificate search: a cyclic Jacobi
-eigensolver, psd-cone projection, and alternating projections between an
-affine family of symmetric block matrices and the product of psd cones.
+"""Floating-point helpers for the certificate search: psd-cone projection by
+LAPACK ``eigh``, batched over stacked blocks of one size, and alternating
+projections between an affine family of symmetric block matrices and the
+product of psd cones.
+
+``jacobi_eigh`` is a pure-Python cyclic Jacobi eigensolver kept as a
+reference; the search itself does not call it.
 
 Nothing here is trusted; every candidate leaving this module is rationalized
 and re-verified exactly by the callers.
@@ -49,31 +53,22 @@ def jacobi_eigh(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 64):
 
 
 def project_psd(a: np.ndarray) -> np.ndarray:
-    """Nearest psd matrix in Frobenius norm: clip negative eigenvalues."""
-    a = 0.5 * (a + a.T)
-    w, v = jacobi_eigh(a)
-    w = np.clip(w, 0.0, None)
-    out = (v * w) @ v.T
-    return 0.5 * (out + out.T)
+    """Nearest psd matrix in Frobenius norm: clip negative eigenvalues.
+
+    ``a`` is one (s, s) matrix or a stack (k, s, s) projected matrix by matrix.
+    """
+    if a.shape[-1] == 1:
+        return np.maximum(a, 0.0)
+    a = 0.5 * (a + a.swapaxes(-1, -2))
+    w, v = np.linalg.eigh(a)
+    out = (v * np.maximum(w, 0.0)[..., None, :]) @ v.swapaxes(-1, -2)
+    return 0.5 * (out + out.swapaxes(-1, -2))
 
 
 def min_eig(a: np.ndarray) -> float:
-    w, _ = jacobi_eigh(np.array(a, dtype=float))
+    """Smallest eigenvalue of a symmetric matrix or of a stack (k, s, s) of them."""
+    w = np.linalg.eigvalsh(np.asarray(a, dtype=float))
     return float(w.min()) if w.size else 0.0
-
-
-def split_blocks(vec: np.ndarray, sizes: list[int]) -> list[np.ndarray]:
-    """Cut a concatenated vectorization into square blocks."""
-    blocks = []
-    offset = 0
-    for s in sizes:
-        blocks.append(vec[offset : offset + s * s].reshape(s, s))
-        offset += s * s
-    return blocks
-
-
-def join_blocks(blocks: list[np.ndarray]) -> np.ndarray:
-    return np.concatenate([b.reshape(-1) for b in blocks]) if blocks else np.zeros(0)
 
 
 class AffineFamily:
@@ -83,25 +78,41 @@ class AffineFamily:
         self.particular = np.asarray(particular, dtype=float)
         self.basis = np.asarray(basis, dtype=float)
         self.sizes = list(sizes)
+        # per distinct block size s: the (k, s*s) positions of its k blocks
+        starts = np.cumsum([0] + [s * s for s in self.sizes])
+        self.groups = []
+        for s in sorted(set(self.sizes)):
+            firsts = np.array([starts[i] for i, t in enumerate(self.sizes) if t == s])
+            self.groups.append((s, firsts[:, None] + np.arange(s * s)))
         if self.basis.size:
-            # thin QR of the basis for least-squares projection
-            self.q, self.r = np.linalg.qr(self.basis)
+            # least-squares coordinates t = coords @ (y - particular), from a thin QR
+            q, r = np.linalg.qr(self.basis)
+            self.coords = np.linalg.solve(r, q.T)
         else:
-            self.q = self.r = None
+            self.coords = None
 
     def project(self, y: np.ndarray):
         """Orthogonal projection of y onto the affine set; returns (point, t)."""
-        if self.q is None:
+        if self.coords is None:
             return self.particular.copy(), np.zeros(0)
-        rhs = self.q.T @ (y - self.particular)
-        t = np.linalg.solve(self.r, rhs)
+        t = self.coords @ (y - self.particular)
         return self.particular + self.basis @ t, t
 
+    def stacks(self, y: np.ndarray):
+        """The blocks of y as one (k, s, s) stack per distinct size s."""
+        return [(idx, y[idx].reshape(-1, s, s)) for s, idx in self.groups]
+
     def project_psd_cone(self, y: np.ndarray) -> np.ndarray:
-        return join_blocks([project_psd(b) for b in split_blocks(y, self.sizes)])
+        out = np.empty_like(y)
+        for idx, stack in self.stacks(y):
+            out[idx] = project_psd(stack).reshape(idx.shape)
+        return out
 
     def eye_vector(self) -> np.ndarray:
-        return join_blocks([np.eye(s) for s in self.sizes])
+        out = np.zeros(self.particular.shape)
+        for s, idx in self.groups:
+            out[idx] = np.eye(s).reshape(-1)
+        return out
 
 
 def alternating_projection(
@@ -128,12 +139,9 @@ def alternating_projection(
         if gap < tol:
             break
     converged = gap < tol
-    if converged and nudge > 0 and family.q is not None:
+    if converged and nudge > 0 and family.coords is not None:
         nudged, t_nudged = family.project(x + nudge * family.eye_vector())
-        worst = min(
-            (min_eig(b) for b in split_blocks(nudged, family.sizes)),
-            default=0.0,
-        )
+        worst = min((min_eig(stack) for _, stack in family.stacks(nudged)), default=0.0)
         if worst > -nudge:
             t = t_nudged
     return t, gap, converged

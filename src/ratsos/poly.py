@@ -12,7 +12,8 @@ from fractions import Fraction
 #: Degree of the zero polynomial.  Compares smaller than every integer.
 NEG_INF = float("-inf")
 
-#: Per-variable exponent cap enforced by the parser and by ``__pow__``.
+#: Per-variable exponent cap enforced by the parser; internal ``__pow__`` calls
+#: are not capped.
 MAX_EXPONENT = 64
 
 

@@ -311,20 +311,32 @@ def gram_to_json(gram: SymMat, monomials, target=None) -> dict:
     return doc
 
 
+def json_field(doc, key: str):
+    """``doc[key]`` of a certificate document; ValueError naming a missing key."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"certificate document: expected an object holding {key!r}")
+    if key not in doc:
+        raise ValueError(f"certificate document is missing {key!r}")
+    return doc[key]
+
+
 def cert_from_json(doc: dict, nvars: int | None = None):
     """Load a certificate document; returns (cert-or-gram-pair, target poly or None)."""
+    if not isinstance(doc, dict):
+        raise ValueError("certificate document must be a JSON object")
     target = None
     if "target" in doc:
         target = parse_poly(doc["target"], nvars)
         nvars = target.nvars
     if "terms" in doc:
         terms = tuple(
-            (rat(item["weight"]), parse_poly(item["poly"], nvars)) for item in doc["terms"]
+            (rat(json_field(item, "weight")), parse_poly(json_field(item, "poly"), nvars))
+            for item in doc["terms"]
         )
         return SosCert(terms), target
     if "gram" in doc:
         gram = SymMat.from_rows([[rat(x) for x in row] for row in doc["gram"]])
-        monomials = [tuple(a) for a in doc["monomials"]]
+        monomials = [tuple(a) for a in json_field(doc, "monomials")]
         return (gram, monomials), target
     raise ValueError("certificate document has neither 'terms' nor 'gram'")
 

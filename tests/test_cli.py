@@ -80,6 +80,50 @@ def test_sos_find_and_check(tmp_path):
     assert code == 1 and out.startswith("invalid")
 
 
+def _write_json(path, doc):
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_malformed_certificates_exit_2(tmp_path):
+    sos_docs = {
+        "monomials": {"gram": [["1"]], "target": "1"},
+        "poly": {"terms": [{"weight": "1"}], "target": "x^2"},
+        "weight": {"terms": [{"poly": "x"}], "target": "x^2"},
+    }
+    for key, doc in sos_docs.items():
+        code, out = run(["sos", "check", "--cert", _write_json(tmp_path / f"{key}.json", doc)])
+        assert code == 2 and out.startswith("error:") and repr(key) in out
+    code, out = run(["sos", "check", "--cert", _write_json(tmp_path / "list.json", [1])])
+    assert code == 2
+    module_docs = {
+        "sigmas": {},
+        "terms": {"sigmas": [{}]},
+        "weight": {"sigmas": [{"terms": [{"poly": "1"}]}]},
+        "poly": {"sigmas": [{"terms": [{"weight": "1"}]}]},
+    }
+    for key, doc in module_docs.items():
+        cert = _write_json(tmp_path / f"module-{key}.json", doc)
+        code, out = run(["lasserre", "check", "--poly", "x", "-g", "x", "-d", "2", "--cert", cert])
+        assert code == 2 and out.startswith("error:") and repr(key) in out
+
+
+def test_batch_survives_malformed_certificate(tmp_path):
+    bad = _write_json(tmp_path / "bad.json", {"gram": [["1"]], "target": "1"})
+    batch = tmp_path / "cmds.txt"
+    batch.write_text(
+        'count-roots --poly "x^3 - x"\n'
+        f"sos check --cert {bad}\n"
+        'descartes --poly "x^2 - 3*x + 2"\n'
+    )
+    code, out = run(["batch", str(batch), "--workers", "2"])
+    assert code == 2
+    lines = out.splitlines()
+    assert lines[0] == "[0] real=3 complex_distinct=3"
+    assert lines[1].startswith("[1] error:") and "'monomials'" in lines[1]
+    assert lines[2].startswith("[2] sign_changes=2")
+
+
 def test_cassels():
     code, out = run(["cassels", "--weights", "1,1", "--fs", "x^2+x,x^2-x", "--g", "x"])
     assert code == 0

@@ -5,6 +5,7 @@ import pytest
 
 from ratsos.lasserre import (
     ModuleCert,
+    _numeric_feasible,
     blocks_at_point,
     build_relaxation,
     emit_sdpa,
@@ -180,6 +181,20 @@ def test_module_search_monotone_in_degree():
 def test_module_cert_search_linear_infeasible():
     res = module_cert_search(parse_poly("x^3", 1), [], 3)
     assert res.status == "infeasible"
+
+
+def test_module_search_reports_numeric_convergence():
+    gs = [parse_poly("1 - x^2 - y^2", 2)]
+    interior = parse_poly("x*y + 1", 2)  # min -1/2 on the disk: a strictly feasible level
+    res = module_cert_search(interior, gs, 2, denominators=())
+    assert res.status == "unknown" and res.converged
+    assert res.detail == "rationalization failed"
+    assert _numeric_feasible(interior, gs, 2, 3000, 1e-8)
+    below = parse_poly("x*y + 1/4", 2)
+    res = module_cert_search(below, gs, 2, max_sweeps=3000, tol=1e-8, denominators=())
+    assert res.status == "unknown" and not res.converged
+    assert res.detail.startswith("numeric phase stalled")
+    assert not _numeric_feasible(below, gs, 2, 3000, 1e-8)
 
 
 def test_module_cert_json_round_trip():
