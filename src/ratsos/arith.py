@@ -1,14 +1,16 @@
 """Exact rational matrices with fraction-free elimination kernels.
 
 Determinants use Bareiss elimination on a denominator-cleared integer copy,
-characteristic polynomials use the Faddeev-LeVerrier recurrence, and linear
-solving runs a Bareiss-style row echelon reduction.  Everything is exact.
+characteristic polynomials use Berkowitz's division-free algorithm on a
+denominator-cleared integer copy, and linear solving runs a Bareiss-style row
+echelon reduction.  Everything is exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .poly import UPoly
 
@@ -74,11 +76,6 @@ class Mat:
 
     def transpose(self) -> "Mat":
         return Mat([[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)])
-
-    def trace(self) -> Fraction:
-        if not self.is_square:
-            raise DimensionError("trace of a non-square matrix")
-        return sum((self.rows[i][i] for i in range(self.nrows)), Fraction(0))
 
     def __mul__(self, other):
         if isinstance(other, Mat):
@@ -156,25 +153,38 @@ def det(m: Mat) -> Fraction:
 def charpoly(m: Mat, sign: str = "plus") -> UPoly:
     """det(M + X*I) for sign="plus", det(M - X*I) for sign="minus".
 
-    Computed exactly by the Faddeev-LeVerrier recurrence; the result has
-    degree exactly the dimension of M.
+    Computed exactly by Berkowitz's division-free algorithm on the integer
+    matrix B = -L*M ("plus") or L*M ("minus"), L the lcm of the entry
+    denominators: the X^k coefficient of det(X*I - B), divided by L^(n-k),
+    is the X^k coefficient of det(X*I + M) or det(X*I - M) respectively, and
+    det(M - X*I) = (-1)^n det(X*I - M).  The result has degree exactly the
+    dimension of M.
     """
     if not m.is_square:
         raise DimensionError("characteristic polynomial of a non-square matrix")
     if sign not in ("plus", "minus"):
         raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
     n = m.nrows
-    # Faddeev-LeVerrier computes det(X*I - A):  det(M + X*I) = det(X*I - (-M)).
-    a = m * -1 if sign == "plus" else m
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    mk = Mat([row[:] for row in a.rows])
-    for k in range(1, n + 1):
-        if k > 1:
-            for i in range(n):
-                mk.rows[i][i] += coeffs[n - k + 1]
-            mk = a * mk
-        coeffs[n - k] = -mk.trace() / k
+    scale = lcm(*(x.denominator for row in m.rows for x in row))
+    s = -1 if sign == "plus" else 1
+    b = [[s * x.numerator * (scale // x.denominator) for x in row] for row in m.rows]
+    # p lists the coefficients of det(X*I - B_k), highest degree first, where
+    # B_k is the leading k x k block.  Bordering B_(k-1) by column c, row r and
+    # corner a multiplies p by the lower-triangular Toeplitz matrix whose first
+    # column is 1, -a, -r.c, -r.B_(k-1).c, ..., -r.B_(k-1)^(k-2).c.
+    p = [1]
+    for k in range(n):
+        lead = [row[:k] for row in b[:k]]
+        r = b[k][:k]
+        col = [row[k] for row in b[:k]]
+        q = [1, -b[k][k]]
+        for t in range(k):
+            if t:
+                col = [sum(map(mul, row, col)) for row in lead]
+            q.append(-sum(map(mul, r, col)))
+        p = [sum(q[i - j] * p[j] for j in range(min(i, k) + 1)) for i in range(k + 2)]
+    coeffs = [Fraction(c, scale**i) for i, c in enumerate(p)]
+    coeffs.reverse()
     if sign == "minus" and n % 2 == 1:
         coeffs = [-c for c in coeffs]
     return UPoly(coeffs)

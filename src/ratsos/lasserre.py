@@ -20,7 +20,7 @@ from .arith import Mat, affine_solution_set, rat
 from .numeric import AffineFamily, alternating_projection
 from .poly import MPoly, poly_text
 from .quadforms import SosCert, SymMat, is_psd, weighted_square_decomposition
-from .sos import DENOMINATOR_LADDER, VerifyResult, json_field
+from .sos import DENOMINATOR_LADDER, VerifyResult, json_field, terms_from_json
 
 
 def monomials_upto(nvars: int, degree: int) -> list[tuple[int, ...]]:
@@ -442,13 +442,7 @@ def module_cert_to_json(cert: ModuleCert, target: MPoly | None = None, degree: i
 
 
 def module_cert_from_json(doc: dict, nvars: int) -> ModuleCert:
-    from .poly import parse_poly
-
-    sigmas = []
-    for item in json_field(doc, "sigmas"):
-        terms = tuple(
-            (rat(json_field(t, "weight")), parse_poly(json_field(t, "poly"), nvars))
-            for t in json_field(item, "terms")
-        )
-        sigmas.append(SosCert(terms))
-    return ModuleCert(sigmas)
+    return ModuleCert([
+        SosCert(terms_from_json(json_field(item, "terms", list), nvars))
+        for item in json_field(doc, "sigmas", list)
+    ])

@@ -311,13 +311,45 @@ def gram_to_json(gram: SymMat, monomials, target=None) -> dict:
     return doc
 
 
-def json_field(doc, key: str):
-    """``doc[key]`` of a certificate document; ValueError naming a missing key."""
+_JSON_KINDS = {list: "a list", str: "a string", int: "an integer"}
+
+
+def _json_typed(value, kind, what: str):
+    """``value`` when it is a ``kind`` (a type or tuple of types, never bool); else ValueError."""
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        expected = " or ".join(_JSON_KINDS[k] for k in kinds)
+        raise ValueError(f"certificate field {what} must be {expected}, not {type(value).__name__}")
+    return value
+
+
+def json_field(doc, key: str, kind):
+    """``doc[key]`` of a certificate document, checked to be a ``kind``.
+
+    Raises ValueError naming the key when ``doc`` is not an object, lacks the
+    key, or holds a value of another type.
+    """
     if not isinstance(doc, dict):
         raise ValueError(f"certificate document: expected an object holding {key!r}")
     if key not in doc:
         raise ValueError(f"certificate document is missing {key!r}")
-    return doc[key]
+    return _json_typed(doc[key], kind, repr(key))
+
+
+def terms_from_json(items, nvars: int | None) -> tuple:
+    """(weight, polynomial) pairs from a list of {"weight", "poly"} objects."""
+    return tuple(
+        (rat(json_field(item, "weight", (str, int))), parse_poly(json_field(item, "poly", str), nvars))
+        for item in items
+    )
+
+
+def _exponents(alpha) -> tuple[int, ...]:
+    if not isinstance(alpha, list) or not all(
+        isinstance(e, int) and not isinstance(e, bool) and e >= 0 for e in alpha
+    ):
+        raise ValueError(f"certificate monomial {alpha!r} is not a list of nonnegative integers")
+    return tuple(alpha)
 
 
 def cert_from_json(doc: dict, nvars: int | None = None):
@@ -326,17 +358,16 @@ def cert_from_json(doc: dict, nvars: int | None = None):
         raise ValueError("certificate document must be a JSON object")
     target = None
     if "target" in doc:
-        target = parse_poly(doc["target"], nvars)
+        target = parse_poly(json_field(doc, "target", str), nvars)
         nvars = target.nvars
     if "terms" in doc:
-        terms = tuple(
-            (rat(json_field(item, "weight")), parse_poly(json_field(item, "poly"), nvars))
-            for item in doc["terms"]
-        )
-        return SosCert(terms), target
+        return SosCert(terms_from_json(json_field(doc, "terms", list), nvars)), target
     if "gram" in doc:
-        gram = SymMat.from_rows([[rat(x) for x in row] for row in doc["gram"]])
-        monomials = [tuple(a) for a in json_field(doc, "monomials")]
+        rows = [_json_typed(row, list, "'gram' row") for row in json_field(doc, "gram", list)]
+        gram = SymMat.from_rows(
+            [[rat(_json_typed(x, (str, int), "'gram' entry")) for x in row] for row in rows]
+        )
+        monomials = [_exponents(a) for a in json_field(doc, "monomials", list)]
         return (gram, monomials), target
     raise ValueError("certificate document has neither 'terms' nor 'gram'")
 

@@ -82,6 +82,37 @@ def test_charpoly_relations():
         assert minus == plus.compose_neg()
 
 
+def _shifted(m: Mat, t: Fraction) -> Mat:
+    """M + t*I."""
+    return Mat([[x + t if i == j else x for j, x in enumerate(row)] for i, row in enumerate(m.rows)])
+
+
+def _assert_charpoly_matches_det(m: Mat, rng):
+    n = m.nrows
+    plus, minus = charpoly(m, "plus"), charpoly(m, "minus")
+    assert plus.degree() == minus.degree() == n
+    ts = set()
+    while len(ts) < n + 1:
+        ts.add(Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+    for t in ts:
+        assert plus.eval(t) == det(_shifted(m, t))
+        assert minus.eval(t) == det(_shifted(m, -t))
+
+
+def test_charpoly_against_determinant_oracle():
+    """charpoly evaluated at n + 1 points equals the Bareiss det of M +/- t*I."""
+    rng = random.Random(29)
+    for n in range(9):
+        for _ in range(3):
+            # non-symmetric, with denominators that differ from entry to entry
+            m = Mat([[rand_frac(rng, -9, 9, max_den=12) for _ in range(n)] for _ in range(n)])
+            _assert_charpoly_matches_det(m, rng)
+    n = 24
+    b = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+    gram = Mat([[sum(r[i] * r[j] for r in b) for j in range(n)] for i in range(n)])
+    _assert_charpoly_matches_det(gram, rng)
+
+
 def test_solve_examples():
     assert solve_linear(Mat.identity(2), [3, Fraction(-1, 2)]) == [3, Fraction(-1, 2)]
     assert solve_linear(Mat([[1, 1], [2, 2]]), [1, 3]) is None

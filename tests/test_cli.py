@@ -1,4 +1,10 @@
+import copy
+import itertools
 import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ratsos.cli import run
 
@@ -122,6 +128,130 @@ def test_batch_survives_malformed_certificate(tmp_path):
     assert lines[0] == "[0] real=3 complex_distinct=3"
     assert lines[1].startswith("[1] error:") and "'monomials'" in lines[1]
     assert lines[2].startswith("[2] sign_changes=2")
+
+
+def test_mistyped_certificates_exit_2(tmp_path):
+    sos_docs = {
+        "gram": {"gram": 3, "monomials": [[1]], "target": "x^2"},
+        "target": {"target": 7, "gram": [["1"]], "monomials": [[1]]},
+        "'gram' row": {"gram": ["1"], "monomials": [[1]], "target": "x^2"},
+        "'gram' entry": {"gram": [[True]], "monomials": [[1]], "target": "x^2"},
+        "monomials": {"gram": [["1"]], "monomials": "x", "target": "x^2"},
+        "monomial": {"gram": [["1"]], "monomials": [[-1]], "target": "x^2"},
+        "terms": {"terms": {"weight": "1", "poly": "x"}, "target": "x^2"},
+        "weight": {"terms": [{"weight": [1], "poly": "x"}], "target": "x^2"},
+        "poly": {"terms": [{"weight": "1", "poly": 2}], "target": "x^2"},
+    }
+    for k, (key, doc) in enumerate(sos_docs.items()):
+        code, out = run(["sos", "check", "--cert", _write_json(tmp_path / f"sos{k}.json", doc)])
+        assert code == 2 and out.startswith("error:") and key in out, (key, out)
+    module_docs = {
+        "sigmas": {"sigmas": 5},
+        "terms": {"sigmas": [{"terms": "1"}, {"terms": []}]},
+        "weight": {"sigmas": [{"terms": []}, {"terms": [{"weight": True, "poly": "1"}]}]},
+    }
+    for k, (key, doc) in enumerate(module_docs.items()):
+        cert = _write_json(tmp_path / f"module{k}.json", doc)
+        code, out = run(["lasserre", "check", "--poly", "x", "-g", "x", "-d", "2", "--cert", cert])
+        assert code == 2 and out.startswith("error:") and repr(key) in out, (key, out)
+    # the well-typed documents these were made from are accepted
+    good = _write_json(tmp_path / "good.json", {"gram": [["1"]], "monomials": [[1]], "target": "x^2"})
+    assert run(["sos", "check", "--cert", good]) == (0, "valid")
+    good = _write_json(
+        tmp_path / "good-module.json", {"sigmas": [{"terms": []}, {"terms": [{"weight": 1, "poly": "1"}]}]}
+    )
+    assert run(["lasserre", "check", "--poly", "x", "-g", "x", "-d", "2", "--cert", good]) == (0, "valid")
+
+
+def test_batch_survives_mistyped_certificate(tmp_path):
+    bad = _write_json(tmp_path / "bad.json", {"gram": 3, "monomials": [[1]], "target": "x^2"})
+    good = _write_json(tmp_path / "good.json", {"gram": [["1"]], "monomials": [[1]], "target": "x^2"})
+    batch = tmp_path / "cmds.txt"
+    batch.write_text(f"sos check --cert {good}\nsos check --cert {bad}\ncount-roots --poly \"x^3 - x\"\n")
+    code, out = run(["batch", str(batch), "--workers", "2"])
+    assert code == 2
+    assert out.splitlines() == [
+        "[0] valid",
+        "[1] error: certificate field 'gram' must be a list, not int",
+        "[2] real=3 complex_distinct=3",
+    ]
+
+
+#: valid certificate documents (sos check with a target, lasserre check for
+#: x = 0 * 1 + 1 * x at degree 2) that the fuzz test mutates
+FUZZ_DOCS = {
+    "gram": (
+        {"monomials": [[0, 0], [1, 0], [0, 1]],
+         "gram": [["1", "0", "1/2"], ["0", "1", "0"], ["1/2", "0", "2"]],
+         "target": "1 + y + x^2 + 2*y^2"},
+        ["sos", "check"],
+    ),
+    "terms": (
+        {"terms": [{"weight": "1", "poly": "x + y"}, {"weight": 2, "poly": "y - 1"}],
+         "target": "x^2 + 2*x*y + 3*y^2 - 4*y + 2"},
+        ["sos", "check"],
+    ),
+    "sigmas": (
+        {"sigmas": [{"terms": [{"weight": "0", "poly": "1"}]}, {"terms": [{"weight": "1", "poly": "1"}]}]},
+        ["lasserre", "check", "--poly", "x", "-g", "x", "-d", "2"],
+    ),
+}
+
+#: wrong types, non-rational strings and out-of-place objects
+JUNK = [7, -1, 0, 1.5, None, True, "", "abc", "1/0", "1.5", "x^", "x^2 + 1", "1/3",
+        [], [[]], [1, 2], {}, {"weight": "1"}, {"terms": []}]
+
+
+def _paths(node, path=()):
+    """Every position in a JSON document, as a key/index path from the root."""
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+def _mutate(doc, data):
+    """One random edit: replace a node by junk, delete it, or duplicate a list entry."""
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    action = data.draw(st.sampled_from(["replace", "delete", "duplicate"]))
+    if not path or action == "replace":
+        junk = copy.deepcopy(data.draw(st.sampled_from(JUNK)))
+        if not path:
+            return junk
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    last = path[-1]
+    if action == "replace":
+        parent[last] = junk
+    elif action == "delete":
+        del parent[last]
+    elif isinstance(parent, list):
+        parent.insert(last, copy.deepcopy(parent[last]))
+    else:
+        parent[last] = [parent[last], copy.deepcopy(parent[last])]
+    return doc
+
+
+@pytest.mark.parametrize("kind", sorted(FUZZ_DOCS))
+def test_mutated_certificates_never_raise(kind, tmp_path_factory):
+    doc, argv = FUZZ_DOCS[kind]
+    directory = tmp_path_factory.mktemp(kind)
+    assert run(argv + ["--cert", _write_json(directory / "valid.json", doc)]) == (0, "valid")
+    names = itertools.count()
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def check(data):
+        mutated = copy.deepcopy(doc)
+        for _ in range(data.draw(st.integers(1, 3))):
+            mutated = _mutate(mutated, data)
+        # a fresh file per example: truncating one in place can be slow
+        cert = _write_json(directory / f"cert{next(names)}.json", mutated)
+        code, out = run(argv + ["--cert", cert])
+        assert code in (0, 1, 2, 3) and isinstance(out, str)
+
+    check()
 
 
 def test_cassels():

@@ -114,6 +114,34 @@ def test_psd_three_way_agreement():
         assert e == is_psd_via_diagonal(m) == is_psd_via_minors(m)
 
 
+def test_psd_agreement_at_benchmark_scale():
+    """Dim 20-28 Gram matrices B^T B and non-psd twins: is_psd agrees with the diagonal.
+
+    A twin moves weight w from G[a][a] to G[b][c] (x*x and 1*x^2 in a monomial
+    basis), which keeps v^T G v.  w = G[a][a] leaves a negative diagonal entry;
+    w = G[a][a] / 8 keeps every diagonal entry positive and still breaks psd.
+    """
+    rng = random.Random(59)
+    for n in (20, 24, 28):
+        b = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        for r in range(n):
+            b[r][r] = rng.choice((3, 4))
+        gram = [[Fraction(sum(row[i] * row[j] for row in b)) for j in range(n)] for i in range(n)]
+        if n != 24:
+            # congruence by diag(1/d_i) keeps psd and mixes denominators
+            d = [rng.randint(1, 6) for _ in range(n)]
+            gram = [[x / (d[i] * d[j]) for j, x in enumerate(row)] for i, row in enumerate(gram)]
+        a, p, q = 1, 0, 3
+        for share, expected in ((0, True), (Fraction(1, 8), False), (1, False)):
+            w = gram[a][a] * share
+            twin = [row[:] for row in gram]
+            twin[a][a] -= 2 * w
+            twin[p][q] += w
+            twin[q][p] += w
+            m = SymMat.from_rows(twin)
+            assert is_psd(m) == is_psd_via_diagonal(m) == expected
+
+
 def test_rank_equals_dim_minus_zero_multiplicity():
     rng = random.Random(53)
     for _ in range(20):
