@@ -1,9 +1,12 @@
 """Exact rational matrices with fraction-free elimination kernels.
 
-Determinants use Bareiss elimination on a denominator-cleared integer copy,
-characteristic polynomials use Berkowitz's division-free algorithm on a
-denominator-cleared integer copy, and linear solving runs a Bareiss-style row
-echelon reduction.  Everything is exact.
+All row elimination runs through one integer kernel, ``_echelon``: Bareiss's
+fraction-free row echelon reduction on denominator-cleared rows, with exact
+integer division.  Determinants (its last pivot), linear solving and
+nullspaces (back-substitution on its rows) and span checks (its pivot
+columns) are read off it.  Characteristic polynomials use Berkowitz's
+division-free algorithm on a denominator-cleared integer copy.  Everything is
+exact.
 """
 
 from __future__ import annotations
@@ -114,40 +117,29 @@ def _dot(a, b) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
-def _integer_rows(m: Mat):
-    """Scale each row to integers; returns (rows of ints, product of the scalings)."""
-    rows = []
-    scale = Fraction(1)
-    for row in m.rows:
+def _integer_rows(rows):
+    """Scale each rational row to integers; returns (rows of ints, product of the scalings)."""
+    out = []
+    scale = 1
+    for row in rows:
         mult = lcm(*(x.denominator for x in row)) if row else 1
-        rows.append([int(x * mult) for x in row])
+        out.append([x.numerator * (mult // x.denominator) for x in row])
         scale *= mult
-    return rows, scale
+    return out, scale
 
 
 def det(m: Mat) -> Fraction:
-    """Exact determinant by fraction-free Bareiss elimination."""
+    """Exact determinant: the last Bareiss pivot of the denominator-cleared matrix."""
     if not m.is_square:
         raise DimensionError("determinant of a non-square matrix")
     n = m.nrows
     if n == 0:
         return Fraction(1)
-    a, scale = _integer_rows(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if pivot is None:
-                return Fraction(0)
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return Fraction(sign * a[n - 1][n - 1]) / scale
+    a, scale = _integer_rows(m.rows)
+    rows, pivots, sign = _echelon(a)
+    if len(pivots) < n:
+        return Fraction(0)
+    return Fraction(sign * rows[n - 1][n - 1], scale)
 
 
 def charpoly(m: Mat, sign: str = "plus") -> UPoly:
@@ -190,75 +182,83 @@ def charpoly(m: Mat, sign: str = "plus") -> UPoly:
     return UPoly(coeffs)
 
 
-def _echelon(rows: list[list[Fraction]]):
-    """Row echelon form via Bareiss-style updates; returns (rows, pivot columns).
+def _echelon(rows: list[list[int]]):
+    """Fraction-free row echelon form of integer rows (Bareiss 1968).
 
-    Row operations only rescale rows, so the row space and the solution set of
-    an augmented system are preserved.
+    Returns (rows, pivot columns, sign of the row permutation).  Every entry
+    stays an integer minor of the input, so each update divides exactly by
+    the previous pivot; the last pivot of a square full-rank input is its
+    determinant up to the sign.  Rows are only swapped and rescaled by
+    nonzero factors, so the row space and the solution set of an augmented
+    system are preserved, and the pivot columns are the greedy-by-index
+    maximal independent set of columns.  ``rows`` is updated in place.
     """
-    rows = [list(r) for r in rows]
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots = []
+    sign = 1
     r = 0
-    prev = Fraction(1)
+    prev = 1
     for c in range(ncols):
         if r == nrows:
             break
         p = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
         if p is None:
             continue
-        rows[r], rows[p] = rows[p], rows[r]
-        piv = rows[r][c]
+        if p != r:
+            rows[r], rows[p] = rows[p], rows[r]
+            sign = -sign
+        top = rows[r]
+        piv = top[c]
         for i in range(r + 1, nrows):
-            fi = rows[i][c]
-            if fi == 0:
-                if prev != 1:
-                    for j in range(c + 1, ncols):
-                        rows[i][j] = piv * rows[i][j] / prev
-                else:
-                    for j in range(c + 1, ncols):
-                        rows[i][j] = piv * rows[i][j]
-            else:
-                for j in range(c + 1, ncols):
-                    rows[i][j] = (piv * rows[i][j] - fi * rows[r][j]) / prev
-                rows[i][c] = Fraction(0)
+            row = rows[i]
+            fi = row[c]
+            for j in range(c + 1, ncols):
+                row[j] = (piv * row[j] - fi * top[j]) // prev
+            row[c] = 0
         prev = piv
         pivots.append(c)
         r += 1
-    return rows, pivots
+    return rows, pivots, sign
 
 
-def _back_substitute(rows, pivots, ncols_a, rhs_col, free_values=None):
-    """Solve an echelonized [A|b] system; free variables default to zero."""
-    x = [Fraction(0)] * ncols_a
-    if free_values:
-        for j, v in free_values.items():
-            x[j] = v
+def pivot_columns(m: Mat) -> list[int]:
+    """Indices of the columns of M not in the span of the columns before them."""
+    return _echelon(_integer_rows(m.rows)[0])[1]
+
+
+def _back_substitute(rows, pivots, n, free=None):
+    """Solve an echelonized [A|b] system, A with n columns; the free variables
+    are zero, except the one at column ``free``, which is one."""
+    x = [Fraction(0)] * n
+    if free is not None:
+        x[free] = Fraction(1)
     for r in range(len(pivots) - 1, -1, -1):
         c = pivots[r]
         row = rows[r]
-        acc = row[rhs_col]
-        for j in range(c + 1, ncols_a):
+        acc = row[n]
+        for j in range(c + 1, n):
             if row[j] != 0:
                 acc -= row[j] * x[j]
-        x[c] = acc / row[c]
+        x[c] = Fraction(acc) / row[c]
     return x
+
+
+def _augmented(a: Mat, b) -> list[list[int]]:
+    """Denominator-cleared rows of [A|b]."""
+    b = [rat(v) for v in b]
+    if len(b) != a.nrows:
+        raise DimensionError(f"right-hand side has length {len(b)}, expected {a.nrows}")
+    return _integer_rows([row + [val] for row, val in zip(a.rows, b)])[0]
 
 
 def solve_linear(a: Mat, b) -> list[Fraction] | None:
     """One exact solution of A x = b, or None when the system is inconsistent."""
-    b = [rat(v) for v in b]
-    if len(b) != a.nrows:
-        raise DimensionError(f"right-hand side has length {len(b)}, expected {a.nrows}")
-    aug = [row + [val] for row, val in zip(a.rows, b)]
-    if not aug:
-        return []
-    rows, pivots = _echelon(aug)
+    rows, pivots, _ = _echelon(_augmented(a, b))
     if pivots and pivots[-1] == a.ncols:
         return None
     # rows below the last pivot are entirely zero by construction
-    return _back_substitute(rows, pivots, a.ncols, a.ncols)
+    return _back_substitute(rows, pivots, a.ncols)
 
 
 def affine_solution_set(a: Mat, b):
@@ -267,29 +267,12 @@ def affine_solution_set(a: Mat, b):
     The particular solution sets every free variable to zero; the basis
     vectors each set one free variable to one.
     """
-    b = [rat(v) for v in b]
-    if len(b) != a.nrows:
-        raise DimensionError(f"right-hand side has length {len(b)}, expected {a.nrows}")
     n = a.ncols
-    if a.nrows == 0:
-        return [Fraction(0)] * n, [_unit(n, j) for j in range(n)]
-    aug = [row + [val] for row, val in zip(a.rows, b)]
-    rows, pivots = _echelon(aug)
+    rows, pivots, _ = _echelon(_augmented(a, b))
     if pivots and pivots[-1] == n:
         return None
-    particular = _back_substitute(rows, pivots, n, n)
+    particular = _back_substitute(rows, pivots, n)
     pivot_set = set(pivots)
-    basis = []
-    zero_rhs = [r[:n] + [Fraction(0)] for r in rows]
-    for j in range(n):
-        if j in pivot_set:
-            continue
-        vec = _back_substitute(zero_rhs, pivots, n, n, free_values={j: Fraction(1)})
-        basis.append(vec)
+    zero_rhs = [r[:n] + [0] for r in rows]
+    basis = [_back_substitute(zero_rhs, pivots, n, free=j) for j in range(n) if j not in pivot_set]
     return particular, basis
-
-
-def _unit(n: int, j: int) -> list[Fraction]:
-    v = [Fraction(0)] * n
-    v[j] = Fraction(1)
-    return v

@@ -14,7 +14,6 @@ import argparse
 import json
 import shlex
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import conic, lasserre, rootcount, sos
@@ -39,13 +38,11 @@ def _univariate(text: str):
 
 
 def _matrix(text: str) -> SymMat:
-    rows = json.loads(text)
-    return SymMat.from_rows([[rat(x) for x in row] for row in rows])
+    return SymMat.from_rows(sos.json_rows(json.loads(text), "--matrix"))
 
 
 def _vectors(text: str) -> list[list[Fraction]]:
-    data = json.loads(text)
-    return [[rat(x) for x in v] for v in data]
+    return sos.json_rows(json.loads(text), "--vectors")
 
 
 def _fmt_frac(x: Fraction) -> str:
@@ -113,7 +110,7 @@ def cmd_psd_check(args):
 
 def cmd_conic(args):
     vectors = _vectors(args.vectors)
-    target = [rat(x) for x in json.loads(args.target)]
+    target = sos.json_rationals(json.loads(args.target), "--target", "--target entry")
     result = conic.conic_representation(vectors, target)
     if isinstance(result, conic.ConicCombination):
         coeffs = [_fmt_frac(c) for c in result.coefficients]
@@ -292,12 +289,7 @@ def cmd_lasserre_bound(args):
 def cmd_batch(args):
     with open(args.file) as fh:
         commands = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-
-    def run_one(line: str):
-        return run(shlex.split(line), _in_batch=True)
-
-    with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        results = list(pool.map(run_one, commands))
+    results = [run(shlex.split(line)) for line in commands]
     lines = []
     payload = []
     worst = OK
@@ -403,15 +395,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.set_defaults(handler=cmd_lasserre_bound)
 
-    p = sub.add_parser("batch", help="run a file of command lines concurrently")
+    p = sub.add_parser("batch", help="run a file of command lines in order")
     p.add_argument("file")
-    p.add_argument("--workers", type=int, default=4)
     p.set_defaults(handler=cmd_batch)
 
     return parser
 
 
-def run(argv, _in_batch: bool = False) -> tuple[int, str]:
+def run(argv) -> tuple[int, str]:
     """Execute one command line; returns (exit code, stdout payload)."""
     parser = build_parser()
     try:

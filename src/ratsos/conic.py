@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .arith import Mat, rat, solve_linear
+from .arith import Mat, _dot, pivot_columns, rat, solve_linear
 from .poly import MPoly
 
 
@@ -47,23 +47,6 @@ def _as_vectors(vectors) -> list[list[Fraction]]:
     return [[rat(x) for x in v] for v in vectors]
 
 
-def _independent_subset(vectors: list[list[Fraction]]) -> list[int]:
-    """Indices of a maximal linearly independent subset, greedy by index."""
-    chosen: list[int] = []
-    rows: list[list[Fraction]] = []  # echelonized copies of the chosen vectors
-    for idx, v in enumerate(vectors):
-        w = list(v)
-        for r in rows:
-            lead = next(j for j in range(len(r)) if r[j] != 0)
-            if w[lead] != 0:
-                factor = w[lead] / r[lead]
-                w = [a - factor * b for a, b in zip(w, r)]
-        if any(x != 0 for x in w):
-            chosen.append(idx)
-            rows.append(w)
-    return chosen
-
-
 def _coords_in(basis: list[list[Fraction]], x: list[Fraction]) -> list[Fraction] | None:
     """Coefficients c with sum c_k basis_k = x, or None when x is outside the span."""
     return solve_linear(Mat.from_columns(basis), x)
@@ -88,7 +71,7 @@ def conic_representation(vectors, x) -> ConicResult:
         if any(c != 0 for c in x):
             raise SpanError("empty generating set cannot span a nonzero vector")
         return ConicCombination([], [])
-    basis_idx = _independent_subset(e)
+    basis_idx = pivot_columns(Mat.from_columns(e))
     if len(basis_idx) != n:
         raise SpanError("generating set does not span the ambient space")
 
@@ -115,10 +98,6 @@ def conic_representation(vectors, x) -> ConicResult:
     raise RuntimeError("pivot loop failed to terminate")
 
 
-def _dot(a, b) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
-
-
 def _verify_combination(e, x, result: ConicCombination):
     n = len(x)
     if len(result.indices) != n:
@@ -142,7 +121,7 @@ def _verify_functional(e, x, result: SeparatingFunctional, n: int):
         raise AssertionError("variant B kernel subset has the wrong size")
     if any(_dot(ell, e[i]) != 0 for i in result.kernel_indices):
         raise AssertionError("variant B kernel subset is not in the kernel")
-    if len(_independent_subset([e[i] for i in result.kernel_indices])) != n - 1:
+    if len(pivot_columns(Mat.from_columns([e[i] for i in result.kernel_indices]))) != n - 1:
         raise AssertionError("variant B kernel subset is linearly dependent")
 
 
@@ -154,7 +133,7 @@ def cone_contains(vectors, x) -> bool:
     """
     e = _as_vectors(vectors)
     x = [rat(v) for v in x]
-    basis_idx = _independent_subset(e)
+    basis_idx = pivot_columns(Mat.from_columns(e))
     basis = [e[i] for i in basis_idx]
     if not basis:
         return all(c == 0 for c in x)
@@ -262,7 +241,7 @@ def linear_nns(f: MPoly, ls) -> LinearNnsResult:
     one = [Fraction(1)] + [Fraction(0)] * n
     gens = [one] + [_affine_vec(l) for l in ls]
 
-    basis_idx = _independent_subset(gens)
+    basis_idx = pivot_columns(Mat.from_columns(gens))
     basis = [gens[i] for i in basis_idx]
     gens_r = [_coords_in(basis, v) for v in gens]
     minus_one_r = _coords_in(basis, [-c for c in one])  # always in span: 1 is a generator

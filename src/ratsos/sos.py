@@ -3,10 +3,11 @@
 A polynomial is a sum of squares exactly when some positive semidefinite
 rational matrix G satisfies f = v^T G v for the vector v of candidate
 monomials (the lattice points of half the Newton polytope).  The affine
-family of all G with matching coefficients is computed exactly; a numeric
-interior search plus continued-fraction rounding proposes candidates which
-are accepted only after an exact psd check.  Infeasibility is certified only
-from exact linear consequences.
+family of all G with matching coefficients is written down exactly in closed
+form, without elimination, since each entry of G enters exactly one
+coefficient equation; a numeric interior search plus continued-fraction
+rounding proposes candidates which are accepted only after an exact psd
+check.  Infeasibility is certified only from exact linear consequences.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import Mat, affine_solution_set, rat
+from .arith import rat
 from .conic import convex_membership, newton_halved_lattice
 from .numeric import AffineFamily, alternating_projection
 from .poly import MPoly, UPoly, parse_poly, poly_text
@@ -63,55 +64,54 @@ class GramFamily:
 
 
 def gram_family(f: MPoly, monomials) -> GramFamily:
-    """Solve the linear system matching coefficients of v^T G v against f.
+    """All G with v^T G v = f, in closed form.
 
-    Every exponent of f must be a sum of two entries of the monomial vector;
-    an inconsistent system raises :class:`GramInfeasibleError`.
+    The unknowns are the upper-triangle entries G_ij (in SymMat order), and
+    G_ij enters only the coefficient of gamma = b_i + b_j, with multiplier 1
+    on the diagonal and 2 off it.  So the system splits into one equation per
+    gamma: the particular solution puts f_gamma / mult on the first unknown of
+    each class, and every other unknown u of a class gives one basis vector,
+    1 at u and -mult_u / mult_first at the first unknown.  A diagonal entry is
+    forced exactly when it is alone in its class.  This is the family that
+    row elimination of the system gives, basis order included (free unknowns
+    in increasing order, free values 0 or 1).  Every exponent of f must be
+    a sum of two entries of the monomial vector, else
+    :class:`GramInfeasibleError` is raised.
     """
     monomials = [tuple(a) for a in monomials]
     if not monomials:
         raise ValueError("empty monomial vector")
     m = len(monomials)
-    nunk = m * (m + 1) // 2
-    pair_index = {}
-    k = 0
-    for i in range(m):
-        for j in range(i, m):
-            pair_index[(i, j)] = k
-            k += 1
-    # gamma -> list of (unknown, multiplier)
-    equations: dict[tuple, list] = {}
-    for i in range(m):
-        for j in range(i, m):
-            gamma = tuple(a + b for a, b in zip(monomials[i], monomials[j]))
-            equations.setdefault(gamma, []).append((pair_index[(i, j)], 1 if i == j else 2))
-    missing = [g for g in f.terms if g not in equations]
+    pairs = [(i, j) for i in range(m) for j in range(i, m)]
+    # gamma -> list of (unknown, multiplier), unknowns in increasing order
+    classes: dict[tuple, list] = {}
+    for u, (i, j) in enumerate(pairs):
+        gamma = tuple(a + b for a, b in zip(monomials[i], monomials[j]))
+        classes.setdefault(gamma, []).append((u, 1 if i == j else 2))
+    missing = [g for g in f.terms if g not in classes]
     if missing:
         raise GramInfeasibleError(
             f"monomial {missing[0]} of the target is not a sum of two candidate exponents"
         )
-    gammas = sorted(equations, key=lambda a: (sum(a), tuple(-e for e in a)))
-    rows = []
-    rhs = []
-    for gamma in gammas:
-        row = [Fraction(0)] * nunk
-        for unk, mult in equations[gamma]:
-            row[unk] += mult
-        rows.append(row)
-        rhs.append(f.coeff(gamma))
-    solution = affine_solution_set(Mat(rows), rhs)
-    if solution is None:
-        raise GramInfeasibleError("coefficient-match system is inconsistent")
-    particular, null_basis = solution
-    # the unknown order coincides with the SymMat upper-triangle layout
-    g0 = SymMat(m, particular)
-    basis = [SymMat(m, vec) for vec in null_basis]
+    particular = [Fraction(0)] * len(pairs)
+    basis = {}
     forced = {}
-    for i in range(m):
-        pos = pair_index[(i, i)]
-        if all(vec[pos] == 0 for vec in null_basis):
-            forced[i] = particular[pos]
-    return GramFamily(monomials, g0, basis, forced)
+    for gamma, members in classes.items():
+        (first, first_mult), others = members[0], members[1:]
+        particular[first] = f.coeff(gamma) / first_mult
+        for u, mult in others:
+            vec = [Fraction(0)] * len(pairs)
+            vec[u] = Fraction(1)
+            vec[first] = Fraction(-mult, first_mult)
+            basis[u] = vec
+        if not others and first_mult == 1:
+            forced[pairs[first][0]] = particular[first]
+    return GramFamily(
+        monomials,
+        SymMat(m, particular),
+        [SymMat(m, basis[u]) for u in sorted(basis)],
+        dict(sorted(forced.items())),
+    )
 
 
 @dataclass
@@ -319,8 +319,18 @@ def _json_typed(value, kind, what: str):
     kinds = kind if isinstance(kind, tuple) else (kind,)
     if isinstance(value, bool) or not isinstance(value, kinds):
         expected = " or ".join(_JSON_KINDS[k] for k in kinds)
-        raise ValueError(f"certificate field {what} must be {expected}, not {type(value).__name__}")
+        raise ValueError(f"{what} must be {expected}, not {type(value).__name__}")
     return value
+
+
+def json_rationals(value, what: str, entry: str) -> list[Fraction]:
+    """A JSON list ``what`` of integers and "p/q" strings (each an ``entry``), as rationals."""
+    return [rat(_json_typed(x, (str, int), entry)) for x in _json_typed(value, list, what)]
+
+
+def json_rows(value, what: str) -> list[list[Fraction]]:
+    """A JSON list of lists of integers and "p/q" strings, as rows of rationals."""
+    return [json_rationals(row, f"{what} row", f"{what} entry") for row in _json_typed(value, list, what)]
 
 
 def json_field(doc, key: str, kind):
@@ -333,7 +343,7 @@ def json_field(doc, key: str, kind):
         raise ValueError(f"certificate document: expected an object holding {key!r}")
     if key not in doc:
         raise ValueError(f"certificate document is missing {key!r}")
-    return _json_typed(doc[key], kind, repr(key))
+    return _json_typed(doc[key], kind, f"certificate field {key!r}")
 
 
 def terms_from_json(items, nvars: int | None) -> tuple:
@@ -363,10 +373,7 @@ def cert_from_json(doc: dict, nvars: int | None = None):
     if "terms" in doc:
         return SosCert(terms_from_json(json_field(doc, "terms", list), nvars)), target
     if "gram" in doc:
-        rows = [_json_typed(row, list, "'gram' row") for row in json_field(doc, "gram", list)]
-        gram = SymMat.from_rows(
-            [[rat(_json_typed(x, (str, int), "'gram' entry")) for x in row] for row in rows]
-        )
+        gram = SymMat.from_rows(json_rows(json_field(doc, "gram", list), "certificate field 'gram'"))
         monomials = [_exponents(a) for a in json_field(doc, "monomials", list)]
         return (gram, monomials), target
     raise ValueError("certificate document has neither 'terms' nor 'gram'")

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 from ratsos.poly import MPoly, UPoly
+from ratsos.quadforms import SymMat, rank
 
 
 def rand_frac(rng, lo=-6, hi=6, max_den=4) -> Fraction:
@@ -43,3 +44,27 @@ def upoly_from_roots(roots, lc=Fraction(1)) -> UPoly:
     for r in roots:
         f = f * UPoly([-Fraction(r), Fraction(1)])
     return f
+
+
+def gram_rank(vectors) -> int:
+    """Rank of a list of rational vectors, as the rank of their Gram matrix.
+
+    Computed by congruence diagonalization, never by row elimination, so it
+    is an oracle independent of the elimination kernel in ratsos.arith.
+    """
+    if not vectors:
+        return 0
+    return rank(SymMat.from_rows([[sum(x * y for x, y in zip(a, b)) for b in vectors] for a in vectors]))
+
+
+def planted_rows(rng, nrows, ncols, nbase, max_den=9):
+    """(rows, planted): nbase random rows with mixed denominators plus random
+    rational combinations of them inserted at random places, so the rank is
+    at most nbase; planted lists the indices of the combination rows."""
+    base = [[rand_frac(rng, max_den=max_den) for _ in range(ncols)] for _ in range(nbase)]
+    rows = [(False, r) for r in base]
+    while len(rows) < nrows:
+        coeffs = [rand_frac(rng, -3, 3, max_den=7) for _ in base]
+        combo = [sum((c * r[k] for c, r in zip(coeffs, base)), Fraction(0)) for k in range(ncols)]
+        rows.insert(rng.randint(0, len(rows)), (True, combo))
+    return [r for _, r in rows], [i for i, (is_combo, _) in enumerate(rows) if is_combo]

@@ -6,7 +6,7 @@ import pytest
 from ratsos.arith import DimensionError, Mat, affine_solution_set, charpoly, det, rat, solve_linear
 from ratsos.poly import UPoly
 
-from helpers import rand_frac
+from helpers import gram_rank, planted_rows, rand_frac
 
 
 def cofactor_det(rows):
@@ -52,6 +52,19 @@ def test_det_multiplicative():
         a = Mat([[rand_frac(rng) for _ in range(n)] for _ in range(n)])
         b = Mat([[rand_frac(rng) for _ in range(n)] for _ in range(n)])
         assert det(a * b) == det(a) * det(b)
+
+
+def test_det_singular_and_fractional():
+    """det is 0 on singular matrices with fractional entries, and agrees with
+    the cofactor oracle on random ones with a zero corner (a row swap)."""
+    rng = random.Random(41)
+    for n in range(1, 7):
+        for _ in range(4):
+            rows, _ = planted_rows(rng, n, n, rng.randint(0, n - 1))
+            assert det(Mat(rows)) == 0 == cofactor_det(rows)
+            rows = [[rand_frac(rng, -2, 2, max_den=9) for _ in range(n)] for _ in range(n)]
+            rows[0][0] = Fraction(0)
+            assert det(Mat(rows)) == cofactor_det(rows)
 
 
 def test_det_rejects_non_square():
@@ -149,6 +162,38 @@ def test_affine_solution_set():
         for v in basis:
             assert a.matvec(v) == zero
     assert affine_solution_set(Mat([[1, 1], [2, 2]]), [1, 3]) is None
+
+
+def test_affine_solution_set_rank_deficient():
+    """Mixed denominators and planted dependent rows: the basis has one vector
+    per free column, each 1 on its own free column and 0 on the others, and
+    a broken dependent equation makes the system inconsistent."""
+    rng = random.Random(37)
+    for _ in range(40):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 7)
+        rows, planted = planted_rows(rng, nrows, ncols, rng.randint(0, min(nrows, ncols)))
+        if rng.random() < 0.3:  # a zero column, skipped by the elimination
+            zero = rng.randrange(ncols)
+            for row in rows:
+                row[zero] = Fraction(0)
+        a = Mat(rows)
+        b = a.matvec([rand_frac(rng, max_den=6) for _ in range(ncols)])
+        particular, basis = affine_solution_set(a, b)
+        assert a.matvec(particular) == b
+        assert len(basis) == ncols - gram_rank(rows)
+        # back-substitution leaves later columns at 0: the free column of a
+        # basis vector is its last nonzero entry
+        free = [max(j for j, x in enumerate(v) if x != 0) for v in basis]
+        assert free == sorted(set(free))
+        for v, j in zip(basis, free):
+            assert a.matvec(v) == [0] * nrows
+            assert [v[k] for k in free] == [1 if k == j else 0 for k in free]
+        assert all(particular[k] == 0 for k in free)
+        assert a.matvec(solve_linear(a, b)) == b
+        if planted:
+            b[rng.choice(planted)] += Fraction(1, 3)
+            assert affine_solution_set(a, b) is None
+            assert solve_linear(a, b) is None
 
 
 def test_exact_fraction_arithmetic():

@@ -122,7 +122,7 @@ def test_batch_survives_malformed_certificate(tmp_path):
         f"sos check --cert {bad}\n"
         'descartes --poly "x^2 - 3*x + 2"\n'
     )
-    code, out = run(["batch", str(batch), "--workers", "2"])
+    code, out = run(["batch", str(batch)])
     assert code == 2
     lines = out.splitlines()
     assert lines[0] == "[0] real=3 complex_distinct=3"
@@ -168,7 +168,7 @@ def test_batch_survives_mistyped_certificate(tmp_path):
     good = _write_json(tmp_path / "good.json", {"gram": [["1"]], "monomials": [[1]], "target": "x^2"})
     batch = tmp_path / "cmds.txt"
     batch.write_text(f"sos check --cert {good}\nsos check --cert {bad}\ncount-roots --poly \"x^3 - x\"\n")
-    code, out = run(["batch", str(batch), "--workers", "2"])
+    code, out = run(["batch", str(batch)])
     assert code == 2
     assert out.splitlines() == [
         "[0] valid",
@@ -298,6 +298,74 @@ def test_input_errors_exit_2():
     assert code == 2
 
 
+#: malformed JSON matrices and vectors, with the message each must give
+BAD_JSON_ARGS = [
+    (["signature", "--matrix", "5"], "--matrix must be a list, not int"),
+    (["signature", "--matrix", "[5]"], "--matrix row must be a list, not int"),
+    (["psd-check", "--matrix", "{}"], "--matrix must be a list, not dict"),
+    (["psd-check", "--matrix", "[[true]]"], "--matrix entry must be a string or an integer, not bool"),
+    (["diagonalize", "--matrix", "[[1.5]]"], "--matrix entry must be a string or an integer, not float"),
+    (["conic", "--vectors", "5", "--target", "[1]"], "--vectors must be a list, not int"),
+    (["conic", "--vectors", "[[1], 2]", "--target", "[1]"], "--vectors row must be a list, not int"),
+    (["conic", "--vectors", "[[1]]", "--target", "5"], "--target must be a list, not int"),
+    (["conic", "--vectors", "[[1]]", "--target", "[null]"],
+     "--target entry must be a string or an integer, not NoneType"),
+]
+
+
+@pytest.mark.parametrize("argv,message", BAD_JSON_ARGS)
+def test_bad_json_matrices_and_vectors_exit_2(argv, message):
+    assert run(argv) == (2, f"error: {message}")
+    code, out = run(["--json"] + argv)
+    assert code == 2 and json.loads(out) == {"error": message}
+
+
+def test_batch_survives_bad_json_matrix(tmp_path):
+    batch = tmp_path / "cmds.txt"
+    batch.write_text("signature --matrix 5\npsd-check --matrix [[true]]\npsd-check --matrix [[1]]\n")
+    code, out = run(["batch", str(batch)])
+    assert code == 2
+    assert out.splitlines() == [
+        "[0] error: --matrix must be a list, not int",
+        "[1] error: --matrix entry must be a string or an integer, not bool",
+        "[2] psd",
+    ]
+
+
+def test_batch_has_no_workers_option(tmp_path):
+    batch = tmp_path / "cmds.txt"
+    batch.write_text("psd-check --matrix [[1]]\n")
+    assert run(["batch", str(batch), "--workers", "2"])[0] == 2
+
+
+#: JSON values for the matrix and vector fuzz: wrong types, non-rational
+#: strings, ragged and nested lists, objects
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-2, 2, allow_nan=False)
+    | st.sampled_from(["", "1/2", "-3", "1/0", "1.5", "x", "2/4"]),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.sampled_from("ab"), children, max_size=2),
+    max_leaves=10,
+)
+
+
+@pytest.mark.parametrize("template", [
+    ["signature", "--matrix={}"],
+    ["diagonalize", "--matrix={}"],
+    ["psd-check", "--matrix={}"],
+    ["conic", "--vectors={}", "--target=[1, 0]"],
+    ["conic", "--vectors=[[1, 0], [0, 1], [-1, -1]]", "--target={}"],
+])
+def test_fuzzed_json_matrices_and_vectors_never_raise(template):
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(JSON_VALUES.map(json.dumps), st.text(max_size=8)))
+    def check(text):
+        code, out = run([arg.format(text) if "{}" in arg else arg for arg in template])
+        assert code in (0, 1, 2, 3) and isinstance(out, str)
+
+    check()
+
+
 def test_json_mode():
     code, out = run(["--json", "count-roots", "--poly", "x^2 + 1"])
     assert code == 0
@@ -311,7 +379,7 @@ def test_batch(tmp_path):
         'psd-check --matrix [[1,0],[0,-1]]\n'
         'descartes --poly "x^2 - 3*x + 2"\n'
     )
-    code, out = run(["batch", str(batch), "--workers", "3"])
+    code, out = run(["batch", str(batch)])
     assert code == 1  # worst exit code wins
     lines = out.splitlines()
     assert lines[0] == "[0] real=3 complex_distinct=3"

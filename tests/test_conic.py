@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from ratsos.arith import Mat, solve_linear
+from ratsos.arith import Mat, pivot_columns, solve_linear
 from ratsos.conic import (
     ConicCombination,
     EmptyFeasibleSet,
@@ -20,7 +20,7 @@ from ratsos.conic import (
 )
 from ratsos.poly import MPoly, parse_poly
 
-from helpers import rand_mpoly
+from helpers import gram_rank, planted_rows, rand_mpoly
 
 
 def cone_membership_oracle(vectors, x):
@@ -218,3 +218,20 @@ def test_linear_nns_rejects_nonlinear():
 def test_cone_contains_outside_span():
     assert not cone_contains([[1, 0, 0], [0, 1, 0]], [0, 0, 1])
     assert cone_contains([[1, 0, 0], [0, 1, 0]], [2, 3, 0])
+
+
+def test_span_basis_is_greedy_by_index():
+    """conic's span basis, the pivot columns of the elimination kernel on
+    Mat.from_columns(vectors), picks index k exactly when the rank of the
+    Gram matrix of the vectors chosen so far rises."""
+    rng = random.Random(43)
+    for _ in range(40):
+        dim = rng.randint(1, 5)
+        vectors, _ = planted_rows(rng, rng.randint(0, 7), dim, rng.randint(0, dim))
+        if vectors and rng.random() < 0.3:
+            vectors.insert(rng.randint(0, len(vectors)), [Fraction(0)] * dim)
+        chosen = []
+        for k, v in enumerate(vectors):
+            if gram_rank([vectors[i] for i in chosen] + [v]) > len(chosen):
+                chosen.append(k)
+        assert pivot_columns(Mat.from_columns(vectors)) == chosen

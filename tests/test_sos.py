@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from ratsos.arith import Mat, affine_solution_set
+from ratsos.conic import newton_halved_lattice
 from ratsos.poly import MPoly, UPoly, parse_poly, parse_upoly
 from ratsos.quadforms import SosCert, SymMat, gram_product
 from ratsos.sos import (
@@ -17,7 +19,7 @@ from ratsos.sos import (
     verify_sos,
 )
 
-from helpers import rand_mpoly, rand_upoly
+from helpers import rand_frac, rand_mpoly, rand_upoly
 
 SEC26 = "2*x^4 + 5*y^4 - x^2*y^2 + 2*x^3*y"
 MOTZKIN = "x^4*y^2 + x^2*y^4 - 3*x^2*y^2 + 1"
@@ -57,6 +59,57 @@ def test_gram_family_inexpressible_monomial():
     with pytest.raises(GramInfeasibleError):
         gram_family(parse_poly("x^3", 1), [(1,)])
 
+
+def _dense_gram_family(f, monomials):
+    """Reference: the coefficient-matching system written out row by row
+    (one equation per exponent gamma, in graded order) and solved by
+    affine_solution_set; returns (particular, basis, forced)."""
+    m = len(monomials)
+    pairs = [(i, j) for i in range(m) for j in range(i, m)]
+    gamma_of = [tuple(a + b for a, b in zip(monomials[i], monomials[j])) for i, j in pairs]
+    gammas = sorted(set(gamma_of), key=lambda a: (sum(a), tuple(-e for e in a)))
+    rows = [[Fraction(0)] * len(pairs) for _ in gammas]
+    for u, ((i, j), gamma) in enumerate(zip(pairs, gamma_of)):
+        rows[gammas.index(gamma)][u] += 1 if i == j else 2
+    solution = affine_solution_set(Mat(rows), [f.coeff(g) for g in gammas])
+    assert solution is not None  # every equation has an unknown of its own
+    particular, basis = solution
+    forced = {
+        i: particular[u] for u, (i, j) in enumerate(pairs) if i == j and all(v[u] == 0 for v in basis)
+    }
+    return particular, basis, forced
+
+
+def _assert_family_matches_dense_solve(f, monomials):
+    fam = gram_family(f, monomials)
+    particular, basis, forced = _dense_gram_family(f, monomials)
+    assert fam.particular._upper == particular
+    assert [b._upper for b in fam.basis] == basis
+    assert list(fam.forced.items()) == list(forced.items())
+    for t in ([Fraction(0)] * len(basis), [Fraction(k + 1, 3) for k in range(len(basis))]):
+        assert gram_product(fam.at(t), fam.monomials) == f
+
+
+def test_gram_family_matches_dense_solve():
+    """The closed-form family is the one the dense elimination gives: the same
+    particular solution, the same basis in the same order, the same forced
+    diagonal entries."""
+    for text in (SEC26, MOTZKIN):
+        f = parse_poly(text, 2)
+        _assert_family_matches_dense_solve(f, newton_halved_lattice(f))
+    rng = random.Random(131)
+    for _ in range(30):
+        nvars = rng.randint(1, 3)
+        box = [tuple(rng.randint(0, 4 - nvars) for _ in range(nvars)) for _ in range(rng.randint(1, 9))]
+        monomials = sorted(set(box), key=lambda a: (sum(a), tuple(-e for e in a)))
+        if rng.random() < 0.5:  # any order of the monomial vector, not only graded
+            rng.shuffle(monomials)
+        n = len(monomials)
+        # fractional entries, about a third of them zero
+        upper = [rand_frac(rng, -3, 3, max_den=5) for _ in range(n * (n + 1) // 2)]
+        f = gram_product(SymMat(n, upper), monomials)
+        if not f.is_zero:
+            _assert_family_matches_dense_solve(f, monomials)
 
 def test_find_gram_sec26():
     f = parse_poly(SEC26, 2)
