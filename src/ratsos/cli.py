@@ -19,13 +19,7 @@ from fractions import Fraction
 from . import conic, lasserre, rootcount, sos
 from .arith import rat
 from .poly import MPoly, PolyParseError, parse_poly, parse_upoly
-from .quadforms import (
-    SymMat,
-    diagonalize,
-    is_psd,
-    rank,
-    signature,
-)
+from .quadforms import SymMat, diagonalize, inertia, is_psd
 
 OK, NEGATIVE, INPUT_ERROR, UNKNOWN = 0, 1, 2, 3
 
@@ -85,7 +79,8 @@ def cmd_descartes(args):
 
 def cmd_signature(args):
     m = _matrix(args.matrix)
-    sig, rk = signature(m), rank(m)
+    pos, neg, _ = inertia(m)
+    sig, rk = pos - neg, pos + neg
     return (
         OK,
         [f"dim={m.dim} rank={rk} signature={sig}"],
@@ -289,20 +284,35 @@ def cmd_lasserre_bound(args):
 def cmd_batch(args):
     with open(args.file) as fh:
         commands = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    results = [run(shlex.split(line)) for line in commands]
-    lines = []
-    payload = []
-    worst = OK
-    for k, (code, out) in enumerate(results):
-        worst = max(worst, code)
-        for ln in out.splitlines():
-            lines.append(f"[{k}] {ln}")
+    lines, payload = [], []
+    for k, line in enumerate(commands):
+        try:
+            argv = shlex.split(line)
+        except ValueError as exc:  # an unbalanced quote fails this line only
+            code, out = _input_error(False, str(exc))
+        else:
+            code, out = run(argv)
+        lines += [f"[{k}] {ln}" for ln in out.splitlines()]
         payload.append({"index": k, "exit": code, "output": out})
-    return worst, lines, {"results": payload}
+    return max((r["exit"] for r in payload), default=OK), lines, {"results": payload}
+
+
+class _ParseExit(Exception):
+    """argparse stopped early; args are the exit code and the text it would print."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises argparse's help and error text (subparsers too) for run() to return."""
+
+    def print_help(self, file=None):
+        raise _ParseExit(OK, self.format_help().rstrip("\n"))
+
+    def error(self, message):
+        raise _ParseExit(INPUT_ERROR, message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="ratsos",
         description="Exact real-root counting, SOS certificates and moment relaxations over Q.",
     )
@@ -402,22 +412,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _input_error(as_json: bool, message: str) -> tuple[int, str]:
+    if as_json:
+        return INPUT_ERROR, json.dumps({"error": message}, sort_keys=True)
+    return INPUT_ERROR, f"error: {message}"
+
+
 def run(argv) -> tuple[int, str]:
     """Execute one command line; returns (exit code, stdout payload)."""
-    parser = build_parser()
+    # argparse fills this namespace as it reads, so a --json given before an
+    # argument error is already set when the error is raised
+    args = argparse.Namespace()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        if exc.code == 0:  # --help
-            return OK, ""
-        return INPUT_ERROR, parser.format_usage().rstrip("\n")
+        build_parser().parse_args(argv, namespace=args)
+    except _ParseExit as exc:
+        code, text = exc.args
+        return (OK, text) if code == OK else _input_error(getattr(args, "json", False), text)
     try:
         code, lines, payload = args.handler(args)
     except (PolyParseError, ValueError, OSError, json.JSONDecodeError, ZeroDivisionError) as exc:
-        message = f"error: {exc}"
-        if args.json:
-            return INPUT_ERROR, json.dumps({"error": str(exc)}, sort_keys=True)
-        return INPUT_ERROR, message
+        return _input_error(args.json, str(exc))
     if args.json:
         payload = dict(payload)
         payload.setdefault("exit", code)

@@ -1,11 +1,12 @@
 """Exact real and complex root counting for univariate rational polynomials.
 
-The workhorse is the Hankel matrix of traces H(f, g) built from the companion
-matrix of f: its signature counts real roots of f weighted by the sign of g,
-its rank counts distinct complex roots with g nonzero.  Sign-change counting
-supplies Descartes bounds and, for real-rooted polynomials, exact positive
-root counts, which together yield a decision procedure for strict univariate
-sign conditions.
+The workhorse is the Hankel matrix of traces H(f, g), entry (i, j) equal to
+tr(g(C_f) C_f^(i+j)) for the companion matrix C_f of f and computed from the
+Newton power sums of the roots of f: its signature counts real roots of f
+weighted by the sign of g, its rank counts distinct complex roots with g
+nonzero.  Sign-change counting supplies Descartes bounds and, for real-rooted
+polynomials, exact positive root counts, which together yield a decision
+procedure for strict univariate sign conditions.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from itertools import product
 
 from .arith import Mat
 from .poly import UPoly, sign_changes  # noqa: F401  (sign_changes is part of this API)
-from .quadforms import SymMat, rank, signature
+from .quadforms import SymMat, inertia, rank, signature
 
 
 @dataclass
@@ -46,22 +47,12 @@ def companion(f: UPoly) -> Mat:
     return Mat(rows)
 
 
-def _mul_companion(rows: list[list[Fraction]], f_coeffs) -> list[list[Fraction]]:
-    """M * C_f in O(d^2): shift columns left, last column is -M @ a."""
-    d = len(rows)
-    out = []
-    for r in rows:
-        shifted = list(r[1:])
-        shifted.append(-sum((r[k] * f_coeffs[k] for k in range(d)), Fraction(0)))
-        out.append(shifted)
-    return out
-
-
 def hermite_form(f: UPoly, g: UPoly | None = None) -> HermiteData:
     """Hankel matrix of traces tr(g(C_f) C_f^(i+j-2)) for monic f of degree >= 1.
 
-    g is reduced mod f before the matrix evaluation; g(C_f) is built by Horner
-    over matrices and traces of the cached companion powers finish the job.
+    The trace of g(C_f) C_f^k depends only on the power sums p_m = tr(C_f^m)
+    of the roots of f: with g reduced mod f to sum_j g_j X^j it equals
+    sum_j g_j p_(j+k).  No matrix is formed; the cost is O(d^2).
     """
     if g is None:
         g = UPoly.one()
@@ -69,27 +60,19 @@ def hermite_form(f: UPoly, g: UPoly | None = None) -> HermiteData:
         raise ValueError("the Hankel trace form needs degree at least 1")
     if not f.is_monic():
         raise ValueError("the Hankel trace form requires a monic polynomial")
-    d = f.degree()
-    g_red = g % f
-    # b := g_red(C_f) by Horner
-    b = [[Fraction(0)] * d for _ in range(d)]
-    for c in reversed(g_red.coeffs):
-        b = _mul_companion(b, f.coeffs)
-        for i in range(d):
-            b[i][i] += c
-    # traces of b * C_f^k for k = 0..2d-2, walking the cached power
-    power = [[Fraction(1) if i == j else Fraction(0) for j in range(d)] for i in range(d)]
-    traces = []
-    for _ in range(2 * d - 1):
-        t = Fraction(0)
-        for i in range(d):
-            for j in range(d):
-                if b[i][j] != 0:
-                    t += b[i][j] * power[j][i]
-        traces.append(t)
-        power = _mul_companion(power, f.coeffs)
+    a, d = f.coeffs, f.degree()
+    # Newton's identities for p_1..p_(3d-3), the first term only while m <= d:
+    # p_m = -m a_(d-m) - sum_(i=1..min(m-1, d)) a_(d-i) p_(m-i)
+    p = [Fraction(d)]
+    for m in range(1, 3 * d - 2):
+        s = m * a[d - m] if m <= d else Fraction(0)
+        for i in range(1, min(m - 1, d) + 1):
+            s += a[d - i] * p[m - i]
+        p.append(-s)
+    g_red = (g % f).coeffs
+    traces = tuple(sum((c * p[j + k] for j, c in enumerate(g_red)), Fraction(0)) for k in range(2 * d - 1))
     upper = [traces[i + j] for i in range(d) for j in range(i, d)]
-    return HermiteData(f, g, SymMat(d, upper), tuple(traces))
+    return HermiteData(f, g, SymMat(d, upper), traces)
 
 
 def _checked_nonzero(f: UPoly) -> UPoly:
@@ -149,12 +132,11 @@ def positive_root_count_bound(f: UPoly) -> tuple[int, int]:
 
 
 def is_real_rooted(f: UPoly) -> bool:
-    """True iff f has no non-real complex roots (rank equals signature)."""
+    """True iff f has no non-real complex roots (its trace form has no negative square)."""
     f = _checked_nonzero(f)
     if f.degree() == 0:
         return True
-    h = hermite_form(f).matrix
-    return rank(h) == signature(h)
+    return inertia(hermite_form(f).matrix)[1] == 0
 
 
 def count_positive_roots_realrooted(f: UPoly) -> int:

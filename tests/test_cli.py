@@ -1,6 +1,7 @@
 import copy
 import itertools
 import json
+import shlex
 
 import pytest
 from hypothesis import given, settings
@@ -362,6 +363,135 @@ def test_fuzzed_json_matrices_and_vectors_never_raise(template):
     def check(text):
         code, out = run([arg.format(text) if "{}" in arg else arg for arg in template])
         assert code in (0, 1, 2, 3) and isinstance(out, str)
+
+    check()
+
+
+#: argument errors, with the message argparse gives for each
+ARGUMENT_ERRORS = [
+    (["signature", "--matrix"], "argument --matrix: expected one argument"),
+    (["count-roots"], "the following arguments are required: --poly"),
+    (["count-roots", "--poly", "x", "--bogus"], "unrecognized arguments: --bogus"),
+    ([], "the following arguments are required: command"),
+]
+
+
+@pytest.mark.parametrize("argv,message", ARGUMENT_ERRORS)
+def test_argument_errors_come_back_through_run(argv, message, capsys):
+    assert run(argv) == (2, f"error: {message}")
+    code, out = run(["--json"] + argv)
+    assert code == 2 and json.loads(out) == {"error": message}
+    assert capsys.readouterr() == ("", "")
+
+
+def test_help_comes_back_through_run(capsys):
+    code, out = run(["--help"])
+    assert code == 0 and out.startswith("usage: ratsos")
+    code, out = run(["count-roots", "-h"])
+    assert code == 0 and out.startswith("usage: ratsos count-roots")
+    assert capsys.readouterr() == ("", "")
+
+
+def test_batch_survives_bad_argument_lines(tmp_path, capsys):
+    batch = tmp_path / "cmds.txt"
+    batch.write_text(
+        'count-roots --poly "x^3 - x"\n'
+        'count-roots --poly "x\n'
+        "signature --matrix [[1]] --matrix\n"
+        'descartes --poly "x^2 - 3*x + 2"\n'
+    )
+    code, out = run(["batch", str(batch)])
+    assert code == 2
+    assert out.splitlines() == [
+        "[0] real=3 complex_distinct=3",
+        "[1] error: No closing quotation",
+        "[2] error: argument --matrix: expected one argument",
+        "[3] sign_changes=2 max_positive_roots=2 parity=even",
+    ]
+    assert capsys.readouterr() == ("", "")
+
+
+#: short text in the polynomial grammar's alphabet, and any short text
+POLY_TEXT = st.text(alphabet="xyz0123456789+-*/^ ", max_size=10) | st.text(max_size=6)
+
+
+@pytest.mark.parametrize("template", [
+    ["descartes", "--poly={}"],
+    ["count-roots", "--poly={}"],
+    ["count-with-signs", "--poly=x^3 - x", "-g={}"],
+])
+def test_fuzzed_polynomial_text_never_raises(template, capsys):
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(POLY_TEXT)
+    def check(text):
+        code, out = run([arg.format(text) for arg in template])
+        assert code in (0, 1, 2, 3) and isinstance(out, str)
+
+    check()
+    assert capsys.readouterr().err == ""
+
+
+#: valid batch lines that the batch fuzz edits, and the flags it appends
+BATCH_LINES = [
+    'count-roots --poly "x^3 - x"',
+    'count-with-signs --poly "x^3 - x" -g x',
+    "decide-strict -g 'x^2 + 1' -g \"1 - x\"",
+    'descartes --poly "x^2 - 3*x + 2"',
+    "signature --matrix [[2,1],[1,5]]",
+    "psd-check --matrix [[1,0],[0,-1]]",
+    "conic --vectors [[1,0],[0,1]] --target [1,1]",
+]
+JUNK_FLAGS = ["--bogus", "--poly", "-g", "--matrix", "--json", "-h", "--", "-", "'", '"x']
+
+
+@st.composite
+def batch_line(draw):
+    kind = draw(st.sampled_from(["valid", "drop-quote", "add-quote", "truncate", "junk-flag",
+                                 "comment", "blank"]))
+    if kind == "comment":
+        return "#" + draw(st.text(alphabet="ab \"'-", max_size=6))
+    if kind == "blank":
+        return draw(st.sampled_from(["", "  ", "\t"]))
+    line = draw(st.sampled_from(BATCH_LINES))
+    if kind == "drop-quote" and any(q in line for q in "\"'"):
+        quotes = [i for i, ch in enumerate(line) if ch in "\"'"]
+        i = draw(st.sampled_from(quotes))
+        line = line[:i] + line[i + 1:]
+    elif kind == "add-quote":
+        i = draw(st.integers(0, len(line)))
+        line = line[:i] + draw(st.sampled_from("\"'")) + line[i:]
+    elif kind == "truncate":
+        line = line[: draw(st.integers(0, len(line) - 1))]
+    elif kind == "junk-flag":
+        line += " " + draw(st.sampled_from(JUNK_FLAGS))
+    return line
+
+
+def test_fuzzed_batch_files_never_raise(tmp_path_factory, capsys):
+    directory = tmp_path_factory.mktemp("batch")
+    names = itertools.count()
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.lists(batch_line(), min_size=1, max_size=5))
+    def check(file_lines):
+        batch = directory / f"cmds{next(names)}.txt"
+        batch.write_text("\n".join(file_lines) + "\n")
+        expected = []
+        for line in file_lines:
+            if not line.strip() or line.startswith("#"):
+                continue
+            try:
+                expected.append(run(shlex.split(line)))
+            except ValueError as exc:  # an unbalanced quote fails its own line
+                expected.append((2, f"error: {exc}"))
+        assert all(text for _, text in expected)
+        code, out = run(["batch", str(batch)])
+        # the worst exit code, and one block per command line, in order
+        assert code == max((c for c, _ in expected), default=0)
+        assert out.splitlines() == [
+            f"[{k}] {ln}" for k, (_, text) in enumerate(expected) for ln in text.splitlines()
+        ]
+        assert capsys.readouterr().err == ""
 
     check()
 

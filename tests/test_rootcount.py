@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from ratsos.arith import charpoly
+from ratsos.arith import Mat, charpoly
 from ratsos.poly import UPoly, gcd_upoly, parse_upoly
 from ratsos.quadforms import SymMat, rank, signature
 from ratsos.rootcount import (
@@ -19,7 +19,7 @@ from ratsos.rootcount import (
     sign_changes,
 )
 
-from helpers import upoly_from_roots
+from helpers import rand_frac, upoly_from_roots
 
 X = UPoly.x()
 
@@ -68,6 +68,54 @@ def test_hermite_golden_x2_plus_1():
     data = hermite_form(parse_upoly("x^2 + 1"))
     assert data.matrix.rows() == [[2, 0], [0, -2]]
     assert data.traces == (2, 0, -2)
+
+
+def companion_traces(f, g):
+    """tr(g(C_f) C_f^k) for k = 0..2d-2, by products of the companion matrix; g is not reduced."""
+    c = companion(f)
+    d = f.degree()
+    power, gc = Mat.identity(d), Mat.zeros(d, d)
+    for coeff in g.coeffs:
+        gc = gc + power * coeff
+        power = power * c
+    traces = []
+    for _ in range(2 * d - 1):
+        traces.append(sum((gc[i, i] for i in range(d)), Fraction(0)))
+        gc = gc * c
+    return tuple(traces)
+
+
+def test_traces_match_companion_definition():
+    rng = random.Random(97)
+    for d in range(1, 13):
+        mixed = UPoly([rand_frac(rng, max_den=12) for _ in range(d)] + [Fraction(1)])
+        pool = [rand_frac(rng, max_den=5) for _ in range(max(1, d // 3))]
+        repeated = upoly_from_roots([rng.choice(pool) for _ in range(d)])  # repeated roots
+        gs = [
+            UPoly.zero(),
+            UPoly([rand_frac(rng, max_den=7) or Fraction(1)]),
+            UPoly([rand_frac(rng, max_den=7) for _ in range(d)]),
+            UPoly([rand_frac(rng, max_den=7) for _ in range(2 * d)] + [Fraction(rng.choice([-3, 2]), 5)]),
+        ]
+        for f in (mixed, repeated):
+            for g in gs:
+                assert hermite_form(f, g).traces == companion_traces(f, g), (f, g)
+
+
+def test_power_sums_match_known_roots():
+    # traces with g = 1 are p_0..p_(2d-2) and with g = X^(d-1) are p_(d-1)..p_(3d-3),
+    # p_m the sum of the m-th powers of the roots with multiplicity
+    rng = random.Random(101)
+    cases = [[Fraction(3)], [0, 0, 0], [Fraction(1, 2)] * 3 + [-2, 0], [Fraction(-7, 3), Fraction(5, 4), 1, 1]]
+    cases += [[rand_frac(rng, -9, 9, 6) for _ in range(rng.randint(2, 8))] for _ in range(6)]
+    distinct = [Fraction(rng.randint(-300, 300), rng.randint(1, 40)) for _ in range(20)]
+    cases.append(distinct + distinct[:4])  # degree 24, as in the benchmark
+    for roots in cases:
+        f = upoly_from_roots(roots)
+        d = f.degree()
+        p = [sum(Fraction(r) ** m for r in roots) for m in range(3 * d - 2)]
+        assert hermite_form(f).traces == tuple(p[: 2 * d - 1])
+        assert hermite_form(f, X ** (d - 1)).traces == tuple(p[d - 1 :])
 
 
 def test_hermite_three_real_roots():
