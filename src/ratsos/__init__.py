@@ -58,6 +58,7 @@ from .rootcount import (
     count_positive_roots_realrooted,
     count_real_roots,
     count_real_with_signs,
+    count_roots,
     decide_strict_system,
     hermite_form,
     is_real_rooted,

@@ -5,7 +5,8 @@ grammar (variables x1..xn with x, y, z aliases) and matrices/vectors as JSON,
 and prints deterministic human output or, with --json, a stable JSON object.
 
 Exit codes: 0 success, 1 proved mathematical negative (not SOS, not psd,
-unsatisfiable, ...), 2 input error, 3 unknown / numeric failure.
+unsatisfiable, ...), 2 input error, 3 unknown / numeric failure / a failed
+internal check.
 """
 
 from __future__ import annotations
@@ -46,9 +47,7 @@ def _fmt_frac(x: Fraction) -> str:
 # --- handlers: each returns (code, human lines, json payload) ---------------
 
 def cmd_count_roots(args):
-    f = _univariate(args.poly)
-    real = rootcount.count_real_roots(f)
-    cplx = rootcount.count_complex_distinct(f)
+    real, cplx = rootcount.count_roots(_univariate(args.poly))
     return OK, [f"real={real} complex_distinct={cplx}"], {"real": real, "complex_distinct": cplx}
 
 
@@ -283,7 +282,7 @@ def cmd_lasserre_bound(args):
 
 def cmd_batch(args):
     with open(args.file) as fh:
-        commands = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+        commands = [ln for ln in map(str.strip, fh) if ln and not ln.startswith("#")]
     lines, payload = [], []
     for k, line in enumerate(commands):
         try:
@@ -432,6 +431,9 @@ def run(argv) -> tuple[int, str]:
         code, lines, payload = args.handler(args)
     except (PolyParseError, ValueError, OSError, json.JSONDecodeError, ZeroDivisionError) as exc:
         return _input_error(args.json, str(exc))
+    except (AssertionError, RuntimeError, ArithmeticError) as exc:  # a failed internal check
+        message = "internal error: " + (" ".join(str(exc).split()) or type(exc).__name__)
+        return UNKNOWN, json.dumps({"error": message}, sort_keys=True) if args.json else message
     if args.json:
         payload = dict(payload)
         payload.setdefault("exit", code)

@@ -3,10 +3,11 @@
 A degree-d relaxation replaces every monomial of degree at most d by a
 moment variable y_alpha (y_0 pinned to 1) and demands that the moment block
 and one localizing block per constraint be positive semidefinite.  The
-module also verifies exact weighted-SOS membership certificates for the
-degree-d truncated module sum_i sigma_i g_i and computes certified lower
-bounds by bisection with a numeric feasibility oracle and exact final
-certification.
+module also searches and verifies exact weighted-SOS membership certificates
+for the degree-d truncated module sum_i sigma_i g_i (the search runs on the
+Gram-system core of :mod:`ratsos.sos`, one block per kept generator) and
+computes certified lower bounds by bisection with a numeric feasibility
+oracle and exact final certification.
 """
 
 from __future__ import annotations
@@ -14,13 +15,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
-from .arith import Mat, affine_solution_set, rat
-from .numeric import AffineFamily, alternating_projection
+from .arith import rat
 from .poly import MPoly, poly_text
-from .quadforms import SosCert, SymMat, is_psd, weighted_square_decomposition
-from .sos import DENOMINATOR_LADDER, VerifyResult, json_field, terms_from_json
+from .quadforms import SosCert, SymMat, weighted_square_decomposition
+from .sos import (
+    DENOMINATOR_LADDER,
+    GramInfeasibleError,
+    VerifyResult,
+    gram_system,
+    json_field,
+    search_family,
+    terms_from_json,
+)
 
 
 def monomials_upto(nvars: int, degree: int) -> list[tuple[int, ...]]:
@@ -80,6 +86,18 @@ class LasserreRelaxation:
         return [b.size for b in self.blocks]
 
 
+def _kept_generators(gs, d: int, nvars: int) -> list[tuple[int, MPoly, int]]:
+    """(index into [1] + gs, generator, cap) for every generator the degree-d module keeps.
+
+    A generator is kept when it is nonzero and of degree at most d; the
+    monomials of its Gram block have degree at most the cap
+    r = floor((d - deg g) / 2).  Relaxation blocks, the certificate search and
+    its verification all read this one rule.
+    """
+    generators = enumerate([MPoly.constant(nvars, 1)] + list(gs))
+    return [(k, g, (d - int(g.degree())) // 2) for k, g in generators if not g.is_zero and g.degree() <= d]
+
+
 def build_relaxation(gs, degree: int, nvars: int) -> LasserreRelaxation:
     """Moment and localizing blocks for the degree-d relaxation of gs >= 0.
 
@@ -92,13 +110,7 @@ def build_relaxation(gs, degree: int, nvars: int) -> LasserreRelaxation:
     monomials = monomials_upto(nvars, degree)
     index = {alpha: k for k, alpha in enumerate(monomials)}
     rel = LasserreRelaxation(nvars, degree, gs, monomials)
-    generators = [(0, MPoly.constant(nvars, 1))]
-    for i, g in enumerate(gs, start=1):
-        if g.is_zero or g.degree() > degree:
-            continue
-        generators.append((i, g))
-    for gen_index, g in generators:
-        r = (degree - int(g.degree())) // 2
+    for gen_index, g, r in _kept_generators(gs, degree, nvars):
         basis = monomials_upto(nvars, r)
         entries = []
         for beta in basis:
@@ -210,25 +222,22 @@ class ModuleCert:
     sigmas: list[SosCert]
 
 
-def _degree_cap(d: int, g: MPoly) -> int:
-    if g.is_zero:
-        return -1
-    return (d - int(g.degree())) // 2
-
-
 def verify_module_membership(f: MPoly, gs, d: int, cert: ModuleCert) -> VerifyResult:
-    """Exact check that f = sum sigma_i g_i with the degree-d caps honored."""
+    """Exact check that f = sum sigma_i g_i with the degree-d caps honored.
+
+    A generator the degree-d module does not keep admits no nonzero term.
+    """
     gs = list(gs)
     generators = [MPoly.constant(f.nvars, 1)] + gs
     if len(cert.sigmas) != len(generators):
         return VerifyResult(False, "arity")
+    caps = {k: cap for k, _, cap in _kept_generators(gs, d, f.nvars)}
     total = MPoly.zero(f.nvars)
-    for g, sigma in zip(generators, cert.sigmas):
-        cap = _degree_cap(d, g)
+    for k, (g, sigma) in enumerate(zip(generators, cert.sigmas)):
         for w, p in sigma.terms:
             if w < 0:
                 return VerifyResult(False, "negative-weight")
-            if p.degree() > cap:
+            if p.degree() > caps.get(k, -1):
                 return VerifyResult(False, "degree-cap")
         total = total + sigma.expand(MPoly.zero(f.nvars)) * g
     if total != f:
@@ -254,98 +263,30 @@ def module_cert_search(
 ) -> ModuleSearch:
     """Search an exact certificate f = sum sigma_i g_i of degree d.
 
-    One Gram block per retained generator; the coefficient-matching system is
-    solved exactly, the psd member is located numerically and rationalized,
-    and the certificate is rebuilt and re-verified exactly before return.
+    One Gram block per kept generator, on the Gram-system core of
+    :mod:`ratsos.sos`; an accepted member is turned into weighted squares and
+    the certificate is re-verified exactly before return.
     """
     gs = list(gs)
-    nvars = f.nvars
     if f.degree() > d:
         raise ValueError("target degree exceeds the relaxation degree")
-    generators = [(0, MPoly.constant(nvars, 1))]
-    for i, g in enumerate(gs, start=1):
-        if not g.is_zero and g.degree() <= d:
-            generators.append((i, g))
-    bases = [monomials_upto(nvars, _degree_cap(d, g)) for _, g in generators]
-    sizes = [len(b) for b in bases]
-    offsets = []
-    total_unknowns = 0
-    for s in sizes:
-        offsets.append(total_unknowns)
-        total_unknowns += s * (s + 1) // 2
-    gammas = monomials_upto(nvars, d)
-    gamma_index = {g: i for i, g in enumerate(gammas)}
-    rows = [[Fraction(0)] * total_unknowns for _ in gammas]
-    for bi, ((_, g), basis) in enumerate(zip(generators, bases)):
-        unk = offsets[bi]
-        for i in range(len(basis)):
-            for j in range(i, len(basis)):
-                mult = 1 if i == j else 2
-                for delta, c in g.terms.items():
-                    gamma = tuple(a + b + dd for a, b, dd in zip(basis[i], basis[j], delta))
-                    rows[gamma_index[gamma]][unk] += mult * c
-                unk += 1
-    rhs = [f.coeff(g) for g in gammas]
-    solution = affine_solution_set(Mat(rows), rhs)
-    if solution is None:
-        return ModuleSearch("infeasible", None, "coefficient-match system is inconsistent")
-    particular, null_basis = solution
-
-    def blocks_of(vec) -> list[SymMat]:
-        out = []
-        for bi, s in enumerate(sizes):
-            start = offsets[bi]
-            out.append(SymMat(s, vec[start : start + s * (s + 1) // 2]))
-        return out
-
-    def vectorize(vec) -> np.ndarray:
-        return np.concatenate([
-            np.array([[float(x) for x in row] for row in b.rows()]).reshape(-1)
-            for b in blocks_of(vec)
-        ])
-
-    def exact_params(params):
-        vec = list(particular)
-        for t, bvec in zip(params, null_basis):
-            if t:
-                vec = [u + t * x for u, x in zip(vec, bvec)]
-        return vec
-
-    def accept(vec) -> ModuleCert | None:
-        blocks = blocks_of(vec)
-        if not all(is_psd(b) for b in blocks):
-            return None
-        sigmas_by_gen = {}
-        for (gi, _), basis, block in zip(generators, bases, blocks):
-            sigmas_by_gen[gi] = weighted_square_decomposition(block, basis)
-        sigmas = [sigmas_by_gen.get(i, SosCert(())) for i in range(len(gs) + 1)]
-        cert = ModuleCert(sigmas)
-        check = verify_module_membership(f, gs, d, cert)
-        if not check:
-            raise AssertionError(f"reconstructed certificate failed verification: {check.reason}")
-        return cert
-
-    if not null_basis:
-        cert = accept(particular)
-        if cert is not None:
-            return ModuleSearch("found", cert, "unique multiplier system")
-        return ModuleSearch("infeasible", None, "unique multiplier system is not psd")
-
-    family = AffineFamily(
-        vectorize(particular),
-        np.column_stack([vectorize(b) for b in null_basis]),
-        sizes,
-    )
-    t, gap, converged = alternating_projection(family, max_sweeps=max_sweeps, tol=tol)
-    if all(np.isfinite(v) for v in t):
-        for bound in denominators:
-            params = [Fraction(float(v)).limit_denominator(bound) for v in t]
-            cert = accept(exact_params(params))
-            if cert is not None:
-                return ModuleSearch("found", cert, f"denominator bound {bound}", converged)
-    if not converged:
-        return ModuleSearch("unknown", None, f"numeric phase stalled at gap {gap:.2e}")
-    return ModuleSearch("unknown", None, "rationalization failed", converged)
+    kept = _kept_generators(gs, d, f.nvars)
+    bases = [monomials_upto(f.nvars, cap) for _, _, cap in kept]
+    try:
+        family = gram_system(f, bases, [g for _, g, _ in kept])
+    except GramInfeasibleError as exc:
+        return ModuleSearch("infeasible", None, str(exc))
+    status, blocks, detail, converged = search_family(family, max_sweeps, tol, denominators)
+    if status != "found":
+        return ModuleSearch(status, None, detail, converged)
+    sigmas = [SosCert(()) for _ in range(len(gs) + 1)]
+    for (k, _, _), basis, block in zip(kept, bases, blocks):
+        sigmas[k] = weighted_square_decomposition(block, basis)
+    cert = ModuleCert(sigmas)
+    check = verify_module_membership(f, gs, d, cert)
+    if not check:
+        raise AssertionError(f"reconstructed certificate failed verification: {check.reason}")
+    return ModuleSearch("found", cert, detail, converged)
 
 
 def _numeric_feasible(f: MPoly, gs, d: int, max_sweeps: int, tol: float) -> bool:

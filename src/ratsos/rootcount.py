@@ -17,7 +17,7 @@ from itertools import product
 
 from .arith import Mat
 from .poly import UPoly, sign_changes  # noqa: F401  (sign_changes is part of this API)
-from .quadforms import SymMat, inertia, rank, signature
+from .quadforms import SymMat, inertia, signature
 
 
 @dataclass
@@ -81,20 +81,23 @@ def _checked_nonzero(f: UPoly) -> UPoly:
     return f.monic()
 
 
-def count_real_roots(f: UPoly) -> int:
-    """Number of distinct real roots."""
+def count_roots(f: UPoly) -> tuple[int, int]:
+    """(distinct real roots, distinct complex roots): signature and rank of one inertia."""
     f = _checked_nonzero(f)
     if f.degree() == 0:
-        return 0
-    return signature(hermite_form(f).matrix)
+        return 0, 0
+    pos, neg, _ = inertia(hermite_form(f).matrix)
+    return pos - neg, pos + neg
+
+
+def count_real_roots(f: UPoly) -> int:
+    """Number of distinct real roots."""
+    return count_roots(f)[0]
 
 
 def count_complex_distinct(f: UPoly) -> int:
     """Number of distinct complex roots."""
-    f = _checked_nonzero(f)
-    if f.degree() == 0:
-        return 0
-    return rank(hermite_form(f).matrix)
+    return count_roots(f)[1]
 
 
 def count_real_with_signs(f: UPoly, gs) -> int:

@@ -2,12 +2,15 @@
 
 A polynomial is a sum of squares exactly when some positive semidefinite
 rational matrix G satisfies f = v^T G v for the vector v of candidate
-monomials (the lattice points of half the Newton polytope).  The affine
-family of all G with matching coefficients is written down exactly in closed
-form, without elimination, since each entry of G enters exactly one
-coefficient equation; a numeric interior search plus continued-fraction
-rounding proposes candidates which are accepted only after an exact psd
-check.  Infeasibility is certified only from exact linear consequences.
+monomials (the lattice points of half the Newton polytope).  The same system,
+with one psd block per generator, gives the truncated-module certificates of
+:mod:`ratsos.lasserre`, so both searches run on one Gram-system core here:
+:func:`gram_system` writes the affine family of coefficient-matching blocks
+down exactly (in closed form when every generator is a single term, by
+Bareiss elimination otherwise), and :func:`search_family` excludes forced
+negative diagonals, then lets a numeric search plus continued-fraction
+rounding propose members that are accepted only after an exact psd check.
+Infeasibility is certified only from exact linear consequences.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import rat
+from .arith import Mat, affine_solution_set, rat
 from .conic import convex_membership, newton_halved_lattice
 from .numeric import AffineFamily, alternating_projection
 from .poly import MPoly, UPoly, parse_poly, poly_text
@@ -43,75 +46,143 @@ class VerifyResult:
 
 @dataclass
 class GramFamily:
-    """Affine set {particular + sum t_j basis[j]} of coefficient-matching matrices.
+    """Affine set of coefficient-matching block tuples.
 
-    ``forced`` maps diagonal positions whose value is the same across the
-    whole family to that value; a negative forced diagonal rules out any psd
+    The unknowns are the upper triangles of the blocks, block after block, and
+    every member is ``particular + sum_j t_j basis[j]`` with sparse basis
+    vectors {unknown: value}; ``bases[k]`` is the monomial vector of block k.
+    ``forced`` maps (block, i) to the value of diagonal entry (i, i) when it
+    is the same across the whole family; a negative one rules out any psd
     member.
     """
 
-    monomials: list[tuple[int, ...]]
-    particular: SymMat
-    basis: list[SymMat]
-    forced: dict[int, Fraction]
+    bases: list[list[tuple[int, ...]]]
+    particular: list[Fraction]
+    basis: list[dict[int, Fraction]]
+    forced: dict[tuple[int, int], Fraction]
 
-    def at(self, params) -> SymMat:
-        upper = list(self.particular._upper)
+    def at(self, params) -> list[SymMat]:
+        vec = list(self.particular)
         for t, b in zip(params, self.basis):
             if t:
-                upper = [u + t * x for u, x in zip(upper, b._upper)]
-        return SymMat(self.particular.dim, upper)
+                for u, x in b.items():
+                    vec[u] += t * x
+        blocks, start = [], 0
+        for b in self.bases:
+            n = len(b) * (len(b) + 1) // 2
+            blocks.append(SymMat(len(b), vec[start : start + n]))
+            start += n
+        return blocks
+
+    def numeric(self) -> AffineFamily:
+        """The float family in full s*s block coordinates, filled from the sparse entries."""
+        sizes = [len(b) for b in self.bases]
+        starts = np.cumsum([0] + [s * s for s in sizes])
+        # both float positions, (i, j) and (j, i), of every unknown
+        pos = np.array([(starts[k] + i * sizes[k] + j, starts[k] + j * sizes[k] + i)
+                        for k, i, j in _slots(self.bases)])
+        particular = np.zeros(starts[-1])
+        particular[pos] = np.array([float(x) for x in self.particular])[:, None]
+        basis = np.zeros((starts[-1], len(self.basis)))
+        for col, vec in enumerate(self.basis):
+            for u, x in vec.items():
+                basis[pos[u], col] = float(x)
+        return AffineFamily(particular, basis, sizes)
 
 
-def gram_family(f: MPoly, monomials) -> GramFamily:
-    """All G with v^T G v = f, in closed form.
+def _slots(bases) -> list[tuple[int, int, int]]:
+    """(block, i, j) of every unknown, in order."""
+    return [(k, i, j) for k, b in enumerate(bases) for i in range(len(b)) for j in range(i, len(b))]
 
-    The unknowns are the upper-triangle entries G_ij (in SymMat order), and
-    G_ij enters only the coefficient of gamma = b_i + b_j, with multiplier 1
-    on the diagonal and 2 off it.  So the system splits into one equation per
-    gamma: the particular solution puts f_gamma / mult on the first unknown of
-    each class, and every other unknown u of a class gives one basis vector,
-    1 at u and -mult_u / mult_first at the first unknown.  A diagonal entry is
-    forced exactly when it is alone in its class.  This is the family that
-    row elimination of the system gives, basis order included (free unknowns
-    in increasing order, free values 0 or 1).  Every exponent of f must be
-    a sum of two entries of the monomial vector, else
-    :class:`GramInfeasibleError` is raised.
+
+def gram_system(f: MPoly, bases, generators) -> GramFamily:
+    """All blocks G_k with sum_k g_k * (v_k^T G_k v_k) = f, one per generator g_k.
+
+    Unknown G_ij of block k enters the coefficient of gamma = b_i + b_j + delta
+    for each term c x^delta of g_k, with multiplier c on the diagonal and 2c
+    off it.  With single-term generators every unknown enters one equation,
+    and the family is written down in closed form: f_gamma / mult on the
+    first unknown of each gamma class, and for every other unknown u a basis
+    vector, 1 at u and -mult_u / mult_first at the first.  That is the family
+    :func:`affine_solution_set` gives (pivots greedy by column, free unknowns
+    set to 0 or 1 in increasing order), which solves every other system.  A
+    diagonal entry is forced when no basis vector touches it.  An unreachable
+    target monomial or an inconsistent system raises GramInfeasibleError.
     """
-    monomials = [tuple(a) for a in monomials]
-    if not monomials:
-        raise ValueError("empty monomial vector")
-    m = len(monomials)
-    pairs = [(i, j) for i in range(m) for j in range(i, m)]
-    # gamma -> list of (unknown, multiplier), unknowns in increasing order
+    bases = [[tuple(a) for a in b] for b in bases]
+    slots = _slots(bases)
+    # gamma -> [(unknown, multiplier)], unknowns in increasing order
     classes: dict[tuple, list] = {}
-    for u, (i, j) in enumerate(pairs):
-        gamma = tuple(a + b for a, b in zip(monomials[i], monomials[j]))
-        classes.setdefault(gamma, []).append((u, 1 if i == j else 2))
+    for u, (k, i, j) in enumerate(slots):
+        for delta, c in generators[k].terms.items():
+            gamma = tuple(a + b + e for a, b, e in zip(bases[k][i], bases[k][j], delta))
+            classes.setdefault(gamma, []).append((u, c if i == j else 2 * c))
     missing = [g for g in f.terms if g not in classes]
     if missing:
         raise GramInfeasibleError(
             f"monomial {missing[0]} of the target is not a sum of two candidate exponents"
         )
-    particular = [Fraction(0)] * len(pairs)
-    basis = {}
-    forced = {}
-    for gamma, members in classes.items():
-        (first, first_mult), others = members[0], members[1:]
-        particular[first] = f.coeff(gamma) / first_mult
-        for u, mult in others:
-            vec = [Fraction(0)] * len(pairs)
-            vec[u] = Fraction(1)
-            vec[first] = Fraction(-mult, first_mult)
-            basis[u] = vec
-        if not others and first_mult == 1:
-            forced[pairs[first][0]] = particular[first]
-    return GramFamily(
-        monomials,
-        SymMat(m, particular),
-        [SymMat(m, basis[u]) for u in sorted(basis)],
-        dict(sorted(forced.items())),
-    )
+    if all(len(g.terms) == 1 for g in generators):
+        particular = [Fraction(0)] * len(slots)
+        by_unknown = {}
+        for gamma, members in classes.items():
+            (first, first_mult), others = members[0], members[1:]
+            particular[first] = f.coeff(gamma) / first_mult
+            for u, mult in others:
+                by_unknown[u] = {u: Fraction(1), first: -mult / first_mult}
+        basis = [by_unknown[u] for u in sorted(by_unknown)]
+    else:
+        rows = [[Fraction(0)] * len(slots) for _ in classes]
+        for row, members in zip(rows, classes.values()):
+            for u, mult in members:
+                row[u] = mult
+        solution = affine_solution_set(Mat(rows), [f.coeff(g) for g in classes])
+        if solution is None:
+            raise GramInfeasibleError("coefficient-match system is inconsistent")
+        particular = solution[0]
+        basis = [{u: x for u, x in enumerate(v) if x} for v in solution[1]]
+    touched = {u for vec in basis for u in vec}
+    forced = {(k, i): particular[u] for u, (k, i, j) in enumerate(slots) if i == j and u not in touched}
+    return GramFamily(bases, particular, basis, forced)
+
+
+def gram_family(f: MPoly, monomials) -> GramFamily:
+    """All G with v^T G v = f: the one-block :func:`gram_system`, in closed form."""
+    monomials = [tuple(a) for a in monomials]
+    if not monomials:
+        raise ValueError("empty monomial vector")
+    return gram_system(f, [monomials], [MPoly.constant(len(monomials[0]), 1)])
+
+
+def search_family(family: GramFamily, max_sweeps: int, tol: float, denominators):
+    """Look for a member whose blocks are all psd; returns (status, blocks, detail, converged).
+
+    A negative forced diagonal proves infeasibility, and a family with one
+    member is decided by that member.  Otherwise alternating projections
+    propose parameters, which are rounded down the denominator ladder; a
+    member is accepted only when every block passes the exact psd test.
+    ``converged`` reports whether the numeric phase met its tolerance.
+    """
+    for (k, i), value in family.forced.items():
+        if value < 0:
+            return "infeasible", None, f"diagonal entry for {family.bases[k][i]} forced to {value}", False
+    if not family.basis:  # the one member decides
+        proposals, converged = [("unique Gram matrix", [])], False
+    else:
+        t, gap, converged = alternating_projection(family.numeric(), max_sweeps=max_sweeps, tol=tol)
+        proposals = (
+            (f"denominator bound {bound}", [Fraction(float(v)).limit_denominator(bound) for v in t])
+            for bound in (denominators if all(np.isfinite(v) for v in t) else ())
+        )
+    for detail, params in proposals:
+        blocks = family.at(params)
+        if all(is_psd(b) for b in blocks):
+            return "found", blocks, detail, converged
+    if not family.basis:
+        return "infeasible", None, "unique Gram matrix is not psd", False
+    if not converged:
+        return "unknown", None, f"numeric phase stalled at gap {gap:.2e}", False
+    return "unknown", None, "rationalization failed", True
 
 
 @dataclass
@@ -151,9 +222,8 @@ def find_gram(
     """Search for an exact psd Gram matrix of f over the halved Newton lattice.
 
     Order of play: cheap exact exclusions (odd degree, bad Newton-polytope
-    vertices, inconsistent or forced-negative coefficient matching), then an
-    exactly determined family is checked directly, and only then the numeric
-    phase proposes parameters that are rationalized and verified exactly.
+    vertices, inconsistent coefficient matching), then :func:`search_family`
+    on the Gram family; a member it accepts is re-checked against f.
     """
     if f.is_zero:
         raise ValueError("the zero polynomial needs no certificate")
@@ -169,38 +239,13 @@ def find_gram(
         family = gram_family(f, monomials)
     except GramInfeasibleError as exc:
         return GramSearch("infeasible", None, monomials, str(exc))
-    for pos, value in family.forced.items():
-        if value < 0:
-            return GramSearch(
-                "infeasible", None, monomials, f"diagonal entry for {monomials[pos]} forced to {value}"
-            )
-    if not family.basis:
-        g0 = family.particular
-        if is_psd(g0):
-            return GramSearch("found", g0, monomials, "unique Gram matrix")
-        return GramSearch("infeasible", None, monomials, "unique Gram matrix is not psd")
-
-    numeric = AffineFamily(
-        _vectorize(family.particular),
-        np.column_stack([_vectorize(b) for b in family.basis]),
-        [family.particular.dim],
-    )
-    t, gap, converged = alternating_projection(numeric, max_sweeps=max_sweeps, tol=tol)
-    if all(np.isfinite(v) for v in t):
-        for bound in denominators:
-            params = [Fraction(float(v)).limit_denominator(bound) for v in t]
-            candidate = family.at(params)
-            if is_psd(candidate):
-                if gram_product(candidate, monomials) != f:
-                    raise AssertionError("family member does not reproduce the target")
-                return GramSearch("found", candidate, monomials, f"denominator bound {bound}")
-    if not converged:
-        return GramSearch("unknown", None, monomials, f"numeric phase stalled at gap {gap:.2e}")
-    return GramSearch("unknown", None, monomials, "rationalization failed")
-
-
-def _vectorize(m: SymMat) -> np.ndarray:
-    return np.array([float(x) for row in m.rows() for x in row])
+    status, blocks, detail, _ = search_family(family, max_sweeps, tol, denominators)
+    if status != "found":
+        return GramSearch(status, None, monomials, detail)
+    [gram] = blocks
+    if gram_product(gram, monomials) != f:
+        raise AssertionError("family member does not reproduce the target")
+    return GramSearch("found", gram, monomials, detail)
 
 
 def verify_sos(f: MPoly, cert) -> VerifyResult:

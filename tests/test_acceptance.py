@@ -133,7 +133,7 @@ def test_criterion_6_gram_golden():
         # middle diagonal locked to -2*corner - 1, the rest fixed
         assert len(fam.basis) == 1
         for t in (Fraction(0), Fraction(-3)):
-            g = fam.at([t])
+            [g] = fam.at([t])
             assert (g[0, 0], g[0, 1], g[1, 2], g[2, 2]) == (2, 1, 0, 5)
             assert g[1, 1] == -2 * g[0, 2] - 1
         a_member = SymMat.from_rows([[2, 1, -3], [1, 5, 0], [-3, 0, 5]])

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ratsos import quadforms, rootcount, sos
 from ratsos.cli import run
+from ratsos.poly import MPoly
 
 
 def test_count_roots_golden():
@@ -411,6 +413,47 @@ def test_batch_survives_bad_argument_lines(tmp_path, capsys):
     assert capsys.readouterr() == ("", "")
 
 
+WRONG_TARGET = "internal error: family member does not reproduce the target"
+
+
+def test_internal_errors_exit_3(tmp_path, monkeypatch, capsys):
+    """A failed internal check ends in exit 3 with a one-line message, also
+    under --json and inside batch; here find_gram's re-check of the member it
+    accepted is made to fail."""
+    monkeypatch.setattr(sos, "gram_product", lambda gram, monomials: MPoly.zero(1))
+    argv = ["sos", "find", "--poly", "x^4+x^2+1"]
+    assert run(argv) == (3, WRONG_TARGET)
+    code, out = run(["--json"] + argv)
+    assert code == 3 and json.loads(out) == {"error": WRONG_TARGET}
+    batch = tmp_path / "cmds.txt"
+    batch.write_text('sos find --poly "x^4+x^2+1"\ncount-roots --poly "x^3 - x"\n')
+    assert run(["batch", str(batch)]) == (3, f"[0] {WRONG_TARGET}\n[1] real=3 complex_distinct=3")
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("exc", [AssertionError(), RuntimeError("two\nlines"), ArithmeticError("bad")])
+def test_internal_error_kinds_exit_3(monkeypatch, exc):
+    def fail(f):
+        raise exc
+
+    monkeypatch.setattr(rootcount, "count_roots", fail)
+    code, out = run(["count-roots", "--poly", "x"])
+    assert code == 3 and out == "internal error: " + (" ".join(str(exc).split()) or type(exc).__name__)
+    assert "\n" not in out
+
+
+def test_zero_division_stays_an_input_error():
+    assert run(["cassels", "--weights", "1", "--fs", "x", "--g", "0"]) == (2, "error: zero denominator")
+
+
+def test_count_roots_diagonalizes_once(monkeypatch):
+    dims = []
+    diagonalize = quadforms.diagonalize
+    monkeypatch.setattr(quadforms, "diagonalize", lambda m: dims.append(m.dim) or diagonalize(m))
+    assert run(["count-roots", "--poly", "x^3 - x"]) == (0, "real=3 complex_distinct=3")
+    assert dims == [3]
+
+
 #: short text in the polynomial grammar's alphabet, and any short text
 POLY_TEXT = st.text(alphabet="xyz0123456789+-*/^ ", max_size=10) | st.text(max_size=6)
 
@@ -449,7 +492,7 @@ def batch_line(draw):
     kind = draw(st.sampled_from(["valid", "drop-quote", "add-quote", "truncate", "junk-flag",
                                  "comment", "blank"]))
     if kind == "comment":
-        return "#" + draw(st.text(alphabet="ab \"'-", max_size=6))
+        return draw(st.sampled_from(["", " ", "  ", "\t"])) + "#" + draw(st.text(alphabet="ab \"'-", max_size=6))
     if kind == "blank":
         return draw(st.sampled_from(["", "  ", "\t"]))
     line = draw(st.sampled_from(BATCH_LINES))
@@ -478,7 +521,7 @@ def test_fuzzed_batch_files_never_raise(tmp_path_factory, capsys):
         batch.write_text("\n".join(file_lines) + "\n")
         expected = []
         for line in file_lines:
-            if not line.strip() or line.startswith("#"):
+            if not line.strip() or line.strip().startswith("#"):
                 continue
             try:
                 expected.append(run(shlex.split(line)))

@@ -183,6 +183,13 @@ def test_module_cert_search_linear_infeasible():
     assert res.status == "infeasible"
 
 
+def test_module_cert_search_forced_diagonal():
+    # at d = 4 the x^4 coefficient comes only from the (x^2, x^2) Gram entry
+    res = module_cert_search(parse_poly("1 - x^4", 1), [], 4)
+    assert res.status == "infeasible"
+    assert "forced" in res.detail
+
+
 def test_module_search_reports_numeric_convergence():
     gs = [parse_poly("1 - x^2 - y^2", 2)]
     interior = parse_poly("x*y + 1", 2)  # min -1/2 on the disk: a strictly feasible level

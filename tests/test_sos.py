@@ -14,7 +14,9 @@ from ratsos.sos import (
     cert_to_json,
     find_gram,
     gram_family,
+    gram_system,
     gram_to_json,
+    search_family,
     sos_cert_from_gram,
     verify_sos,
 )
@@ -29,22 +31,22 @@ def test_gram_family_sec26_shape():
     f = parse_poly(SEC26, 2)
     fam = gram_family(f, [(2, 0), (1, 1), (0, 2)])
     assert len(fam.basis) == 1
-    assert fam.forced[0] == 2 and fam.forced[2] == 5
+    assert fam.forced[(0, 0)] == 2 and fam.forced[(0, 2)] == 5
     # one-parameter family: entries (0,1) and (1,2) are fixed, and the
     # diagonal middle entry tracks the corner as G11 = -2*G02 - 1
     for t in (Fraction(0), Fraction(1), Fraction(-5, 2)):
-        g = fam.at([t])
+        [g] = fam.at([t])
         assert g[0, 0] == 2 and g[2, 2] == 5
         assert g[0, 1] == 1 and g[1, 2] == 0
         assert g[1, 1] == -2 * g[0, 2] - 1
-        assert gram_product(g, fam.monomials) == f
+        assert gram_product(g, fam.bases[0]) == f
 
 
 def test_gram_family_unique_square():
     f = parse_poly("x^2", 1)
     fam = gram_family(f, [(1,)])
     assert not fam.basis
-    assert fam.particular.rows() == [[1]]
+    assert fam.particular == [1]
 
 
 def test_gram_family_motzkin_forced_diagonal():
@@ -52,7 +54,7 @@ def test_gram_family_motzkin_forced_diagonal():
     monoms = [(0, 0), (1, 1), (2, 1), (1, 2)]
     fam = gram_family(f, monoms)
     xy = monoms.index((1, 1))
-    assert fam.forced[xy] == -3
+    assert fam.forced[(0, xy)] == -3
 
 
 def test_gram_family_inexpressible_monomial():
@@ -60,34 +62,46 @@ def test_gram_family_inexpressible_monomial():
         gram_family(parse_poly("x^3", 1), [(1,)])
 
 
-def _dense_gram_family(f, monomials):
-    """Reference: the coefficient-matching system written out row by row
-    (one equation per exponent gamma, in graded order) and solved by
-    affine_solution_set; returns (particular, basis, forced)."""
-    m = len(monomials)
-    pairs = [(i, j) for i in range(m) for j in range(i, m)]
-    gamma_of = [tuple(a + b for a, b in zip(monomials[i], monomials[j])) for i, j in pairs]
-    gammas = sorted(set(gamma_of), key=lambda a: (sum(a), tuple(-e for e in a)))
-    rows = [[Fraction(0)] * len(pairs) for _ in gammas]
-    for u, ((i, j), gamma) in enumerate(zip(pairs, gamma_of)):
-        rows[gammas.index(gamma)][u] += 1 if i == j else 2
+def _dense_gram_family(f, bases, generators):
+    """Reference: the coefficient-matching system of sum_k g_k v_k^T G_k v_k = f
+    written out row by row (one equation per exponent gamma, in graded order)
+    and solved by affine_solution_set; returns (particular, basis, forced)."""
+    slots = [(k, i, j) for k, b in enumerate(bases) for i in range(len(b)) for j in range(i, len(b))]
+    entries = [
+        (u, tuple(a + b + e for a, b, e in zip(bases[k][i], bases[k][j], delta)), (1 if i == j else 2) * c)
+        for u, (k, i, j) in enumerate(slots)
+        for delta, c in generators[k].terms.items()
+    ]
+    gammas = sorted({gamma for _, gamma, _ in entries}, key=lambda a: (sum(a), tuple(-e for e in a)))
+    rows = [[Fraction(0)] * len(slots) for _ in gammas]
+    for u, gamma, c in entries:
+        rows[gammas.index(gamma)][u] += c
     solution = affine_solution_set(Mat(rows), [f.coeff(g) for g in gammas])
     assert solution is not None  # every equation has an unknown of its own
     particular, basis = solution
     forced = {
-        i: particular[u] for u, (i, j) in enumerate(pairs) if i == j and all(v[u] == 0 for v in basis)
+        (k, i): particular[u]
+        for u, (k, i, j) in enumerate(slots)
+        if i == j and all(v[u] == 0 for v in basis)
     }
     return particular, basis, forced
 
 
-def _assert_family_matches_dense_solve(f, monomials):
-    fam = gram_family(f, monomials)
-    particular, basis, forced = _dense_gram_family(f, monomials)
-    assert fam.particular._upper == particular
-    assert [b._upper for b in fam.basis] == basis
+def _assert_family_matches_dense_solve(f, bases, generators=None):
+    if generators is None:  # the one-block Gram family
+        fam = gram_family(f, bases[0])
+        generators = [MPoly.constant(f.nvars, 1)]
+    else:
+        fam = gram_system(f, bases, generators)
+    particular, basis, forced = _dense_gram_family(f, bases, generators)
+    assert fam.particular == particular
+    assert [[b.get(u, 0) for u in range(len(particular))] for b in fam.basis] == basis
     assert list(fam.forced.items()) == list(forced.items())
     for t in ([Fraction(0)] * len(basis), [Fraction(k + 1, 3) for k in range(len(basis))]):
-        assert gram_product(fam.at(t), fam.monomials) == f
+        blocks = fam.at(t)
+        assert sum(
+            (g * gram_product(G, b) for g, G, b in zip(generators, blocks, fam.bases)), MPoly.zero(f.nvars)
+        ) == f
 
 
 def test_gram_family_matches_dense_solve():
@@ -96,7 +110,7 @@ def test_gram_family_matches_dense_solve():
     diagonal entries."""
     for text in (SEC26, MOTZKIN):
         f = parse_poly(text, 2)
-        _assert_family_matches_dense_solve(f, newton_halved_lattice(f))
+        _assert_family_matches_dense_solve(f, [newton_halved_lattice(f)])
     rng = random.Random(131)
     for _ in range(30):
         nvars = rng.randint(1, 3)
@@ -109,7 +123,37 @@ def test_gram_family_matches_dense_solve():
         upper = [rand_frac(rng, -3, 3, max_den=5) for _ in range(n * (n + 1) // 2)]
         f = gram_product(SymMat(n, upper), monomials)
         if not f.is_zero:
-            _assert_family_matches_dense_solve(f, monomials)
+            _assert_family_matches_dense_solve(f, [monomials])
+    # several blocks, one generator each: single-term generators (the closed
+    # form) and, last, one multi-term generator (solved by elimination)
+    for texts in (["1", "3*x", "1/2*y^2"], ["1", "-2*x*y"], ["1", "x", "1 - x^2 - y^2"]):
+        generators = [parse_poly(t, 2) for t in texts]
+        for _ in range(8):
+            box = [(i, j) for i in range(3) for j in range(3 - i)]
+            bases = [rng.sample(box, rng.randint(1, 4)) for _ in generators]
+            f = MPoly.zero(2)
+            for g, b in zip(generators, bases):
+                upper = [rand_frac(rng, -3, 3, max_den=5) for _ in range(len(b) * (len(b) + 1) // 2)]
+                f = f + g * gram_product(SymMat(len(b), upper), b)
+            if not f.is_zero:
+                _assert_family_matches_dense_solve(f, bases, generators)
+
+
+def test_search_family_checks_every_block():
+    # f = y^2 * G0 + (1, x) G1 (1, x)^T has one member, G0 = [1] and
+    # G1 = [[1, 2], [2, 1]], which is not psd though no diagonal entry is negative
+    generators = [parse_poly("y^2", 2), parse_poly("1", 2)]
+    bases = [[(0, 0)], [(0, 0), (1, 0)]]
+    fam = gram_system(parse_poly("y^2 + 1 + 4*x + x^2", 2), bases, generators)
+    assert not fam.basis and fam.forced == {(0, 0): 1, (1, 0): 1, (1, 1): 1}
+    assert search_family(fam, 100, 1e-9, [10]) == ("infeasible", None, "unique Gram matrix is not psd", False)
+    fam = gram_system(parse_poly("y^2 + 1 + 4*x + x^2", 2), bases[::-1], generators[::-1])
+    assert search_family(fam, 100, 1e-9, [10])[0] == "infeasible"
+    fam = gram_system(parse_poly("y^2 + 1 + 4*x + 4*x^2", 2), bases, generators)
+    status, blocks, detail, _ = search_family(fam, 100, 1e-9, [10])
+    assert (status, detail) == ("found", "unique Gram matrix")
+    assert [b.rows() for b in blocks] == [[[1]], [[1, 2], [2, 4]]]
+
 
 def test_find_gram_sec26():
     f = parse_poly(SEC26, 2)
