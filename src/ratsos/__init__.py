@@ -71,7 +71,6 @@ from .sos import (
     cassels_descent,
     find_gram,
     gram_family,
-    sos_cert_from_gram,
     verify_sos,
 )
 

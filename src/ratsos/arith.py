@@ -3,14 +3,16 @@
 All row elimination runs through one integer kernel, ``_echelon``: Bareiss's
 fraction-free row echelon reduction on denominator-cleared rows, with exact
 integer division.  Determinants (its last pivot), linear solving and
-nullspaces (back-substitution on its rows) and span checks (its pivot
-columns) are read off it.  Characteristic polynomials use Berkowitz's
+nullspaces (back-substitution on its rows), span checks (its pivot
+columns) and span coordinates (back-substitution on its pivot columns) are
+read off it.  Characteristic polynomials use Berkowitz's
 division-free algorithm on a denominator-cleared integer copy.  Everything is
 exact.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -61,6 +63,8 @@ class Mat:
         cols = [list(c) for c in cols]
         if not cols:
             return cls([])
+        if any(len(c) != len(cols[0]) for c in cols):
+            raise DimensionError("ragged columns")
         return cls([[cols[j][i] for j in range(len(cols))] for i in range(len(cols[0]))])
 
     @property
@@ -225,6 +229,30 @@ def _echelon(rows: list[list[int]]):
 def pivot_columns(m: Mat) -> list[int]:
     """Indices of the columns of M not in the span of the columns before them."""
     return _echelon(_integer_rows(m.rows)[0])[1]
+
+
+def span_coordinates(vectors) -> tuple[list[int], list[list[Fraction]]]:
+    """The greedy span basis of the vectors and every vector's coordinates in it.
+
+    One ``_echelon`` pass over the matrix whose columns are the vectors.
+    ``pivots`` are the indices of the vectors not in the span of the vectors
+    before them, and ``coords[k]`` holds the c with
+    sum_i c_i vectors[pivots[i]] = vectors[k] (a unit vector for a pivot).
+    Row operations keep every linear relation among the columns, so each c
+    is read by back-substitution on the pivot columns of the echelon form.
+    """
+    rows, pivots, _ = _echelon(_integer_rows(Mat.from_columns(vectors).rows)[0])
+    coords = []
+    for j in range(len(vectors)):
+        c = [Fraction(0)] * len(pivots)
+        # rows whose pivot lies right of column j are zero there
+        top = bisect_right(pivots, j)
+        for i in range(top - 1, -1, -1):
+            row = rows[i]
+            acc = row[j] - sum(row[pivots[k]] * c[k] for k in range(i + 1, top))
+            c[i] = Fraction(acc) / row[pivots[i]]
+        coords.append(c)
+    return pivots, coords
 
 
 def _back_substitute(rows, pivots, n, free=None):

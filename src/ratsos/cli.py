@@ -40,10 +40,6 @@ def _vectors(text: str) -> list[list[Fraction]]:
     return sos.json_rows(json.loads(text), "--vectors")
 
 
-def _fmt_frac(x: Fraction) -> str:
-    return str(x)
-
-
 # --- handlers: each returns (code, human lines, json payload) ---------------
 
 def cmd_count_roots(args):
@@ -90,8 +86,8 @@ def cmd_signature(args):
 def cmd_diagonalize(args):
     m = _matrix(args.matrix)
     cong = diagonalize(m)
-    d_strs = [_fmt_frac(x) for x in cong.d]
-    p_rows = [[_fmt_frac(x) for x in row] for row in cong.p.rows]
+    d_strs = [str(x) for x in cong.d]
+    p_rows = [[str(x) for x in row] for row in cong.p.rows]
     lines = ["D: " + " ".join(d_strs)] + [f"P[{k}]: " + " ".join(row) for k, row in enumerate(p_rows)]
     return OK, lines, {"d": d_strs, "p": p_rows}
 
@@ -107,13 +103,13 @@ def cmd_conic(args):
     target = sos.json_rationals(json.loads(args.target), "--target", "--target entry")
     result = conic.conic_representation(vectors, target)
     if isinstance(result, conic.ConicCombination):
-        coeffs = [_fmt_frac(c) for c in result.coefficients]
+        coeffs = [str(c) for c in result.coefficients]
         return (
             OK,
             [f"combination indices={result.indices} coefficients=[{', '.join(coeffs)}]"],
             {"variant": "combination", "indices": result.indices, "coefficients": coeffs},
         )
-    ell = [_fmt_frac(c) for c in result.functional]
+    ell = [str(c) for c in result.functional]
     return (
         NEGATIVE,
         [f"separating-functional l=[{', '.join(ell)}] kernel={result.kernel_indices}"],
@@ -129,20 +125,20 @@ def cmd_lin_nns(args):
     ls = [parse_poly(l, nvars) for l in args.constraint]
     result = conic.linear_nns(f, ls)
     if isinstance(result, conic.LinearCertificate):
-        coeffs = [_fmt_frac(c) for c in result.coefficients]
+        coeffs = [str(c) for c in result.coefficients]
         return (
             OK,
             [f"certificate coefficients=[{', '.join(coeffs)}]"],
             {"variant": "certificate", "coefficients": coeffs},
         )
     if isinstance(result, conic.LinearWitness):
-        pt = [_fmt_frac(c) for c in result.point]
+        pt = [str(c) for c in result.point]
         return (
             NEGATIVE,
             [f"witness point=({', '.join(pt)})"],
             {"variant": "witness", "point": pt},
         )
-    farkas = [_fmt_frac(c) for c in result.farkas]
+    farkas = [str(c) for c in result.farkas]
     return (
         OK,
         [f"empty-feasible-set farkas=[{', '.join(farkas)}]"],

@@ -7,6 +7,11 @@ picking least-index elements; it ends either with x written as a nonnegative
 combination of a basis from E (variant A) or with a linear functional that is
 nonnegative on E and negative on x (variant B).  Exactly one of the two
 occurs, and every result is re-verified before it is returned.
+
+Membership tests and the linear certificate work in span coordinates: one
+elimination of the generators with the target appended (``span_coordinates``)
+gives the span basis, every generator's coordinates in it, and whether the
+target is in the span at all (its own column is then not a pivot).
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .arith import Mat, _dot, pivot_columns, rat, solve_linear
+from .arith import Mat, _dot, pivot_columns, rat, solve_linear, span_coordinates
 from .poly import MPoly
 
 
@@ -47,11 +52,6 @@ def _as_vectors(vectors) -> list[list[Fraction]]:
     return [[rat(x) for x in v] for v in vectors]
 
 
-def _coords_in(basis: list[list[Fraction]], x: list[Fraction]) -> list[Fraction] | None:
-    """Coefficients c with sum c_k basis_k = x, or None when x is outside the span."""
-    return solve_linear(Mat.from_columns(basis), x)
-
-
 def conic_representation(vectors, x) -> ConicResult:
     """Run the pivot algorithm for x against the generating set E (input order).
 
@@ -78,7 +78,7 @@ def conic_representation(vectors, x) -> ConicResult:
     max_steps = comb(len(e), n) * max(len(e), 1) + 16
     for _ in range(max_steps):
         cols = [e[i] for i in basis_idx]
-        lam = _coords_in(cols, x)
+        lam = solve_linear(Mat.from_columns(cols), x)
         neg_pos = next((k for k, c in enumerate(lam) if c < 0), None)
         if neg_pos is None:
             result = ConicCombination(list(basis_idx), lam)
@@ -87,7 +87,7 @@ def conic_representation(vectors, x) -> ConicResult:
         # dual functional of the offending basis element
         unit = [Fraction(0)] * n
         unit[neg_pos] = Fraction(1)
-        ell = solve_linear(Mat.from_columns(cols).transpose(), unit)
+        ell = solve_linear(Mat(cols), unit)
         w = next((i for i, v in enumerate(e) if _dot(ell, v) < 0), None)
         if w is None:
             u = basis_idx[neg_pos]
@@ -128,20 +128,16 @@ def _verify_functional(e, x, result: SeparatingFunctional, n: int):
 def cone_contains(vectors, x) -> bool:
     """Membership of x in the conic hull of the vectors (no spanning needed).
 
-    Works inside span(E): a point outside the span is never a member, and a
-    point inside is decided by the pivot algorithm in span coordinates.
+    Works inside span(E): one elimination of E + [x] gives the span basis and
+    every coordinate.  A point outside the span (its own column a pivot) is
+    never a member, and a point inside is decided by the pivot algorithm in
+    span coordinates.
     """
     e = _as_vectors(vectors)
-    x = [rat(v) for v in x]
-    basis_idx = pivot_columns(Mat.from_columns(e))
-    basis = [e[i] for i in basis_idx]
-    if not basis:
-        return all(c == 0 for c in x)
-    coords_x = _coords_in(basis, x)
-    if coords_x is None:
+    pivots, coords = span_coordinates(e + [[rat(v) for v in x]])
+    if len(e) in pivots:
         return False
-    e_r = [_coords_in(basis, v) for v in e]
-    return isinstance(conic_representation(e_r, coords_x), ConicCombination)
+    return isinstance(conic_representation(coords[:-1], coords[-1]), ConicCombination)
 
 
 def convex_membership(points, alpha) -> bool:
@@ -238,13 +234,15 @@ def linear_nns(f: MPoly, ls) -> LinearNnsResult:
     if any(l.nvars != n for l in ls):
         raise ValueError("mixed variable counts")
     fv = _affine_vec(f)
-    one = [Fraction(1)] + [Fraction(0)] * n
-    gens = [one] + [_affine_vec(l) for l in ls]
+    gens = [[Fraction(1)] + [Fraction(0)] * n] + [_affine_vec(l) for l in ls]
 
-    basis_idx = pivot_columns(Mat.from_columns(gens))
-    basis = [gens[i] for i in basis_idx]
-    gens_r = [_coords_in(basis, v) for v in gens]
-    minus_one_r = _coords_in(basis, [-c for c in one])  # always in span: 1 is a generator
+    # one elimination of gens + [f]: f is outside span(gens) exactly when its
+    # column is a pivot, and then it is the last basis vector
+    pivots, coords = span_coordinates(gens + [fv])
+    f_outside = len(gens) in pivots
+    basis = [gens[i] for i in pivots if i < len(gens)]
+    gens_r = [c[: len(basis)] for c in coords[:-1]]
+    minus_one_r = [-c for c in gens_r[0]]  # 1 is generator 0
     res = conic_representation(gens_r, minus_one_r)
     if isinstance(res, ConicCombination):
         farkas = [Fraction(0)] * len(gens)
@@ -258,13 +256,12 @@ def linear_nns(f: MPoly, ls) -> LinearNnsResult:
     feasible = [c / psi[0] for c in psi[1:]]
     _check_point(ls, feasible)
 
-    coords_f = _coords_in(basis, fv)
-    if coords_f is None:
+    if f_outside:
         # f* outside span(E): a functional vanishing on all generators and
         # negative on f gives a recession direction from a feasible point.
-        phi = _orthogonal_functional(basis, fv)
+        phi = _extend_functional(basis + [fv], [Fraction(0)] * len(basis) + [Fraction(-1)])
         return _recession_witness(f, ls, feasible, phi[1:], _dot(phi, fv))
-    res = conic_representation(gens_r, coords_f)
+    res = conic_representation(gens_r, coords[-1])
     if isinstance(res, ConicCombination):
         coeffs = [Fraction(0)] * len(gens)
         for idx, c in zip(res.indices, res.coefficients):
@@ -280,16 +277,6 @@ def linear_nns(f: MPoly, ls) -> LinearNnsResult:
             raise AssertionError("witness point failed to make f negative")
         return LinearWitness(point)
     return _recession_witness(f, ls, feasible, y[1:], _dot(y, fv))
-
-
-def _orthogonal_functional(basis: list[list[Fraction]], target: list[Fraction]) -> list[Fraction]:
-    """phi with phi . b = 0 on the span basis and phi . target = -1."""
-    rows = [list(b) for b in basis] + [list(target)]
-    rhs = [Fraction(0)] * len(basis) + [Fraction(-1)]
-    phi = solve_linear(Mat(rows), rhs)
-    if phi is None:
-        raise AssertionError("target unexpectedly inside the span")
-    return phi
 
 
 def _recession_witness(f, ls, feasible, direction, slope) -> LinearWitness:

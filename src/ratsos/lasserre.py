@@ -26,6 +26,7 @@ from .sos import (
     json_field,
     search_family,
     terms_from_json,
+    terms_to_json,
 )
 
 
@@ -328,26 +329,17 @@ def lower_bound_bisect(
     def feasible(lam: Fraction) -> bool:
         return _numeric_feasible(f - lam, gs, d, max_sweeps, tol)
 
-    lo = hi = None
-    if feasible(Fraction(0)):
-        lo = Fraction(0)
-        step = Fraction(1)
-        for _ in range(24):
-            if not feasible(lo + step):
-                hi = lo + step
-                break
-            lo = lo + step
-            step *= 2
+    # walk away from 0 with doubling steps, upward while feasible, downward
+    # while infeasible, until the verdict flips
+    up = feasible(Fraction(0))
+    edge, step = Fraction(0), Fraction(1 if up else -1)
+    for _ in range(24):
+        if feasible(edge + step) != up:
+            lo, hi = (edge, edge + step) if up else (edge + step, edge)
+            break
+        edge += step
+        step *= 2
     else:
-        hi = Fraction(0)
-        step = Fraction(1)
-        for _ in range(24):
-            if feasible(hi - step):
-                lo = hi - step
-                break
-            hi = hi - step
-            step *= 2
-    if lo is None or hi is None:
         return BisectResult(Fraction(0), Fraction(0), None, False, "no initial bracket found")
 
     for _ in range(iterations):
@@ -369,12 +361,7 @@ def lower_bound_bisect(
 # --- module certificate JSON -----------------------------------------------
 
 def module_cert_to_json(cert: ModuleCert, target: MPoly | None = None, degree: int | None = None) -> dict:
-    doc = {
-        "sigmas": [
-            {"terms": [{"weight": str(w), "poly": poly_text(p)} for w, p in sigma.terms]}
-            for sigma in cert.sigmas
-        ]
-    }
+    doc = {"sigmas": [{"terms": terms_to_json(sigma.terms)} for sigma in cert.sigmas]}
     if target is not None:
         doc["target"] = poly_text(target)
     if degree is not None:

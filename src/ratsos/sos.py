@@ -22,10 +22,10 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import Mat, affine_solution_set, rat
-from .conic import convex_membership, newton_halved_lattice
+from .conic import newton_halved_lattice
 from .numeric import AffineFamily, alternating_projection
 from .poly import MPoly, UPoly, parse_poly, poly_text
-from .quadforms import SosCert, SymMat, gram_product, is_psd, weighted_square_decomposition
+from .quadforms import SosCert, SymMat, gram_product, is_psd
 
 #: continued-fraction rounding bounds tried during rationalization
 DENOMINATOR_LADDER = [10**k for k in range(1, 9)]
@@ -147,11 +147,11 @@ def gram_system(f: MPoly, bases, generators) -> GramFamily:
 
 
 def gram_family(f: MPoly, monomials) -> GramFamily:
-    """All G with v^T G v = f: the one-block :func:`gram_system`, in closed form."""
-    monomials = [tuple(a) for a in monomials]
-    if not monomials:
-        raise ValueError("empty monomial vector")
-    return gram_system(f, [monomials], [MPoly.constant(len(monomials[0]), 1)])
+    """All G with v^T G v = f: the one-block :func:`gram_system`, in closed form.
+
+    With no monomials at all every target monomial is unreachable.
+    """
+    return gram_system(f, [monomials], [MPoly.constant(f.nvars, 1)])
 
 
 def search_family(family: GramFamily, max_sweeps: int, tol: float, denominators):
@@ -203,16 +203,6 @@ class GramSearch:
         return self.status == "infeasible"
 
 
-def _newton_vertices(f: MPoly) -> list[tuple[int, ...]]:
-    support = f.support()
-    verts = []
-    for alpha in support:
-        others = [a for a in support if a != alpha]
-        if not others or not convex_membership(others, alpha):
-            verts.append(alpha)
-    return verts
-
-
 def find_gram(
     f: MPoly,
     max_sweeps: int = 5000,
@@ -221,19 +211,19 @@ def find_gram(
 ) -> GramSearch:
     """Search for an exact psd Gram matrix of f over the halved Newton lattice.
 
-    Order of play: cheap exact exclusions (odd degree, bad Newton-polytope
-    vertices, inconsistent coefficient matching), then :func:`search_family`
-    on the Gram family; a member it accepts is re-checked against f.
+    Order of play: odd degree is refuted at once; then the Gram family over
+    the lattice either refutes f exactly (a monomial of f that is no sum of
+    two lattice points, or a diagonal entry forced negative) or goes to
+    :func:`search_family`, and a member it accepts is re-checked against f.
+    The Newton-polytope vertex rule needs no pass of its own: a vertex alpha
+    is no midpoint of two points of the polytope, so its only Gram entry is
+    the diagonal one of alpha/2.  An odd vertex is therefore unreachable, and
+    a negative vertex coefficient forces that diagonal negative.
     """
     if f.is_zero:
         raise ValueError("the zero polynomial needs no certificate")
     if f.degree() % 2 == 1:
         return GramSearch("infeasible", None, None, "odd degree")
-    for alpha in _newton_vertices(f):
-        if f.coeff(alpha) < 0:
-            return GramSearch("infeasible", None, None, f"negative vertex coefficient at {alpha}")
-        if any(e % 2 for e in alpha):
-            return GramSearch("infeasible", None, None, f"odd vertex exponent {alpha}")
     monomials = newton_halved_lattice(f)
     try:
         family = gram_family(f, monomials)
@@ -262,10 +252,6 @@ def verify_sos(f: MPoly, cert) -> VerifyResult:
     if gram_product(gram, monomials) != f:
         return VerifyResult(False, "gram-product-mismatch")
     return VerifyResult(True, "ok")
-
-
-def sos_cert_from_gram(gram: SymMat, monomials) -> SosCert:
-    return weighted_square_decomposition(gram, monomials)
 
 
 def cassels_descent(weights, fs, g: UPoly, degree_trace: list | None = None) -> SosCert:
@@ -335,12 +321,7 @@ def cassels_descent(weights, fs, g: UPoly, degree_trace: list | None = None) -> 
 # --- certificate JSON ------------------------------------------------------
 
 def cert_to_json(cert: SosCert, target=None) -> dict:
-    doc = {
-        "terms": [
-            {"weight": str(w), "poly": poly_text(p) if isinstance(p, MPoly) else str(p)}
-            for w, p in cert.terms
-        ]
-    }
+    doc = {"terms": terms_to_json(cert.terms)}
     if target is not None:
         doc["target"] = poly_text(target) if isinstance(target, MPoly) else str(target)
     return doc
@@ -389,6 +370,11 @@ def json_field(doc, key: str, kind):
     if key not in doc:
         raise ValueError(f"certificate document is missing {key!r}")
     return _json_typed(doc[key], kind, f"certificate field {key!r}")
+
+
+def terms_to_json(terms) -> list[dict]:
+    """{"weight", "poly"} objects of (weight, polynomial) pairs; read back by :func:`terms_from_json`."""
+    return [{"weight": str(w), "poly": poly_text(p) if isinstance(p, MPoly) else str(p)} for w, p in terms]
 
 
 def terms_from_json(items, nvars: int | None) -> tuple:

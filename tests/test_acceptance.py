@@ -27,6 +27,7 @@ from ratsos.quadforms import (
     is_psd_via_minors,
     rank,
     signature,
+    weighted_square_decomposition,
 )
 from ratsos.rootcount import (
     count_complex_distinct,
@@ -37,7 +38,7 @@ from ratsos.rootcount import (
     is_real_rooted,
     sign_changes,
 )
-from ratsos.sos import cassels_descent, find_gram, gram_family, sos_cert_from_gram, verify_sos
+from ratsos.sos import cassels_descent, find_gram, gram_family, verify_sos
 
 from helpers import rand_symmetric_rows, rand_upoly, upoly_from_roots
 from test_conic import cone_membership_oracle
@@ -139,7 +140,7 @@ def test_criterion_6_gram_golden():
         a_member = SymMat.from_rows([[2, 1, -3], [1, 5, 0], [-3, 0, 5]])
         assert gram_product(a_member, monoms) == f
         assert is_psd(a_member)
-        cert = sos_cert_from_gram(a_member, monoms)
+        cert = weighted_square_decomposition(a_member, monoms)
         assert cert.expand(MPoly.zero(2)) == f
         paper_cert = SosCert(
             (

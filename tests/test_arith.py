@@ -3,7 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from ratsos.arith import DimensionError, Mat, affine_solution_set, charpoly, det, rat, solve_linear
+from ratsos.arith import (
+    DimensionError,
+    Mat,
+    affine_solution_set,
+    charpoly,
+    det,
+    pivot_columns,
+    rat,
+    solve_linear,
+    span_coordinates,
+)
 from ratsos.poly import UPoly
 
 from helpers import gram_rank, planted_rows, rand_frac
@@ -145,6 +155,32 @@ def test_solve_random_consistent_residual():
 def test_solve_dimension_mismatch():
     with pytest.raises(DimensionError):
         solve_linear(Mat.identity(2), [1, 2, 3])
+
+
+def test_from_columns_rejects_ragged_columns():
+    with pytest.raises(DimensionError):
+        Mat.from_columns([[1, 0], [1, 0, 5]])
+    with pytest.raises(DimensionError):
+        Mat.from_columns([[1, 0, 5], [1, 0]])
+    assert Mat.from_columns([[1, 2], [3, 4]]).rows == [[1, 3], [2, 4]]
+
+
+def test_span_coordinates_reproduce_every_vector():
+    """span_coordinates picks the pivot columns as its basis, and every vector
+    is the combination of the basis vectors with its coordinates."""
+    rng = random.Random(59)
+    for _ in range(60):
+        dim = rng.randint(1, 5)
+        vectors, _ = planted_rows(rng, rng.randint(0, 7), dim, rng.randint(0, dim))
+        if vectors and rng.random() < 0.3:
+            vectors.insert(rng.randint(0, len(vectors)), [Fraction(0)] * dim)
+        pivots, coords = span_coordinates(vectors)
+        assert pivots == pivot_columns(Mat.from_columns(vectors))
+        assert len(pivots) == gram_rank(vectors)
+        assert len(coords) == len(vectors)
+        for v, c in zip(vectors, coords):
+            assert len(c) == len(pivots)
+            assert [sum((ci * vectors[p][k] for ci, p in zip(c, pivots)), Fraction(0)) for k in range(dim)] == v
 
 
 def test_affine_solution_set():

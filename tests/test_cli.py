@@ -76,6 +76,16 @@ def test_sos_find_motzkin_negative():
     assert out.splitlines()[0] == "certified-infeasible"
 
 
+@pytest.mark.parametrize("poly", ["x*y", "x*y*z^2"])
+def test_sos_find_empty_lattice_negative(poly):
+    """No lattice point doubles to a support point: every monomial is unreachable."""
+    code, out = run(["sos", "find", "--poly", poly])
+    assert code == 1
+    status, detail = out.splitlines()
+    assert status == "certified-infeasible"
+    assert detail.endswith("of the target is not a sum of two candidate exponents")
+
+
 def test_sos_find_and_check(tmp_path):
     cert = tmp_path / "cert.json"
     code, out = run(["sos", "find", "--poly", "2*x^4 + 5*y^4 - x^2*y^2 + 2*x^3*y", "-o", str(cert)])

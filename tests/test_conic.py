@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from ratsos.arith import Mat, pivot_columns, solve_linear
+from ratsos.arith import DimensionError, Mat, pivot_columns, solve_linear
 from ratsos.conic import (
     ConicCombination,
     EmptyFeasibleSet,
@@ -218,6 +218,16 @@ def test_linear_nns_rejects_nonlinear():
 def test_cone_contains_outside_span():
     assert not cone_contains([[1, 0, 0], [0, 1, 0]], [0, 0, 1])
     assert cone_contains([[1, 0, 0], [0, 1, 0]], [2, 3, 0])
+
+
+def test_cone_contains_rejects_length_mismatch():
+    """One elimination of E + [x] must not truncate a longer target into a member."""
+    with pytest.raises(DimensionError):
+        cone_contains([[1, 0]], [1, 0, 5])
+    with pytest.raises(DimensionError):
+        cone_contains([[1, 0, 0]], [1, 0])
+    with pytest.raises(DimensionError):
+        cone_contains([[1, 0], [1]], [1, 1])
 
 
 def test_span_basis_is_greedy_by_index():

@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from ratsos.arith import Mat, affine_solution_set
-from ratsos.conic import newton_halved_lattice
+from ratsos.conic import convex_membership, newton_halved_lattice
 from ratsos.poly import MPoly, UPoly, parse_poly, parse_upoly
-from ratsos.quadforms import SosCert, SymMat, gram_product
+from ratsos.quadforms import SosCert, SymMat, gram_product, weighted_square_decomposition
 from ratsos.sos import (
     GramInfeasibleError,
     cassels_descent,
@@ -17,7 +17,6 @@ from ratsos.sos import (
     gram_system,
     gram_to_json,
     search_family,
-    sos_cert_from_gram,
     verify_sos,
 )
 
@@ -160,7 +159,7 @@ def test_find_gram_sec26():
     res = find_gram(f)
     assert res.found
     assert verify_sos(f, (res.gram, res.monomials))
-    cert = sos_cert_from_gram(res.gram, res.monomials)
+    cert = weighted_square_decomposition(res.gram, res.monomials)
     assert verify_sos(f, cert)
 
 
@@ -185,10 +184,41 @@ def test_find_gram_motzkin_infeasible():
 
 def test_find_gram_odd_degree_and_vertex_exclusions():
     assert find_gram(parse_poly("x^3 + x", 1)).infeasible  # odd degree
+    # a negative vertex coefficient forces the diagonal entry of its half
     res = find_gram(parse_poly("0 - x^4", 1))
-    assert res.infeasible and "vertex" in res.detail
+    assert res.infeasible and "forced to -1" in res.detail
+    # an odd vertex is no sum of two lattice points
     res = find_gram(parse_poly("x^3*y + x^2*y^2", 2))
-    assert res.infeasible and "vertex" in res.detail
+    assert res.infeasible and "not a sum of two candidate exponents" in res.detail
+
+
+def _newton_vertices(f):
+    """Vertices of the Newton polytope: support points outside the hull of the others."""
+    support = f.support()
+    return [a for a in support
+            if len(support) == 1 or not convex_membership([b for b in support if b != a], a)]
+
+
+def test_find_gram_refutes_every_bad_vertex():
+    """The vertex rule needs no pass of its own in find_gram: whenever a vertex
+    of the Newton polytope has a negative coefficient or an odd exponent, the
+    Gram system refutes f exactly (an unreachable monomial or a diagonal entry
+    forced negative)."""
+    rng = random.Random(211)
+    drawn = bad = 0
+    while drawn < 100:
+        nvars = rng.randint(1, 3)
+        f = rand_mpoly(rng, nvars=nvars, max_deg=4 if nvars < 3 else 2, max_terms=4)
+        if f.is_zero or f.degree() % 2:
+            continue
+        drawn += 1
+        if not any(f.coeff(a) < 0 or any(e % 2 for e in a) for a in _newton_vertices(f)):
+            continue
+        bad += 1
+        res = find_gram(f)
+        assert res.infeasible, f
+        assert "forced to -" in res.detail or "not a sum of two candidate exponents" in res.detail
+    assert bad >= 50
 
 
 def test_find_gram_unique_cases():
@@ -316,7 +346,7 @@ def test_cassels_zero_weights_preserved():
 def test_certificate_json_round_trip():
     f = parse_poly(SEC26, 2)
     res = find_gram(f)
-    cert = sos_cert_from_gram(res.gram, res.monomials)
+    cert = weighted_square_decomposition(res.gram, res.monomials)
     doc = cert_to_json(cert, target=f)
     loaded, target = cert_from_json(doc)
     assert target == f
