@@ -75,12 +75,6 @@ class Mat:
         i, j = key
         return self.rows[i][j]
 
-    def row(self, i: int) -> list[Fraction]:
-        return list(self.rows[i])
-
-    def col(self, j: int) -> list[Fraction]:
-        return [r[j] for r in self.rows]
-
     def transpose(self) -> "Mat":
         return Mat([[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)])
 

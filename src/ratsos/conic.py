@@ -3,25 +3,27 @@ membership, Newton-polytope lattice pruning, and a linear nonnegativity
 certificate with rational witnesses.
 
 The pivot loop walks bases chosen from a finite generating set E, always
-picking least-index elements; it ends either with x written as a nonnegative
-combination of a basis from E (variant A) or with a linear functional that is
-nonnegative on E and negative on x (variant B).  Exactly one of the two
-occurs, and every result is re-verified before it is returned.
+picking least-index elements (Bland's rule); it ends either with x written
+as a nonnegative combination of a basis from E (variant A) or with a linear
+functional that is nonnegative on E and negative on x (variant B).
+``conic_representation`` re-verifies every result before it returns it.
 
-Membership tests and the linear certificate work in span coordinates: one
-elimination of the generators with the target appended (``span_coordinates``)
-gives the span basis, every generator's coordinates in it, and whether the
-target is in the span at all (its own column is then not a pivot).
+Each question is one elimination (``span_coordinates``) of E with the
+targets appended.  Its coordinates are a tableau whose row k is the dual
+functional of basis element k on every column, so a pivot step is one rank-1
+row update (:func:`_bland`, the only pivot loop).  Membership tests work in
+span(E), where a target with a pivot of its own is never a member.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from .arith import Mat, _dot, pivot_columns, rat, solve_linear, span_coordinates
-from .poly import MPoly
+from .poly import MPoly, _grlex_key
 
 
 class SpanError(ValueError):
@@ -52,6 +54,29 @@ def _as_vectors(vectors) -> list[list[Fraction]]:
     return [[rat(x) for x in v] for v in vectors]
 
 
+def _bland(rows, basis, ngen: int) -> int | None:
+    """Bland's rule in place on the tableau ``rows``: generators are columns
+    0..ngen-1, x is column ngen, and row k is the dual functional of
+    generator ``basis[k]``.  Returns None when x has no negative coefficient
+    (variant A), or the row of the separating functional (variant B).
+    """
+    for _ in range(comb(ngen, len(rows)) * max(ngen, 1) + 16):
+        r = min((k for k, row in enumerate(rows) if row[ngen] < 0), key=basis.__getitem__, default=None)
+        if r is None:
+            return None
+        w = next((j for j in range(ngen) if rows[r][j] < 0), None)
+        if w is None:
+            return r
+        piv = rows[r][w]
+        top = rows[r] = [v / piv for v in rows[r]]
+        for k, row in enumerate(rows):
+            factor = row[w]
+            if k != r and factor:
+                rows[k] = [a - factor * b for a, b in zip(row, top)]
+        basis[r] = w
+    raise RuntimeError("pivot loop failed to terminate")
+
+
 def conic_representation(vectors, x) -> ConicResult:
     """Run the pivot algorithm for x against the generating set E (input order).
 
@@ -60,7 +85,9 @@ def conic_representation(vectors, x) -> ConicResult:
     least-index basis element u with a negative coefficient and its dual
     functional; if that functional is nonnegative on all of E stop with
     variant B; otherwise swap u for the least-index element where the
-    functional is negative and repeat.
+    functional is negative and repeat.  One elimination of E + [x] + the
+    unit vectors gives the tableau, so the functional is a row read on the
+    unit columns; E spans exactly when every pivot falls in E.
     """
     e = _as_vectors(vectors)
     x = [rat(v) for v in x]
@@ -71,31 +98,21 @@ def conic_representation(vectors, x) -> ConicResult:
         if any(c != 0 for c in x):
             raise SpanError("empty generating set cannot span a nonzero vector")
         return ConicCombination([], [])
-    basis_idx = pivot_columns(Mat.from_columns(e))
-    if len(basis_idx) != n:
+    units = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    basis, coords = span_coordinates(e + [x] + units)
+    if basis and basis[-1] >= len(e):
         raise SpanError("generating set does not span the ambient space")
-
-    max_steps = comb(len(e), n) * max(len(e), 1) + 16
-    for _ in range(max_steps):
-        cols = [e[i] for i in basis_idx]
-        lam = solve_linear(Mat.from_columns(cols), x)
-        neg_pos = next((k for k, c in enumerate(lam) if c < 0), None)
-        if neg_pos is None:
-            result = ConicCombination(list(basis_idx), lam)
-            _verify_combination(e, x, result)
-            return result
-        # dual functional of the offending basis element
-        unit = [Fraction(0)] * n
-        unit[neg_pos] = Fraction(1)
-        ell = solve_linear(Mat(cols), unit)
-        w = next((i for i, v in enumerate(e) if _dot(ell, v) < 0), None)
-        if w is None:
-            u = basis_idx[neg_pos]
-            result = SeparatingFunctional(ell, [i for i in basis_idx if i != u])
-            _verify_functional(e, x, result, n)
-            return result
-        basis_idx = sorted(set(basis_idx) - {basis_idx[neg_pos]} | {w})
-    raise RuntimeError("pivot loop failed to terminate")
+    rows = [[c[k] for c in coords] for k in range(n)]
+    r = _bland(rows, basis, len(e))
+    if r is None:
+        order = sorted(range(n), key=basis.__getitem__)
+        result = ConicCombination([basis[k] for k in order], [rows[k][len(e)] for k in order])
+        _verify_combination(e, x, result)
+    else:
+        kernel = sorted(b for k, b in enumerate(basis) if k != r)
+        result = SeparatingFunctional(rows[r][len(e) + 1 :], kernel)
+        _verify_functional(e, x, result, n)
+    return result
 
 
 def _verify_combination(e, x, result: ConicCombination):
@@ -125,19 +142,23 @@ def _verify_functional(e, x, result: SeparatingFunctional, n: int):
         raise AssertionError("variant B kernel subset is linearly dependent")
 
 
-def cone_contains(vectors, x) -> bool:
-    """Membership of x in the conic hull of the vectors (no spanning needed).
-
-    Works inside span(E): one elimination of E + [x] gives the span basis and
-    every coordinate.  A point outside the span (its own column a pivot) is
-    never a member, and a point inside is decided by the pivot algorithm in
-    span coordinates.
+def _cone_members(vectors, targets) -> list[bool]:
+    """Membership of each target in the conic hull of the vectors, from one
+    elimination.  A target with a coordinate on a pivot beyond the vectors
+    lies outside their span; every other runs the pivot loop on its own
+    copy of the span tableau.
     """
-    e = _as_vectors(vectors)
-    pivots, coords = span_coordinates(e + [[rat(v) for v in x]])
-    if len(e) in pivots:
-        return False
-    return isinstance(conic_representation(coords[:-1], coords[-1]), ConicCombination)
+    ngen = len(vectors)
+    pivots, coords = span_coordinates(vectors + targets)
+    dim = bisect_left(pivots, ngen)
+    span = [[c[k] for c in coords[:ngen]] for k in range(dim)]
+    return [not any(c[dim:]) and _bland([r + [c[k]] for k, r in enumerate(span)], pivots[:dim], ngen) is None
+            for c in coords[ngen:]]
+
+
+def cone_contains(vectors, x) -> bool:
+    """Membership of x in the conic hull of the vectors (no spanning needed)."""
+    return _cone_members(_as_vectors(vectors), [[rat(v) for v in x]])[0]
 
 
 def convex_membership(points, alpha) -> bool:
@@ -156,23 +177,18 @@ def newton_halved_lattice(f: MPoly) -> list[tuple[int, ...]]:
     """Lattice points of half the Newton polytope of f.
 
     Enumerates the box 0..ceil(deg_i(f)/2) per variable and keeps the points
-    whose double lies in the convex hull of the support.  Sorted graded-lex.
+    whose double lies in the convex hull of the support: the cone test over
+    height 1, with the lifted support and every lifted doubled box point
+    eliminated together once.  Sorted graded-lex.
     """
     if f.is_zero:
         raise ValueError("the zero polynomial has no Newton polytope")
-    support = f.support()
-    n = f.nvars
-    bounds = [-(-f.degree_in(i) // 2) for i in range(1, n + 1)]
-    points = []
-    stack = [()]
-    for b in bounds:
-        stack = [t + (k,) for t in stack for k in range(b + 1)]
-    for alpha in stack:
-        doubled = [2 * a for a in alpha]
-        if convex_membership(support, doubled):
-            points.append(alpha)
-    points.sort(key=lambda a: (sum(a), tuple(-e for e in a)))
-    return points
+    box = [()]
+    for i in range(1, f.nvars + 1):
+        box = [t + (k,) for t in box for k in range(-(-f.degree_in(i) // 2) + 1)]
+    lifted = [list(alpha) + [1] for alpha in f.support()]
+    keep = _cone_members(lifted, [[2 * a for a in alpha] + [1] for alpha in box])
+    return sorted((alpha for alpha, k in zip(box, keep) if k), key=_grlex_key)
 
 
 @dataclass

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arith import rat
-from .poly import MPoly, poly_text
+from .poly import MPoly, _grlex_key, poly_text
 from .quadforms import SosCert, SymMat, weighted_square_decomposition
 from .sos import (
     DENOMINATOR_LADDER,
@@ -37,9 +37,7 @@ def monomials_upto(nvars: int, degree: int) -> list[tuple[int, ...]]:
     out = [()]
     for _ in range(nvars):
         out = [t + (k,) for t in out for k in range(degree + 1)]
-    out = [t for t in out if sum(t) <= degree]
-    out.sort(key=lambda a: (sum(a), tuple(-e for e in a)))
-    return out
+    return sorted((t for t in out if sum(t) <= degree), key=_grlex_key)
 
 
 @dataclass
@@ -300,6 +298,10 @@ def _numeric_feasible(f: MPoly, gs, d: int, max_sweeps: int, tol: float) -> bool
     return search.status == "found" or search.converged
 
 
+#: sweeps and tolerance of each numeric probe, and sweeps of the final certification
+_PROBE_SWEEPS, _PROBE_TOL, _CERTIFY_SWEEPS = 3000, 1e-8, 15000
+
+
 @dataclass
 class BisectResult:
     lo: Fraction
@@ -309,14 +311,7 @@ class BisectResult:
     detail: str
 
 
-def lower_bound_bisect(
-    f: MPoly,
-    gs,
-    d: int,
-    iterations: int = 12,
-    max_sweeps: int = 3000,
-    tol: float = 1e-8,
-) -> BisectResult:
+def lower_bound_bisect(f: MPoly, gs, d: int, iterations: int = 12) -> BisectResult:
     """Bisection lower bound for f over the constraint set at relaxation degree d.
 
     Feasibility of f - lambda in the degree-d module is probed numerically
@@ -327,7 +322,7 @@ def lower_bound_bisect(
     gs = list(gs)
 
     def feasible(lam: Fraction) -> bool:
-        return _numeric_feasible(f - lam, gs, d, max_sweeps, tol)
+        return _numeric_feasible(f - lam, gs, d, _PROBE_SWEEPS, _PROBE_TOL)
 
     # walk away from 0 with doubling steps, upward while feasible, downward
     # while infeasible, until the verdict flips
@@ -352,7 +347,7 @@ def lower_bound_bisect(
     width = hi - lo
     candidates = [lo, lo - width, lo - 2 * width, lo - 4 * width]
     for cand in candidates:
-        search = module_cert_search(f - cand, gs, d, max_sweeps=5 * max_sweeps)
+        search = module_cert_search(f - cand, gs, d, max_sweeps=_CERTIFY_SWEEPS)
         if search.status == "found":
             return BisectResult(cand, hi, search.cert, True, f"certified at {cand}")
     return BisectResult(lo, hi, None, False, "numeric bracket only; certification failed")

@@ -14,6 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
+#: size of the step toward the identity that a converged point is nudged by
+_NUDGE = 1e-6
+
 
 def jacobi_eigh(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 64):
     """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
@@ -115,17 +118,12 @@ class AffineFamily:
         return out
 
 
-def alternating_projection(
-    family: AffineFamily,
-    max_sweeps: int = 5000,
-    tol: float = 1e-9,
-    nudge: float = 1e-6,
-):
+def alternating_projection(family: AffineFamily, max_sweeps: int = 5000, tol: float = 1e-9):
     """Alternate psd-cone and affine projections from the particular point.
 
     Returns (t, gap, converged): t parameterizes the affine point, gap is the
     final distance between the two projections.  When converged, the point is
-    nudged toward particular + eps*I inside the affine set if that keeps it
+    nudged toward particular + _NUDGE*I inside the affine set if that keeps it
     numerically psd, so interior points rationalize robustly.
     """
     x = family.particular.copy()
@@ -139,9 +137,9 @@ def alternating_projection(
         if gap < tol:
             break
     converged = gap < tol
-    if converged and nudge > 0 and family.coords is not None:
-        nudged, t_nudged = family.project(x + nudge * family.eye_vector())
+    if converged and family.coords is not None:
+        nudged, t_nudged = family.project(x + _NUDGE * family.eye_vector())
         worst = min((min_eig(stack) for _, stack in family.stacks(nudged)), default=0.0)
-        if worst > -nudge:
+        if worst > -_NUDGE:
             t = t_nudged
     return t, gap, converged

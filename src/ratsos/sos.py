@@ -154,7 +154,8 @@ def gram_family(f: MPoly, monomials) -> GramFamily:
     return gram_system(f, [monomials], [MPoly.constant(f.nvars, 1)])
 
 
-def search_family(family: GramFamily, max_sweeps: int, tol: float, denominators):
+def search_family(family: GramFamily, max_sweeps: int = 5000, tol: float = 1e-9,
+                  denominators=DENOMINATOR_LADDER):
     """Look for a member whose blocks are all psd; returns (status, blocks, detail, converged).
 
     A negative forced diagonal proves infeasibility, and a family with one
@@ -203,12 +204,7 @@ class GramSearch:
         return self.status == "infeasible"
 
 
-def find_gram(
-    f: MPoly,
-    max_sweeps: int = 5000,
-    tol: float = 1e-9,
-    denominators=DENOMINATOR_LADDER,
-) -> GramSearch:
+def find_gram(f: MPoly) -> GramSearch:
     """Search for an exact psd Gram matrix of f over the halved Newton lattice.
 
     Order of play: odd degree is refuted at once; then the Gram family over
@@ -229,7 +225,7 @@ def find_gram(
         family = gram_family(f, monomials)
     except GramInfeasibleError as exc:
         return GramSearch("infeasible", None, monomials, str(exc))
-    status, blocks, detail, _ = search_family(family, max_sweeps, tol, denominators)
+    status, blocks, detail, _ = search_family(family)
     if status != "found":
         return GramSearch(status, None, monomials, detail)
     [gram] = blocks

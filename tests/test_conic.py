@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -111,8 +111,27 @@ def test_newton_halved_lattice_goldens():
     f = parse_poly("2*x^4 + 5*y^4 - x^2*y^2 + 2*x^3*y", 2)
     assert newton_halved_lattice(f) == [(2, 0), (1, 1), (0, 2)]
     assert newton_halved_lattice(MPoly.constant(3, 7)) == [(0, 0, 0)]
+    # lower-dimensional supports: some doubled box points lie outside their span
+    assert newton_halved_lattice(parse_poly("x^2*y^2 + 1", 2)) == [(0, 0), (1, 1)]
+    g = parse_poly("x^4*y^4*z^2 + x^2 + 1", 3)
+    assert newton_halved_lattice(g) == [(0, 0, 0), (1, 0, 0), (2, 2, 1)]
     with pytest.raises(ValueError):
         newton_halved_lattice(MPoly.zero(2))
+
+
+def test_newton_halved_lattice_against_barycentric_oracle():
+    """The lattice is the box 0..ceil(deg_i/2) filtered by the barycentric
+    oracle on the doubled point, in graded-lex order."""
+    rng = random.Random(109)
+    for _ in range(40):
+        nvars = rng.randint(2, 3)
+        f = rand_mpoly(rng, nvars=nvars, max_deg=4, max_terms=5)
+        if f.is_zero:
+            continue
+        box = product(*(range(-(-f.degree_in(i) // 2) + 1) for i in range(1, nvars + 1)))
+        expected = [a for a in box if convex_oracle(f.support(), [2 * e for e in a])]
+        expected.sort(key=lambda a: (sum(a), [-e for e in a]))
+        assert newton_halved_lattice(f) == expected, f
 
 
 def test_newton_square_support_property():

@@ -71,17 +71,29 @@ def test_hermite_golden_x2_plus_1():
 
 
 def companion_traces(f, g):
-    """tr(g(C_f) C_f^k) for k = 0..2d-2, by products of the companion matrix; g is not reduced."""
+    """tr(g(C_f) C_f^k) for k = 0..2d-2, by products with the companion matrix; g is not reduced.
+
+    The first d-1 columns of C_f are the unit vectors e_2..e_d (checked), so
+    A*C_f is A with its columns shifted left by one and A times the last
+    column of C_f appended.
+    """
     c = companion(f)
     d = f.degree()
-    power, gc = Mat.identity(d), Mat.zeros(d, d)
+    assert all(c[i, j] == (i == j + 1) for i in range(d) for j in range(d - 1))
+    last = [c[i, d - 1] for i in range(d)]
+
+    def times_c(a):
+        return [row[1:] + [sum((x * y for x, y in zip(row, last)), Fraction(0))] for row in a]
+
+    power = Mat.identity(d).rows
+    gc = [[Fraction(0)] * d for _ in range(d)]
     for coeff in g.coeffs:
-        gc = gc + power * coeff
-        power = power * c
+        gc = [[x + coeff * y for x, y in zip(r, s)] for r, s in zip(gc, power)]
+        power = times_c(power)
     traces = []
     for _ in range(2 * d - 1):
-        traces.append(sum((gc[i, i] for i in range(d)), Fraction(0)))
-        gc = gc * c
+        traces.append(sum((gc[i][i] for i in range(d)), Fraction(0)))
+        gc = times_c(gc)
     return tuple(traces)
 
 
