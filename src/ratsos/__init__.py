@@ -2,7 +2,7 @@
 quadratic-form signatures, sums-of-squares certificates and moment
 relaxations."""
 
-from .arith import Mat, Rat, affine_solution_set, charpoly, det, rat, solve_linear
+from .arith import Mat, affine_solution_set, charpoly, det, rat, solve_linear
 from .conic import (
     ConicCombination,
     EmptyFeasibleSet,

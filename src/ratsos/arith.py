@@ -1,25 +1,24 @@
 """Exact rational matrices with fraction-free elimination kernels.
 
-All row elimination runs through one integer kernel, ``_echelon``: Bareiss's
-fraction-free row echelon reduction on denominator-cleared rows, with exact
-integer division.  Determinants (its last pivot), linear solving and
-nullspaces (back-substitution on its rows), span checks (its pivot
-columns) and span coordinates (back-substitution on its pivot columns) are
-read off it.  Characteristic polynomials use Berkowitz's
-division-free algorithm on a denominator-cleared integer copy.  Everything is
-exact.
+All row elimination runs through one integer step, ``_pivot``: the
+fraction-free Gauss-Jordan update of Bareiss (1968), which keeps every entry
+an integer minor of the input so each division by the previous pivot is
+exact.  ``_echelon`` applies it at every pivot of denominator-cleared rows
+and returns the reduced echelon form, whose pivot entries all equal the last
+pivot.  Determinants (that last pivot), span checks (its pivot columns), and
+span coordinates, linear solutions and nullspaces (one integer entry over the
+last pivot each, read out by ``_reduced``) need no back-substitution.
+Characteristic polynomials use Berkowitz's division-free algorithm on a
+denominator-cleared integer copy.  Everything is exact.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from fractions import Fraction
 from math import lcm
 from operator import mul
 
 from .poly import UPoly
-
-Rat = Fraction
 
 
 class DimensionError(ValueError):
@@ -180,16 +179,32 @@ def charpoly(m: Mat, sign: str = "plus") -> UPoly:
     return UPoly(coeffs)
 
 
-def _echelon(rows: list[list[int]]):
-    """Fraction-free row echelon form of integer rows (Bareiss 1968).
+def _pivot(rows, r: int, c: int, prev: int) -> None:
+    """One fraction-free Gauss-Jordan step on integer rows, in place: every
+    row i != r becomes (p * row_i - row_i[c] * row_r) // prev, p = rows[r][c].
 
-    Returns (rows, pivot columns, sign of the row permutation).  Every entry
-    stays an integer minor of the input, so each update divides exactly by
-    the previous pivot; the last pivot of a square full-rank input is its
-    determinant up to the sign.  Rows are only swapped and rescaled by
-    nonzero factors, so the row space and the solution set of an augmented
-    system are preserved, and the pivot columns are the greedy-by-index
-    maximal independent set of columns.  ``rows`` is updated in place.
+    When prev is the previous pivot (up to sign) the division is exact, row r
+    is the only row nonzero in column c afterwards, and every earlier pivot
+    entry moves from prev to p.
+    """
+    top = rows[r]
+    p = top[c]
+    for i, row in enumerate(rows):
+        if i != r:
+            f = row[c]
+            rows[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
+
+
+def _echelon(rows: list[list[int]]):
+    """Fraction-free reduced row echelon form of integer rows (Bareiss 1968).
+
+    Returns (rows, pivot columns, sign of the row permutation).  Every pivot
+    entry ends equal to the last pivot, which for a square full-rank input
+    is its determinant up to the sign, and each pivot column is zero outside
+    its pivot row.  Rows are only swapped and rescaled by nonzero factors,
+    so the row space and the solution set of an augmented system are
+    preserved, and the pivot columns are the greedy-by-index maximal
+    independent set of columns.  ``rows`` is updated in place.
     """
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
@@ -206,18 +221,26 @@ def _echelon(rows: list[list[int]]):
         if p != r:
             rows[r], rows[p] = rows[p], rows[r]
             sign = -sign
-        top = rows[r]
-        piv = top[c]
-        for i in range(r + 1, nrows):
-            row = rows[i]
-            fi = row[c]
-            for j in range(c + 1, ncols):
-                row[j] = (piv * row[j] - fi * top[j]) // prev
-            row[c] = 0
-        prev = piv
+        _pivot(rows, r, c, prev)
+        prev = rows[r][c]
         pivots.append(c)
         r += 1
     return rows, pivots, sign
+
+
+def _reduced(rows):
+    """Reduced echelon form of rational rows as (pivots, nonzero rows, den).
+
+    The rows are integers over the common denominator den > 0: row k holds
+    den at column pivots[k], zero at every other pivot column, and den times
+    the k-th coordinate of each column in the basis of the pivot columns.
+    """
+    rows, pivots, _ = _echelon(_integer_rows(rows)[0])
+    rows = rows[: len(pivots)]
+    den = rows[-1][pivots[-1]] if pivots else 1
+    if den < 0:
+        rows = [[-a for a in row] for row in rows]
+    return pivots, rows, abs(den)
 
 
 def pivot_columns(m: Mat) -> list[int]:
@@ -228,59 +251,19 @@ def pivot_columns(m: Mat) -> list[int]:
 def span_coordinates(vectors) -> tuple[list[int], list[list[Fraction]]]:
     """The greedy span basis of the vectors and every vector's coordinates in it.
 
-    One ``_echelon`` pass over the matrix whose columns are the vectors.
-    ``pivots`` are the indices of the vectors not in the span of the vectors
-    before them, and ``coords[k]`` holds the c with
+    One elimination of the matrix whose columns are the vectors.  ``pivots``
+    are the indices of the vectors not in the span of the vectors before
+    them, and ``coords[k]`` holds the c with
     sum_i c_i vectors[pivots[i]] = vectors[k] (a unit vector for a pivot).
-    Row operations keep every linear relation among the columns, so each c
-    is read by back-substitution on the pivot columns of the echelon form.
     """
-    rows, pivots, _ = _echelon(_integer_rows(Mat.from_columns(vectors).rows)[0])
-    coords = []
-    for j in range(len(vectors)):
-        c = [Fraction(0)] * len(pivots)
-        # rows whose pivot lies right of column j are zero there
-        top = bisect_right(pivots, j)
-        for i in range(top - 1, -1, -1):
-            row = rows[i]
-            acc = row[j] - sum(row[pivots[k]] * c[k] for k in range(i + 1, top))
-            c[i] = Fraction(acc) / row[pivots[i]]
-        coords.append(c)
-    return pivots, coords
-
-
-def _back_substitute(rows, pivots, n, free=None):
-    """Solve an echelonized [A|b] system, A with n columns; the free variables
-    are zero, except the one at column ``free``, which is one."""
-    x = [Fraction(0)] * n
-    if free is not None:
-        x[free] = Fraction(1)
-    for r in range(len(pivots) - 1, -1, -1):
-        c = pivots[r]
-        row = rows[r]
-        acc = row[n]
-        for j in range(c + 1, n):
-            if row[j] != 0:
-                acc -= row[j] * x[j]
-        x[c] = Fraction(acc) / row[c]
-    return x
-
-
-def _augmented(a: Mat, b) -> list[list[int]]:
-    """Denominator-cleared rows of [A|b]."""
-    b = [rat(v) for v in b]
-    if len(b) != a.nrows:
-        raise DimensionError(f"right-hand side has length {len(b)}, expected {a.nrows}")
-    return _integer_rows([row + [val] for row, val in zip(a.rows, b)])[0]
+    pivots, rows, den = _reduced(Mat.from_columns(vectors).rows)
+    return pivots, [[Fraction(row[j], den) for row in rows] for j in range(len(vectors))]
 
 
 def solve_linear(a: Mat, b) -> list[Fraction] | None:
     """One exact solution of A x = b, or None when the system is inconsistent."""
-    rows, pivots, _ = _echelon(_augmented(a, b))
-    if pivots and pivots[-1] == a.ncols:
-        return None
-    # rows below the last pivot are entirely zero by construction
-    return _back_substitute(rows, pivots, a.ncols)
+    solution = affine_solution_set(a, b)
+    return None if solution is None else solution[0]
 
 
 def affine_solution_set(a: Mat, b):
@@ -289,12 +272,19 @@ def affine_solution_set(a: Mat, b):
     The particular solution sets every free variable to zero; the basis
     vectors each set one free variable to one.
     """
+    b = [rat(v) for v in b]
+    if len(b) != a.nrows:
+        raise DimensionError(f"right-hand side has length {len(b)}, expected {a.nrows}")
     n = a.ncols
-    rows, pivots, _ = _echelon(_augmented(a, b))
+    pivots, rows, den = _reduced([row + [val] for row, val in zip(a.rows, b)])
     if pivots and pivots[-1] == n:
         return None
-    particular = _back_substitute(rows, pivots, n)
+
+    def point(free, col, sign):
+        x = [Fraction(int(j == free)) for j in range(n)]
+        for c, row in zip(pivots, rows):
+            x[c] = Fraction(sign * row[col], den)
+        return x
+
     pivot_set = set(pivots)
-    zero_rhs = [r[:n] + [0] for r in rows]
-    basis = [_back_substitute(zero_rhs, pivots, n, free=j) for j in range(n) if j not in pivot_set]
-    return particular, basis
+    return point(None, n, 1), [point(j, j, -1) for j in range(n) if j not in pivot_set]

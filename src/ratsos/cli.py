@@ -254,7 +254,7 @@ def cmd_lasserre_bound(args):
     nvars, gs = _lasserre_system(args)
     f = parse_poly(args.poly, nvars)
     result = lasserre.lower_bound_bisect(f, gs, args.degree, iterations=args.iterations)
-    if result.detail == "no initial bracket found":
+    if result.hi is None:
         return UNKNOWN, ["unknown (no initial bracket found)"], {"status": "unknown"}
     lines = [
         f"lo={result.lo} hi={result.hi} certified={'true' if result.certified else 'false'}"

@@ -8,11 +8,12 @@ as a nonnegative combination of a basis from E (variant A) or with a linear
 functional that is nonnegative on E and negative on x (variant B).
 ``conic_representation`` re-verifies every result before it returns it.
 
-Each question is one elimination (``span_coordinates``) of E with the
-targets appended.  Its coordinates are a tableau whose row k is the dual
-functional of basis element k on every column, so a pivot step is one rank-1
-row update (:func:`_bland`, the only pivot loop).  Membership tests work in
-span(E), where a target with a pivot of its own is never a member.
+Each question is one elimination of E with the targets appended.  Its
+reduced echelon form, integers over one common denominator, is the tableau:
+row k is the dual functional of basis element k on every column, and a pivot
+step is the elimination's own ``arith._pivot`` (:func:`_bland`, the only
+pivot loop).  Membership tests work in span(E), where a target with a pivot
+of its own is never a member.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .arith import Mat, _dot, pivot_columns, rat, solve_linear, span_coordinates
+from .arith import Mat, _dot, _pivot, _reduced, pivot_columns, rat, solve_linear, span_coordinates
 from .poly import MPoly, _grlex_key
 
 
@@ -55,10 +56,12 @@ def _as_vectors(vectors) -> list[list[Fraction]]:
 
 
 def _bland(rows, basis, ngen: int) -> int | None:
-    """Bland's rule in place on the tableau ``rows``: generators are columns
-    0..ngen-1, x is column ngen, and row k is the dual functional of
-    generator ``basis[k]``.  Returns None when x has no negative coefficient
-    (variant A), or the row of the separating functional (variant B).
+    """Bland's rule in place on the integer tableau ``rows``: generators are
+    columns 0..ngen-1, x is column ngen, and row k over its entry at column
+    basis[k] (the common denominator, kept positive) is the dual functional
+    of generator ``basis[k]``.  Returns None when x has no negative
+    coefficient (variant A), or the row of the separating functional
+    (variant B).
     """
     for _ in range(comb(ngen, len(rows)) * max(ngen, 1) + 16):
         r = min((k for k, row in enumerate(rows) if row[ngen] < 0), key=basis.__getitem__, default=None)
@@ -67,12 +70,10 @@ def _bland(rows, basis, ngen: int) -> int | None:
         w = next((j for j in range(ngen) if rows[r][j] < 0), None)
         if w is None:
             return r
-        piv = rows[r][w]
-        top = rows[r] = [v / piv for v in rows[r]]
-        for k, row in enumerate(rows):
-            factor = row[w]
-            if k != r and factor:
-                rows[k] = [a - factor * b for a, b in zip(row, top)]
+        # the pivot entry is negative: dividing by minus the old denominator
+        # and negating row r puts the tableau over the positive -rows[r][w]
+        _pivot(rows, r, w, -rows[r][basis[r]])
+        rows[r] = [-a for a in rows[r]]
         basis[r] = w
     raise RuntimeError("pivot loop failed to terminate")
 
@@ -99,18 +100,19 @@ def conic_representation(vectors, x) -> ConicResult:
             raise SpanError("empty generating set cannot span a nonzero vector")
         return ConicCombination([], [])
     units = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    basis, coords = span_coordinates(e + [x] + units)
+    basis, rows, _ = _reduced(Mat.from_columns(e + [x] + units).rows)
     if basis and basis[-1] >= len(e):
         raise SpanError("generating set does not span the ambient space")
-    rows = [[c[k] for c in coords] for k in range(n)]
     r = _bland(rows, basis, len(e))
     if r is None:
         order = sorted(range(n), key=basis.__getitem__)
-        result = ConicCombination([basis[k] for k in order], [rows[k][len(e)] for k in order])
+        result = ConicCombination([basis[k] for k in order],
+                                  [Fraction(rows[k][len(e)], rows[k][basis[k]]) for k in order])
         _verify_combination(e, x, result)
     else:
         kernel = sorted(b for k, b in enumerate(basis) if k != r)
-        result = SeparatingFunctional(rows[r][len(e) + 1 :], kernel)
+        den = rows[r][basis[r]]
+        result = SeparatingFunctional([Fraction(a, den) for a in rows[r][len(e) + 1 :]], kernel)
         _verify_functional(e, x, result, n)
     return result
 
@@ -149,11 +151,12 @@ def _cone_members(vectors, targets) -> list[bool]:
     copy of the span tableau.
     """
     ngen = len(vectors)
-    pivots, coords = span_coordinates(vectors + targets)
+    pivots, rows, _ = _reduced(Mat.from_columns(vectors + targets).rows)
     dim = bisect_left(pivots, ngen)
-    span = [[c[k] for c in coords[:ngen]] for k in range(dim)]
-    return [not any(c[dim:]) and _bland([r + [c[k]] for k, r in enumerate(span)], pivots[:dim], ngen) is None
-            for c in coords[ngen:]]
+    span, outside = rows[:dim], rows[dim:]
+    return [not any(row[t] for row in outside)
+            and _bland([row[:ngen] + [row[t]] for row in span], pivots[:dim], ngen) is None
+            for t in range(ngen, ngen + len(targets))]
 
 
 def cone_contains(vectors, x) -> bool:

@@ -304,8 +304,10 @@ _PROBE_SWEEPS, _PROBE_TOL, _CERTIFY_SWEEPS = 3000, 1e-8, 15000
 
 @dataclass
 class BisectResult:
-    lo: Fraction
-    hi: Fraction
+    """lo and hi are None when the doubling walk never found a bracket."""
+
+    lo: Fraction | None
+    hi: Fraction | None
     cert: ModuleCert | None
     certified: bool
     detail: str
@@ -335,7 +337,7 @@ def lower_bound_bisect(f: MPoly, gs, d: int, iterations: int = 12) -> BisectResu
         edge += step
         step *= 2
     else:
-        return BisectResult(Fraction(0), Fraction(0), None, False, "no initial bracket found")
+        return BisectResult(None, None, None, False, "no initial bracket found")
 
     for _ in range(iterations):
         mid = (lo + hi) / 2

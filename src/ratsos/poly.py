@@ -163,9 +163,6 @@ class UPoly:
     def __mod__(self, other: "UPoly") -> "UPoly":
         return divmod(self, other)[1]
 
-    def __floordiv__(self, other: "UPoly") -> "UPoly":
-        return divmod(self, other)[0]
-
     def derivative(self) -> "UPoly":
         return UPoly(i * c for i, c in enumerate(self.coeffs) if i > 0)
 

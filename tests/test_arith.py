@@ -6,6 +6,8 @@ import pytest
 from ratsos.arith import (
     DimensionError,
     Mat,
+    _echelon,
+    _integer_rows,
     affine_solution_set,
     charpoly,
     det,
@@ -80,6 +82,27 @@ def test_det_singular_and_fractional():
 def test_det_rejects_non_square():
     with pytest.raises(DimensionError):
         det(Mat([[1, 2, 3], [4, 5, 6]]))
+
+
+def test_echelon_is_reduced():
+    """_echelon returns the fraction-free reduced form: on planted-rank rows
+    with mixed denominators and zero columns, each pivot column is zero
+    outside its pivot row, every pivot entry equals the last pivot, and the
+    rows below the rank are zero."""
+    rng = random.Random(43)
+    for _ in range(80):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 7)
+        rows, _ = planted_rows(rng, nrows, ncols, rng.randint(0, min(nrows, ncols)))
+        for zero in rng.sample(range(ncols), rng.randint(0, ncols // 2)):
+            for row in rows:
+                row[zero] = Fraction(0)
+        reduced, pivots, _ = _echelon(_integer_rows(rows)[0])
+        rank = len(pivots)
+        assert rank == gram_rank(rows)
+        last = reduced[rank - 1][pivots[-1]] if pivots else None
+        for k, c in enumerate(pivots):
+            assert [row[c] for row in reduced] == [last if i == k else 0 for i in range(nrows)]
+        assert not any(any(row) for row in reduced[rank:])
 
 
 def test_charpoly_trivial_cases():
@@ -217,8 +240,8 @@ def test_affine_solution_set_rank_deficient():
         particular, basis = affine_solution_set(a, b)
         assert a.matvec(particular) == b
         assert len(basis) == ncols - gram_rank(rows)
-        # back-substitution leaves later columns at 0: the free column of a
-        # basis vector is its last nonzero entry
+        # a basis vector is zero right of its free column, since the reduced
+        # row of a pivot is zero left of it
         free = [max(j for j, x in enumerate(v) if x != 0) for v in basis]
         assert free == sorted(set(free))
         for v, j in zip(basis, free):

@@ -302,6 +302,15 @@ def test_lasserre_bound_and_check(tmp_path):
     assert code == 0 and out == "valid"
 
 
+def test_lasserre_bound_without_bracket_is_unknown():
+    """x is unbounded below with no constraints: the doubling walk never
+    flips, so there is no bracket to bisect and the answer is exit 3."""
+    argv = ["lasserre", "bound", "--poly", "x", "-d", "1"]
+    assert run(argv) == (3, "unknown (no initial bracket found)")
+    code, out = run(["--json"] + argv)
+    assert code == 3 and json.loads(out) == {"exit": 3, "status": "unknown"}
+
+
 def test_input_errors_exit_2():
     code, out = run(["count-roots", "--poly", "x + @"])
     assert code == 2 and out.startswith("error:")

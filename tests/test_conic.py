@@ -20,7 +20,7 @@ from ratsos.conic import (
 )
 from ratsos.poly import MPoly, parse_poly
 
-from helpers import gram_rank, planted_rows, rand_mpoly
+from helpers import gram_rank, planted_rows, rand_frac, rand_mpoly
 
 
 def cone_membership_oracle(vectors, x):
@@ -59,23 +59,28 @@ def test_span_errors():
 
 
 def test_conic_random_oracle_agreement():
+    """Integer generators in dimension 3, and generators with mixed
+    denominators in dimensions 4-5, where Bland's rule takes several pivots."""
     rng = random.Random(97)
-    for _ in range(120):
-        while True:
-            e = [[Fraction(rng.randint(-3, 3)) for _ in range(3)] for _ in range(rng.randint(3, 8))]
-            try:
-                x = [Fraction(rng.randint(-4, 4)) for _ in range(3)]
-                res = conic_representation(e, x)
-                break
-            except SpanError:
-                continue
-        member = cone_membership_oracle(e, x)
-        if isinstance(res, ConicCombination):
-            assert member
-        else:
-            assert not member
-        # internal verification already ran; double check the exclusivity claim
-        assert isinstance(res, (ConicCombination, SeparatingFunctional))
+    integer = lambda lo, hi: Fraction(rng.randint(lo, hi))
+    mixed = lambda lo, hi: rand_frac(rng, lo, hi, max_den=7)
+    for dim, entry, runs in [(3, integer, 120), (4, mixed, 40), (5, mixed, 30)]:
+        for _ in range(runs):
+            while True:
+                e = [[entry(-3, 3) for _ in range(dim)] for _ in range(rng.randint(dim, dim + 5))]
+                try:
+                    x = [entry(-4, 4) for _ in range(dim)]
+                    res = conic_representation(e, x)
+                    break
+                except SpanError:
+                    continue
+            member = cone_membership_oracle(e, x)
+            if isinstance(res, ConicCombination):
+                assert member
+            else:
+                assert not member
+            # internal verification already ran; double check the exclusivity claim
+            assert isinstance(res, (ConicCombination, SeparatingFunctional))
 
 
 def convex_oracle(points, alpha):
