@@ -8,6 +8,7 @@ and returns the reduced echelon form, whose pivot entries all equal the last
 pivot.  Determinants (that last pivot), span checks (its pivot columns), and
 span coordinates, linear solutions and nullspaces (one integer entry over the
 last pivot each, read out by ``_reduced``) need no back-substitution.
+``quadforms.diagonalize`` runs its congruence on the same step.
 Characteristic polynomials use Berkowitz's division-free algorithm on a
 denominator-cleared integer copy.  Everything is exact.
 """
@@ -15,7 +16,7 @@ denominator-cleared integer copy.  Everything is exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from operator import mul
 
 from .poly import UPoly
@@ -115,14 +116,14 @@ def _dot(a, b) -> Fraction:
 
 
 def _integer_rows(rows):
-    """Scale each rational row to integers; returns (rows of ints, product of the scalings)."""
+    """Scale each rational row to integers; returns (rows of ints, each row's multiplier)."""
     out = []
-    scale = 1
+    scales = []
     for row in rows:
         mult = lcm(*(x.denominator for x in row)) if row else 1
         out.append([x.numerator * (mult // x.denominator) for x in row])
-        scale *= mult
-    return out, scale
+        scales.append(mult)
+    return out, scales
 
 
 def det(m: Mat) -> Fraction:
@@ -132,11 +133,11 @@ def det(m: Mat) -> Fraction:
     n = m.nrows
     if n == 0:
         return Fraction(1)
-    a, scale = _integer_rows(m.rows)
+    a, scales = _integer_rows(m.rows)
     rows, pivots, sign = _echelon(a)
     if len(pivots) < n:
         return Fraction(0)
-    return Fraction(sign * rows[n - 1][n - 1], scale)
+    return Fraction(sign * rows[n - 1][n - 1], prod(scales))
 
 
 def charpoly(m: Mat, sign: str = "plus") -> UPoly:

@@ -288,18 +288,18 @@ def module_cert_search(
     return ModuleSearch("found", cert, detail, converged)
 
 
-def _numeric_feasible(f: MPoly, gs, d: int, max_sweeps: int, tol: float) -> bool:
+#: sweeps and tolerance of each numeric probe, and sweeps of the final certification
+_PROBE_SWEEPS, _PROBE_TOL, _CERTIFY_SWEEPS = 3000, 1e-8, 15000
+
+
+def _numeric_feasible(f: MPoly, gs, d: int) -> bool:
     """Cheap numeric-only feasibility probe used inside the bisection loop.
 
     Runs the search with an empty rationalization ladder: a converged
     alternating projection counts as feasible-looking.
     """
-    search = module_cert_search(f, gs, d, max_sweeps=max_sweeps, tol=tol, denominators=())
+    search = module_cert_search(f, gs, d, max_sweeps=_PROBE_SWEEPS, tol=_PROBE_TOL, denominators=())
     return search.status == "found" or search.converged
-
-
-#: sweeps and tolerance of each numeric probe, and sweeps of the final certification
-_PROBE_SWEEPS, _PROBE_TOL, _CERTIFY_SWEEPS = 3000, 1e-8, 15000
 
 
 @dataclass
@@ -324,7 +324,7 @@ def lower_bound_bisect(f: MPoly, gs, d: int, iterations: int = 12) -> BisectResu
     gs = list(gs)
 
     def feasible(lam: Fraction) -> bool:
-        return _numeric_feasible(f - lam, gs, d, _PROBE_SWEEPS, _PROBE_TOL)
+        return _numeric_feasible(f - lam, gs, d)
 
     # walk away from 0 with doubling steps, upward while feasible, downward
     # while infeasible, until the verdict flips

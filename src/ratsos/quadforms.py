@@ -1,9 +1,11 @@
 """Exact quadratic-form algebra over the rationals.
 
 Congruence diagonalization M = P^T diag(D) P by square completion with a
-hyperbolic split on zero diagonals, rank and signature (with an independent
-second method through the characteristic polynomial and sign counting), psd
-tests, and weighted-square certificates extracted from a diagonalization.
+hyperbolic split on zero diagonals, both run as the fraction-free pivot step
+``arith._pivot`` on denominator-cleared integer rows; rank and signature (with
+an independent second method through the characteristic polynomial and sign
+counting), psd tests, and weighted-square certificates extracted from a
+diagonalization.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .arith import Mat, charpoly, det, rat
+from .arith import Mat, _integer_rows, _pivot, charpoly, det, rat
 from .poly import MPoly, sign_changes
 
 
@@ -107,64 +109,54 @@ def diagonalize(m: SymMat) -> DiagCongruence:
     Pivots on the first nonzero diagonal entry (completing the square); when
     every active diagonal entry is zero, the first nonzero off-diagonal pair
     (i, j) is handled by the hyperbolic split
-    h1*h2 = ((h1+h2)/2)^2 - ((h1-h2)/2)^2.
+    h1*h2 = ((h1+h2)/2)^2 - ((h1-h2)/2)^2, run as the two pivots (i, j) and
+    (j, i) of one 2x2 block (Bunch-Kaufman 1977).
+
+    Row k of M is scaled to integers by s_k and the active block is
+    eliminated by ``arith._pivot``, so by Sylvester's identity its entry
+    (k, l) is s_k * prev times the current Schur complement, prev the last
+    pivot.  Pivot rows and columns are dropped after each step.
     """
     n = m.dim
-    a = [[m[i, j] for j in range(n)] for i in range(n)]
+    a, scales = _integer_rows(m.rows())
     active = list(range(n))
+    prev = 1
     p_rows: list[list[Fraction]] = []
     d: list[Fraction] = []
 
-    def unit(i):
+    def form(r: int, c: int) -> list[Fraction]:
+        """Row r of the active block over its entry in column c, as a row of P."""
         row = [Fraction(0)] * n
-        row[i] = Fraction(1)
+        for k, x in zip(active, a[r]):
+            row[k] = Fraction(x, a[r][c])
         return row
 
     while active:
-        piv = next((i for i in active if a[i][i] != 0), None)
-        if piv is not None:
-            rest = [k for k in active if k != piv]
-            aii = a[piv][piv]
-            ell = unit(piv)
-            for k in rest:
-                ell[k] = a[piv][k] / aii
-            for k in rest:
-                for l in rest:
-                    if k <= l:
-                        upd = a[k][l] - a[piv][k] * a[piv][l] / aii
-                        a[k][l] = a[l][k] = upd
-            p_rows.append(ell)
-            d.append(aii)
-            active = rest
-            continue
-        pair = next(
-            ((i, j) for i, j in combinations(active, 2) if a[i][j] != 0),
-            None,
-        )
-        if pair is None:
-            # remaining form is identically zero
-            for k in active:
-                p_rows.append(unit(k))
-                d.append(Fraction(0))
-            break
-        i, j = pair
-        rest = [k for k in active if k not in (i, j)]
-        c = a[i][j]
-        h1 = unit(i)
-        h2 = unit(j)
-        for k in rest:
-            h1[k] = a[j][k] / c
-            h2[k] = a[i][k] / c
-        p_rows.append([x + y for x, y in zip(h1, h2)])
-        d.append(c / 2)
-        p_rows.append([x - y for x, y in zip(h1, h2)])
-        d.append(-c / 2)
-        for k in rest:
-            for l in rest:
-                if k <= l:
-                    upd = a[k][l] - (a[j][k] * a[i][l] + a[j][l] * a[i][k]) / c
-                    a[k][l] = a[l][k] = upd
-        active = rest
+        k = next((k for k in range(len(active)) if a[k][k]), None)
+        if k is not None:
+            p_rows.append(form(k, k))
+            d.append(Fraction(a[k][k], prev * scales[active[k]]))
+            _pivot(a, k, k, prev)
+            prev, drop = a[k][k], (k,)
+        else:
+            pair = next(((i, j) for i, j in combinations(range(len(active)), 2) if a[i][j]), None)
+            if pair is None:
+                # remaining form is identically zero
+                p_rows += [[Fraction(int(i == k)) for i in range(n)] for k in active]
+                d += [Fraction(0)] * len(active)
+                break
+            i, j = pair
+            h1, h2 = form(j, i), form(i, j)
+            half = Fraction(a[i][j], 2 * prev * scales[active[i]])
+            p_rows += [[x + y for x, y in zip(h1, h2)], [x - y for x, y in zip(h1, h2)]]
+            d += [half, -half]
+            _pivot(a, i, j, prev)
+            _pivot(a, j, i, a[i][j])
+            prev, drop = a[j][i], (j, i)
+        for r in drop:  # highest index first
+            del a[r], active[r]
+            for row in a:
+                del row[r]
     return DiagCongruence(Mat(p_rows), d)
 
 
@@ -243,18 +235,19 @@ class SosCert:
 def weighted_square_decomposition(m: SymMat, monomials) -> SosCert:
     """Write v^T M v as a weighted sum of squares, v the given monomial vector.
 
-    Requires m psd; the number of squares equals rank(m).  The k-th square is
-    the k-th row of the diagonalizing P evaluated on the monomials.
+    Requires m psd, read off the signs of the diagonal (Sylvester's law of
+    inertia); the number of squares equals rank(m).  The k-th square is the
+    k-th row of the diagonalizing P evaluated on the monomials.
     """
     monomials = [tuple(a) for a in monomials]
     if len(monomials) != m.dim:
         raise ValueError(f"monomial vector has length {len(monomials)}, expected {m.dim}")
-    if not is_psd(m):
-        raise CertificateError("matrix is not positive semidefinite")
     if m.dim == 0:
         return SosCert(())
-    nvars = len(monomials[0])
     cong = diagonalize(m)
+    if any(x < 0 for x in cong.d):
+        raise CertificateError("matrix is not positive semidefinite")
+    nvars = len(monomials[0])
     terms = []
     for k, weight in enumerate(cong.d):
         if weight == 0:

@@ -37,10 +37,21 @@ def test_descartes():
 
 
 def test_signature_and_diagonalize():
-    code, out = run(["signature", "--matrix", "[[0,1,1,0],[1,0,1,0],[1,1,0,1],[0,0,1,0]]"])
+    matrix = "[[0,1,1,0],[1,0,1,0],[1,1,0,1],[0,0,1,0]]"
+    code, out = run(["signature", "--matrix", matrix])
     assert code == 0 and out == "dim=4 rank=4 signature=0"
     code, out = run(["diagonalize", "--matrix", "[[2,1],[1,5]]"])
     assert code == 0 and out.startswith("D: ")
+    code, out = run(["diagonalize", "--matrix", matrix])
+    assert code == 0
+    assert out == "D: 1/2 -1/2 -2 1/2\nP[0]: 1 1 2 0\nP[1]: 1 -1 0 0\nP[2]: 0 0 1 -1/2\nP[3]: 0 0 0 1"
+    code, out = run(["--json", "diagonalize", "--matrix", matrix])
+    assert code == 0
+    assert json.loads(out) == {
+        "d": ["1/2", "-1/2", "-2", "1/2"],
+        "exit": 0,
+        "p": [["1", "1", "2", "0"], ["1", "-1", "0", "0"], ["0", "0", "1", "-1/2"], ["0", "0", "0", "1"]],
+    }
 
 
 def test_psd_check_exit_codes():

@@ -196,12 +196,12 @@ def test_module_search_reports_numeric_convergence():
     res = module_cert_search(interior, gs, 2, denominators=())
     assert res.status == "unknown" and res.converged
     assert res.detail == "rationalization failed"
-    assert _numeric_feasible(interior, gs, 2, 3000, 1e-8)
+    assert _numeric_feasible(interior, gs, 2)
     below = parse_poly("x*y + 1/4", 2)
     res = module_cert_search(below, gs, 2, max_sweeps=3000, tol=1e-8, denominators=())
     assert res.status == "unknown" and not res.converged
     assert res.detail.startswith("numeric phase stalled")
-    assert not _numeric_feasible(below, gs, 2, 3000, 1e-8)
+    assert not _numeric_feasible(below, gs, 2)
 
 
 def test_module_cert_json_round_trip():

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ratsos.arith import Mat, charpoly, det
 from ratsos.poly import parse_poly
@@ -40,6 +42,65 @@ def test_diagonalize_hyperbolic_example():
     assert cong.reassemble() == m
     assert det(cong.p) != 0
     assert rank(m) == 4 and signature(m) == 0
+
+
+@pytest.mark.parametrize("rows, d, p", [
+    # hyperbolic split first, then a diagonal pivot
+    (HYPERBOLIC_EXAMPLE, ["1/2", "-1/2", "-2", "1/2"],
+     [["1", "1", "2", "0"], ["1", "-1", "0", "0"], ["0", "0", "1", "-1/2"], ["0", "0", "0", "1"]]),
+    # a diagonal pivot, then a hyperbolic split over rows scaled by 6, 5 and 45
+    ([["1/2", 1, "1/3"], [1, 2, "1/5"], ["1/3", "1/5", "2/9"]], ["1/2", "-7/30", "7/30"],
+     [["1", "2", "2/3"], ["0", "1", "1"], ["0", "1", "-1"]]),
+    # a zero tail after one pivot
+    ([[2, 1, 0], [1, "1/2", 0], [0, 0, 0]], ["2", "0", "0"],
+     [["1", "1/2", "0"], ["0", "1", "0"], ["0", "0", "1"]]),
+])
+def test_diagonalize_golden(rows, d, p):
+    cong = diagonalize(SymMat.from_rows(rows))
+    assert [str(x) for x in cong.d] == d
+    assert [[str(x) for x in row] for row in cong.p.rows] == p
+
+
+_FRACS = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 9))
+
+
+@st.composite
+def _symmetric_rows(draw):
+    """Symmetric rows up to 7x7 with mixed row denominators, biased toward
+    zero diagonals, low rank B^T D B and a hyperbolic step after a pivot."""
+    n = draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(["zero-diagonal", "low-rank", "pivot-then-hyperbolic"]))
+    if kind == "low-rank":
+        r = draw(st.integers(0, n))
+        b = draw(st.lists(st.lists(_FRACS, min_size=n, max_size=n), min_size=r, max_size=r))
+        w = draw(st.lists(_FRACS.filter(bool), min_size=r, max_size=r))
+        return [[sum((wk * bk[i] * bk[j] for wk, bk in zip(w, b)), Fraction(0)) for j in range(n)]
+                for i in range(n)]
+    rows = SymMat(n, draw(st.lists(_FRACS, min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2))).rows()
+    for i in range(n):
+        if kind == "pivot-then-hyperbolic" or draw(st.booleans()):
+            rows[i][i] = Fraction(0)
+    if kind == "pivot-then-hyperbolic":
+        # border a zero-diagonal Z by a pivot a: the Schur complement is Z again
+        a = draw(_FRACS.filter(bool))
+        v = rows[0][1:]
+        rows = [[a] + v] + [[x] + [z + x * y / a for z, y in zip(row[1:], v)]
+                            for x, row in zip(v, rows[1:])]
+    return rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_symmetric_rows())
+def test_diagonalize_fuzz(rows):
+    m = SymMat.from_rows(rows)
+    cong = diagonalize(m)
+    assert cong.reassemble() == m
+    assert det(cong.p) != 0
+    pos = sum(1 for x in cong.d if x > 0)
+    neg = sum(1 for x in cong.d if x < 0)
+    h = charpoly(m.to_mat(), "minus")
+    zero_mult = next(i for i, c in enumerate(h.coeffs) if c != 0)
+    assert (pos - neg, pos + neg) == (signature_via_descartes(m), m.dim - zero_mult)
 
 
 def test_diagonalize_identity():
@@ -184,6 +245,9 @@ def test_weighted_square_decomposition_random_psd():
 def test_weighted_square_decomposition_requires_psd():
     with pytest.raises(CertificateError):
         weighted_square_decomposition(SymMat.from_rows([[1, 0], [0, -1]]), [(1, 0), (0, 1)])
+    with pytest.raises(CertificateError):
+        # a positive diagonal, yet not psd
+        weighted_square_decomposition(SymMat.from_rows([[1, 2], [2, 1]]), [(1, 0), (0, 1)])
 
 
 def test_inertia_counts():
