@@ -5,9 +5,10 @@ moment variable y_alpha (y_0 pinned to 1) and demands that the moment block
 and one localizing block per constraint be positive semidefinite.  The
 module also searches and verifies exact weighted-SOS membership certificates
 for the degree-d truncated module sum_i sigma_i g_i (the search runs on the
-Gram-system core of :mod:`ratsos.sos`, one block per kept generator) and
-computes certified lower bounds by bisection with a numeric feasibility
-oracle and exact final certification.
+Gram-system core of :mod:`ratsos.sos`, one block per kept generator,
+restricted exactly to the face its forced zeros define) and computes
+certified lower bounds by bisection with a numeric feasibility oracle and
+exact final certification.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .sos import (
     VerifyResult,
     gram_system,
     json_field,
+    restrict_to_face,
     search_family,
     terms_from_json,
     terms_to_json,
@@ -250,6 +252,8 @@ class ModuleSearch:
     cert: ModuleCert | None
     detail: str
     converged: bool = False  # the numeric phase ran and met its tolerance
+    #: index into [1] + gs -> the monomials facial reduction cut off that sigma's basis
+    dropped: dict[int, list[tuple[int, ...]]] = field(default_factory=dict)
 
 
 def module_cert_search(
@@ -263,29 +267,33 @@ def module_cert_search(
     """Search an exact certificate f = sum sigma_i g_i of degree d.
 
     One Gram block per kept generator, on the Gram-system core of
-    :mod:`ratsos.sos`; an accepted member is turned into weighted squares and
-    the certificate is re-verified exactly before return.
+    :mod:`ratsos.sos`, restricted to its face by
+    :func:`~ratsos.sos.restrict_to_face` before the numeric phase; an accepted
+    member is turned into weighted squares over the kept monomials and the
+    certificate is re-verified exactly before return.
     """
     gs = list(gs)
     if f.degree() > d:
         raise ValueError("target degree exceeds the relaxation degree")
     kept = _kept_generators(gs, d, f.nvars)
     bases = [monomials_upto(f.nvars, cap) for _, _, cap in kept]
+    generators = [g for _, g, _ in kept]
     try:
-        family = gram_system(f, bases, [g for _, g, _ in kept])
+        family, face_dropped = restrict_to_face(f, gram_system(f, bases, generators), generators)
     except GramInfeasibleError as exc:
         return ModuleSearch("infeasible", None, str(exc))
+    dropped = {k: monomials for (k, _, _), monomials in zip(kept, face_dropped) if monomials}
     status, blocks, detail, converged = search_family(family, max_sweeps, tol, denominators)
     if status != "found":
-        return ModuleSearch(status, None, detail, converged)
+        return ModuleSearch(status, None, detail, converged, dropped)
     sigmas = [SosCert(()) for _ in range(len(gs) + 1)]
-    for (k, _, _), basis, block in zip(kept, bases, blocks):
+    for (k, _, _), basis, block in zip(kept, family.bases, blocks):
         sigmas[k] = weighted_square_decomposition(block, basis)
     cert = ModuleCert(sigmas)
     check = verify_module_membership(f, gs, d, cert)
     if not check:
         raise AssertionError(f"reconstructed certificate failed verification: {check.reason}")
-    return ModuleSearch("found", cert, detail, converged)
+    return ModuleSearch("found", cert, detail, converged, dropped)
 
 
 #: sweeps and tolerance of each numeric probe, and sweeps of the final certification
@@ -317,10 +325,14 @@ def lower_bound_bisect(f: MPoly, gs, d: int, iterations: int = 12) -> BisectResu
     """Bisection lower bound for f over the constraint set at relaxation degree d.
 
     Feasibility of f - lambda in the degree-d module is probed numerically
-    inside the loop; only the final lo is certified, by rationalizing the
-    multiplier blocks and verifying exactly.  Without that certificate the
-    result is flagged heuristic.
+    inside the loop, on the face left by exact facial reduction, so a probe
+    whose multipliers have forced zeros can still converge; only the final
+    lo is certified, by rationalizing the multiplier blocks and verifying
+    exactly.  Without that certificate the result is flagged heuristic.  A
+    negative ``iterations`` raises ValueError.
     """
+    if iterations < 0:
+        raise ValueError(f"iterations must be nonnegative, not {iterations}")
     gs = list(gs)
 
     def feasible(lam: Fraction) -> bool:

@@ -1,7 +1,7 @@
-"""Floating-point helpers for the certificate search: psd-cone projection by
-LAPACK ``eigh``, batched over stacked blocks of one size, and alternating
-projections between an affine family of symmetric block matrices and the
-product of psd cones.
+"""Floating-point helpers for the certificate search: projection onto
+{X >= floor * I} (the psd cone at floor 0) by LAPACK ``eigh``, batched over
+stacked blocks of one size, and alternating projections between an affine
+family of symmetric block matrices and the product of those sets.
 
 ``jacobi_eigh`` is a pure-Python cyclic Jacobi eigensolver kept as a
 reference; the search itself does not call it.
@@ -55,16 +55,16 @@ def jacobi_eigh(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 64):
     return np.diag(a).copy(), v
 
 
-def project_psd(a: np.ndarray) -> np.ndarray:
-    """Nearest psd matrix in Frobenius norm: clip negative eigenvalues.
+def project_psd(a: np.ndarray, floor: float = 0.0) -> np.ndarray:
+    """Nearest X >= floor * I in Frobenius norm (floor 0: the psd cone): raise low eigenvalues.
 
     ``a`` is one (s, s) matrix or a stack (k, s, s) projected matrix by matrix.
     """
     if a.shape[-1] == 1:
-        return np.maximum(a, 0.0)
+        return np.maximum(a, floor)
     a = 0.5 * (a + a.swapaxes(-1, -2))
     w, v = np.linalg.eigh(a)
-    out = (v * np.maximum(w, 0.0)[..., None, :]) @ v.swapaxes(-1, -2)
+    out = (v * np.maximum(w, floor)[..., None, :]) @ v.swapaxes(-1, -2)
     return 0.5 * (out + out.swapaxes(-1, -2))
 
 
@@ -84,7 +84,7 @@ class AffineFamily:
         # per distinct block size s: the (k, s*s) positions of its k blocks
         starts = np.cumsum([0] + [s * s for s in self.sizes])
         self.groups = []
-        for s in sorted(set(self.sizes)):
+        for s in sorted(set(self.sizes) - {0}):  # an empty block has no entry
             firsts = np.array([starts[i] for i, t in enumerate(self.sizes) if t == s])
             self.groups.append((s, firsts[:, None] + np.arange(s * s)))
         if self.basis.size:
@@ -105,10 +105,10 @@ class AffineFamily:
         """The blocks of y as one (k, s, s) stack per distinct size s."""
         return [(idx, y[idx].reshape(-1, s, s)) for s, idx in self.groups]
 
-    def project_psd_cone(self, y: np.ndarray) -> np.ndarray:
+    def project_psd_cone(self, y: np.ndarray, floor: float = 0.0) -> np.ndarray:
         out = np.empty_like(y)
         for idx, stack in self.stacks(y):
-            out[idx] = project_psd(stack).reshape(idx.shape)
+            out[idx] = project_psd(stack, floor).reshape(idx.shape)
         return out
 
     def eye_vector(self) -> np.ndarray:
@@ -118,19 +118,20 @@ class AffineFamily:
         return out
 
 
-def alternating_projection(family: AffineFamily, max_sweeps: int = 5000, tol: float = 1e-9):
-    """Alternate psd-cone and affine projections from the particular point.
+def alternating_projection(family: AffineFamily, max_sweeps: int = 5000, tol: float = 1e-9,
+                           start=None, floor: float = 0.0):
+    """Alternate projections onto {X >= floor * I} and the affine set, from its point ``start``.
 
     Returns (t, gap, converged): t parameterizes the affine point, gap is the
     final distance between the two projections.  When converged, the point is
     nudged toward particular + _NUDGE*I inside the affine set if that keeps it
     numerically psd, so interior points rationalize robustly.
     """
-    x = family.particular.copy()
-    t = np.zeros(family.basis.shape[1] if family.basis.size else 0)
+    t = np.zeros(family.basis.shape[1]) if start is None else start
+    x = family.particular + family.basis @ t
     gap = np.inf
     for _ in range(max_sweeps):
-        y = family.project_psd_cone(x)
+        y = family.project_psd_cone(x, floor)
         x_next, t = family.project(y)
         gap = float(np.max(np.abs(y - x_next))) if y.size else 0.0
         x = x_next

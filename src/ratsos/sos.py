@@ -7,16 +7,18 @@ with one psd block per generator, gives the truncated-module certificates of
 :mod:`ratsos.lasserre`, so both searches run on one Gram-system core here:
 :func:`gram_system` writes the affine family of coefficient-matching blocks
 down exactly (in closed form when every generator is a single term, by
-Bareiss elimination otherwise), and :func:`search_family` excludes forced
-negative diagonals, then lets a numeric search plus continued-fraction
-rounding propose members that are accepted only after an exact psd check.
-Infeasibility is certified only from exact linear consequences.
+Bareiss elimination otherwise), :func:`restrict_to_face` drops the monomials
+whose diagonal entries are forced to 0 before any float is used, and
+:func:`search_family` excludes forced negative diagonals, then lets a numeric
+search plus continued-fraction rounding propose members that are accepted
+only after an exact psd check.  Infeasibility is certified only from exact
+linear consequences.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -29,6 +31,9 @@ from .quadforms import SosCert, SymMat, gram_product, is_psd
 
 #: continued-fraction rounding bounds tried during rationalization
 DENOMINATOR_LADDER = [10**k for k in range(1, 9)]
+
+#: least eigenvalue a converged point the ladder cannot round is pushed to
+_FLOOR = 1e-3
 
 
 class GramInfeasibleError(ValueError):
@@ -154,33 +159,61 @@ def gram_family(f: MPoly, monomials) -> GramFamily:
     return gram_system(f, [monomials], [MPoly.constant(f.nvars, 1)])
 
 
+def restrict_to_face(f: MPoly, family: GramFamily, generators):
+    """Exact facial reduction: returns (face, dropped monomials per block).
+
+    A psd member has a zero row and column at a diagonal entry forced to 0,
+    so that monomial leaves its block's basis and :func:`gram_system`
+    rebuilds the system, until no diagonal entry is forced to 0.  The psd
+    members of the face, padded with zeros, are those of ``family``; a
+    GramInfeasibleError from a rebuild refutes them all.
+    """
+    dropped = [[] for _ in family.bases]
+    while zeros := {key for key, value in family.forced.items() if value == 0}:
+        for k, b in enumerate(family.bases):
+            dropped[k] += [a for i, a in enumerate(b) if (k, i) in zeros]
+        bases = [[a for i, a in enumerate(b) if (k, i) not in zeros] for k, b in enumerate(family.bases)]
+        family = gram_system(f, bases, generators)
+    return family, dropped
+
+
+def _round(family: GramFamily, t, denominators):
+    """(blocks, detail) of the first rounding of t down the ladder whose blocks are all psd, else None."""
+    for bound in denominators if np.isfinite(t).all() else ():
+        blocks = family.at([Fraction(float(v)).limit_denominator(bound) for v in t])
+        if all(is_psd(b) for b in blocks):
+            return blocks, f"denominator bound {bound}"
+    return None
+
+
 def search_family(family: GramFamily, max_sweeps: int = 5000, tol: float = 1e-9,
                   denominators=DENOMINATOR_LADDER):
     """Look for a member whose blocks are all psd; returns (status, blocks, detail, converged).
 
-    A negative forced diagonal proves infeasibility, and a family with one
-    member is decided by that member.  Otherwise alternating projections
-    propose parameters, which are rounded down the denominator ladder; a
-    member is accepted only when every block passes the exact psd test.
-    ``converged`` reports whether the numeric phase met its tolerance.
+    Callers pass the face of :func:`restrict_to_face`.  A negative forced
+    diagonal proves infeasibility, and a family with one member is decided by
+    that member.  Otherwise alternating projections propose parameters, which
+    are rounded down the denominator ladder; a converged point it cannot round
+    is pushed off the psd boundary to {X >= _FLOOR * I}, and the ladder runs
+    once more.  A member is accepted only when every block passes the exact
+    psd test.  ``converged`` reports whether the first numeric run converged.
     """
     for (k, i), value in family.forced.items():
         if value < 0:
             return "infeasible", None, f"diagonal entry for {family.bases[k][i]} forced to {value}", False
     if not family.basis:  # the one member decides
-        proposals, converged = [("unique Gram matrix", [])], False
-    else:
-        t, gap, converged = alternating_projection(family.numeric(), max_sweeps=max_sweeps, tol=tol)
-        proposals = (
-            (f"denominator bound {bound}", [Fraction(float(v)).limit_denominator(bound) for v in t])
-            for bound in (denominators if all(np.isfinite(v) for v in t) else ())
-        )
-    for detail, params in proposals:
-        blocks = family.at(params)
+        blocks = family.at([])
         if all(is_psd(b) for b in blocks):
-            return "found", blocks, detail, converged
-    if not family.basis:
+            return "found", blocks, "unique Gram matrix", False
         return "infeasible", None, "unique Gram matrix is not psd", False
+    numeric = family.numeric()
+    t, gap, converged = alternating_projection(numeric, max_sweeps=max_sweeps, tol=tol)
+    rounded = _round(family, t, denominators)
+    if rounded is None and converged and denominators:
+        t = alternating_projection(numeric, max_sweeps=max_sweeps, tol=tol, start=t, floor=_FLOOR)[0]
+        rounded = _round(family, t, denominators)
+    if rounded is not None:
+        return "found", *rounded, converged
     if not converged:
         return "unknown", None, f"numeric phase stalled at gap {gap:.2e}", False
     return "unknown", None, "rationalization failed", True
@@ -194,6 +227,7 @@ class GramSearch:
     gram: SymMat | None
     monomials: list[tuple[int, ...]] | None
     detail: str
+    dropped: list[tuple[int, ...]] = field(default_factory=list)  # cut off by facial reduction
 
     @property
     def found(self) -> bool:
@@ -208,9 +242,12 @@ def find_gram(f: MPoly) -> GramSearch:
     """Search for an exact psd Gram matrix of f over the halved Newton lattice.
 
     Order of play: odd degree is refuted at once; then the Gram family over
-    the lattice either refutes f exactly (a monomial of f that is no sum of
-    two lattice points, or a diagonal entry forced negative) or goes to
+    the lattice is restricted to its face by :func:`restrict_to_face` and
+    either refutes f exactly (a monomial of f that is no sum of two kept
+    lattice points, or a diagonal entry forced negative) or goes to
     :func:`search_family`, and a member it accepts is re-checked against f.
+    ``monomials`` of a found result are the kept ones, and ``dropped`` lists
+    those facial reduction cut off.
     The Newton-polytope vertex rule needs no pass of its own: a vertex alpha
     is no midpoint of two points of the polytope, so its only Gram entry is
     the diagonal one of alpha/2.  An odd vertex is therefore unreachable, and
@@ -222,16 +259,16 @@ def find_gram(f: MPoly) -> GramSearch:
         return GramSearch("infeasible", None, None, "odd degree")
     monomials = newton_halved_lattice(f)
     try:
-        family = gram_family(f, monomials)
+        family, [dropped] = restrict_to_face(f, gram_family(f, monomials), [MPoly.constant(f.nvars, 1)])
     except GramInfeasibleError as exc:
         return GramSearch("infeasible", None, monomials, str(exc))
     status, blocks, detail, _ = search_family(family)
     if status != "found":
-        return GramSearch(status, None, monomials, detail)
-    [gram] = blocks
-    if gram_product(gram, monomials) != f:
+        return GramSearch(status, None, monomials, detail, dropped)
+    [gram], [kept] = blocks, family.bases
+    if gram_product(gram, kept) != f:
         raise AssertionError("family member does not reproduce the target")
-    return GramSearch("found", gram, monomials, detail)
+    return GramSearch("found", gram, kept, detail, dropped)
 
 
 def verify_sos(f: MPoly, cert) -> VerifyResult:

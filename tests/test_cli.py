@@ -2,6 +2,8 @@ import copy
 import itertools
 import json
 import shlex
+import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -311,6 +313,27 @@ def test_lasserre_bound_and_check(tmp_path):
          "-g", "x", "-g", "1 - x", "-d", "2", "--cert", str(cert)]
     )
     assert code == 0 and out == "valid"
+
+
+def test_lasserre_bound_cubic_on_interval(tmp_path):
+    """x^3 - x on [-1, 1] at d = 4: sigma_0's x^4 diagonal is forced to 0, and
+    the search on the face left without it brackets and certifies a bound
+    below the minimum -2/(3*sqrt(3)) within the budget."""
+    cert = tmp_path / "module.json"
+    system = ["-g", "1 + x", "-g", "1 - x", "-d", "4"]
+    start = time.perf_counter()
+    code, out = run(["lasserre", "bound", "--poly", "x^3 - x", *system, "-o", str(cert)])
+    assert time.perf_counter() - start < 5.0
+    assert code == 0 and "certified=true" in out
+    lo = Fraction(out.split()[0].split("=")[1])
+    assert lo < 0 and 27 * lo**2 >= 4
+    code, out = run(["lasserre", "check", "--poly", f"x^3 - x + {-lo}", *system, "--cert", str(cert)])
+    assert code == 0 and out == "valid"
+
+
+def test_lasserre_bound_rejects_negative_iterations():
+    argv = ["lasserre", "bound", "--poly", "x", "-g", "x", "-g", "1 - x", "-d", "2", "--iterations", "-1"]
+    assert run(argv) == (2, "error: iterations must be nonnegative, not -1")
 
 
 def test_lasserre_bound_without_bracket_is_unknown():

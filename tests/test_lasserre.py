@@ -227,3 +227,49 @@ def test_lower_bound_bisect_constant():
     res = lower_bound_bisect(MPoly.constant(1, 1), gs, 2, iterations=8)
     assert res.certified
     assert res.lo >= 1 - Fraction(1, 2**8)
+
+
+def test_face_chain_drops_x2_then_x():
+    # 1 at d = 4: the x^4 diagonal is forced to 0, and once x^2 is gone so is
+    # the x^2 one, leaving the unique member sigma_0 = 1
+    res = module_cert_search(MPoly.constant(1, 1), [], 4)
+    assert res.status == "found" and res.detail == "unique Gram matrix"
+    assert res.dropped == {0: [(2,), (1,)]}
+    assert [p for _, p in res.cert.sigmas[0].terms] == [MPoly.constant(1, 1)]
+
+
+def test_face_empties_a_block():
+    # the x^3 coefficient of 1 is 0 and only the constant of sigma_1 reaches it
+    res = module_cert_search(MPoly.constant(1, 1), [parse_poly("x^3", 1)], 3)
+    assert res.status == "found"
+    assert res.dropped == {0: [(1,)], 1: [(0,)]}
+    assert res.cert.sigmas[1].terms == ()
+    # the same next to a block with free entries, so the numeric phase runs
+    f, gs = parse_poly("x^4 + y^4 + 1", 2), [parse_poly("x^5", 2)]
+    res = module_cert_search(f, gs, 5)
+    assert res.status == "found" and res.detail.startswith("denominator bound")
+    assert res.dropped == {1: [(0, 0)]}
+    assert verify_module_membership(f, gs, 5, res.cert)
+
+
+def test_face_of_x_on_unit_interval():
+    x = parse_poly("x", 1)
+    res = module_cert_search(x, [x, parse_poly("1 - x", 1)], 2)
+    assert res.status == "found"
+    assert res.dropped == {0: [(1,)]}
+
+
+def test_module_search_centres_strictly_feasible_target():
+    # strictly positive on [-1, 1]; the converged point lies on the psd
+    # boundary and rounds only once pushed inside
+    f = parse_poly("x^3 - x + 3", 1)
+    gs = [parse_poly("1 + x", 1), parse_poly("1 - x", 1)]
+    res = module_cert_search(f, gs, 3)
+    assert res.status == "found"
+    assert verify_module_membership(f, gs, 3, res.cert)
+
+
+def test_lower_bound_bisect_rejects_negative_iterations():
+    gs = [parse_poly("x", 1), parse_poly("1 - x", 1)]
+    with pytest.raises(ValueError, match="iterations"):
+        lower_bound_bisect(parse_poly("x", 1), gs, 2, iterations=-1)

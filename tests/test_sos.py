@@ -16,6 +16,7 @@ from ratsos.sos import (
     gram_family,
     gram_system,
     gram_to_json,
+    restrict_to_face,
     search_family,
     verify_sos,
 )
@@ -152,6 +153,44 @@ def test_search_family_checks_every_block():
     status, blocks, detail, _ = search_family(fam, 100, 1e-9, [10])
     assert (status, detail) == ("found", "unique Gram matrix")
     assert [b.rows() for b in blocks] == [[[1]], [[1, 2], [2, 4]]]
+
+
+def test_restrict_to_face_drops_only_forced_zeros():
+    """Replayed round by round from the unreduced gram_system, every dropped
+    monomial has its diagonal entry forced to exactly 0 in the system it
+    leaves, every such entry is dropped, and the last system is the face."""
+    x = lambda t: parse_poly(t, 1)  # noqa: E731
+    cases = [
+        (x("1"), [[(0,), (1,), (2,)]], [x("1")], [[(2,), (1,)]]),
+        (x("1"), [[(0,), (1,)], [(0,)]], [x("1"), x("x^3")], [[(1,)], [(0,)]]),
+        (x("x"), [[(0,), (1,)], [(0,)], [(0,)]], [x("1"), x("x"), x("1 - x")], [[(1,)], [], []]),
+        (parse_poly("x^4*y^2 + x^2*y^4 + 1", 2), [[(0, 0), (1, 1), (2, 1), (1, 2)]], [parse_poly("1", 2)],
+         [[(1, 1)]]),
+    ]
+    for f, bases, generators, expected in cases:
+        face, dropped = restrict_to_face(f, gram_system(f, bases, generators), generators)
+        assert dropped == expected
+        left = [list(d) for d in dropped]
+        family = gram_system(f, bases, generators)
+        while any(left):
+            zeros = {(k, family.bases[k][i]) for (k, i), value in family.forced.items() if value == 0}
+            assert zeros and all(a in left[k] for k, a in zeros)
+            for k, a in zeros:
+                left[k].remove(a)
+            family = gram_system(f, [[a for a in b if (k, a) not in zeros] for k, b in enumerate(family.bases)],
+                                 generators)
+        assert family.bases == face.bases and family.particular == face.particular
+        assert all(value != 0 for value in face.forced.values())
+
+
+def test_find_gram_reports_dropped_monomials():
+    # (2, 2) is only (1, 1) + (1, 1) and has coefficient 0: xy leaves the basis
+    f = parse_poly("x^4*y^2 + x^2*y^4 + 1", 2)
+    res = find_gram(f)
+    assert res.found and res.dropped == [(1, 1)]
+    assert (1, 1) not in res.monomials
+    assert verify_sos(f, (res.gram, res.monomials))
+    assert find_gram(parse_poly(SEC26, 2)).dropped == []
 
 
 def test_find_gram_sec26():
