@@ -304,7 +304,10 @@ def _numeric_feasible(f: MPoly, gs, d: int) -> bool:
     """Cheap numeric-only feasibility probe used inside the bisection loop.
 
     Runs the search with an empty rationalization ladder: a converged
-    alternating projection counts as feasible-looking.
+    alternating projection counts as feasible-looking.  An infeasible level
+    usually ends within a few dozen sweeps, once the iterates separate the
+    affine set from the psd blocks (:func:`ratsos.numeric.alternating_projection`),
+    instead of at _PROBE_SWEEPS; either way the verdict is numeric only.
     """
     search = module_cert_search(f, gs, d, max_sweeps=_PROBE_SWEEPS, tol=_PROBE_TOL, denominators=())
     return search.status == "found" or search.converged

@@ -3,6 +3,13 @@
 stacked blocks of one size, and alternating projections between an affine
 family of symmetric block matrices and the product of those sets.
 
+When the two sets do not meet, the iterates approach their minimal
+displacement, a separating functional (Bauschke-Borwein 1993), and a run
+stops as soon as its own iterates bound the trace of every member of the
+affine set that lies in {X >= floor * I} from below by a huge multiple of the
+current scale.  That bound is a float stopping rule, not a claim: it only
+ends a run early, as not converged.
+
 ``jacobi_eigh`` is a pure-Python cyclic Jacobi eigensolver kept as a
 reference; the search itself does not call it.
 
@@ -16,6 +23,11 @@ import numpy as np
 
 #: size of the step toward the identity that a converged point is nudged by
 _NUDGE = 1e-6
+
+#: a run stops as separated once every member X >= floor * I of the affine set
+#: has tr(X - floor * I) above this multiple of 1 + tr y, tested every
+#: _SEPARATION_EVERY sweeps
+_SEPARATION, _SEPARATION_EVERY = 1e6, 8
 
 
 def jacobi_eigh(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 64):
@@ -58,14 +70,14 @@ def jacobi_eigh(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 64):
 def project_psd(a: np.ndarray, floor: float = 0.0) -> np.ndarray:
     """Nearest X >= floor * I in Frobenius norm (floor 0: the psd cone): raise low eigenvalues.
 
-    ``a`` is one (s, s) matrix or a stack (k, s, s) projected matrix by matrix.
+    ``a`` is one symmetric (s, s) matrix or a stack (k, s, s) of them,
+    projected matrix by matrix.  ``eigh`` reads only the lower triangle, and
+    the output is symmetric up to rounding.
     """
     if a.shape[-1] == 1:
         return np.maximum(a, floor)
-    a = 0.5 * (a + a.swapaxes(-1, -2))
     w, v = np.linalg.eigh(a)
-    out = (v * np.maximum(w, floor)[..., None, :]) @ v.swapaxes(-1, -2)
-    return 0.5 * (out + out.swapaxes(-1, -2))
+    return (v * np.maximum(w, floor)[..., None, :]) @ v.swapaxes(-1, -2)
 
 
 def min_eig(a: np.ndarray) -> float:
@@ -122,25 +134,40 @@ def alternating_projection(family: AffineFamily, max_sweeps: int = 5000, tol: fl
                            start=None, floor: float = 0.0):
     """Alternate projections onto {X >= floor * I} and the affine set, from its point ``start``.
 
-    Returns (t, gap, converged): t parameterizes the affine point, gap is the
-    final distance between the two projections.  When converged, the point is
-    nudged toward particular + _NUDGE*I inside the affine set if that keeps it
-    numerically psd, so interior points rationalize robustly.
+    Returns (t, gap, converged, separated): t parameterizes the affine point,
+    gap is the final distance between the two projections.  When converged,
+    the point is nudged toward particular + _NUDGE*I inside the affine set if
+    that keeps it numerically psd, so interior points rationalize robustly.
+
+    ``separated`` reports a run ended early by the separation bound.  With
+    y = P(x_k) onto {X >= floor * I}, x_{k+1} the affine projection of y,
+    r = y - x_{k+1} and step = x_{k+1} - x_k: y - x_k is psd, so
+    lambda_min(r) >= -|step|, and r is normal to the affine set, so every
+    member X >= floor * I has tr(X - floor * I) >= (floor tr r - <r, x_{k+1}>) / |step|.
+    The run stops once that exceeds _SEPARATION * (1 + tr y).  This is a
+    float stopping rule, not a certificate of infeasibility.
     """
     t = np.zeros(family.basis.shape[1]) if start is None else start
     x = family.particular + family.basis @ t
-    gap = np.inf
-    for _ in range(max_sweeps):
+    eye = family.eye_vector()
+    gap, separated = np.inf, False
+    for sweep in range(1, max_sweeps + 1):
         y = family.project_psd_cone(x, floor)
-        x_next, t = family.project(y)
-        gap = float(np.max(np.abs(y - x_next))) if y.size else 0.0
-        x = x_next
+        x_prev = x
+        x, t = family.project(y)
+        r = y - x
+        gap = float(abs(r).max()) if r.size else 0.0
         if gap < tol:
             break
+        if sweep % _SEPARATION_EVERY == 0:
+            lower = floor * (eye @ r) - r @ x
+            separated = bool(lower > _SEPARATION * (1.0 + eye @ y) * np.linalg.norm(x - x_prev))
+            if separated:
+                break
     converged = gap < tol
     if converged and family.coords is not None:
-        nudged, t_nudged = family.project(x + _NUDGE * family.eye_vector())
+        nudged, t_nudged = family.project(x + _NUDGE * eye)
         worst = min((min_eig(stack) for _, stack in family.stacks(nudged)), default=0.0)
         if worst > -_NUDGE:
             t = t_nudged
-    return t, gap, converged
+    return t, gap, converged, separated

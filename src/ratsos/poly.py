@@ -497,26 +497,29 @@ class _Parser:
         return int(self.text[start : self.pos])
 
     def parse(self) -> MPoly:
-        result = MPoly.zero(self.nvars)
+        terms: dict = {}  # summed in place, as MPoly.__add__ would; the MPoly is built once
         self.skip_ws()
         sign = 1
-        if self.peek() in ("+", "-"):
-            sign = -1 if self.peek() == "-" else 1
-            self.pos += 1
+        while True:
+            if self.peek() in ("+", "-"):
+                sign = -1 if self.peek() == "-" else 1
+                self.pos += 1
+                self.skip_ws()
+            alpha, coeff = self.parse_term()
+            total = terms.get(alpha, 0) + sign * coeff
+            if total:
+                terms[alpha] = total
+            else:  # a cancelled term leaves the dict, so the term order is MPoly.__add__'s
+                terms.pop(alpha, None)
             self.skip_ws()
-        result = result + self.parse_term() * sign
-        self.skip_ws()
-        while self.peek() in ("+", "-"):
-            sign = -1 if self.peek() == "-" else 1
-            self.pos += 1
-            self.skip_ws()
-            result = result + self.parse_term() * sign
-            self.skip_ws()
+            if self.peek() not in ("+", "-"):
+                break
         if self.pos != len(self.text):
             self.error(f"unexpected character {self.text[self.pos]!r}")
-        return result
+        return MPoly(self.nvars, terms)
 
-    def parse_term(self) -> MPoly:
+    def parse_term(self) -> tuple[tuple[int, ...], Fraction]:
+        """One term as (exponents, coefficient)."""
         coeff = Fraction(1)
         saw_coeff = False
         if self.peek().isdigit():
@@ -550,7 +553,7 @@ class _Parser:
             break
         if not saw_coeff and not saw_factor:
             self.error("expected a term")
-        return MPoly(self.nvars, {tuple(exps): coeff})
+        return tuple(exps), coeff
 
     def parse_factor(self, exps: list):
         var_pos = self.pos

@@ -196,7 +196,9 @@ def search_family(family: GramFamily, max_sweeps: int = 5000, tol: float = 1e-9,
     are rounded down the denominator ladder; a converged point it cannot round
     is pushed off the psd boundary to {X >= _FLOOR * I}, and the ladder runs
     once more.  A member is accepted only when every block passes the exact
-    psd test.  ``converged`` reports whether the first numeric run converged.
+    psd test.  ``converged`` reports whether the first numeric run converged;
+    an unconverged run's detail says whether it separated (a float stopping
+    rule) or stalled at the sweep cap.
     """
     for (k, i), value in family.forced.items():
         if value < 0:
@@ -207,7 +209,7 @@ def search_family(family: GramFamily, max_sweeps: int = 5000, tol: float = 1e-9,
             return "found", blocks, "unique Gram matrix", False
         return "infeasible", None, "unique Gram matrix is not psd", False
     numeric = family.numeric()
-    t, gap, converged = alternating_projection(numeric, max_sweeps=max_sweeps, tol=tol)
+    t, gap, converged, separated = alternating_projection(numeric, max_sweeps=max_sweeps, tol=tol)
     rounded = _round(family, t, denominators)
     if rounded is None and converged and denominators:
         t = alternating_projection(numeric, max_sweeps=max_sweeps, tol=tol, start=t, floor=_FLOOR)[0]
@@ -215,7 +217,8 @@ def search_family(family: GramFamily, max_sweeps: int = 5000, tol: float = 1e-9,
     if rounded is not None:
         return "found", *rounded, converged
     if not converged:
-        return "unknown", None, f"numeric phase stalled at gap {gap:.2e}", False
+        stop = "separated" if separated else "stalled"
+        return "unknown", None, f"numeric phase {stop} at gap {gap:.2e}", False
     return "unknown", None, "rationalization failed", True
 
 

@@ -200,7 +200,7 @@ def test_module_search_reports_numeric_convergence():
     below = parse_poly("x*y + 1/4", 2)
     res = module_cert_search(below, gs, 2, max_sweeps=3000, tol=1e-8, denominators=())
     assert res.status == "unknown" and not res.converged
-    assert res.detail.startswith("numeric phase stalled")
+    assert res.detail.startswith("numeric phase separated")
     assert not _numeric_feasible(below, gs, 2)
 
 
@@ -220,6 +220,22 @@ def test_lower_bound_bisect_interval():
     assert res.lo >= Fraction(-1, 100)
     assert res.hi - res.lo <= Fraction(1, 10)
     assert verify_module_membership(x - res.lo, gs, 2, res.cert)
+
+
+@pytest.mark.parametrize("f, gs, d, lo, hi", [
+    ("x", ["x", "1 - x"], 2, Fraction(0), Fraction(1, 8)),
+    ("x^2 - x", ["x", "1 - x"], 2, Fraction(-1, 4), Fraction(-1, 8)),
+    ("x*y", ["1 - x^2 - y^2"], 2, Fraction(-1, 2), Fraction(-3, 8)),
+    ("x^2 + y^2 - x*y - x", ["1 - x^2 - y^2"], 2, Fraction(-3, 8), Fraction(-1, 4)),
+    ("x^3 - x", ["1 + x", "1 - x"], 4, Fraction(-1, 2), Fraction(-3, 8)),
+])
+def test_lower_bound_bisect_golden_brackets(f, gs, d, lo, hi):
+    # every probe verdict on the way is numeric, so a moved verdict moves the bracket
+    nvars = 2 if "y" in f else 1
+    f, gs = parse_poly(f, nvars), [parse_poly(g, nvars) for g in gs]
+    res = lower_bound_bisect(f, gs, d, iterations=3)
+    assert (res.lo, res.hi) == (lo, hi) and res.certified
+    assert verify_module_membership(f - res.lo, gs, d, res.cert)
 
 
 def test_lower_bound_bisect_constant():

@@ -25,7 +25,7 @@ def test_alternating_projection_trivial_intersection():
     particular = np.array([1.0, 0.0, 0.0, -3.0])
     basis = np.array([[0.0], [0.0], [0.0], [1.0]])
     family = AffineFamily(particular, basis, [2])
-    t, gap, converged = alternating_projection(family, max_sweeps=500, tol=1e-10)
+    t, gap, converged, _ = alternating_projection(family, max_sweeps=500, tol=1e-10)
     assert converged
     assert t[0] >= 3.0 - 1e-6  # lands at a psd point
 
@@ -76,10 +76,10 @@ def test_empty_basis_family():
     family = AffineFamily(psd, np.zeros((4, 0)), [2])
     point, t = family.project(np.ones(4))
     assert np.array_equal(point, psd) and t.size == 0
-    t, gap, converged = alternating_projection(family)
+    t, gap, converged, _ = alternating_projection(family)
     assert t.size == 0 and converged and gap < 1e-12
     not_psd = AffineFamily(np.array([1.0, 0.0, 0.0, -1.0]), np.zeros((4, 0)), [2])
-    _, gap, converged = alternating_projection(not_psd, max_sweeps=10)
+    _, gap, converged, _ = alternating_projection(not_psd, max_sweeps=10)
     assert not converged and abs(gap - 1.0) < 1e-12
 
 
@@ -87,3 +87,58 @@ def test_min_eig_on_stacks():
     stack = np.array([np.diag([3.0, 1.0]), np.diag([2.0, -0.5])])
     assert min_eig(stack) == -0.5
     assert min_eig(stack[0]) == 1.0
+
+
+class _CountingFamily(AffineFamily):
+    """An affine family that counts its projections: one per sweep."""
+
+    calls = 0
+
+    def project(self, y):
+        self.calls += 1
+        return super().project(y)
+
+
+def _pencil(particular, direction):
+    """The 2x2 family {particular + t * direction}, both given row by row."""
+    return _CountingFamily(np.array(particular, float), np.array(direction, float)[:, None], [2])
+
+
+def test_infeasible_family_stops_at_separation_bound():
+    # {[[1, t], [t, -1]]} has no psd member
+    family = _pencil([1, 0, 0, -1], [0, 1, 1, 0])
+    _, gap, converged, separated = alternating_projection(family, max_sweeps=5000)
+    assert separated and not converged and gap > 0.5
+    assert family.calls <= 40
+
+
+def test_feasible_family_without_interior_runs_as_before():
+    # {[[3/2 + t, 1], [1, 1/2 - t]]}: the one psd member, at t = -1/2, has rank one,
+    # so the sweeps creep toward it and never converge or separate
+    for sweeps in (100, 2000):
+        family = _pencil([1.5, 1, 1, 0.5], [1, 0, 0, -1])
+        t, gap, converged, separated = alternating_projection(family, max_sweeps=sweeps)
+        assert not converged and not separated and family.calls == sweeps
+        x = family.particular.copy()
+        for _ in range(sweeps):  # the plain sweep, with no stopping rule
+            x, t_ref = family.project(family.project_psd_cone(x))
+        assert np.array_equal(t, t_ref)
+    assert -0.5 < t[0] < -0.45
+
+
+def test_separation_under_the_floor():
+    # {[[1, t], [t, 0]]} has the psd member t = 0 but none with X >= 1e-3 * I
+    family = _pencil([1, 0, 0, 0], [0, 1, 1, 0])
+    _, _, converged, separated = alternating_projection(family, max_sweeps=5000)
+    assert converged and not separated
+    family = _pencil([1, 0, 0, 0], [0, 1, 1, 0])
+    _, gap, converged, separated = alternating_projection(family, max_sweeps=5000, floor=1e-3)
+    assert separated and not converged and abs(gap - 1e-3) < 1e-12
+    assert family.calls <= 40
+
+
+def test_empty_basis_not_psd_separates():
+    family = _CountingFamily(np.array([1.0, 0.0, 0.0, -1.0]), np.zeros((4, 0)), [2])
+    _, gap, converged, separated = alternating_projection(family, max_sweeps=5000)
+    assert not converged and separated and abs(gap - 1.0) < 1e-12
+    assert family.calls <= 40

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -174,6 +175,22 @@ def test_printer_round_trip():
         f = rand_mpoly(rng, nvars=rng.randint(1, 4), max_deg=4)
         assert parse_poly(poly_text(f), f.nvars) == f
     assert poly_text(MPoly.zero(3)) == "0"
+
+
+def test_parse_long_polynomial_in_linear_time():
+    # each term used to be added through a fresh MPoly, which took seconds here
+    rng = random.Random(29)
+    terms = {}
+    while len(terms) < 2000:
+        alpha = tuple(rng.randint(0, 12) for _ in range(3))
+        terms[alpha] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 99), rng.randint(1, 9))
+    f = MPoly(3, terms)
+    text = poly_text(f)
+    start = time.perf_counter()
+    assert parse_poly(text, 3) == f
+    assert time.perf_counter() - start < 2.0
+    # the terms keep the order repeated addition gives: a cancelled term leaves and re-enters last
+    assert list(parse_poly("x - x + y + x", 2).terms) == [(0, 1), (1, 0)]
 
 
 def test_printer_canonical_order():
