@@ -1,7 +1,9 @@
 """Floating-point helpers for the certificate search: projection onto
 {X >= floor * I} (the psd cone at floor 0) by LAPACK ``eigh``, batched over
 stacked blocks of one size, and alternating projections between an affine
-family of symmetric block matrices and the product of those sets.
+family of symmetric block matrices, kept as {X : A X = b} with one row per
+equation, and the product of those sets.  The affine projection is
+y + A^T (A A^T)^-1 (b - A y), A A^T factored once (Henrion-Malick 2011).
 
 When the two sets do not meet, the iterates approach their minimal
 displacement, a separating functional (Bauschke-Borwein 1993), and a run
@@ -87,11 +89,16 @@ def min_eig(a: np.ndarray) -> float:
 
 
 class AffineFamily:
-    """Affine set {particular + basis @ t} in concatenated block coordinates."""
+    """Affine set {X : A X = b = A @ particular} in concatenated s*s block coordinates.
 
-    def __init__(self, particular: np.ndarray, basis: np.ndarray, sizes: list[int]):
+    A has full row rank; with rows symmetric in each block, symmetric points
+    project to the symmetric members.  (A A^T)^-1 is computed once."""
+
+    def __init__(self, particular: np.ndarray, a: np.ndarray, sizes: list[int]):
         self.particular = np.asarray(particular, dtype=float)
-        self.basis = np.asarray(basis, dtype=float)
+        self.a = np.asarray(a, dtype=float)
+        self.b = self.a @ self.particular
+        self.gram_inv = np.linalg.inv(self.a @ self.a.T)
         self.sizes = list(sizes)
         # per distinct block size s: the (k, s*s) positions of its k blocks
         starts = np.cumsum([0] + [s * s for s in self.sizes])
@@ -99,19 +106,10 @@ class AffineFamily:
         for s in sorted(set(self.sizes) - {0}):  # an empty block has no entry
             firsts = np.array([starts[i] for i, t in enumerate(self.sizes) if t == s])
             self.groups.append((s, firsts[:, None] + np.arange(s * s)))
-        if self.basis.size:
-            # least-squares coordinates t = coords @ (y - particular), from a thin QR
-            q, r = np.linalg.qr(self.basis)
-            self.coords = np.linalg.solve(r, q.T)
-        else:
-            self.coords = None
 
-    def project(self, y: np.ndarray):
-        """Orthogonal projection of y onto the affine set; returns (point, t)."""
-        if self.coords is None:
-            return self.particular.copy(), np.zeros(0)
-        t = self.coords @ (y - self.particular)
-        return self.particular + self.basis @ t, t
+    def project(self, y: np.ndarray) -> np.ndarray:
+        """Orthogonal projection of y onto the affine set: y + A^T (A A^T)^-1 (b - A y)."""
+        return y + (self.gram_inv @ (self.b - self.a @ y)) @ self.a
 
     def stacks(self, y: np.ndarray):
         """The blocks of y as one (k, s, s) stack per distinct size s."""
@@ -134,10 +132,11 @@ def alternating_projection(family: AffineFamily, max_sweeps: int = 5000, tol: fl
                            start=None, floor: float = 0.0):
     """Alternate projections onto {X >= floor * I} and the affine set, from its point ``start``.
 
-    Returns (t, gap, converged, separated): t parameterizes the affine point,
-    gap is the final distance between the two projections.  When converged,
-    the point is nudged toward particular + _NUDGE*I inside the affine set if
-    that keeps it numerically psd, so interior points rationalize robustly.
+    Returns (x, gap, converged, separated): x is the last affine point (the
+    run starts at ``family.particular`` by default), gap the final distance
+    between the two projections.  A converged x is nudged toward x + _NUDGE*I
+    inside the affine set if that keeps it numerically psd, so interior points
+    rationalize robustly.
 
     ``separated`` reports a run ended early by the separation bound.  With
     y = P(x_k) onto {X >= floor * I}, x_{k+1} the affine projection of y,
@@ -147,14 +146,13 @@ def alternating_projection(family: AffineFamily, max_sweeps: int = 5000, tol: fl
     The run stops once that exceeds _SEPARATION * (1 + tr y).  This is a
     float stopping rule, not a certificate of infeasibility.
     """
-    t = np.zeros(family.basis.shape[1]) if start is None else start
-    x = family.particular + family.basis @ t
+    x = family.particular if start is None else start
     eye = family.eye_vector()
     gap, separated = np.inf, False
     for sweep in range(1, max_sweeps + 1):
         y = family.project_psd_cone(x, floor)
         x_prev = x
-        x, t = family.project(y)
+        x = family.project(y)
         r = y - x
         gap = float(abs(r).max()) if r.size else 0.0
         if gap < tol:
@@ -165,9 +163,9 @@ def alternating_projection(family: AffineFamily, max_sweeps: int = 5000, tol: fl
             if separated:
                 break
     converged = gap < tol
-    if converged and family.coords is not None:
-        nudged, t_nudged = family.project(x + _NUDGE * eye)
+    if converged:
+        nudged = family.project(x + _NUDGE * eye)
         worst = min((min_eig(stack) for _, stack in family.stacks(nudged)), default=0.0)
         if worst > -_NUDGE:
-            t = t_nudged
-    return t, gap, converged, separated
+            x = nudged
+    return x, gap, converged, separated

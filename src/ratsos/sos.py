@@ -6,9 +6,10 @@ monomials (the lattice points of half the Newton polytope).  The same system,
 with one psd block per generator, gives the truncated-module certificates of
 :mod:`ratsos.lasserre`, so both searches run on one Gram-system core here:
 :func:`gram_system` writes the affine family of coefficient-matching blocks
-down exactly (in closed form when every generator is a single term, by
-Bareiss elimination otherwise), :func:`restrict_to_face` drops the monomials
-whose diagonal entries are forced to 0 before any float is used, and
+down once, exactly, as its reduced equations (closed form for single-term
+generators, Bareiss elimination otherwise), and the numeric search projects
+with the same rows; :func:`restrict_to_face` drops the monomials whose
+diagonal entries are forced to 0 before any float is used, and
 :func:`search_family` excludes forced negative diagonals, then lets a numeric
 search plus continued-fraction rounding propose members that are accepted
 only after an exact psd check.  Infeasibility is certified only from exact
@@ -23,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import Mat, affine_solution_set, rat
+from .arith import _reduced, rat
 from .conic import newton_halved_lattice
 from .numeric import AffineFamily, alternating_projection
 from .poly import MPoly, UPoly, parse_poly, poly_text
@@ -51,27 +52,29 @@ class VerifyResult:
 
 @dataclass
 class GramFamily:
-    """Affine set of coefficient-matching block tuples.
+    """Affine set of coefficient-matching block tuples, in constraint form.
 
-    The unknowns are the upper triangles of the blocks, block after block, and
-    every member is ``particular + sum_j t_j basis[j]`` with sparse basis
-    vectors {unknown: value}; ``bases[k]`` is the monomial vector of block k.
-    ``forced`` maps (block, i) to the value of diagonal entry (i, i) when it
-    is the same across the whole family; a negative one rules out any psd
-    member.
+    The unknowns are the upper triangles of the blocks, block after block
+    (``bases[k]`` is the monomial vector of block k).  The reduced equations
+    solve each unknown p from the ``free`` ones (increasing) as
+    x_p = particular[p] - sum c * x_j over rows[p] = {j: c}; ``particular``
+    is the member with every free unknown 0.  ``forced`` maps (block, i) to
+    diagonal entry (i, i) when its row is empty, so it is the same across the
+    family; a negative one rules out any psd member.
     """
 
     bases: list[list[tuple[int, ...]]]
     particular: list[Fraction]
-    basis: list[dict[int, Fraction]]
+    free: list[int]
+    rows: dict[int, dict[int, Fraction]]
     forced: dict[tuple[int, int], Fraction]
 
     def at(self, params) -> list[SymMat]:
         vec = list(self.particular)
-        for t, b in zip(params, self.basis):
-            if t:
-                for u, x in b.items():
-                    vec[u] += t * x
+        for u, x in zip(self.free, params):
+            vec[u] = x
+        for p, row in self.rows.items():
+            vec[p] -= sum(c * vec[j] for j, c in row.items())
         blocks, start = [], 0
         for b in self.bases:
             n = len(b) * (len(b) + 1) // 2
@@ -79,20 +82,24 @@ class GramFamily:
             start += n
         return blocks
 
-    def numeric(self) -> AffineFamily:
-        """The float family in full s*s block coordinates, filled from the sparse entries."""
+    def positions(self) -> np.ndarray:
+        """The float positions (i, j) and (j, i) of every unknown in full s*s block coordinates."""
         sizes = [len(b) for b in self.bases]
         starts = np.cumsum([0] + [s * s for s in sizes])
-        # both float positions, (i, j) and (j, i), of every unknown
-        pos = np.array([(starts[k] + i * sizes[k] + j, starts[k] + j * sizes[k] + i)
-                        for k, i, j in _slots(self.bases)])
-        particular = np.zeros(starts[-1])
+        return np.array([(starts[k] + i * sizes[k] + j, starts[k] + j * sizes[k] + i)
+                         for k, i, j in _slots(self.bases)]).reshape(-1, 2)
+
+    def numeric(self) -> AffineFamily:
+        """The float family {X : A X = b}: one row of A per solved unknown, each
+        off-diagonal coefficient split in halves at (i, j) and (j, i)."""
+        pos = self.positions()
+        particular = np.zeros(sum(len(b) ** 2 for b in self.bases))
         particular[pos] = np.array([float(x) for x in self.particular])[:, None]
-        basis = np.zeros((starts[-1], len(self.basis)))
-        for col, vec in enumerate(self.basis):
-            for u, x in vec.items():
-                basis[pos[u], col] = float(x)
-        return AffineFamily(particular, basis, sizes)
+        a = np.zeros((len(self.rows), particular.size))
+        for r, (p, row) in enumerate(self.rows.items()):
+            for u, c in [(p, 1), *row.items()]:
+                np.add.at(a[r], pos[u], float(c) / 2)  # (i, i) twice on the diagonal
+        return AffineFamily(particular, a, [len(b) for b in self.bases])
 
 
 def _slots(bases) -> list[tuple[int, int, int]]:
@@ -106,49 +113,43 @@ def gram_system(f: MPoly, bases, generators) -> GramFamily:
     Unknown G_ij of block k enters the coefficient of gamma = b_i + b_j + delta
     for each term c x^delta of g_k, with multiplier c on the diagonal and 2c
     off it.  With single-term generators every unknown enters one equation,
-    and the family is written down in closed form: f_gamma / mult on the
-    first unknown of each gamma class, and for every other unknown u a basis
-    vector, 1 at u and -mult_u / mult_first at the first.  That is the family
-    :func:`affine_solution_set` gives (pivots greedy by column, free unknowns
-    set to 0 or 1 in increasing order), which solves every other system.  A
-    diagonal entry is forced when no basis vector touches it.  An unreachable
-    target monomial or an inconsistent system raises GramInfeasibleError.
+    and the reduced equations are written down in closed form: each gamma
+    class solves its first unknown as (f_gamma - sum mult_u x_u) / mult_first
+    over its other, free, members u.  The reduced echelon form (pivots greedy
+    by column) that solves every other system gives the same rows.  An
+    unreachable target monomial or an inconsistent system raises GramInfeasibleError.
     """
     bases = [[tuple(a) for a in b] for b in bases]
     slots = _slots(bases)
-    # gamma -> [(unknown, multiplier)], unknowns in increasing order
-    classes: dict[tuple, list] = {}
+    # gamma -> {unknown: multiplier}, unknowns in increasing order
+    classes: dict[tuple, dict] = {}
     for u, (k, i, j) in enumerate(slots):
         for delta, c in generators[k].terms.items():
             gamma = tuple(a + b + e for a, b, e in zip(bases[k][i], bases[k][j], delta))
-            classes.setdefault(gamma, []).append((u, c if i == j else 2 * c))
+            classes.setdefault(gamma, {})[u] = c if i == j else 2 * c
     missing = [g for g in f.terms if g not in classes]
     if missing:
         raise GramInfeasibleError(
             f"monomial {missing[0]} of the target is not a sum of two candidate exponents"
         )
-    if all(len(g.terms) == 1 for g in generators):
-        particular = [Fraction(0)] * len(slots)
-        by_unknown = {}
+    particular, rows = [Fraction(0)] * len(slots), {}
+    if all(len(g.terms) == 1 for g in generators):  # classes come in order of their first unknown
         for gamma, members in classes.items():
-            (first, first_mult), others = members[0], members[1:]
+            (first, first_mult), *others = members.items()
             particular[first] = f.coeff(gamma) / first_mult
-            for u, mult in others:
-                by_unknown[u] = {u: Fraction(1), first: -mult / first_mult}
-        basis = [by_unknown[u] for u in sorted(by_unknown)]
+            rows[first] = {u: mult / first_mult for u, mult in others}
     else:
-        rows = [[Fraction(0)] * len(slots) for _ in classes]
-        for row, members in zip(rows, classes.values()):
-            for u, mult in members:
-                row[u] = mult
-        solution = affine_solution_set(Mat(rows), [f.coeff(g) for g in classes])
-        if solution is None:
+        system = [[members.get(u, 0) for u in range(len(slots))] + [f.coeff(gamma)]
+                  for gamma, members in classes.items()]
+        pivots, reduced, den = _reduced(system)
+        if pivots and pivots[-1] == len(slots):
             raise GramInfeasibleError("coefficient-match system is inconsistent")
-        particular = solution[0]
-        basis = [{u: x for u, x in enumerate(v) if x} for v in solution[1]]
-    touched = {u for vec in basis for u in vec}
-    forced = {(k, i): particular[u] for u, (k, i, j) in enumerate(slots) if i == j and u not in touched}
-    return GramFamily(bases, particular, basis, forced)
+        for p, row in zip(pivots, reduced):
+            particular[p] = Fraction(row[-1], den)
+            rows[p] = {j: Fraction(x, den) for j, x in enumerate(row[:-1]) if x and j != p}
+    free = [u for u in range(len(slots)) if u not in rows]
+    forced = {(k, i): particular[u] for u, (k, i, j) in enumerate(slots) if i == j and rows.get(u) == {}}
+    return GramFamily(bases, particular, free, rows, forced)
 
 
 def gram_family(f: MPoly, monomials) -> GramFamily:
@@ -178,7 +179,7 @@ def restrict_to_face(f: MPoly, family: GramFamily, generators):
 
 
 def _round(family: GramFamily, t, denominators):
-    """(blocks, detail) of the first rounding of t down the ladder whose blocks are all psd, else None."""
+    """(blocks, detail) of the first ladder rounding of the free values t with psd blocks, else None."""
     for bound in denominators if np.isfinite(t).all() else ():
         blocks = family.at([Fraction(float(v)).limit_denominator(bound) for v in t])
         if all(is_psd(b) for b in blocks):
@@ -192,28 +193,29 @@ def search_family(family: GramFamily, max_sweeps: int = 5000, tol: float = 1e-9,
 
     Callers pass the face of :func:`restrict_to_face`.  A negative forced
     diagonal proves infeasibility, and a family with one member is decided by
-    that member.  Otherwise alternating projections propose parameters, which
-    are rounded down the denominator ladder; a converged point it cannot round
-    is pushed off the psd boundary to {X >= _FLOOR * I}, and the ladder runs
-    once more.  A member is accepted only when every block passes the exact
-    psd test.  ``converged`` reports whether the first numeric run converged;
-    an unconverged run's detail says whether it separated (a float stopping
-    rule) or stalled at the sweep cap.
+    that member.  Otherwise alternating projections propose a point, whose
+    free unknowns are rounded down the denominator ladder; a converged point
+    it cannot round is pushed off the psd boundary to {X >= _FLOOR * I}, and
+    the ladder runs once more.  A member is accepted only when every block
+    passes the exact psd test.  ``converged`` reports whether the first
+    numeric run converged; an unconverged run's detail says whether it
+    separated (a float stopping rule) or stalled at the sweep cap.
     """
     for (k, i), value in family.forced.items():
         if value < 0:
             return "infeasible", None, f"diagonal entry for {family.bases[k][i]} forced to {value}", False
-    if not family.basis:  # the one member decides
+    if not family.free:  # the one member decides
         blocks = family.at([])
         if all(is_psd(b) for b in blocks):
             return "found", blocks, "unique Gram matrix", False
         return "infeasible", None, "unique Gram matrix is not psd", False
     numeric = family.numeric()
-    t, gap, converged, separated = alternating_projection(numeric, max_sweeps=max_sweeps, tol=tol)
-    rounded = _round(family, t, denominators)
+    free = family.positions()[family.free, 0]
+    x, gap, converged, separated = alternating_projection(numeric, max_sweeps=max_sweeps, tol=tol)
+    rounded = _round(family, x[free], denominators)
     if rounded is None and converged and denominators:
-        t = alternating_projection(numeric, max_sweeps=max_sweeps, tol=tol, start=t, floor=_FLOOR)[0]
-        rounded = _round(family, t, denominators)
+        x = alternating_projection(numeric, max_sweeps=max_sweeps, tol=tol, start=x, floor=_FLOOR)[0]
+        rounded = _round(family, x[free], denominators)
     if rounded is not None:
         return "found", *rounded, converged
     if not converged:

@@ -132,7 +132,7 @@ def test_criterion_6_gram_golden():
         fam = gram_family(f, monoms)
         # the one-parameter family from the worked example: corner entry free,
         # middle diagonal locked to -2*corner - 1, the rest fixed
-        assert len(fam.basis) == 1
+        assert len(fam.free) == 1
         for t in (Fraction(0), Fraction(-3)):
             [g] = fam.at([t])
             assert (g[0, 0], g[0, 1], g[1, 2], g[2, 2]) == (2, 1, 0, 5)

@@ -617,3 +617,52 @@ def test_output_is_deterministic():
     a = run(["sos", "find", "--poly", "2*x^4 + 5*y^4 - x^2*y^2 + 2*x^3*y"])
     b = run(["sos", "find", "--poly", "2*x^4 + 5*y^4 - x^2*y^2 + 2*x^3*y"])
     assert a == b
+
+
+def test_sos_find_scales_to_a_large_lattice(tmp_path):
+    """111 lattice monomials (6,216 Gram unknowns): the float family keeps one
+    row per equation, not one column per free unknown, so the search fits the
+    budget, and the written certificate passes the exact check."""
+    cert = tmp_path / "cert.json"
+    start = time.perf_counter()
+    code, out = run(["sos", "find", "--poly", "x1^10*x2^10*x3^10+x1^10+x2^10+x3^10+1", "-o", str(cert)])
+    assert time.perf_counter() - start < 15.0
+    assert code == 0 and out.splitlines()[0] == "sos"
+    assert run(["sos", "check", "--cert", str(cert)]) == (0, "valid")
+
+
+#: ``--json`` output pinned byte for byte: a Gram-product SOS, a boundary
+#: instance with no interior, and two bisection bounds with their module
+#: certificates.  Each certificate is a rounding of a float point, so any
+#: move of the numeric phase or the rationalization shows up here.
+GOLDEN = [
+    (["--json", "sos", "find", "--poly=40*x^4 + 14*x^3*y + 51*x^2*y^2 - 24*x*y^3 + 53*y^4 - 24*x^3 "
+      "+ 20*x^2*y - 20*x*y^2 + 30*y^3 + 72*x^2 - 34*x*y + 50*y^2 - 2*x + 4*y + 40"],
+     '{"certificate": {"gram": [["40", "-1", "2", "55/2", "-44/5", "43/2"], ["-1", "17", "-41/5", "-12", '
+     '"5/3", "-39/4"], ["2", "-41/5", "7", "25/3", "-1/4", "15"], ["55/2", "-12", "25/3", "40", "7", '
+     '"171/10"], ["-44/5", "5/3", "-1/4", "7", "84/5", "-12"], ["43/2", "-39/4", "15", "171/10", "-12", '
+     '"53"]], "monomials": [[0, 0], [1, 0], [0, 1], [2, 0], [1, 1], [0, 2]], "target": "40*x^4 + '
+     '14*x^3*y + 51*x^2*y^2 - 24*x*y^3 + 53*y^4 - 24*x^3 + 20*x^2*y - 20*x*y^2 + 30*y^3 + 72*x^2 - '
+     '34*x*y + 50*y^2 - 2*x + 4*y + 40"}, "exit": 0, "status": "sos"}'),
+    (["--json", "sos", "find", "--poly=x^4 + y^4 - 4*x + 3"],
+     '{"certificate": {"gram": [["3", "-2", "0", "-1", "0", "0"], ["-2", "2", "0", "0", "0", "0"], '
+     '["0", "0", "0", "0", "0", "0"], ["-1", "0", "0", "1", "0", "0"], ["0", "0", "0", "0", "0", "0"], '
+     '["0", "0", "0", "0", "0", "1"]], "monomials": [[0, 0], [1, 0], [0, 1], [2, 0], [1, 1], [0, 2]], '
+     '"target": "x^4 + y^4 - 4*x + 3"}, "exit": 0, "status": "sos"}'),
+    (["--json", "lasserre", "bound", "--poly=x^2 + y^2 - x*y - x", "-d", "2", "--iterations=3",
+      "--constraint=1 - x^2 - y^2"],
+     '{"certificate": {"degree": 2, "sigmas": [{"terms": [{"poly": "-4/3*x + 1", "weight": "3/8"}, '
+     '{"poly": "x - 3/2*y", "weight": "1/3"}, {"poly": "y", "weight": "1/4"}]}, {"terms": []}], '
+     '"target": "x^2 - x*y + y^2 - x + 3/8"}, "certified": true, "exit": 0, "hi": "-1/4", "lo": "-3/8"}'),
+    (["--json", "lasserre", "bound", "--poly=x^3 - x", "-d", "4", "--iterations=3", "--constraint=1 + x",
+      "--constraint=1 - x"],
+     '{"certificate": {"degree": 4, "sigmas": [{"terms": [{"poly": "-787/1550*x + 1", "weight": "31/142"}, '
+     '{"poly": "x", "weight": "40931/11005000"}]}, {"terms": [{"poly": "-3763/2000*x + 1", "weight": '
+     '"20/71"}, {"poly": "x", "weight": "561/200000"}]}, {"terms": []}], "target": "x^3 - x + 1/2"}, '
+     '"certified": true, "exit": 0, "hi": "-3/8", "lo": "-1/2"}'),
+]
+
+
+@pytest.mark.parametrize("argv, expected", GOLDEN, ids=["gram-product", "boundary", "disk", "cubic"])
+def test_golden_certificates(argv, expected):
+    assert run(argv) == (0, expected)

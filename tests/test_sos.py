@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from ratsos.arith import Mat, affine_solution_set
+from ratsos.arith import Mat, affine_solution_set, pivot_columns
 from ratsos.conic import convex_membership, newton_halved_lattice
 from ratsos.poly import MPoly, UPoly, parse_poly, parse_upoly
 from ratsos.quadforms import SosCert, SymMat, gram_product, weighted_square_decomposition
@@ -30,7 +31,7 @@ MOTZKIN = "x^4*y^2 + x^2*y^4 - 3*x^2*y^2 + 1"
 def test_gram_family_sec26_shape():
     f = parse_poly(SEC26, 2)
     fam = gram_family(f, [(2, 0), (1, 1), (0, 2)])
-    assert len(fam.basis) == 1
+    assert len(fam.free) == 1
     assert fam.forced[(0, 0)] == 2 and fam.forced[(0, 2)] == 5
     # one-parameter family: entries (0,1) and (1,2) are fixed, and the
     # diagonal middle entry tracks the corner as G11 = -2*G02 - 1
@@ -45,7 +46,7 @@ def test_gram_family_sec26_shape():
 def test_gram_family_unique_square():
     f = parse_poly("x^2", 1)
     fam = gram_family(f, [(1,)])
-    assert not fam.basis
+    assert not fam.free
     assert fam.particular == [1]
 
 
@@ -65,7 +66,8 @@ def test_gram_family_inexpressible_monomial():
 def _dense_gram_family(f, bases, generators):
     """Reference: the coefficient-matching system of sum_k g_k v_k^T G_k v_k = f
     written out row by row (one equation per exponent gamma, in graded order)
-    and solved by affine_solution_set; returns (particular, basis, forced)."""
+    and solved by affine_solution_set; returns (particular, free unknowns,
+    basis, forced), the free unknowns being the non-pivot columns."""
     slots = [(k, i, j) for k, b in enumerate(bases) for i in range(len(b)) for j in range(i, len(b))]
     entries = [
         (u, tuple(a + b + e for a, b, e in zip(bases[k][i], bases[k][j], delta)), (1 if i == j else 2) * c)
@@ -79,12 +81,14 @@ def _dense_gram_family(f, bases, generators):
     solution = affine_solution_set(Mat(rows), [f.coeff(g) for g in gammas])
     assert solution is not None  # every equation has an unknown of its own
     particular, basis = solution
+    pivots = pivot_columns(Mat(rows))
+    free = [u for u in range(len(slots)) if u not in pivots]
     forced = {
         (k, i): particular[u]
         for u, (k, i, j) in enumerate(slots)
         if i == j and all(v[u] == 0 for v in basis)
     }
-    return particular, basis, forced
+    return particular, free, basis, forced
 
 
 def _assert_family_matches_dense_solve(f, bases, generators=None):
@@ -93,24 +97,29 @@ def _assert_family_matches_dense_solve(f, bases, generators=None):
         generators = [MPoly.constant(f.nvars, 1)]
     else:
         fam = gram_system(f, bases, generators)
-    particular, basis, forced = _dense_gram_family(f, bases, generators)
+    particular, free, basis, forced = _dense_gram_family(f, bases, generators)
     assert fam.particular == particular
-    assert [[b.get(u, 0) for u in range(len(particular))] for b in fam.basis] == basis
+    # the free unknowns are the non-pivot columns, one basis vector each, and
+    # every solved unknown's row holds minus the basis vectors' entries there
+    assert fam.free == free
+    assert sorted(fam.rows) == [u for u in range(len(particular)) if u not in free]
+    assert all(fam.rows[p].get(j, 0) == -b[p] for p in fam.rows for j, b in zip(free, basis))
     assert list(fam.forced.items()) == list(forced.items())
     for t in ([Fraction(0)] * len(basis), [Fraction(k + 1, 3) for k in range(len(basis))]):
         blocks = fam.at(t)
+        member = [x + sum(tj * b[u] for tj, b in zip(t, basis)) for u, x in enumerate(particular)]
+        assert [g[i, j] for g in blocks for i in range(g.dim) for j in range(i, g.dim)] == member
         assert sum(
             (g * gram_product(G, b) for g, G, b in zip(generators, blocks, fam.bases)), MPoly.zero(f.nvars)
         ) == f
 
 
-def test_gram_family_matches_dense_solve():
-    """The closed-form family is the one the dense elimination gives: the same
-    particular solution, the same basis in the same order, the same forced
-    diagonal entries."""
+def _random_families():
+    """(f, bases, generators) of the Gram systems the family tests run on;
+    generators None stands for the one-block Gram family."""
     for text in (SEC26, MOTZKIN):
         f = parse_poly(text, 2)
-        _assert_family_matches_dense_solve(f, [newton_halved_lattice(f)])
+        yield f, [newton_halved_lattice(f)], None
     rng = random.Random(131)
     for _ in range(30):
         nvars = rng.randint(1, 3)
@@ -123,7 +132,7 @@ def test_gram_family_matches_dense_solve():
         upper = [rand_frac(rng, -3, 3, max_den=5) for _ in range(n * (n + 1) // 2)]
         f = gram_product(SymMat(n, upper), monomials)
         if not f.is_zero:
-            _assert_family_matches_dense_solve(f, [monomials])
+            yield f, [monomials], None
     # several blocks, one generator each: single-term generators (the closed
     # form) and, last, one multi-term generator (solved by elimination)
     for texts in (["1", "3*x", "1/2*y^2"], ["1", "-2*x*y"], ["1", "x", "1 - x^2 - y^2"]):
@@ -136,7 +145,36 @@ def test_gram_family_matches_dense_solve():
                 upper = [rand_frac(rng, -3, 3, max_den=5) for _ in range(len(b) * (len(b) + 1) // 2)]
                 f = f + g * gram_product(SymMat(len(b), upper), b)
             if not f.is_zero:
-                _assert_family_matches_dense_solve(f, bases, generators)
+                yield f, bases, generators
+
+
+def test_gram_family_matches_dense_solve():
+    """The closed-form family is the one the dense elimination gives: the same
+    particular solution, the same free unknowns and rows (the same basis in
+    the same order), the same forced diagonal entries."""
+    for f, bases, generators in _random_families():
+        _assert_family_matches_dense_solve(f, bases, generators)
+
+
+def test_numeric_family_agrees_with_exact_rows():
+    """The float family of numeric() is the exact one: every exact member is a
+    fixed point of its projection, A has one independent row per solved
+    unknown, and a projected point solves each of them from its free entries."""
+    rng = np.random.default_rng(13)
+    for f, bases, generators in _random_families():
+        fam = gram_system(f, bases, generators or [MPoly.constant(f.nvars, 1)])
+        numeric, pos = fam.numeric(), fam.positions()
+        assert numeric.a.shape[0] == len(fam.rows) == np.linalg.matrix_rank(numeric.a)
+        for t in ([0] * len(fam.free), [Fraction(k + 1, 3) for k in range(len(fam.free))]):
+            blocks = fam.at(t)
+            x = np.zeros(numeric.particular.size)
+            x[pos] = [[float(g[i, j])] for g in blocks for i in range(g.dim) for j in range(i, g.dim)]
+            assert np.allclose(numeric.project(x), x, rtol=0, atol=1e-9)
+        y = np.concatenate([(a + a.T).reshape(-1) for a in (rng.normal(size=(s, s)) for s in numeric.sizes)])
+        x = numeric.project(y)
+        for p, row in fam.rows.items():
+            solved = float(fam.particular[p]) - sum(float(c) * x[pos[j, 0]] for j, c in row.items())
+            assert abs(x[pos[p, 0]] - solved) < 1e-9 and abs(x[pos[p, 1]] - solved) < 1e-9
 
 
 def test_search_family_checks_every_block():
@@ -145,7 +183,7 @@ def test_search_family_checks_every_block():
     generators = [parse_poly("y^2", 2), parse_poly("1", 2)]
     bases = [[(0, 0)], [(0, 0), (1, 0)]]
     fam = gram_system(parse_poly("y^2 + 1 + 4*x + x^2", 2), bases, generators)
-    assert not fam.basis and fam.forced == {(0, 0): 1, (1, 0): 1, (1, 1): 1}
+    assert not fam.free and fam.forced == {(0, 0): 1, (1, 0): 1, (1, 1): 1}
     assert search_family(fam, 100, 1e-9, [10]) == ("infeasible", None, "unique Gram matrix is not psd", False)
     fam = gram_system(parse_poly("y^2 + 1 + 4*x + x^2", 2), bases[::-1], generators[::-1])
     assert search_family(fam, 100, 1e-9, [10])[0] == "infeasible"

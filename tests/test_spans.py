@@ -1,20 +1,27 @@
 """The benchmark traces library functions by name (bench/spans.py); a renamed
-or deleted one makes its tracer fail to install.  This fast check runs the
-install and removal without running the benchmark."""
+or deleted one makes its tracer fail to install, and a changed result shape
+makes its readings wrong.  These fast checks run the install and removal,
+and one traced command, without running the benchmark."""
 
 import importlib.util
 from pathlib import Path
 
 import ratsos
 from ratsos import sos
+from ratsos.cli import run
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
 
-def test_bench_tracer_installs_and_removes():
+def _load_spans():
     spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_bench_tracer_installs_and_removes():
+    spans = _load_spans()
     original = sos.gram_family
     tracer = spans.Tracer()
     try:
@@ -23,3 +30,19 @@ def test_bench_tracer_installs_and_removes():
     finally:
         tracer.remove()
     assert sos.gram_family is original and ratsos.gram_family is original
+
+
+def test_bench_reads_the_numeric_phase():
+    """The bench counts affine projections and reads the converged flag as the
+    third item of alternating_projection's result; one traced sos find must
+    show both."""
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        assert run(["sos", "find", "--poly", "2*x^4 + 5*y^4 - x^2*y^2 + 2*x^3*y"])[0] == 0
+    finally:
+        tracer.remove()
+    metrics, _ = spans.layer_metrics(tracer.spans(), 1)
+    assert metrics["numeric.AffineFamily.project.calls"] > 0
+    assert metrics["numeric.alternating_projection.converged_ratio"] == 1.0
