@@ -7,8 +7,8 @@ module also searches and verifies exact weighted-SOS membership certificates
 for the degree-d truncated module sum_i sigma_i g_i (the search runs on the
 Gram-system core of :mod:`ratsos.sos`, one block per kept generator,
 restricted exactly to the face its forced zeros define) and computes
-certified lower bounds by bisection with a numeric feasibility oracle and
-exact final certification.
+certified lower bounds by bisection on those exact searches: a level counts
+as feasible only when its certificate is found.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .arith import rat
 from .poly import MPoly, _grlex_key, poly_text
 from .quadforms import SosCert, SymMat, weighted_square_decomposition
 from .sos import (
-    DENOMINATOR_LADDER,
     GramInfeasibleError,
     VerifyResult,
     gram_system,
@@ -151,7 +150,10 @@ MAX_SDPA_DENOMINATOR = 10**6
 def _sdpa_value(v: Fraction) -> str:
     if v.denominator > MAX_SDPA_DENOMINATOR:
         raise ValueError(f"rational {v} exceeds the emit denominator bound {MAX_SDPA_DENOMINATOR}")
-    return repr(float(v))
+    try:
+        return repr(float(v))
+    except OverflowError:
+        raise ValueError("a relaxation coefficient exceeds the float range of SDPA output") from None
 
 
 def emit_sdpa(rel: LasserreRelaxation, objective: MPoly) -> str:
@@ -251,26 +253,25 @@ class ModuleSearch:
     status: str  # found / infeasible / unknown
     cert: ModuleCert | None
     detail: str
-    converged: bool = False  # the numeric phase ran and met its tolerance
     #: index into [1] + gs -> the monomials facial reduction cut off that sigma's basis
     dropped: dict[int, list[tuple[int, ...]]] = field(default_factory=dict)
 
 
-def module_cert_search(
-    f: MPoly,
-    gs,
-    d: int,
-    max_sweeps: int = 5000,
-    tol: float = 1e-9,
-    denominators=DENOMINATOR_LADDER,
-) -> ModuleSearch:
+#: sweeps and gap tolerance of the numeric phase of every module search
+_SWEEPS, _TOL = 3000, 1e-8
+
+
+def module_cert_search(f: MPoly, gs, d: int) -> ModuleSearch:
     """Search an exact certificate f = sum sigma_i g_i of degree d.
 
     One Gram block per kept generator, on the Gram-system core of
     :mod:`ratsos.sos`, restricted to its face by
-    :func:`~ratsos.sos.restrict_to_face` before the numeric phase; an accepted
-    member is turned into weighted squares over the kept monomials and the
-    certificate is re-verified exactly before return.
+    :func:`~ratsos.sos.restrict_to_face` before the numeric phase, which
+    runs at most _SWEEPS sweeps to the gap _TOL; an accepted member is turned
+    into weighted squares over the kept monomials and the certificate is
+    re-verified exactly before return.  ``found`` is the only verdict that
+    puts f in the module; ``unknown`` (a separated, stalled or unrounded
+    numeric run) proves nothing either way.
     """
     gs = list(gs)
     if f.degree() > d:
@@ -283,9 +284,9 @@ def module_cert_search(
     except GramInfeasibleError as exc:
         return ModuleSearch("infeasible", None, str(exc))
     dropped = {k: monomials for (k, _, _), monomials in zip(kept, face_dropped) if monomials}
-    status, blocks, detail, converged = search_family(family, max_sweeps, tol, denominators)
+    status, blocks, detail = search_family(family, _SWEEPS, _TOL)
     if status != "found":
-        return ModuleSearch(status, None, detail, converged, dropped)
+        return ModuleSearch(status, None, detail, dropped)
     sigmas = [SosCert(()) for _ in range(len(gs) + 1)]
     for (k, _, _), basis, block in zip(kept, family.bases, blocks):
         sigmas[k] = weighted_square_decomposition(block, basis)
@@ -293,24 +294,7 @@ def module_cert_search(
     check = verify_module_membership(f, gs, d, cert)
     if not check:
         raise AssertionError(f"reconstructed certificate failed verification: {check.reason}")
-    return ModuleSearch("found", cert, detail, converged, dropped)
-
-
-#: sweeps and tolerance of each numeric probe, and sweeps of the final certification
-_PROBE_SWEEPS, _PROBE_TOL, _CERTIFY_SWEEPS = 3000, 1e-8, 15000
-
-
-def _numeric_feasible(f: MPoly, gs, d: int) -> bool:
-    """Cheap numeric-only feasibility probe used inside the bisection loop.
-
-    Runs the search with an empty rationalization ladder: a converged
-    alternating projection counts as feasible-looking.  An infeasible level
-    usually ends within a few dozen sweeps, once the iterates separate the
-    affine set from the psd blocks (:func:`ratsos.numeric.alternating_projection`),
-    instead of at _PROBE_SWEEPS; either way the verdict is numeric only.
-    """
-    search = module_cert_search(f, gs, d, max_sweeps=_PROBE_SWEEPS, tol=_PROBE_TOL, denominators=())
-    return search.status == "found" or search.converged
+    return ModuleSearch("found", cert, detail, dropped)
 
 
 @dataclass
@@ -325,21 +309,23 @@ class BisectResult:
 
 
 def lower_bound_bisect(f: MPoly, gs, d: int, iterations: int = 12) -> BisectResult:
-    """Bisection lower bound for f over the constraint set at relaxation degree d.
+    """Certified bisection lower bound for f over the constraint set at relaxation degree d.
 
-    Feasibility of f - lambda in the degree-d module is probed numerically
-    inside the loop, on the face left by exact facial reduction, so a probe
-    whose multipliers have forced zeros can still converge; only the final
-    lo is certified, by rationalizing the multiplier blocks and verifying
-    exactly.  Without that certificate the result is flagged heuristic.  A
-    negative ``iterations`` raises ValueError.
+    A level lambda counts as feasible only when :func:`module_cert_search`
+    finds an exact certificate for f - lambda, so every feasible verdict is
+    one, and lo, always such a level, is returned with its certificate.  hi
+    is a level where no certificate was found; it proves nothing.  Each run
+    makes 1 + (walk steps) + ``iterations`` searches.  A negative
+    ``iterations`` raises ValueError.
     """
     if iterations < 0:
         raise ValueError(f"iterations must be nonnegative, not {iterations}")
     gs = list(gs)
+    certs: dict[Fraction, ModuleCert | None] = {}
 
     def feasible(lam: Fraction) -> bool:
-        return _numeric_feasible(f - lam, gs, d)
+        certs[lam] = module_cert_search(f - lam, gs, d).cert
+        return certs[lam] is not None
 
     # walk away from 0 with doubling steps, upward while feasible, downward
     # while infeasible, until the verdict flips
@@ -360,14 +346,7 @@ def lower_bound_bisect(f: MPoly, gs, d: int, iterations: int = 12) -> BisectResu
             lo = mid
         else:
             hi = mid
-
-    width = hi - lo
-    candidates = [lo, lo - width, lo - 2 * width, lo - 4 * width]
-    for cand in candidates:
-        search = module_cert_search(f - cand, gs, d, max_sweeps=_CERTIFY_SWEEPS)
-        if search.status == "found":
-            return BisectResult(cand, hi, search.cert, True, f"certified at {cand}")
-    return BisectResult(lo, hi, None, False, "numeric bracket only; certification failed")
+    return BisectResult(lo, hi, certs[lo], True, f"certified at {lo}")
 
 
 # --- module certificate JSON -----------------------------------------------

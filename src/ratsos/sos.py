@@ -178,50 +178,54 @@ def restrict_to_face(f: MPoly, family: GramFamily, generators):
     return family, dropped
 
 
-def _round(family: GramFamily, t, denominators):
+def _round(family: GramFamily, t):
     """(blocks, detail) of the first ladder rounding of the free values t with psd blocks, else None."""
-    for bound in denominators if np.isfinite(t).all() else ():
+    for bound in DENOMINATOR_LADDER if np.isfinite(t).all() else ():
         blocks = family.at([Fraction(float(v)).limit_denominator(bound) for v in t])
         if all(is_psd(b) for b in blocks):
             return blocks, f"denominator bound {bound}"
     return None
 
 
-def search_family(family: GramFamily, max_sweeps: int = 5000, tol: float = 1e-9,
-                  denominators=DENOMINATOR_LADDER):
-    """Look for a member whose blocks are all psd; returns (status, blocks, detail, converged).
+def search_family(family: GramFamily, max_sweeps: int = 5000, tol: float = 1e-9):
+    """Look for a member whose blocks are all psd; returns (status, blocks, detail).
 
     Callers pass the face of :func:`restrict_to_face`.  A negative forced
     diagonal proves infeasibility, and a family with one member is decided by
-    that member.  Otherwise alternating projections propose a point, whose
-    free unknowns are rounded down the denominator ladder; a converged point
-    it cannot round is pushed off the psd boundary to {X >= _FLOOR * I}, and
-    the ladder runs once more.  A member is accepted only when every block
-    passes the exact psd test.  ``converged`` reports whether the first
-    numeric run converged; an unconverged run's detail says whether it
-    separated (a float stopping rule) or stalled at the sweep cap.
+    that member.  Otherwise alternating projections, within ``max_sweeps``
+    sweeps to the gap ``tol``, propose a point, whose free unknowns are
+    rounded down the denominator ladder; a converged point it cannot round is
+    pushed off the psd boundary to {X >= _FLOOR * I}, and the ladder runs once
+    more.  A member is accepted only when every block passes the exact psd
+    test.  A run that separated (a float stopping rule) is not rounded, and
+    neither is a family whose coefficients floats cannot hold: both end
+    ``unknown``, as does a run that stalled at the sweep cap and did not round.
     """
     for (k, i), value in family.forced.items():
         if value < 0:
-            return "infeasible", None, f"diagonal entry for {family.bases[k][i]} forced to {value}", False
+            return "infeasible", None, f"diagonal entry for {family.bases[k][i]} forced to {value}"
     if not family.free:  # the one member decides
         blocks = family.at([])
         if all(is_psd(b) for b in blocks):
-            return "found", blocks, "unique Gram matrix", False
-        return "infeasible", None, "unique Gram matrix is not psd", False
-    numeric = family.numeric()
+            return "found", blocks, "unique Gram matrix"
+        return "infeasible", None, "unique Gram matrix is not psd"
+    try:
+        numeric = family.numeric()
+    except OverflowError:
+        return "unknown", None, "a coefficient of the Gram system exceeds the float range"
     free = family.positions()[family.free, 0]
     x, gap, converged, separated = alternating_projection(numeric, max_sweeps=max_sweeps, tol=tol)
-    rounded = _round(family, x[free], denominators)
-    if rounded is None and converged and denominators:
+    if separated:
+        return "unknown", None, f"numeric phase separated at gap {gap:.2e}"
+    rounded = _round(family, x[free])
+    if rounded is None and converged:
         x = alternating_projection(numeric, max_sweeps=max_sweeps, tol=tol, start=x, floor=_FLOOR)[0]
-        rounded = _round(family, x[free], denominators)
+        rounded = _round(family, x[free])
     if rounded is not None:
-        return "found", *rounded, converged
+        return "found", *rounded
     if not converged:
-        stop = "separated" if separated else "stalled"
-        return "unknown", None, f"numeric phase {stop} at gap {gap:.2e}", False
-    return "unknown", None, "rationalization failed", True
+        return "unknown", None, f"numeric phase stalled at gap {gap:.2e}"
+    return "unknown", None, "rationalization failed"
 
 
 @dataclass
@@ -267,7 +271,7 @@ def find_gram(f: MPoly) -> GramSearch:
         family, [dropped] = restrict_to_face(f, gram_family(f, monomials), [MPoly.constant(f.nvars, 1)])
     except GramInfeasibleError as exc:
         return GramSearch("infeasible", None, monomials, str(exc))
-    status, blocks, detail, _ = search_family(family)
+    status, blocks, detail = search_family(family)
     if status != "found":
         return GramSearch(status, None, monomials, detail, dropped)
     [gram], [kept] = blocks, family.bases

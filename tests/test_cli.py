@@ -1,9 +1,11 @@
 import copy
 import itertools
 import json
+import re
 import shlex
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -345,6 +347,18 @@ def test_lasserre_bound_without_bracket_is_unknown():
     assert code == 3 and json.loads(out) == {"exit": 3, "status": "unknown"}
 
 
+def test_searches_beyond_float_range_are_unknown():
+    """A Gram system whose coefficients floats cannot hold has no numeric
+    phase: the search ends unknown instead of in an internal error, and a
+    bisection that finds no certificate at any level has no bracket."""
+    big = "1" + "0" * 400
+    detail = "a coefficient of the Gram system exceeds the float range"
+    assert run(["sos", "find", "--poly", f"x^4 + {big}*x^2*y^2 + y^4 + 1"]) == (3, f"unknown\n{detail}")
+    argv = ["lasserre", "bound", "--poly", f"x^2 + {big}", "-g", "1 - x^2", "-d", "2"]
+    assert run(argv) == (3, "unknown (no initial bracket found)")
+    assert run(["lasserre", "build", "-d", "2", "-g", f"x - {big}"])[0] == 2
+
+
 def test_input_errors_exit_2():
     code, out = run(["count-roots", "--poly", "x + @"])
     assert code == 2 and out.startswith("error:")
@@ -666,3 +680,30 @@ GOLDEN = [
 @pytest.mark.parametrize("argv, expected", GOLDEN, ids=["gram-product", "boundary", "disk", "cubic"])
 def test_golden_certificates(argv, expected):
     assert run(argv) == (0, expected)
+
+
+def _readme_examples():
+    """(command line, expected output lines, expected exit) of the README CLI block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        if line.startswith("ratsos "):
+            examples.append([line, [], 0])
+        elif line.startswith("# "):
+            text, *code = re.split(r"\s+\(exit (\d)\)$", line[2:])
+            examples[-1][1].append(text)
+            if code:
+                examples[-1][2] = int(code[0])
+    return examples
+
+
+def test_readme_examples(tmp_path, monkeypatch):
+    """Each command of the README CLI block prints exactly the # lines under
+    it and exits with its (exit N), 0 when none is given; the commands run in
+    order in one directory, so a later one reads the files an earlier wrote."""
+    monkeypatch.chdir(tmp_path)
+    examples = _readme_examples()
+    assert len(examples) >= 15
+    for line, expected, exit_code in examples:
+        assert run(shlex.split(line)[1:]) == (exit_code, "\n".join(expected)), line

@@ -3,9 +3,9 @@ from math import comb
 
 import pytest
 
+from ratsos import lasserre, sos
 from ratsos.lasserre import (
     ModuleCert,
-    _numeric_feasible,
     blocks_at_point,
     build_relaxation,
     emit_sdpa,
@@ -122,6 +122,12 @@ def test_emit_sdpa_rejects_big_denominators():
         emit_sdpa(rel, parse_poly("x", 1))
 
 
+def test_emit_sdpa_rejects_coefficients_beyond_float_range():
+    rel = build_relaxation([parse_poly("x - " + "1" + "0" * 400, 1)], 2, 1)
+    with pytest.raises(ValueError, match="float range"):
+        emit_sdpa(rel, parse_poly("x", 1))
+
+
 def test_emit_sdpa_rejects_bad_objective():
     rel = build_relaxation([], 2, 1)
     with pytest.raises(ValueError):
@@ -193,15 +199,23 @@ def test_module_cert_search_forced_diagonal():
 def test_module_search_reports_numeric_convergence():
     gs = [parse_poly("1 - x^2 - y^2", 2)]
     interior = parse_poly("x*y + 1", 2)  # min -1/2 on the disk: a strictly feasible level
-    res = module_cert_search(interior, gs, 2, denominators=())
-    assert res.status == "unknown" and res.converged
-    assert res.detail == "rationalization failed"
-    assert _numeric_feasible(interior, gs, 2)
+    res = module_cert_search(interior, gs, 2)
+    assert res.status == "found"
     below = parse_poly("x*y + 1/4", 2)
-    res = module_cert_search(below, gs, 2, max_sweeps=3000, tol=1e-8, denominators=())
-    assert res.status == "unknown" and not res.converged
+    res = module_cert_search(below, gs, 2)
+    assert res.status == "unknown"
     assert res.detail.startswith("numeric phase separated")
-    assert not _numeric_feasible(below, gs, 2)
+
+
+def test_module_search_does_not_round_a_separated_run(monkeypatch):
+    # below the minimum -1/2 of x*y on the disk: no member is psd, and the
+    # numeric phase ends separated without trying a single ladder rung
+    calls = []
+    at = sos.GramFamily.at
+    monkeypatch.setattr(sos.GramFamily, "at", lambda self, params: calls.append(params) or at(self, params))
+    res = module_cert_search(parse_poly("x*y + 1/4", 2), [parse_poly("1 - x^2 - y^2", 2)], 2)
+    assert res.status == "unknown" and res.detail.startswith("numeric phase separated")
+    assert calls == []
 
 
 def test_module_cert_json_round_trip():
@@ -230,12 +244,43 @@ def test_lower_bound_bisect_interval():
     ("x^3 - x", ["1 + x", "1 - x"], 4, Fraction(-1, 2), Fraction(-3, 8)),
 ])
 def test_lower_bound_bisect_golden_brackets(f, gs, d, lo, hi):
-    # every probe verdict on the way is numeric, so a moved verdict moves the bracket
+    # every level's verdict is an exact search, so a moved verdict moves the bracket
     nvars = 2 if "y" in f else 1
     f, gs = parse_poly(f, nvars), [parse_poly(g, nvars) for g in gs]
     res = lower_bound_bisect(f, gs, d, iterations=3)
     assert (res.lo, res.hi) == (lo, hi) and res.certified
     assert verify_module_membership(f - res.lo, gs, d, res.cert)
+
+
+@pytest.mark.parametrize("iterations", [0, 3, 6])
+def test_lower_bound_bisect_searches_once_per_level(monkeypatch, iterations):
+    """Every level is one exact search: 0, then the walk (here the one step
+    to -1), then one per iteration, and lo comes back with the certificate
+    its own search found."""
+    f, gs = parse_poly("x^2 - x", 1), [parse_poly("x", 1), parse_poly("1 - x", 1)]
+    levels, searches = [], {}
+    search = lasserre.module_cert_search
+
+    def counted(target, *args, **kwargs):
+        levels.append(f.coeff((0,)) - target.coeff((0,)))
+        searches[levels[-1]] = res = search(target, *args, **kwargs)
+        return res
+
+    monkeypatch.setattr(lasserre, "module_cert_search", counted)
+    res = lower_bound_bisect(f, gs, 2, iterations=iterations)
+    assert len(levels) == len(searches) == 1 + 1 + iterations and levels[:2] == [0, -1]
+    assert res.certified and res.cert is searches[res.lo].cert
+    assert searches[res.hi].status != "found"
+    assert verify_module_membership(f - res.lo, gs, 2, res.cert)
+
+
+def test_lower_bound_bisect_on_the_disk_at_degree_4():
+    # min -1/2; every level the bisection keeps is an exact certificate
+    gs = [parse_poly("1 - x^2 - y^2", 2)]
+    f = parse_poly("x*y", 2)
+    res = lower_bound_bisect(f, gs, 4)
+    assert res.certified and Fraction(-2089, 4096) < res.lo <= Fraction(-1, 2)
+    assert verify_module_membership(f - res.lo, gs, 4, res.cert)
 
 
 def test_lower_bound_bisect_constant():

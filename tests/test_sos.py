@@ -184,11 +184,11 @@ def test_search_family_checks_every_block():
     bases = [[(0, 0)], [(0, 0), (1, 0)]]
     fam = gram_system(parse_poly("y^2 + 1 + 4*x + x^2", 2), bases, generators)
     assert not fam.free and fam.forced == {(0, 0): 1, (1, 0): 1, (1, 1): 1}
-    assert search_family(fam, 100, 1e-9, [10]) == ("infeasible", None, "unique Gram matrix is not psd", False)
+    assert search_family(fam, 100, 1e-9) == ("infeasible", None, "unique Gram matrix is not psd")
     fam = gram_system(parse_poly("y^2 + 1 + 4*x + x^2", 2), bases[::-1], generators[::-1])
-    assert search_family(fam, 100, 1e-9, [10])[0] == "infeasible"
+    assert search_family(fam, 100, 1e-9)[0] == "infeasible"
     fam = gram_system(parse_poly("y^2 + 1 + 4*x + 4*x^2", 2), bases, generators)
-    status, blocks, detail, _ = search_family(fam, 100, 1e-9, [10])
+    status, blocks, detail = search_family(fam, 100, 1e-9)
     assert (status, detail) == ("found", "unique Gram matrix")
     assert [b.rows() for b in blocks] == [[[1]], [[1, 2], [2, 4]]]
 

@@ -7,7 +7,7 @@ import importlib.util
 from pathlib import Path
 
 import ratsos
-from ratsos import sos
+from ratsos import cli, sos
 from ratsos.cli import run
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -46,3 +46,19 @@ def test_bench_reads_the_numeric_phase():
     metrics, _ = spans.layer_metrics(tracer.spans(), 1)
     assert metrics["numeric.AffineFamily.project.calls"] > 0
     assert metrics["numeric.alternating_projection.converged_ratio"] == 1.0
+
+
+def test_bench_bisect_keeps_its_interaction_map():
+    """Every bisection level is an exact module search, so one traced
+    lasserre bound calls each layer the bisect workload marks busy (exact
+    psd checks included) and none it marks idle."""
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        argv = ["lasserre", "bound", "--poly", "x^2 - x", "-g", "x", "-g", "1 - x", "-d", "2", "--iterations", "3"]
+        assert cli.run(argv) == (0, "lo=-1/4 hi=-1/8 certified=true")  # the traced binding
+    finally:
+        tracer.remove()
+    _, calls = spans.layer_metrics(tracer.spans(), 1)
+    assert spans.check_interaction_map("bisect", calls) == []
