@@ -254,26 +254,17 @@ def cmd_lasserre_bound(args):
     nvars, gs = _lasserre_system(args)
     f = parse_poly(args.poly, nvars)
     result = lasserre.lower_bound_bisect(f, gs, args.degree, iterations=args.iterations)
-    if result.hi is None:
+    if not result.certified:
         return UNKNOWN, ["unknown (no initial bracket found)"], {"status": "unknown"}
-    lines = [
-        f"lo={result.lo} hi={result.hi} certified={'true' if result.certified else 'false'}"
-    ]
-    payload = {
-        "lo": str(result.lo),
-        "hi": str(result.hi),
-        "certified": result.certified,
-    }
-    if result.cert is not None:
-        cert_doc = lasserre.module_cert_to_json(result.cert, target=f - result.lo, degree=args.degree)
-        payload["certificate"] = cert_doc
-        if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(sos.dump_cert(cert_doc) + "\n")
-            lines.append(f"certificate written to {args.output}")
-            payload["file"] = args.output
-    code = OK if result.certified else UNKNOWN
-    return code, lines, payload
+    lines = [f"lo={result.lo} hi={result.hi} certified=true"]
+    cert_doc = lasserre.module_cert_to_json(result.cert, target=f - result.lo, degree=args.degree)
+    payload = {"lo": str(result.lo), "hi": str(result.hi), "certified": True, "certificate": cert_doc}
+    if args.output:
+        with open(args.output, "w") as fh:
+            fh.write(sos.dump_cert(cert_doc) + "\n")
+        lines.append(f"certificate written to {args.output}")
+        payload["file"] = args.output
+    return OK, lines, payload
 
 
 def cmd_batch(args):

@@ -257,19 +257,15 @@ class ModuleSearch:
     dropped: dict[int, list[tuple[int, ...]]] = field(default_factory=dict)
 
 
-#: sweeps and gap tolerance of the numeric phase of every module search
-_SWEEPS, _TOL = 3000, 1e-8
-
-
 def module_cert_search(f: MPoly, gs, d: int) -> ModuleSearch:
     """Search an exact certificate f = sum sigma_i g_i of degree d.
 
     One Gram block per kept generator, on the Gram-system core of
     :mod:`ratsos.sos`, restricted to its face by
-    :func:`~ratsos.sos.restrict_to_face` before the numeric phase, which
-    runs at most _SWEEPS sweeps to the gap _TOL; an accepted member is turned
-    into weighted squares over the kept monomials and the certificate is
-    re-verified exactly before return.  ``found`` is the only verdict that
+    :func:`~ratsos.sos.restrict_to_face` and searched by
+    :func:`~ratsos.sos.search_family` at the numeric budget ``sos find`` runs
+    at too; an accepted member is turned into weighted squares over the kept
+    monomials and the certificate is re-verified exactly before return.  ``found`` is the only verdict that
     puts f in the module; ``unknown`` (a separated, stalled or unrounded
     numeric run) proves nothing either way.
     """
@@ -284,7 +280,7 @@ def module_cert_search(f: MPoly, gs, d: int) -> ModuleSearch:
     except GramInfeasibleError as exc:
         return ModuleSearch("infeasible", None, str(exc))
     dropped = {k: monomials for (k, _, _), monomials in zip(kept, face_dropped) if monomials}
-    status, blocks, detail = search_family(family, _SWEEPS, _TOL)
+    status, blocks, detail = search_family(family)
     if status != "found":
         return ModuleSearch(status, None, detail, dropped)
     sigmas = [SosCert(()) for _ in range(len(gs) + 1)]
@@ -304,8 +300,11 @@ class BisectResult:
     lo: Fraction | None
     hi: Fraction | None
     cert: ModuleCert | None
-    certified: bool
-    detail: str
+
+    @property
+    def certified(self) -> bool:
+        """A bound exists; lo is always a level whose certificate was found."""
+        return self.lo is not None
 
 
 def lower_bound_bisect(f: MPoly, gs, d: int, iterations: int = 12) -> BisectResult:
@@ -338,7 +337,7 @@ def lower_bound_bisect(f: MPoly, gs, d: int, iterations: int = 12) -> BisectResu
         edge += step
         step *= 2
     else:
-        return BisectResult(None, None, None, False, "no initial bracket found")
+        return BisectResult(None, None, None)
 
     for _ in range(iterations):
         mid = (lo + hi) / 2
@@ -346,7 +345,7 @@ def lower_bound_bisect(f: MPoly, gs, d: int, iterations: int = 12) -> BisectResu
             lo = mid
         else:
             hi = mid
-    return BisectResult(lo, hi, certs[lo], True, f"certified at {lo}")
+    return BisectResult(lo, hi, certs[lo])
 
 
 # --- module certificate JSON -----------------------------------------------

@@ -82,12 +82,6 @@ def project_psd(a: np.ndarray, floor: float = 0.0) -> np.ndarray:
     return (v * np.maximum(w, floor)[..., None, :]) @ v.swapaxes(-1, -2)
 
 
-def min_eig(a: np.ndarray) -> float:
-    """Smallest eigenvalue of a symmetric matrix or of a stack (k, s, s) of them."""
-    w = np.linalg.eigvalsh(np.asarray(a, dtype=float))
-    return float(w.min()) if w.size else 0.0
-
-
 class AffineFamily:
     """Affine set {X : A X = b = A @ particular} in concatenated s*s block coordinates.
 
@@ -111,14 +105,11 @@ class AffineFamily:
         """Orthogonal projection of y onto the affine set: y + A^T (A A^T)^-1 (b - A y)."""
         return y + (self.gram_inv @ (self.b - self.a @ y)) @ self.a
 
-    def stacks(self, y: np.ndarray):
-        """The blocks of y as one (k, s, s) stack per distinct size s."""
-        return [(idx, y[idx].reshape(-1, s, s)) for s, idx in self.groups]
-
     def project_psd_cone(self, y: np.ndarray, floor: float = 0.0) -> np.ndarray:
+        """Block by block onto {X >= floor * I}, one batched projection per distinct size."""
         out = np.empty_like(y)
-        for idx, stack in self.stacks(y):
-            out[idx] = project_psd(stack, floor).reshape(idx.shape)
+        for s, idx in self.groups:
+            out[idx] = project_psd(y[idx].reshape(-1, s, s), floor).reshape(idx.shape)
         return out
 
     def eye_vector(self) -> np.ndarray:
@@ -128,15 +119,16 @@ class AffineFamily:
         return out
 
 
-def alternating_projection(family: AffineFamily, max_sweeps: int = 5000, tol: float = 1e-9,
+def alternating_projection(family: AffineFamily, max_sweeps: int = 3000, tol: float = 1e-8,
                            start=None, floor: float = 0.0):
     """Alternate projections onto {X >= floor * I} and the affine set, from its point ``start``.
 
     Returns (x, gap, converged, separated): x is the last affine point (the
     run starts at ``family.particular`` by default), gap the final distance
-    between the two projections.  A converged x is nudged toward x + _NUDGE*I
-    inside the affine set if that keeps it numerically psd, so interior points
-    rationalize robustly.
+    between the two projections.  The defaults are the one budget every
+    certificate search runs at.  A converged x is returned as the affine
+    projection of x + _NUDGE * I, a step off the psd boundary so that it
+    rounds more often; the exact check of the caller judges the rounding.
 
     ``separated`` reports a run ended early by the separation bound.  With
     y = P(x_k) onto {X >= floor * I}, x_{k+1} the affine projection of y,
@@ -164,8 +156,5 @@ def alternating_projection(family: AffineFamily, max_sweeps: int = 5000, tol: fl
                 break
     converged = gap < tol
     if converged:
-        nudged = family.project(x + _NUDGE * eye)
-        worst = min((min_eig(stack) for _, stack in family.stacks(nudged)), default=0.0)
-        if worst > -_NUDGE:
-            x = nudged
+        x = family.project(x + _NUDGE * eye)
     return x, gap, converged, separated

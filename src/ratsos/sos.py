@@ -187,19 +187,20 @@ def _round(family: GramFamily, t):
     return None
 
 
-def search_family(family: GramFamily, max_sweeps: int = 5000, tol: float = 1e-9):
+def search_family(family: GramFamily):
     """Look for a member whose blocks are all psd; returns (status, blocks, detail).
 
     Callers pass the face of :func:`restrict_to_face`.  A negative forced
     diagonal proves infeasibility, and a family with one member is decided by
-    that member.  Otherwise alternating projections, within ``max_sweeps``
-    sweeps to the gap ``tol``, propose a point, whose free unknowns are
-    rounded down the denominator ladder; a converged point it cannot round is
-    pushed off the psd boundary to {X >= _FLOOR * I}, and the ladder runs once
-    more.  A member is accepted only when every block passes the exact psd
-    test.  A run that separated (a float stopping rule) is not rounded, and
-    neither is a family whose coefficients floats cannot hold: both end
-    ``unknown``, as does a run that stalled at the sweep cap and did not round.
+    that member.  Otherwise alternating projections, at the one budget of
+    :func:`~ratsos.numeric.alternating_projection`, propose a point, whose
+    free unknowns are rounded down the denominator ladder; a converged point
+    it cannot round is pushed off the psd boundary to {X >= _FLOOR * I} by a
+    second run at the same budget, and the ladder runs once more.  A member
+    is accepted only when every block passes the exact psd test.  A run that
+    separated (a float stopping rule) is not rounded, and neither is a family
+    whose coefficients or iterates floats cannot hold: both end ``unknown``,
+    as does a run that stalled at the sweep cap and did not round.
     """
     for (k, i), value in family.forced.items():
         if value < 0:
@@ -209,18 +210,19 @@ def search_family(family: GramFamily, max_sweeps: int = 5000, tol: float = 1e-9)
         if all(is_psd(b) for b in blocks):
             return "found", blocks, "unique Gram matrix"
         return "infeasible", None, "unique Gram matrix is not psd"
-    try:
-        numeric = family.numeric()
-    except OverflowError:
-        return "unknown", None, "a coefficient of the Gram system exceeds the float range"
     free = family.positions()[family.free, 0]
-    x, gap, converged, separated = alternating_projection(numeric, max_sweeps=max_sweeps, tol=tol)
-    if separated:
-        return "unknown", None, f"numeric phase separated at gap {gap:.2e}"
-    rounded = _round(family, x[free])
-    if rounded is None and converged:
-        x = alternating_projection(numeric, max_sweeps=max_sweeps, tol=tol, start=x, floor=_FLOOR)[0]
-        rounded = _round(family, x[free])
+    try:
+        with np.errstate(over="raise"):
+            numeric = family.numeric()
+            x, gap, converged, separated = alternating_projection(numeric)
+            if separated:
+                return "unknown", None, f"numeric phase separated at gap {gap:.2e}"
+            rounded = _round(family, x[free])
+            if rounded is None and converged:
+                x = alternating_projection(numeric, start=x, floor=_FLOOR)[0]
+                rounded = _round(family, x[free])
+    except (OverflowError, FloatingPointError):
+        return "unknown", None, "a coefficient of the Gram system exceeds the float range"
     if rounded is not None:
         return "found", *rounded
     if not converged:

@@ -347,13 +347,18 @@ def test_lasserre_bound_without_bracket_is_unknown():
     assert code == 3 and json.loads(out) == {"exit": 3, "status": "unknown"}
 
 
-def test_searches_beyond_float_range_are_unknown():
+def test_searches_beyond_float_range_are_unknown(capsys):
     """A Gram system whose coefficients floats cannot hold has no numeric
-    phase: the search ends unknown instead of in an internal error, and a
-    bisection that finds no certificate at any level has no bracket."""
+    phase, and one whose iterates overflow stops it: either search ends
+    unknown, with nothing on stderr, instead of in an internal error or a
+    stall at an overflowed gap; a bisection that finds no certificate at any
+    level has no bracket."""
     big = "1" + "0" * 400
     detail = "a coefficient of the Gram system exceeds the float range"
     assert run(["sos", "find", "--poly", f"x^4 + {big}*x^2*y^2 + y^4 + 1"]) == (3, f"unknown\n{detail}")
+    large = "1" + "0" * 300  # a float, but its products are not
+    assert run(["sos", "find", "--poly", f"x^4 + {large}*x^2*y^2 + y^4 + 1"]) == (3, f"unknown\n{detail}")
+    assert capsys.readouterr().err == ""
     argv = ["lasserre", "bound", "--poly", f"x^2 + {big}", "-g", "1 - x^2", "-d", "2"]
     assert run(argv) == (3, "unknown (no initial bracket found)")
     assert run(["lasserre", "build", "-d", "2", "-g", f"x - {big}"])[0] == 2
