@@ -3,8 +3,10 @@
 A degree-d relaxation replaces every monomial of degree at most d by a
 moment variable y_alpha (y_0 pinned to 1) and demands that the moment block
 and one localizing block per constraint be positive semidefinite.  The
-module also searches and verifies exact weighted-SOS membership certificates
-for the degree-d truncated module sum_i sigma_i g_i (the search runs on the
+blocks read their entries off :func:`ratsos.sos.incidence`, the map whose
+rows are the Gram system of the certificates below.  The module also
+searches and verifies exact weighted-SOS membership certificates for the
+degree-d truncated module sum_i sigma_i g_i (the search runs on the
 Gram-system core of :mod:`ratsos.sos`, one block per kept generator,
 restricted exactly to the face its forced zeros define) and computes
 certified lower bounds by bisection on those exact searches: a level counts
@@ -22,7 +24,9 @@ from .quadforms import SosCert, SymMat, weighted_square_decomposition
 from .sos import (
     GramInfeasibleError,
     VerifyResult,
+    _slots,
     gram_system,
+    incidence,
     json_field,
     restrict_to_face,
     search_family,
@@ -37,22 +41,8 @@ def monomials_upto(nvars: int, degree: int) -> list[tuple[int, ...]]:
         return []
     out = [()]
     for _ in range(nvars):
-        out = [t + (k,) for t in out for k in range(degree + 1)]
-    return sorted((t for t in out if sum(t) <= degree), key=_grlex_key)
-
-
-@dataclass
-class MomentExpr:
-    """Affine expression const + sum coeffs[k] * y_k in the moment variables."""
-
-    const: Fraction
-    coeffs: dict[int, Fraction]
-
-    def evaluate(self, y: list[Fraction]) -> Fraction:
-        total = self.const
-        for k, c in self.coeffs.items():
-            total += c * y[k - 1]
-        return total
+        out = [t + (k,) for t in out for k in range(degree - sum(t) + 1)]
+    return sorted(out, key=_grlex_key)
 
 
 @dataclass
@@ -62,7 +52,7 @@ class Block:
     generator_index: int  # 0 for the moment block, 1-based into gs otherwise
     generator: MPoly
     basis: list[tuple[int, ...]]
-    entries: list[list[MomentExpr]]
+    entries: list[dict[int, Fraction]]  # upper triangle, row by row: {moment index: g_delta}, y_0 = 1
 
     @property
     def size(self) -> int:
@@ -110,36 +100,24 @@ def build_relaxation(gs, degree: int, nvars: int) -> LasserreRelaxation:
     monomials = monomials_upto(nvars, degree)
     index = {alpha: k for k, alpha in enumerate(monomials)}
     rel = LasserreRelaxation(nvars, degree, gs, monomials)
-    for gen_index, g, r in _kept_generators(gs, degree, nvars):
-        basis = monomials_upto(nvars, r)
-        entries = []
-        for beta in basis:
-            row = []
-            for gamma in basis:
-                const = Fraction(0)
-                coeffs: dict[int, Fraction] = {}
-                for delta, c in g.terms.items():
-                    alpha = tuple(b + cc + dd for b, cc, dd in zip(beta, gamma, delta))
-                    k = index[alpha]
-                    if k == 0:
-                        const += c
-                    else:
-                        coeffs[k] = coeffs.get(k, Fraction(0)) + c
-                row.append(MomentExpr(const, coeffs))
-            entries.append(row)
-        rel.blocks.append(Block(gen_index, g, basis, entries))
+    kept = _kept_generators(gs, degree, nvars)
+    bases = [monomials_upto(nvars, r) for _, _, r in kept]
+    entries = [{} for _ in _slots(bases)]
+    for u, gamma, c in incidence(bases, [g for _, g, _ in kept]):
+        entries[u][index[gamma]] = c
+    for (gen_index, g, _), basis in zip(kept, bases):
+        n = len(basis) * (len(basis) + 1) // 2
+        rel.blocks.append(Block(gen_index, g, basis, entries[:n]))
+        entries = entries[n:]
     return rel
 
 
 def blocks_at_point(rel: LasserreRelaxation, point) -> list[SymMat]:
     """Instantiate every block with the moment vector y_alpha = point^alpha."""
     point = [rat(x) for x in point]
-    y = [MPoly.monomial(alpha).eval(point) for alpha in rel.monomials[1:]]
-    out = []
-    for block in rel.blocks:
-        rows = [[e.evaluate(y) for e in row] for row in block.entries]
-        out.append(SymMat.from_rows(rows))
-    return out
+    y = [MPoly.monomial(alpha).eval(point) for alpha in rel.monomials]
+    return [SymMat(block.size, [sum(c * y[k] for k, c in entry.items()) for entry in block.entries])
+            for block in rel.blocks]
 
 
 # --- SDPA sparse output ----------------------------------------------------
@@ -178,14 +156,9 @@ def emit_sdpa(rel: LasserreRelaxation, objective: MPoly) -> str:
     lines.append(" ".join(_sdpa_value(c) for c in cvec))
     entry_lines: list[list] = []
     for bno, block in enumerate(rel.blocks, start=1):
-        for i in range(block.size):
-            for j in range(i, block.size):
-                expr = block.entries[i][j]
-                if expr.const != 0:
-                    entry_lines.append([0, bno, i + 1, j + 1, -expr.const])
-                for k, c in expr.coeffs.items():
-                    if c != 0:
-                        entry_lines.append([k, bno, i + 1, j + 1, c])
+        for (_, i, j), entry in zip(_slots([block.basis]), block.entries):
+            for k, c in entry.items():
+                entry_lines.append([k, bno, i + 1, j + 1, -c if k == 0 else c])
     entry_lines.sort(key=lambda e: e[:4])
     for matno, bno, i, j, v in entry_lines:
         lines.append(f"{matno} {bno} {i} {j} {_sdpa_value(v)}")

@@ -1,16 +1,17 @@
-"""Floating-point helpers for the certificate search: projection onto
-{X >= floor * I} (the psd cone at floor 0) by LAPACK ``eigh``, batched over
-stacked blocks of one size, and alternating projections between an affine
-family of symmetric block matrices, kept as {X : A X = b} with one row per
-equation, and the product of those sets.  The affine projection is
+"""Floating-point helpers for the certificate search: projection onto the psd
+cone by LAPACK ``eigh``, batched over stacked blocks of one size, and
+alternating projections between an affine family of symmetric block
+matrices, kept as {X : A X = b} with one row per equation, and the product
+of those sets.  The affine projection is
 y + A^T (A A^T)^-1 (b - A y), A A^T factored once (Henrion-Malick 2011).
 
 When the two sets do not meet, the iterates approach their minimal
 displacement, a separating functional (Bauschke-Borwein 1993), and a run
-stops as soon as its own iterates bound the trace of every member of the
-affine set that lies in {X >= floor * I} from below by a huge multiple of the
-current scale.  That bound is a float stopping rule, not a claim: it only
-ends a run early, as not converged.
+stops as soon as its own iterates bound the trace of every psd member of the
+affine set from below by a huge multiple of the current scale.  That bound is
+a float stopping rule, not a claim: it only ends a run early, as not
+converged.  The kernel keeps no rounding policy: where a point is moved
+toward the interior before it is rounded is the caller's choice.
 
 ``jacobi_eigh`` is a pure-Python cyclic Jacobi eigensolver kept as a
 reference; the search itself does not call it.
@@ -23,12 +24,8 @@ from __future__ import annotations
 
 import numpy as np
 
-#: size of the step toward the identity that a converged point is nudged by
-_NUDGE = 1e-6
-
-#: a run stops as separated once every member X >= floor * I of the affine set
-#: has tr(X - floor * I) above this multiple of 1 + tr y, tested every
-#: _SEPARATION_EVERY sweeps
+#: a run stops as separated once every psd member X of the affine set has
+#: tr X above this multiple of 1 + tr y, tested every _SEPARATION_EVERY sweeps
 _SEPARATION, _SEPARATION_EVERY = 1e6, 8
 
 
@@ -69,17 +66,17 @@ def jacobi_eigh(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 64):
     return np.diag(a).copy(), v
 
 
-def project_psd(a: np.ndarray, floor: float = 0.0) -> np.ndarray:
-    """Nearest X >= floor * I in Frobenius norm (floor 0: the psd cone): raise low eigenvalues.
+def project_psd(a: np.ndarray) -> np.ndarray:
+    """Nearest psd matrix in Frobenius norm: clip negative eigenvalues to 0.
 
     ``a`` is one symmetric (s, s) matrix or a stack (k, s, s) of them,
     projected matrix by matrix.  ``eigh`` reads only the lower triangle, and
     the output is symmetric up to rounding.
     """
     if a.shape[-1] == 1:
-        return np.maximum(a, floor)
+        return np.maximum(a, 0.0)
     w, v = np.linalg.eigh(a)
-    return (v * np.maximum(w, floor)[..., None, :]) @ v.swapaxes(-1, -2)
+    return (v * np.maximum(w, 0.0)[..., None, :]) @ v.swapaxes(-1, -2)
 
 
 class AffineFamily:
@@ -105,11 +102,11 @@ class AffineFamily:
         """Orthogonal projection of y onto the affine set: y + A^T (A A^T)^-1 (b - A y)."""
         return y + (self.gram_inv @ (self.b - self.a @ y)) @ self.a
 
-    def project_psd_cone(self, y: np.ndarray, floor: float = 0.0) -> np.ndarray:
-        """Block by block onto {X >= floor * I}, one batched projection per distinct size."""
+    def project_psd_cone(self, y: np.ndarray) -> np.ndarray:
+        """Block by block onto the psd cone, one batched projection per distinct size."""
         out = np.empty_like(y)
         for s, idx in self.groups:
-            out[idx] = project_psd(y[idx].reshape(-1, s, s), floor).reshape(idx.shape)
+            out[idx] = project_psd(y[idx].reshape(-1, s, s)).reshape(idx.shape)
         return out
 
     def eye_vector(self) -> np.ndarray:
@@ -119,30 +116,26 @@ class AffineFamily:
         return out
 
 
-def alternating_projection(family: AffineFamily, max_sweeps: int = 3000, tol: float = 1e-8,
-                           start=None, floor: float = 0.0):
-    """Alternate projections onto {X >= floor * I} and the affine set, from its point ``start``.
+def alternating_projection(family: AffineFamily, max_sweeps: int = 3000, tol: float = 1e-8):
+    """Alternate projections onto the psd cone and the affine set, from ``family.particular``.
 
-    Returns (x, gap, converged, separated): x is the last affine point (the
-    run starts at ``family.particular`` by default), gap the final distance
-    between the two projections.  The defaults are the one budget every
-    certificate search runs at.  A converged x is returned as the affine
-    projection of x + _NUDGE * I, a step off the psd boundary so that it
-    rounds more often; the exact check of the caller judges the rounding.
+    Returns (x, gap, converged, separated): x is the last affine point, gap
+    the final distance between the two projections.  The defaults are the
+    one budget every certificate search runs at.
 
     ``separated`` reports a run ended early by the separation bound.  With
-    y = P(x_k) onto {X >= floor * I}, x_{k+1} the affine projection of y,
+    y = P(x_k) onto the psd cone, x_{k+1} the affine projection of y,
     r = y - x_{k+1} and step = x_{k+1} - x_k: y - x_k is psd, so
     lambda_min(r) >= -|step|, and r is normal to the affine set, so every
-    member X >= floor * I has tr(X - floor * I) >= (floor tr r - <r, x_{k+1}>) / |step|.
-    The run stops once that exceeds _SEPARATION * (1 + tr y).  This is a
-    float stopping rule, not a certificate of infeasibility.
+    psd member X has tr X >= -<r, x_{k+1}> / |step|.  The run stops once
+    that exceeds _SEPARATION * (1 + tr y).  This is a float stopping rule,
+    not a certificate of infeasibility.
     """
-    x = family.particular if start is None else start
+    x = family.particular
     eye = family.eye_vector()
     gap, separated = np.inf, False
     for sweep in range(1, max_sweeps + 1):
-        y = family.project_psd_cone(x, floor)
+        y = family.project_psd_cone(x)
         x_prev = x
         x = family.project(y)
         r = y - x
@@ -150,11 +143,8 @@ def alternating_projection(family: AffineFamily, max_sweeps: int = 3000, tol: fl
         if gap < tol:
             break
         if sweep % _SEPARATION_EVERY == 0:
-            lower = floor * (eye @ r) - r @ x
+            lower = -(r @ x)
             separated = bool(lower > _SEPARATION * (1.0 + eye @ y) * np.linalg.norm(x - x_prev))
             if separated:
                 break
-    converged = gap < tol
-    if converged:
-        x = family.project(x + _NUDGE * eye)
-    return x, gap, converged, separated
+    return x, gap, gap < tol, separated

@@ -33,6 +33,9 @@ from .quadforms import SosCert, SymMat, gram_product, is_psd
 #: continued-fraction rounding bounds tried during rationalization
 DENOMINATOR_LADDER = [10**k for k in range(1, 9)]
 
+#: size of the step toward the identity that a converged point is nudged by
+_NUDGE = 1e-6
+
 #: least eigenvalue a converged point the ladder cannot round is pushed to
 _FLOOR = 1e-3
 
@@ -107,6 +110,21 @@ def _slots(bases) -> list[tuple[int, int, int]]:
     return [(k, i, j) for k, b in enumerate(bases) for i in range(len(b)) for j in range(i, len(b))]
 
 
+def incidence(bases, generators):
+    """The localizing map, as (unknown u, gamma, g_delta) triples.
+
+    Unknown u is entry (i, j), i <= j, of block k in :func:`_slots` order; it
+    meets the monomial x^gamma, gamma = b_i + b_j + delta with b = bases[k],
+    once for each term g_delta x^delta of generators[k].  The Gram system
+    reads this map row by row (one equation per gamma), and the localizing
+    blocks of :mod:`ratsos.lasserre` read it column by column (one entry per u).
+    Distinct terms of one generator give one unknown distinct gammas.
+    """
+    for u, (k, i, j) in enumerate(_slots(bases)):
+        for delta, c in generators[k].terms.items():
+            yield u, tuple(a + b + e for a, b, e in zip(bases[k][i], bases[k][j], delta)), c
+
+
 def gram_system(f: MPoly, bases, generators) -> GramFamily:
     """All blocks G_k with sum_k g_k * (v_k^T G_k v_k) = f, one per generator g_k.
 
@@ -123,10 +141,9 @@ def gram_system(f: MPoly, bases, generators) -> GramFamily:
     slots = _slots(bases)
     # gamma -> {unknown: multiplier}, unknowns in increasing order
     classes: dict[tuple, dict] = {}
-    for u, (k, i, j) in enumerate(slots):
-        for delta, c in generators[k].terms.items():
-            gamma = tuple(a + b + e for a, b, e in zip(bases[k][i], bases[k][j], delta))
-            classes.setdefault(gamma, {})[u] = c if i == j else 2 * c
+    for u, gamma, c in incidence(bases, generators):
+        _, i, j = slots[u]
+        classes.setdefault(gamma, {})[u] = c if i == j else 2 * c
     missing = [g for g in f.terms if g not in classes]
     if missing:
         raise GramInfeasibleError(
@@ -193,10 +210,12 @@ def search_family(family: GramFamily):
     Callers pass the face of :func:`restrict_to_face`.  A negative forced
     diagonal proves infeasibility, and a family with one member is decided by
     that member.  Otherwise alternating projections, at the one budget of
-    :func:`~ratsos.numeric.alternating_projection`, propose a point, whose
-    free unknowns are rounded down the denominator ladder; a converged point
-    it cannot round is pushed off the psd boundary to {X >= _FLOOR * I} by a
-    second run at the same budget, and the ladder runs once more.  A member
+    :func:`~ratsos.numeric.alternating_projection`, propose a point.  A
+    converged one is nudged off the psd boundary, to the affine projection of
+    x + _NUDGE * I, and its free unknowns are rounded down the denominator
+    ladder; if none rounds, a second run at the same budget on the family
+    shifted by -_FLOOR * I from that point pushes it to {X >= _FLOOR * I}
+    (max(w - e, 0) + e = max(w, e)), and the ladder runs once more.  A member
     is accepted only when every block passes the exact psd test.  A run that
     separated (a float stopping rule) is not rounded, and neither is a family
     whose coefficients or iterates floats cannot hold: both end ``unknown``,
@@ -214,13 +233,16 @@ def search_family(family: GramFamily):
     try:
         with np.errstate(over="raise"):
             numeric = family.numeric()
+            eye = numeric.eye_vector()
             x, gap, converged, separated = alternating_projection(numeric)
             if separated:
                 return "unknown", None, f"numeric phase separated at gap {gap:.2e}"
+            if converged:
+                x = numeric.project(x + _NUDGE * eye)
             rounded = _round(family, x[free])
             if rounded is None and converged:
-                x = alternating_projection(numeric, start=x, floor=_FLOOR)[0]
-                rounded = _round(family, x[free])
+                x = alternating_projection(AffineFamily(x - _FLOOR * eye, numeric.a, numeric.sizes))[0]
+                rounded = _round(family, (x + _FLOOR * eye)[free])
     except (OverflowError, FloatingPointError):
         return "unknown", None, "a coefficient of the Gram system exceeds the float range"
     if rounded is not None:

@@ -1,5 +1,7 @@
+import random
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +20,7 @@ from ratsos.lasserre import (
     verify_module_membership,
 )
 from ratsos.poly import MPoly, parse_poly
-from ratsos.quadforms import SosCert, is_psd
+from ratsos.quadforms import SosCert, SymMat, is_psd
 
 G1 = parse_poly("1 - x + y", 2)
 G2 = parse_poly("1 - x^4 - y^4", 2)
@@ -98,6 +100,38 @@ def test_emit_sdpa_localizing_block_hand_encoded():
         (9, 2, 3, 3): 1.0,
     }
     assert block2 == expected
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+#: (constraints, degree, nvars, objective, golden file): the README system and
+#: a 3-variable system with a rational coefficient
+SDPA_GOLDENS = [
+    (["1 - x + y", "1 - x^4 - y^4"], 4, 2, "x", "readme_system.dat-s"),
+    (["1-x^2-y^2-z^2", "x*y-1/3*z", "x^3-2"], 5, 3, "x*y*z-z^4", "rational_3var.dat-s"),
+]
+
+
+@pytest.mark.parametrize("gs, d, n, objective, golden", SDPA_GOLDENS)
+def test_emit_sdpa_full_text_golden(gs, d, n, objective, golden):
+    rel = build_relaxation([parse_poly(g, n) for g in gs], d, n)
+    text = emit_sdpa(rel, parse_poly(objective, n))
+    assert text == (DATA / golden).read_text()
+
+
+@pytest.mark.parametrize("gs, d, n", [(gs, d, n) for gs, d, n, _, _ in SDPA_GOLDENS])
+def test_blocks_at_point_match_their_definition(gs, d, n):
+    # block k at y_alpha = p^alpha is g_k(p) * v_k(p) v_k(p)^T, v_k the basis at p
+    rel = build_relaxation([parse_poly(g, n) for g in gs], d, n)
+    rng = random.Random(f"blocks:{n}")
+    for _ in range(5):
+        p = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(n)]
+        blocks = blocks_at_point(rel, p)
+        assert len(blocks) == len(rel.blocks)
+        for block, got in zip(rel.blocks, blocks):
+            v = [MPoly.monomial(b).eval(p) for b in block.basis]
+            gp = block.generator.eval(p)
+            assert got == SymMat.from_rows([[gp * a * b for b in v] for a in v])
 
 
 def test_sdpa_structural_round_trip():

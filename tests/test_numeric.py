@@ -131,12 +131,13 @@ def test_feasible_family_without_interior_runs_as_before():
 
 
 def test_separation_under_the_floor():
-    # {[[1, t], [t, 0]]} has the psd member t = 0 but none with X >= 1e-3 * I
+    # {[[1, t], [t, 0]]} has the psd member t = 0 but none with X >= 1e-3 * I,
+    # so its shift by -1e-3 * I has no psd member
     family = _pencil([1, 0, 0, 0], [0, 1, 1, 0])
     _, _, converged, separated = alternating_projection(family, max_sweeps=5000)
     assert converged and not separated
-    family = _pencil([1, 0, 0, 0], [0, 1, 1, 0])
-    _, gap, converged, separated = alternating_projection(family, max_sweeps=5000, floor=1e-3)
+    family = _pencil([1 - 1e-3, 0, 0, -1e-3], [0, 1, 1, 0])
+    _, gap, converged, separated = alternating_projection(family, max_sweeps=5000)
     assert separated and not converged and abs(gap - 1e-3) < 1e-12
     assert family.calls <= 40
 
