@@ -268,6 +268,8 @@ def cmd_lasserre_bound(args):
 
 
 def cmd_batch(args):
+    if args.in_batch:
+        raise ValueError("batch files do not nest")
     with open(args.file) as fh:
         commands = [ln for ln in map(str.strip, fh) if ln and not ln.startswith("#")]
     lines, payload = [], []
@@ -277,7 +279,7 @@ def cmd_batch(args):
         except ValueError as exc:  # an unbalanced quote fails this line only
             code, out = _input_error(False, str(exc))
         else:
-            code, out = run(argv)
+            code, out = run(argv, in_batch=True)
         lines += [f"[{k}] {ln}" for ln in out.splitlines()]
         payload.append({"index": k, "exit": code, "output": out})
     return max((r["exit"] for r in payload), default=OK), lines, {"results": payload}
@@ -404,11 +406,15 @@ def _input_error(as_json: bool, message: str) -> tuple[int, str]:
     return INPUT_ERROR, f"error: {message}"
 
 
-def run(argv) -> tuple[int, str]:
-    """Execute one command line; returns (exit code, stdout payload)."""
+def run(argv, *, in_batch: bool = False) -> tuple[int, str]:
+    """Execute one command line; returns (exit code, stdout payload).
+
+    ``in_batch`` marks a line of a batch file, where a ``batch`` command is
+    an input error.
+    """
     # argparse fills this namespace as it reads, so a --json given before an
     # argument error is already set when the error is raised
-    args = argparse.Namespace()
+    args = argparse.Namespace(in_batch=in_batch)
     try:
         build_parser().parse_args(argv, namespace=args)
     except _ParseExit as exc:

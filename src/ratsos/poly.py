@@ -8,6 +8,8 @@ vectors to nonzero rational coefficients.  All arithmetic is exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import add
 
 #: Degree of the zero polynomial.  Compares smaller than every integer.
 NEG_INF = float("-inf")
@@ -229,6 +231,14 @@ class MPoly:
         self.terms = clean
 
     @classmethod
+    def _normal(cls, nvars: int, terms: dict) -> "MPoly":
+        """Wrap terms already in normal form (int tuples of length nvars -> nonzero Fractions)."""
+        f = cls.__new__(cls)
+        f.nvars = nvars
+        f.terms = terms
+        return f
+
+    @classmethod
     def zero(cls, nvars: int) -> "MPoly":
         return cls(nvars, {})
 
@@ -305,18 +315,27 @@ class MPoly:
         return self._coerce(other) - self
 
     def __mul__(self, other) -> "MPoly":
+        """Exact product with a polynomial or a rational scalar.
+
+        Two polynomials are multiplied fraction-free: each operand is scaled to
+        integers over the lcm of its coefficient denominators, the integer
+        products are summed per exponent vector, and one ``Fraction`` is built
+        per nonzero term of the result, over the product of the two lcms.
+        """
         if isinstance(other, (int, Fraction)):
             return MPoly(self.nvars, {a: c * other for a, c in self.terms.items()})
         if not isinstance(other, MPoly):
             return NotImplemented
         if other.nvars != self.nvars:
             raise ValueError("mixed variable counts")
-        terms: dict = {}
-        for a, ca in self.terms.items():
-            for b, cb in other.terms.items():
-                key = tuple(x + y for x, y in zip(a, b))
-                terms[key] = terms.get(key, Fraction(0)) + ca * cb
-        return MPoly(self.nvars, terms)
+        (da, xs), (db, ys) = _integer_terms(self), _integer_terms(other)
+        acc: dict = {}
+        for a, ca in xs:
+            for b, cb in ys:
+                key = tuple(map(add, a, b))
+                acc[key] = acc.get(key, 0) + ca * cb
+        den = da * db
+        return MPoly._normal(self.nvars, {key: Fraction(c, den) for key, c in acc.items() if c})
 
     __rmul__ = __mul__
 
@@ -405,6 +424,12 @@ class MPoly:
 
     def __repr__(self) -> str:
         return f"MPoly({self.nvars}, {self.terms!r})"
+
+
+def _integer_terms(f: MPoly) -> tuple[int, list]:
+    """(L, [(alpha, L * c)]) for the lcm L of the coefficient denominators of f."""
+    scale = lcm(*(c.denominator for c in f.terms.values()))
+    return scale, [(a, c.numerator * (scale // c.denominator)) for a, c in f.terms.items()]
 
 
 def _grlex_key(alpha):

@@ -4,7 +4,10 @@ The workhorse is the Hankel matrix of traces H(f, g), entry (i, j) equal to
 tr(g(C_f) C_f^(i+j)) for the companion matrix C_f of f and computed from the
 Newton power sums of the roots of f: its signature counts real roots of f
 weighted by the sign of g, its rank counts distinct complex roots with g
-nonzero.  Sign-change counting supplies Descartes bounds and, for real-rooted
+nonzero.  The power sums are computed fraction-free: f is scaled to the
+integer polynomial L^d f(X/L), L the lcm of its coefficient denominators,
+Newton's identities run on integers, and only one ``Fraction`` is built per
+trace.  Sign-change counting supplies Descartes bounds and, for real-rooted
 polynomials, exact positive root counts, which together yield a decision
 procedure for strict univariate sign conditions.
 """
@@ -14,8 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
-from .arith import Mat
+from .arith import Mat, _integer_rows
 from .poly import UPoly, sign_changes  # noqa: F401  (sign_changes is part of this API)
 from .quadforms import SymMat, inertia, signature
 
@@ -53,6 +57,12 @@ def hermite_form(f: UPoly, g: UPoly | None = None) -> HermiteData:
     The trace of g(C_f) C_f^k depends only on the power sums p_m = tr(C_f^m)
     of the roots of f: with g reduced mod f to sum_j g_j X^j it equals
     sum_j g_j p_(j+k).  No matrix is formed; the cost is O(d^2).
+
+    The power sums are run on integers.  With L the lcm of the coefficient
+    denominators of f, f_L(X) = L^d f(X/L) has the integer coefficients
+    A_i = a_i L^(d-i) and the power sums P_m = L^m p_m.  Writing g mod f as
+    sum_j G_j X^j / D with integers G_j and J = max j, trace k is
+    (sum_j G_j P_(j+k) L^(J-j)) / (D L^(J+k)): one ``Fraction`` per trace.
     """
     if g is None:
         g = UPoly.one()
@@ -60,17 +70,24 @@ def hermite_form(f: UPoly, g: UPoly | None = None) -> HermiteData:
         raise ValueError("the Hankel trace form needs degree at least 1")
     if not f.is_monic():
         raise ValueError("the Hankel trace form requires a monic polynomial")
-    a, d = f.coeffs, f.degree()
-    # Newton's identities for p_1..p_(3d-3), the first term only while m <= d:
-    # p_m = -m a_(d-m) - sum_(i=1..min(m-1, d)) a_(d-i) p_(m-i)
-    p = [Fraction(d)]
+    d = f.degree()
+    (g_num,), (den,) = _integer_rows([(g % f).coeffs])
+    top = max(len(g_num) - 1, 0)
+    scale = lcm(*(c.denominator for c in f.coeffs))
+    powers = [scale**e for e in range(top + 2 * d)]
+    a = [c.numerator * (powers[d - i] // c.denominator) for i, c in enumerate(f.coeffs)]
+    # Newton's identities for P_1..P_(3d-3), the first term only while m <= d:
+    # P_m = -m A_(d-m) - sum_(i=1..min(m-1, d)) A_(d-i) P_(m-i)
+    p = [d]
     for m in range(1, 3 * d - 2):
-        s = m * a[d - m] if m <= d else Fraction(0)
+        s = m * a[d - m] if m <= d else 0
         for i in range(1, min(m - 1, d) + 1):
             s += a[d - i] * p[m - i]
         p.append(-s)
-    g_red = (g % f).coeffs
-    traces = tuple(sum((c * p[j + k] for j, c in enumerate(g_red)), Fraction(0)) for k in range(2 * d - 1))
+    traces = tuple(
+        Fraction(sum(c * p[j + k] * powers[top - j] for j, c in enumerate(g_num)), den * powers[top + k])
+        for k in range(2 * d - 1)
+    )
     upper = [traces[i + j] for i in range(d) for j in range(i, d)]
     return HermiteData(f, g, SymMat(d, upper), traces)
 

@@ -485,6 +485,27 @@ def test_batch_survives_bad_argument_lines(tmp_path, capsys):
     assert capsys.readouterr() == ("", "")
 
 
+def test_batch_files_do_not_nest(tmp_path, capsys):
+    """A batch line that runs a batch file, here the file itself, fails on its
+    own line with exit 2; the other lines still run."""
+    batch = tmp_path / "cmds.txt"
+    batch.write_text(
+        'count-roots --poly "x^3 - x"\n'
+        f"batch {batch}\n"
+        f"--json batch {batch}\n"
+        'descartes --poly "x^2 - 3*x + 2"\n'
+    )
+    code, out = run(["batch", str(batch)])
+    assert code == 2
+    assert out.splitlines() == [
+        "[0] real=3 complex_distinct=3",
+        "[1] error: batch files do not nest",
+        '[2] {"error": "batch files do not nest"}',
+        "[3] sign_changes=2 max_positive_roots=2 parity=even",
+    ]
+    assert capsys.readouterr() == ("", "")
+
+
 WRONG_TARGET = "internal error: family member does not reproduce the target"
 
 

@@ -157,6 +157,42 @@ def test_ring_laws():
         assert f * (g + h) == f * g + f * h
 
 
+def test_mpoly_product_against_evaluation():
+    """(p*q)(x) = p(x)*q(x) at random rational points, and the product is in
+    normal form: int exponent tuples of length nvars, nonzero Fraction values."""
+    rng = random.Random(31)
+
+    def scaled(f):  # rand_mpoly with mixed denominators
+        return MPoly(f.nvars, {a: c / rng.choice([1, 2, 3, 7, 10**6]) for a, c in f.terms.items()})
+
+    cases = [
+        (parse_poly("1/2*x", 2), parse_poly("2*y", 2)),
+        (parse_poly("x + y", 2), parse_poly("x - y", 2)),
+        (parse_poly("1/3*x^2 - 3/5*x*y + 1/7", 2), parse_poly("x^2 + 9/5*x*y - 3/7", 2)),
+        (MPoly.zero(3), parse_poly("x - 1/2*z", 3)),
+        (parse_poly("x - 1/2*z", 3), MPoly.zero(3)),
+    ]
+    for _ in range(20):
+        nvars = rng.randint(1, 4)
+        cases.append((scaled(rand_mpoly(rng, nvars)), scaled(rand_mpoly(rng, nvars))))
+    for p, q in cases:
+        pq = p * q
+        assert pq.nvars == p.nvars
+        for alpha, c in pq.terms.items():
+            assert type(alpha) is tuple and len(alpha) == p.nvars
+            assert all(type(e) is int for e in alpha)
+            assert type(c) is Fraction and c != 0
+        for _ in range(4):
+            x = [rand_frac(rng, max_den=9) for _ in range(p.nvars)]
+            assert pq.eval(x) == p.eval(x) * q.eval(x)
+        same = parse_poly(poly_text(pq), p.nvars)
+        assert pq == same and hash(pq) == hash(same)
+    assert parse_poly("x + y", 2) * parse_poly("x - y", 2) == parse_poly("x^2 - y^2", 2)
+    assert (MPoly.zero(2) * parse_poly("x", 2)).terms == {}
+    with pytest.raises(ValueError):
+        parse_poly("x", 1) * parse_poly("x + y", 2)
+
+
 def test_degree_conventions():
     rng = random.Random(17)
     assert MPoly.zero(2).degree() == NEG_INF

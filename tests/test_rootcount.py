@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -128,6 +129,29 @@ def test_power_sums_match_known_roots():
         p = [sum(Fraction(r) ** m for r in roots) for m in range(3 * d - 2)]
         assert hermite_form(f).traces == tuple(p[: 2 * d - 1])
         assert hermite_form(f, X ** (d - 1)).traces == tuple(p[d - 1 :])
+
+
+def test_traces_and_counts_at_degree_24_with_large_coprime_denominators():
+    # three roots over the pairwise coprime denominators 10^6, 7^5 and 11^3,
+    # so that L^(3d), L the lcm of the denominators of f, has thousands of bits
+    dens = [10**6, 7**5, 11**3]
+    rng = random.Random(103)
+    large = [Fraction(rng.randint(-9 * q, 9 * q) | 1, q) for q in dens]
+    roots = sorted(large + [Fraction(n, 2) for n in rng.sample(range(-9, 10), 6)])
+    quads = rng.sample([(Fraction(a), Fraction(b)) for a in range(-3, 4) for b in range(1, 4)], 6)
+    f = upoly_from_roots(roots + roots[:3])
+    for a, b in quads:
+        f = f * UPoly([a * a + b * b, -2 * a, Fraction(1)])
+    assert f.is_monic() and f.degree() == 24 and len(set(roots)) == 9
+    scale = math.lcm(*(c.denominator for c in f.coeffs))
+    assert scale % math.prod(dens) == 0 and (scale ** (3 * 24)).bit_length() > 4000
+    g = UPoly([Fraction(rng.randint(-99, 99), rng.choice(dens + [13])) for _ in range(30)] + [Fraction(5, 11**3)])
+    for h in (UPoly.one(), g):
+        assert hermite_form(f, h).traces == companion_traces(f, h)
+    g1 = upoly_from_roots([large[1]])  # positive right of the root over 7^5
+    expected = sum(1 for r in roots if r > large[1])
+    assert 0 < expected < len(roots)
+    assert count_real_with_signs(f, [g1]) == expected
 
 
 def test_hermite_three_real_roots():
