@@ -6,9 +6,10 @@ an integer minor of the input so each division by the previous pivot is
 exact.  ``_echelon`` applies it at every pivot of denominator-cleared rows
 and returns the reduced echelon form, whose pivot entries all equal the last
 pivot.  Determinants (that last pivot), span checks (its pivot columns), and
-span coordinates, linear solutions and nullspaces (one integer entry over the
-last pivot each, read out by ``_reduced``) need no back-substitution.
-``quadforms.diagonalize`` runs its congruence on the same step.
+linear solutions and nullspaces (one integer entry over the last pivot each,
+read out by ``_reduced``) need no back-substitution.  ``conic`` reads its
+tableau off ``_reduced`` and pivots it with the same step, and
+``quadforms.diagonalize`` runs its congruence on it.
 Characteristic polynomials use Berkowitz's division-free algorithm on a
 denominator-cleared integer copy.  Everything is exact.
 """
@@ -247,18 +248,6 @@ def _reduced(rows):
 def pivot_columns(m: Mat) -> list[int]:
     """Indices of the columns of M not in the span of the columns before them."""
     return _echelon(_integer_rows(m.rows)[0])[1]
-
-
-def span_coordinates(vectors) -> tuple[list[int], list[list[Fraction]]]:
-    """The greedy span basis of the vectors and every vector's coordinates in it.
-
-    One elimination of the matrix whose columns are the vectors.  ``pivots``
-    are the indices of the vectors not in the span of the vectors before
-    them, and ``coords[k]`` holds the c with
-    sum_i c_i vectors[pivots[i]] = vectors[k] (a unit vector for a pivot).
-    """
-    pivots, rows, den = _reduced(Mat.from_columns(vectors).rows)
-    return pivots, [[Fraction(row[j], den) for row in rows] for j in range(len(vectors))]
 
 
 def solve_linear(a: Mat, b) -> list[Fraction] | None:

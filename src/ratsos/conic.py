@@ -8,12 +8,16 @@ as a nonnegative combination of a basis from E (variant A) or with a linear
 functional that is nonnegative on E and negative on x (variant B).
 ``conic_representation`` re-verifies every result before it returns it.
 
-Each question is one elimination of E with the targets appended.  Its
-reduced echelon form, integers over one common denominator, is the tableau:
-row k is the dual functional of basis element k on every column, and a pivot
-step is the elimination's own ``arith._pivot`` (:func:`_bland`, the only
-pivot loop).  Membership tests work in span(E), where a target with a pivot
-of its own is never a member.
+Each question is one elimination of E with the targets and the unit
+vectors appended (:func:`_conic`; E need not span).  Its reduced echelon
+form, integers over one common denominator, is the tableau: row k holds the
+values of the dual functional of basis element k on E and the targets, and
+the functional itself on the unit columns.  A pivot step is the
+elimination's own ``arith._pivot`` (:func:`_bland`, the only pivot loop).
+A target with a pivot of its own lies outside span(E) and is separated by
+its row, which vanishes on E.  Membership, the halved Newton lattice and
+linear nonnegativity (its two targets, -1 and f, in one call) all read
+their answers off this one elimination.
 """
 
 from __future__ import annotations
@@ -22,8 +26,9 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import mul
 
-from .arith import Mat, _dot, _pivot, _reduced, pivot_columns, rat, solve_linear, span_coordinates
+from .arith import Mat, _dot, _pivot, _reduced, pivot_columns, rat
 from .poly import MPoly, _grlex_key
 
 
@@ -42,7 +47,8 @@ class ConicCombination:
 @dataclass
 class SeparatingFunctional:
     """Variant B: functional >= 0 on E, < 0 on x; kernel_indices are a linearly
-    independent subset of E inside its kernel of size dim - 1."""
+    independent subset of E inside its kernel: dim span(E) - 1 of them, or a
+    basis of span(E) when x lies outside it."""
 
     functional: list[Fraction]
     kernel_indices: list[int]
@@ -78,6 +84,49 @@ def _bland(rows, basis, ngen: int) -> int | None:
     raise RuntimeError("pivot loop failed to terminate")
 
 
+def _conic(e, targets) -> tuple[int, list[ConicResult]]:
+    """dim span(E) and the pivot algorithm's answer for each target, from one
+    elimination of E + targets + the unit vectors (E need not span).
+
+    Each row of the reduced form, read on the unit columns, is a functional
+    whose values on E and the targets are the rest of the row.  A target
+    with an entry on a row beyond span(E) is separated by that row, which
+    vanishes on E.  Every other target runs :func:`_bland` on its own copy
+    of the span tableau (the columns of E and of the target), and the row
+    it may end on is >= 0 on E and a combination of the span rows, which
+    gives its functional.
+    """
+    m, n = len(e), len(targets[0])
+    units = [[int(i == j) for j in range(n)] for i in range(n)]
+    pivots, rows, den = _reduced(Mat.from_columns(e + targets + units).rows)
+    dim = bisect_left(pivots, m)
+    span, outside = rows[:dim], rows[dim:]
+    u = m + len(targets)
+    results = []
+    for t in range(m, u):
+        sep = next((row for row in outside if row[t]), None)
+        if sep is not None:
+            sign = -1 if sep[t] > 0 else 1
+            results.append(SeparatingFunctional([Fraction(sign * a, den) for a in sep[u:]], pivots[:dim]))
+            continue
+        tab = [row[:m] + [row[t]] for row in span]
+        basis = pivots[:dim]
+        r = _bland(tab, basis, m)
+        if r is None:
+            order = sorted(range(dim), key=basis.__getitem__)
+            results.append(ConicCombination([basis[k] for k in order],
+                                            [Fraction(tab[k][m], tab[k][basis[k]]) for k in order]))
+            continue
+        # the pivots only combine span rows, and span row k is den at column
+        # pivots[k] and 0 at the other span pivots: row r is the sum of span
+        # row k times its entry there over den, on the unit columns too
+        weights = [tab[r][p] for p in pivots[:dim]]
+        d = den * tab[r][basis[r]]
+        functional = [Fraction(sum(map(mul, weights, col)), d) for col in zip(*(row[u:] for row in span))]
+        results.append(SeparatingFunctional(functional, sorted(b for k, b in enumerate(basis) if k != r)))
+    return dim, results
+
+
 def conic_representation(vectors, x) -> ConicResult:
     """Run the pivot algorithm for x against the generating set E (input order).
 
@@ -86,9 +135,9 @@ def conic_representation(vectors, x) -> ConicResult:
     least-index basis element u with a negative coefficient and its dual
     functional; if that functional is nonnegative on all of E stop with
     variant B; otherwise swap u for the least-index element where the
-    functional is negative and repeat.  One elimination of E + [x] + the
-    unit vectors gives the tableau, so the functional is a row read on the
-    unit columns; E spans exactly when every pivot falls in E.
+    functional is negative and repeat.  The tableau is the one elimination
+    of :func:`_conic`, and E spans exactly when dim span(E) is the length
+    of x.
     """
     e = _as_vectors(vectors)
     x = [rat(v) for v in x]
@@ -99,20 +148,12 @@ def conic_representation(vectors, x) -> ConicResult:
         if any(c != 0 for c in x):
             raise SpanError("empty generating set cannot span a nonzero vector")
         return ConicCombination([], [])
-    units = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    basis, rows, _ = _reduced(Mat.from_columns(e + [x] + units).rows)
-    if basis and basis[-1] >= len(e):
+    dim, (result,) = _conic(e, [x])
+    if dim < n:
         raise SpanError("generating set does not span the ambient space")
-    r = _bland(rows, basis, len(e))
-    if r is None:
-        order = sorted(range(n), key=basis.__getitem__)
-        result = ConicCombination([basis[k] for k in order],
-                                  [Fraction(rows[k][len(e)], rows[k][basis[k]]) for k in order])
+    if isinstance(result, ConicCombination):
         _verify_combination(e, x, result)
     else:
-        kernel = sorted(b for k, b in enumerate(basis) if k != r)
-        den = rows[r][basis[r]]
-        result = SeparatingFunctional([Fraction(a, den) for a in rows[r][len(e) + 1 :]], kernel)
         _verify_functional(e, x, result, n)
     return result
 
@@ -144,24 +185,9 @@ def _verify_functional(e, x, result: SeparatingFunctional, n: int):
         raise AssertionError("variant B kernel subset is linearly dependent")
 
 
-def _cone_members(vectors, targets) -> list[bool]:
-    """Membership of each target in the conic hull of the vectors, from one
-    elimination.  A target with a coordinate on a pivot beyond the vectors
-    lies outside their span; every other runs the pivot loop on its own
-    copy of the span tableau.
-    """
-    ngen = len(vectors)
-    pivots, rows, _ = _reduced(Mat.from_columns(vectors + targets).rows)
-    dim = bisect_left(pivots, ngen)
-    span, outside = rows[:dim], rows[dim:]
-    return [not any(row[t] for row in outside)
-            and _bland([row[:ngen] + [row[t]] for row in span], pivots[:dim], ngen) is None
-            for t in range(ngen, ngen + len(targets))]
-
-
 def cone_contains(vectors, x) -> bool:
     """Membership of x in the conic hull of the vectors (no spanning needed)."""
-    return _cone_members(_as_vectors(vectors), [[rat(v) for v in x]])[0]
+    return isinstance(_conic(_as_vectors(vectors), [[rat(v) for v in x]])[1][0], ConicCombination)
 
 
 def convex_membership(points, alpha) -> bool:
@@ -190,8 +216,9 @@ def newton_halved_lattice(f: MPoly) -> list[tuple[int, ...]]:
     for i in range(1, f.nvars + 1):
         box = [t + (k,) for t in box for k in range(-(-f.degree_in(i) // 2) + 1)]
     lifted = [list(alpha) + [1] for alpha in f.support()]
-    keep = _cone_members(lifted, [[2 * a for a in alpha] + [1] for alpha in box])
-    return sorted((alpha for alpha, k in zip(box, keep) if k), key=_grlex_key)
+    _, results = _conic(lifted, [[2 * a for a in alpha] + [1] for alpha in box])
+    return sorted((alpha for alpha, r in zip(box, results) if isinstance(r, ConicCombination)),
+                  key=_grlex_key)
 
 
 @dataclass
@@ -232,21 +259,15 @@ def _affine_vec(p: MPoly) -> list[Fraction]:
     return v
 
 
-def _extend_functional(basis: list[list[Fraction]], values: list[Fraction]) -> list[Fraction]:
-    """A row vector Y with Y . b_k = values[k] for every span basis vector."""
-    y = solve_linear(Mat(basis), values)
-    if y is None:
-        raise AssertionError("functional extension system is inconsistent")
-    return y
-
-
 def linear_nns(f: MPoly, ls) -> LinearNnsResult:
     """Decide nonnegativity of an affine-linear f on {x : ls >= 0} with evidence.
 
-    First decides emptiness by the Farkas alternative (-1 in the conic hull of
-    {1, ls...}); when the set is nonempty, runs the pivot algorithm on the
-    homogenized generators to produce either nonnegative certificate
-    coefficients or a rational witness point where f is negative.
+    One :func:`_conic` run on the homogenized generators {1, ls...} with the
+    targets -1 and f.  The first decides emptiness by the Farkas alternative
+    (-1 in their conic hull); when the set is nonempty, its separating
+    functional gives a feasible point, and the second gives either
+    nonnegative certificate coefficients or a rational witness point where
+    f is negative.
     """
     ls = list(ls)
     n = f.nvars
@@ -254,58 +275,46 @@ def linear_nns(f: MPoly, ls) -> LinearNnsResult:
         raise ValueError("mixed variable counts")
     fv = _affine_vec(f)
     gens = [[Fraction(1)] + [Fraction(0)] * n] + [_affine_vec(l) for l in ls]
-
-    # one elimination of gens + [f]: f is outside span(gens) exactly when its
-    # column is a pivot, and then it is the last basis vector
-    pivots, coords = span_coordinates(gens + [fv])
-    f_outside = len(gens) in pivots
-    basis = [gens[i] for i in pivots if i < len(gens)]
-    gens_r = [c[: len(basis)] for c in coords[:-1]]
-    minus_one_r = [-c for c in gens_r[0]]  # 1 is generator 0
-    res = conic_representation(gens_r, minus_one_r)
-    if isinstance(res, ConicCombination):
-        farkas = [Fraction(0)] * len(gens)
-        for idx, c in zip(res.indices, res.coefficients):
-            farkas[idx] = c
+    _, (empty, res) = _conic(gens, [[-c for c in gens[0]], fv])
+    if isinstance(empty, ConicCombination):
+        farkas = _coefficients(empty, len(gens))
+        _verify_certificate(MPoly.constant(n, -1), ls, farkas)
         return EmptyFeasibleSet(farkas)
-    # feasible point: extend the functional, normalize its value on 1 to 1
-    psi = _extend_functional(basis, res.functional)
+    # feasible point: the functional is >= 0 on E and negative on -1
+    psi = empty.functional
     if psi[0] <= 0:
         raise AssertionError("Farkas functional must be positive on 1")
     feasible = [c / psi[0] for c in psi[1:]]
     _check_point(ls, feasible)
 
-    if f_outside:
-        # f* outside span(E): a functional vanishing on all generators and
-        # negative on f gives a recession direction from a feasible point.
-        phi = _extend_functional(basis + [fv], [Fraction(0)] * len(basis) + [Fraction(-1)])
-        return _recession_witness(f, ls, feasible, phi[1:], _dot(phi, fv))
-    res = conic_representation(gens_r, coords[-1])
     if isinstance(res, ConicCombination):
-        coeffs = [Fraction(0)] * len(gens)
-        for idx, c in zip(res.indices, res.coefficients):
-            coeffs[idx] = c
+        coeffs = _coefficients(res, len(gens))
         _verify_certificate(f, ls, coeffs)
         return LinearCertificate(coeffs)
-    y = _extend_functional(basis, res.functional)
+    # y >= 0 on E and negative on f, so y[0] = y(1) >= 0.  With y[0] > 0 it
+    # gives a point; y[0] = 0 (f outside span(E), or a recession direction)
+    # keeps every constraint from the feasible point along y and drives f
+    # down at the slope y(f) < 0.
+    y = res.functional
     if y[0] > 0:
-        point = [c / y[0] for c in y[1:]]
-        _check_point(ls, point)
-        value = f.eval(point)
-        if value >= 0:
-            raise AssertionError("witness point failed to make f negative")
-        return LinearWitness(point)
-    return _recession_witness(f, ls, feasible, y[1:], _dot(y, fv))
-
-
-def _recession_witness(f, ls, feasible, direction, slope) -> LinearWitness:
-    # slope = lf(f)(direction) < 0; moving from the feasible point along the
-    # direction keeps every constraint satisfied and drives f negative.
+        return _witness(f, ls, [c / y[0] for c in y[1:]])
+    slope = _dot(y, fv)
     if slope >= 0:
         raise AssertionError("recession direction does not decrease f")
     value = f.eval(feasible)
     lam = Fraction(0) if value < 0 else (value + 1) / (-slope)
-    point = [p + lam * d for p, d in zip(feasible, direction)]
+    return _witness(f, ls, [p + lam * d for p, d in zip(feasible, y[1:])])
+
+
+def _coefficients(res: ConicCombination, ngen: int) -> list[Fraction]:
+    """The combination's coefficient on every generator, zero off its basis."""
+    coeffs = [Fraction(0)] * ngen
+    for idx, c in zip(res.indices, res.coefficients):
+        coeffs[idx] = c
+    return coeffs
+
+
+def _witness(f, ls, point) -> LinearWitness:
     _check_point(ls, point)
     if f.eval(point) >= 0:
         raise AssertionError("witness point failed to make f negative")

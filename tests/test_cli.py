@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from ratsos import quadforms, rootcount, sos
 from ratsos.cli import run
-from ratsos.poly import MPoly
+from ratsos.poly import MPoly, parse_poly
 
 
 def test_count_roots_golden():
@@ -77,6 +77,42 @@ def test_lin_nns():
     assert code == 0 and out.startswith("certificate")
     code, out = run(["lin-nns", "--poly", "-1", "-l", "x"])
     assert code == 1 and out.startswith("witness")
+
+
+@pytest.mark.parametrize(
+    "poly, constraints, variant",
+    [
+        ("x", ["x"], "certificate"),
+        ("x + y", ["x", "y"], "certificate"),
+        ("-1", ["x"], "witness"),
+        ("x - y", ["x"], "witness"),  # the constraints do not span
+        ("x", ["x - 1", "-x"], "empty"),
+    ],
+)
+def test_lin_nns_answers_recheck(poly, constraints, variant):
+    """The --json answer re-checked exactly: a witness satisfies every
+    constraint and makes f negative; certificate and Farkas coefficients are
+    nonnegative and expand to f and to -1."""
+    argv = ["lin-nns", f"--poly={poly}"] + [f"--constraint={l}" for l in constraints]
+    code, out = run(argv)
+    assert out.startswith({"certificate": "certificate", "witness": "witness"}.get(variant, "empty-feasible-set"))
+    code, out = run(["--json"] + argv)
+    doc = json.loads(out)
+    assert doc["variant"] == variant and doc["exit"] == code
+    nvars = max(parse_poly(p).nvars for p in [poly, *constraints])
+    f = parse_poly(poly, nvars)
+    ls = [parse_poly(l, nvars) for l in constraints]
+    if variant == "witness":
+        point = [Fraction(c) for c in doc["point"]]
+        assert code == 1 and f.eval(point) < 0
+        assert all(l.eval(point) >= 0 for l in ls)
+        return
+    coeffs = [Fraction(c) for c in doc["coefficients" if variant == "certificate" else "farkas"]]
+    assert code == 0 and len(coeffs) == len(ls) + 1 and all(c >= 0 for c in coeffs)
+    acc = MPoly.constant(nvars, coeffs[0])
+    for c, l in zip(coeffs[1:], ls):
+        acc = acc + l * c
+    assert acc == (f if variant == "certificate" else MPoly.constant(nvars, -1))
 
 
 def test_newton():

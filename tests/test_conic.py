@@ -4,6 +4,7 @@ from itertools import combinations, product
 
 import pytest
 
+from ratsos import arith
 from ratsos.arith import DimensionError, Mat, pivot_columns, solve_linear
 from ratsos.conic import (
     ConicCombination,
@@ -204,9 +205,11 @@ def test_linear_nns_no_constraints():
 
 
 def test_linear_nns_random_verified():
+    """Up to 5 variables and 8 constraints, some repeated or scaled so that
+    the homogenized constraints need not span; every answer is re-checked."""
     rng = random.Random(107)
-    for _ in range(40):
-        n = rng.randint(1, 3)
+    for _ in range(80):
+        n = rng.randint(1, 5)
         def lin():
             return MPoly(
                 n,
@@ -216,7 +219,9 @@ def test_linear_nns_random_verified():
                 },
             ) + MPoly.constant(n, rng.randint(-3, 3))
         f = lin()
-        ls = [lin() for _ in range(rng.randint(0, 4))]
+        ls = [lin() for _ in range(rng.randint(0, 6))]
+        for _ in range(rng.randint(0, 2) if ls else 0):
+            ls.insert(rng.randint(0, len(ls)), rng.choice(ls) * rng.randint(1, 3))
         res = linear_nns(f, ls)
         if isinstance(res, LinearCertificate):
             acc = MPoly.constant(n, res.coefficients[0])
@@ -232,6 +237,28 @@ def test_linear_nns_random_verified():
             for c, l in zip(res.farkas[1:], ls):
                 acc = acc + l * c
             assert acc == MPoly.constant(n, -1)
+            assert all(c >= 0 for c in res.farkas)
+
+
+@pytest.mark.parametrize(
+    "nvars, f, ls, kind",
+    [
+        (1, "x", ["x - 1", "-x"], EmptyFeasibleSet),
+        (2, "x + y", ["x", "y"], LinearCertificate),
+        (2, "x + y - 1", ["x", "y"], LinearWitness),  # the functional's own point
+        (2, "x - y", ["x", "y"], LinearWitness),  # a recession direction
+        (1, "-x", ["x"], LinearWitness),  # a recession direction inside the span
+        (2, "x", [], LinearWitness),  # f outside the span of the constraints
+    ],
+)
+def test_linear_nns_runs_one_elimination(monkeypatch, nvars, f, ls, kind):
+    """Both questions, -1 and f, are read off one elimination on every branch."""
+    calls = []
+    echelon = arith._echelon
+    monkeypatch.setattr(arith, "_echelon", lambda rows: calls.append(rows) or echelon(rows))
+    res = linear_nns(parse_poly(f, nvars), [parse_poly(l, nvars) for l in ls])
+    assert isinstance(res, kind)
+    assert len(calls) == 1
 
 
 def test_linear_nns_rejects_nonlinear():
