@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import lcm, prod
 from operator import mul
 
-from .poly import UPoly
+from .poly import _COEF, UPoly
 
 
 class DimensionError(ValueError):
@@ -28,7 +28,8 @@ class DimensionError(ValueError):
 
 
 def rat(value) -> Fraction:
-    """Coerce an int, Fraction or "p/q" text into a rational; decimals are rejected."""
+    """Coerce an int, Fraction or text into a rational.  Text is an optional
+    sign and a polynomial coefficient ``nat ('/' nat)?``, blanks stripped."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
@@ -36,6 +37,9 @@ def rat(value) -> Fraction:
     s = str(value).strip()
     if "." in s:
         raise ValueError(f"decimal point forbidden in rational literal {s!r}")
+    m = _COEF.fullmatch(s, 1 if s.startswith(("+", "-")) else 0)
+    if m is None or m.group(2) == "":
+        raise ValueError(f"Invalid literal for Fraction: {s!r}")
     return Fraction(s)
 
 

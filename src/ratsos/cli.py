@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import conic, lasserre, rootcount, sos
 from .arith import rat
-from .poly import MPoly, PolyParseError, parse_poly, parse_upoly
+from .poly import MAX_VARIABLES, MPoly, PolyParseError, infer_nvars, parse_poly, parse_upoly
 from .quadforms import SymMat, diagonalize, inertia, is_psd
 
 OK, NEGATIVE, INPUT_ERROR, UNKNOWN = 0, 1, 2, 3
@@ -118,9 +118,7 @@ def cmd_conic(args):
 
 
 def cmd_lin_nns(args):
-    nvars = max(
-        [parse_poly(args.poly).nvars] + [parse_poly(l).nvars for l in args.constraint]
-    )
+    nvars = max(map(infer_nvars, [args.poly, *args.constraint]))
     f = parse_poly(args.poly, nvars)
     ls = [parse_poly(l, nvars) for l in args.constraint]
     result = conic.linear_nns(f, ls)
@@ -205,22 +203,21 @@ def cmd_cassels(args):
     return OK, [text], {"certificate": doc}
 
 
-def _lasserre_system(args):
+def _lasserre_system(args, text: str):
+    """The variable count (-n, or inferred from the constraints and ``text``)
+    and the parsed constraints."""
     nvars = args.nvars
     if nvars is None:
-        texts = list(args.constraint)
-        texts += [getattr(args, "poly", None) or "", getattr(args, "objective", None) or ""]
-        nvars = max([parse_poly(t).nvars for t in texts if t] or [1])
-    gs = [parse_poly(g, nvars) for g in args.constraint]
-    return nvars, gs
+        nvars = max(map(infer_nvars, [*args.constraint, text]))
+    elif nvars > MAX_VARIABLES:
+        raise ValueError(f"--nvars {nvars} exceeds the cap {MAX_VARIABLES}")
+    return nvars, [parse_poly(g, nvars) for g in args.constraint]
 
 
 def cmd_lasserre_build(args):
-    nvars, gs = _lasserre_system(args)
+    nvars, gs = _lasserre_system(args, args.objective or "")
+    objective = parse_poly(args.objective, nvars) if args.objective else MPoly.zero(nvars)
     rel = lasserre.build_relaxation(gs, args.degree, nvars)
-    objective = (
-        parse_poly(args.objective, nvars) if args.objective else MPoly.zero(nvars)
-    )
     text = lasserre.emit_sdpa(rel, objective)
     lines = [
         "blocks: " + " ".join(str(s) for s in rel.block_sizes),
@@ -239,7 +236,7 @@ def cmd_lasserre_build(args):
 
 
 def cmd_lasserre_check(args):
-    nvars, gs = _lasserre_system(args)
+    nvars, gs = _lasserre_system(args, args.poly)
     f = parse_poly(args.poly, nvars)
     with open(args.cert) as fh:
         doc = json.load(fh)
@@ -251,7 +248,7 @@ def cmd_lasserre_check(args):
 
 
 def cmd_lasserre_bound(args):
-    nvars, gs = _lasserre_system(args)
+    nvars, gs = _lasserre_system(args, args.poly)
     f = parse_poly(args.poly, nvars)
     result = lasserre.lower_bound_bisect(f, gs, args.degree, iterations=args.iterations)
     if not result.certified:

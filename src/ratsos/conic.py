@@ -144,10 +144,6 @@ def conic_representation(vectors, x) -> ConicResult:
     n = len(x)
     if any(len(v) != n for v in e):
         raise SpanError("generator length mismatch")
-    if not e:
-        if any(c != 0 for c in x):
-            raise SpanError("empty generating set cannot span a nonzero vector")
-        return ConicCombination([], [])
     dim, (result,) = _conic(e, [x])
     if dim < n:
         raise SpanError("generating set does not span the ambient space")

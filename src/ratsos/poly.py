@@ -3,10 +3,16 @@
 Univariate polynomials (:class:`UPoly`) are dense coefficient sequences,
 multivariate polynomials (:class:`MPoly`) are sparse maps from exponent
 vectors to nonzero rational coefficients.  All arithmetic is exact.
+
+Polynomial text (:func:`parse_poly`) is read by three compiled patterns (a
+sign, a coefficient, a factor).  Its variables are ``x1..xn`` with aliases
+``x, y, z``, n and each exponent are capped (``MAX_VARIABLES``,
+``MAX_EXPONENT``), and every error names its position in the text.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import lcm
 from operator import add
@@ -17,6 +23,9 @@ NEG_INF = float("-inf")
 #: Per-variable exponent cap enforced by the parser; internal ``__pow__`` calls
 #: are not capped.
 MAX_EXPONENT = 64
+
+#: Largest variable index the parser accepts, and the largest ``nvars`` it takes.
+MAX_VARIABLES = 64
 
 
 class PolyParseError(ValueError):
@@ -468,161 +477,81 @@ def poly_text(f: MPoly) -> str:
 
 
 def infer_nvars(text: str) -> int:
-    """Smallest variable count covering every variable mentioned in the text."""
-    n = 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "y":
-            n = max(n, 2)
-        elif ch == "z":
-            n = max(n, 3)
-        elif ch == "x":
-            j = i + 1
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            if j > i + 1:
-                n = max(n, int(text[i + 1 : j]))
-            i = j - 1
-        i += 1
-    return n
+    """Smallest variable count covering every variable mentioned in the text,
+    at most ``MAX_VARIABLES``: the parser rejects a higher index at its ``x``."""
+    n = max(map(int, re.findall(r"x(\d+)", text)), default=1)
+    return min(max(n, 3 if "z" in text else 2 if "y" in text else 1), MAX_VARIABLES)
 
 
-class _Parser:
-    """Recursive-descent parser for the polynomial grammar.
-
-    poly   := ws [sign] term (ws ('+'|'-') ws term)* ws
-    term   := coef? ('*'? factor)*
-    factor := var ('^' nat)?
-    var    := 'x' nat | 'x' | 'y' | 'z'
-    coef   := nat ('/' nat)?
-    """
-
-    def __init__(self, text: str, nvars: int):
-        self.text = text
-        self.pos = 0
-        self.nvars = nvars
-
-    def error(self, message: str):
-        raise PolyParseError(message, self.pos)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in (" ", "\t", "\r", "\n"):
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take_nat(self) -> int:
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            self.error("expected a number")
-        return int(self.text[start : self.pos])
-
-    def parse(self) -> MPoly:
-        terms: dict = {}  # summed in place, as MPoly.__add__ would; the MPoly is built once
-        self.skip_ws()
-        sign = 1
-        while True:
-            if self.peek() in ("+", "-"):
-                sign = -1 if self.peek() == "-" else 1
-                self.pos += 1
-                self.skip_ws()
-            alpha, coeff = self.parse_term()
-            total = terms.get(alpha, 0) + sign * coeff
-            if total:
-                terms[alpha] = total
-            else:  # a cancelled term leaves the dict, so the term order is MPoly.__add__'s
-                terms.pop(alpha, None)
-            self.skip_ws()
-            if self.peek() not in ("+", "-"):
-                break
-        if self.pos != len(self.text):
-            self.error(f"unexpected character {self.text[self.pos]!r}")
-        return MPoly(self.nvars, terms)
-
-    def parse_term(self) -> tuple[tuple[int, ...], Fraction]:
-        """One term as (exponents, coefficient)."""
-        coeff = Fraction(1)
-        saw_coeff = False
-        if self.peek().isdigit():
-            num = self.take_nat()
-            den = 1
-            if self.peek() == "/":
-                self.pos += 1
-                den_pos = self.pos
-                den = self.take_nat()
-                if den == 0:
-                    self.pos = den_pos
-                    self.error("zero denominator")
-            coeff = Fraction(num, den)
-            saw_coeff = True
-        exps = [0] * self.nvars
-        saw_factor = False
-        while True:
-            save = self.pos
-            self.skip_ws()
-            if self.peek() == "*":
-                self.pos += 1
-                self.skip_ws()
-                self.parse_factor(exps)
-                saw_factor = True
-                continue
-            if self.peek() in ("x", "y", "z"):
-                self.parse_factor(exps)
-                saw_factor = True
-                continue
-            self.pos = save
-            break
-        if not saw_coeff and not saw_factor:
-            self.error("expected a term")
-        return tuple(exps), coeff
-
-    def parse_factor(self, exps: list):
-        var_pos = self.pos
-        ch = self.peek()
-        if ch == "x":
-            self.pos += 1
-            if self.peek().isdigit():
-                index = self.take_nat()
-            else:
-                index = 1
-        elif ch == "y":
-            self.pos += 1
-            index = 2
-        elif ch == "z":
-            self.pos += 1
-            index = 3
-        else:
-            self.error("expected a variable")
-        if not 1 <= index <= self.nvars:
-            self.pos = var_pos
-            self.error(f"unknown variable x{index} with {self.nvars} variable(s)")
-        power = 1
-        if self.peek() == "^":
-            self.pos += 1
-            exp_pos = self.pos
-            power = self.take_nat()
-            if power > MAX_EXPONENT:
-                self.pos = exp_pos
-                self.error(f"exponent {power} exceeds the cap {MAX_EXPONENT}")
-        exps[index - 1] += power
-        if exps[index - 1] > MAX_EXPONENT:
-            self.pos = var_pos
-            self.error(f"accumulated exponent exceeds the cap {MAX_EXPONENT}")
+# The grammar, read at a moving position (blanks are " \t\r\n", nat is \d+):
+#   poly   := sign? term (sign term)* blanks       sign := blanks ('+'|'-') blanks
+#   term   := coef? factor*                        coef := nat ('/' nat)?
+#   factor := blanks ('*' blanks)? var ('^' nat)?  var  := 'x' nat? | 'y' | 'z'
+# The patterns also take an empty nat, so that its error can name its position.
+_SIGN = re.compile(r"[ \t\r\n]*([+-]?)[ \t\r\n]*")
+_COEF = re.compile(r"(\d+)(?:/(\d*))?")
+_FACTOR = re.compile(r"[ \t\r\n]*(\*)?[ \t\r\n]*(?:(x(\d*)|[yz])(?:\^(\d*))?)?")
 
 
 def parse_poly(text: str, nvars: int | None = None) -> MPoly:
     """Parse polynomial text into an exact MPoly.
 
-    Variables are x1..xn with aliases x, y, z for x1, x2, x3.  When ``nvars``
-    is omitted it is inferred from the variables that occur.
+    Variables are x1..xn with aliases x, y, z for x1, x2, x3, and n is at most
+    ``MAX_VARIABLES``.  When ``nvars`` is omitted it is inferred from the
+    variables that occur.  Bad text raises :class:`PolyParseError` naming
+    the position of the fault.
     """
     if nvars is None:
         nvars = infer_nvars(text)
-    return _Parser(text, nvars).parse()
+    elif nvars > MAX_VARIABLES:
+        raise ValueError(f"{nvars} variables exceed the cap {MAX_VARIABLES}")
+    terms: dict = {}  # summed in place, as MPoly.__add__ would; the MPoly is built once
+    sign = _SIGN.match(text)
+    while True:
+        pos = sign.end()
+        coeff = Fraction(1)
+        coef = _COEF.match(text, pos)
+        if coef:
+            num, den = coef.groups()
+            if den == "":
+                raise PolyParseError("expected a number", coef.end())
+            if den is not None and int(den) == 0:
+                raise PolyParseError("zero denominator", coef.start(2))
+            coeff = Fraction(int(num), int(den or 1))
+            pos = coef.end()
+        exps = [0] * nvars
+        while (factor := _FACTOR.match(text, pos)).group(2):
+            var, digits, power = factor.group(2, 3, 4)
+            index = int(digits) if digits else "xyz".index(var) + 1
+            if not 1 <= index <= nvars:
+                message = (f"variable x{index} exceeds the cap {MAX_VARIABLES}" if index > MAX_VARIABLES
+                           else f"unknown variable x{index} with {nvars} variable(s)")
+                raise PolyParseError(message, factor.start(2))
+            if power == "":
+                raise PolyParseError("expected a number", factor.end())
+            power = int(power or 1)
+            if power > MAX_EXPONENT:
+                raise PolyParseError(f"exponent {power} exceeds the cap {MAX_EXPONENT}", factor.start(4))
+            exps[index - 1] += power
+            if exps[index - 1] > MAX_EXPONENT:
+                raise PolyParseError(f"accumulated exponent exceeds the cap {MAX_EXPONENT}", factor.start(2))
+            pos = factor.end()
+        if factor.group(1):
+            raise PolyParseError("expected a variable", factor.end())
+        if not coef and pos == sign.end():
+            raise PolyParseError("expected a term", pos)
+        alpha = tuple(exps)
+        total = terms.get(alpha, 0) + (-coeff if sign.group(1) == "-" else coeff)
+        if total:
+            terms[alpha] = total
+        else:  # a cancelled term leaves the dict, so the term order is MPoly.__add__'s
+            terms.pop(alpha, None)
+        sign = _SIGN.match(text, pos)
+        if not sign.group(1):
+            break
+    if sign.end() != len(text):
+        raise PolyParseError(f"unexpected character {text[sign.end()]!r}", sign.end())
+    return MPoly(nvars, terms)
 
 
 def parse_upoly(text: str) -> UPoly:

@@ -40,8 +40,14 @@ def test_rat_parsing():
     assert rat("3/4") == Fraction(3, 4)
     assert rat("-7") == Fraction(-7)
     assert rat(Fraction(1, 2)) == Fraction(1, 2)
-    with pytest.raises(ValueError):
-        rat("1.5")
+    assert rat(" +2/6 ") == Fraction(1, 3)
+    assert rat("٣") == 3  # any decimal digit, as int() reads it
+    # the polynomial coefficient grammar with a sign, and nothing else Fraction reads
+    for text in ["1.5", "1e-3", "1_000", "3 / 4", "- 7", "1/", "/2", "", "2²", "inf"]:
+        with pytest.raises(ValueError):
+            rat(text)
+    with pytest.raises(ZeroDivisionError):
+        rat("1/0")
 
 
 def test_det_identity_and_permutation():

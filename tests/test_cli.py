@@ -409,6 +409,31 @@ def test_input_errors_exit_2():
     assert code == 2
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["sos", "find", "--poly", "x99999999 + 1"], "variable x99999999 exceeds the cap 64 (at position 0)"),
+    (["newton", "--poly", "x^2 + y²"], "unexpected character '²' (at position 7)"),
+    (["lasserre", "build", "-n", "100000", "-d", "1"], "--nvars 100000 exceeds the cap 64"),
+    (["lasserre", "bound", "-n", "65", "-d", "2", "--poly", "x"], "--nvars 65 exceeds the cap 64"),
+    (["lasserre", "check", "-n", "65", "-d", "2", "--poly", "x", "--cert", "missing.json"],
+     "--nvars 65 exceeds the cap 64"),
+    (["psd-check", "--matrix", '[["1e-3"]]'], "Invalid literal for Fraction: '1e-3'"),
+    (["conic", "--vectors", "[]", "--target", "[0,0]"], "generating set does not span the ambient space"),
+    # the objective is read before the relaxation is built, with or without -n
+    (["lasserre", "build", "-d", "0", "--objective", "x +"], "expected a term (at position 3)"),
+    (["lasserre", "build", "-n", "1", "-d", "0", "--objective", "x +"], "expected a term (at position 3)"),
+    # the variable count comes from every text of the command
+    (["lasserre", "build", "-d", "1", "-g", "x0", "-g", "y"],
+     "unknown variable x0 with 2 variable(s) (at position 0)"),
+])
+def test_polynomial_and_literal_errors_exit_2(argv, message):
+    assert run(argv) == (2, f"error: {message}")
+
+
+def test_zero_variables_stay_valid():
+    code, out = run(["lasserre", "build", "-n", "0", "-d", "1"])
+    assert code == 0 and out.startswith("blocks: 1\nvariables: 0\n")
+
+
 #: malformed JSON matrices and vectors, with the message each must give
 BAD_JSON_ARGS = [
     (["signature", "--matrix", "5"], "--matrix must be a list, not int"),

@@ -56,6 +56,8 @@ def test_span_errors():
         conic_representation([[1, 0]], [0, 1])
     with pytest.raises(SpanError):
         conic_representation([], [1])
+    with pytest.raises(SpanError):
+        conic_representation([], [0, 0])
     assert isinstance(conic_representation([], []), ConicCombination)
 
 

@@ -3,13 +3,17 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ratsos.poly import (
+    MAX_VARIABLES,
     MPoly,
     NEG_INF,
     PolyParseError,
     UPoly,
     gcd_upoly,
+    infer_nvars,
     parse_poly,
     parse_upoly,
     poly_text,
@@ -37,20 +41,82 @@ def test_parse_zero_and_fractions():
 def test_parse_implicit_star_and_aliases():
     assert parse_poly("2x", 1) == parse_poly("2*x1", 1)
     assert parse_poly("x y z", 3) == parse_poly("x1*x2*x3", 3)
+    assert parse_poly("*x") == parse_poly("x")
+    assert parse_poly("xy") == parse_poly("x*y")
+    assert parse_poly("2 x") == parse_poly("2*x")
+    assert parse_poly("x12") == MPoly.variable(12, 12)
+    assert parse_poly("x^٣") == parse_poly("x^3")  # any decimal digit, as int() reads it
 
 
-def test_parse_errors_carry_position():
+#: (text, nvars) -> (message, position) for every error branch of the parser;
+#: the last five rows are an index above the cap and digits int() cannot read
+PARSE_ERRORS = [
+    ("", 1, "expected a term", 0),
+    ("  ", None, "expected a term", 2),
+    ("x + @", 1, "expected a term", 4),
+    ("x +", None, "expected a term", 3),
+    ("- -x", None, "expected a term", 2),
+    ("2 3", None, "unexpected character '3'", 2),
+    ("2 /3", None, "unexpected character '/'", 2),
+    ("x y)", None, "unexpected character ')'", 3),
+    ("2^3", None, "unexpected character '^'", 1),
+    ("x^ 2", None, "expected a number", 2),
+    ("x^", 1, "expected a number", 2),
+    ("2/ 3", None, "expected a number", 2),
+    ("x + 2/", None, "expected a number", 6),
+    ("1/0", 1, "zero denominator", 2),
+    ("x - 3/00*y", None, "zero denominator", 6),
+    ("x*", None, "expected a variable", 2),
+    ("2 * + y", None, "expected a variable", 4),
+    ("x0", None, "unknown variable x0 with 1 variable(s)", 0),
+    ("x + y", 1, "unknown variable x2 with 1 variable(s)", 4),
+    ("x*z", 2, "unknown variable x3 with 2 variable(s)", 2),
+    ("x4^2", 3, "unknown variable x4 with 3 variable(s)", 0),
+    ("x^65", 1, "exponent 65 exceeds the cap 64", 2),
+    ("y^0065", None, "exponent 65 exceeds the cap 64", 2),
+    ("x^40*x^30", None, "accumulated exponent exceeds the cap 64", 5),
+    ("x^64 y x", None, "accumulated exponent exceeds the cap 64", 7),
+    ("x65", None, "variable x65 exceeds the cap 64", 0),
+    ("x + x65^2", 3, "variable x65 exceeds the cap 64", 4),
+    ("x²", None, "unexpected character '²'", 1),
+    ("2²*x", None, "unexpected character '²'", 1),
+    ("x^²", None, "expected a number", 2),
+]
+
+
+@pytest.mark.parametrize("text,nvars,message,position", PARSE_ERRORS)
+def test_parse_errors_carry_position(text, nvars, message, position):
     with pytest.raises(PolyParseError) as err:
-        parse_poly("x + @", 1)
+        parse_poly(text, nvars)
+    assert str(err.value) == f"{message} (at position {position})"
+    assert err.value.position == position
+
+
+def test_variable_cap():
+    assert infer_nvars("x99999999 + y") == MAX_VARIABLES
+    assert parse_poly(f"x{MAX_VARIABLES}").nvars == MAX_VARIABLES
+    with pytest.raises(PolyParseError) as err:
+        parse_poly("1 + x99999999")  # no exponent vector of that length is built
     assert err.value.position == 4
-    with pytest.raises(PolyParseError):
-        parse_poly("x + y", 1)  # unknown variable for nvars=1
-    with pytest.raises(PolyParseError):
-        parse_poly("x^65", 1)  # exponent overflow
-    with pytest.raises(PolyParseError):
-        parse_poly("", 1)
-    with pytest.raises(PolyParseError):
-        parse_poly("1/0", 1)
+    with pytest.raises(ValueError):
+        parse_poly("x", MAX_VARIABLES + 1)
+
+
+#: the grammar's alphabet, with blanks, a digit int() reads and one it does not
+POLY_TOKENS = st.lists(st.sampled_from(
+    ["x", "y", "z", "x0", "x12", "x65", "0", "1", "2", "7", "10", "^", "^2", "*", "/", "+", "-",
+     " ", "\t", "\n", "@", ".", "٣", "²"]), max_size=14).map("".join)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(POLY_TOKENS, st.sampled_from([None, 1, 3]))
+def test_parse_round_trips_or_names_a_position(text, nvars):
+    try:
+        f = parse_poly(text, nvars)
+    except PolyParseError as exc:
+        assert 0 <= exc.position <= len(text)
+    else:
+        assert parse_poly(poly_text(f), f.nvars) == f
 
 
 def test_derivative_examples():
