@@ -10,8 +10,8 @@ linear solutions and nullspaces (one integer entry over the last pivot each,
 read out by ``_reduced``) need no back-substitution.  ``conic`` reads its
 tableau off ``_reduced`` and pivots it with the same step, and
 ``quadforms.diagonalize`` runs its congruence on it.
-Characteristic polynomials use Berkowitz's division-free algorithm on a
-denominator-cleared integer copy.  Everything is exact.
+Characteristic polynomials, det(M + X*I), use Berkowitz's division-free
+algorithm on a denominator-cleared integer copy.  Everything is exact.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import lcm, prod
 from operator import mul
 
-from .poly import _COEF, UPoly
+from .poly import _COEF, MAX_DIGITS, UPoly
 
 
 class DimensionError(ValueError):
@@ -40,6 +40,8 @@ def rat(value) -> Fraction:
     m = _COEF.fullmatch(s, 1 if s.startswith(("+", "-")) else 0)
     if m is None or m.group(2) == "":
         raise ValueError(f"Invalid literal for Fraction: {s!r}")
+    if max(len(m.group(1)), len(m.group(2) or "")) > MAX_DIGITS:
+        raise ValueError(f"rational literal with a number longer than {MAX_DIGITS} digits")
     return Fraction(s)
 
 
@@ -145,30 +147,24 @@ def det(m: Mat) -> Fraction:
     return Fraction(sign * rows[n - 1][n - 1], prod(scales))
 
 
-def charpoly(m: Mat, sign: str = "plus") -> UPoly:
-    """det(M + X*I) for sign="plus", det(M - X*I) for sign="minus".
+def charpoly(m: Mat) -> UPoly:
+    """det(M + X*I), monic of degree exactly the dimension of M.
 
     Computed exactly by Berkowitz's division-free algorithm on the integer
-    matrix B = -L*M ("plus") or L*M ("minus"), L the lcm of the entry
-    denominators: the X^k coefficient of det(X*I - B), divided by L^(n-k),
-    is the X^k coefficient of det(X*I + M) or det(X*I - M) respectively, and
-    det(M - X*I) = (-1)^n det(X*I - M).  The result has degree exactly the
-    dimension of M.
+    matrix B = -L*M, L the lcm of the entry denominators: the X^k coefficient
+    of det(X*I - B), divided by L^(n-k), is the X^k coefficient of
+    det(X*I + M).  det(X*I - M) is (-1)^n times this polynomial at -X.
     """
     if not m.is_square:
         raise DimensionError("characteristic polynomial of a non-square matrix")
-    if sign not in ("plus", "minus"):
-        raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
-    n = m.nrows
     scale = lcm(*(x.denominator for row in m.rows for x in row))
-    s = -1 if sign == "plus" else 1
-    b = [[s * x.numerator * (scale // x.denominator) for x in row] for row in m.rows]
+    b = [[-x.numerator * (scale // x.denominator) for x in row] for row in m.rows]
     # p lists the coefficients of det(X*I - B_k), highest degree first, where
     # B_k is the leading k x k block.  Bordering B_(k-1) by column c, row r and
     # corner a multiplies p by the lower-triangular Toeplitz matrix whose first
     # column is 1, -a, -r.c, -r.B_(k-1).c, ..., -r.B_(k-1)^(k-2).c.
     p = [1]
-    for k in range(n):
+    for k in range(m.nrows):
         lead = [row[:k] for row in b[:k]]
         r = b[k][:k]
         col = [row[k] for row in b[:k]]
@@ -180,8 +176,6 @@ def charpoly(m: Mat, sign: str = "plus") -> UPoly:
         p = [sum(q[i - j] * p[j] for j in range(min(i, k) + 1)) for i in range(k + 2)]
     coeffs = [Fraction(c, scale**i) for i, c in enumerate(p)]
     coeffs.reverse()
-    if sign == "minus" and n % 2 == 1:
-        coeffs = [-c for c in coeffs]
     return UPoly(coeffs)
 
 

@@ -209,8 +209,9 @@ def _lasserre_system(args, text: str):
     nvars = args.nvars
     if nvars is None:
         nvars = max(map(infer_nvars, [*args.constraint, text]))
-    elif nvars > MAX_VARIABLES:
-        raise ValueError(f"--nvars {nvars} exceeds the cap {MAX_VARIABLES}")
+    elif not 0 <= nvars <= MAX_VARIABLES:
+        problem = "is negative" if nvars < 0 else f"exceeds the cap {MAX_VARIABLES}"
+        raise ValueError(f"--nvars {nvars} {problem}")
     return nvars, [parse_poly(g, nvars) for g in args.constraint]
 
 

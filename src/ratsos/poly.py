@@ -27,6 +27,10 @@ MAX_EXPONENT = 64
 #: Largest variable index the parser accepts, and the largest ``nvars`` it takes.
 MAX_VARIABLES = 64
 
+#: Most digits of a number that text may hand to ``int()``, whose own limit
+#: varies between interpreters but is never below 640 digits.
+MAX_DIGITS = 600
+
 
 class PolyParseError(ValueError):
     """Syntax or semantic error in polynomial text, with the offending position."""
@@ -478,8 +482,9 @@ def poly_text(f: MPoly) -> str:
 
 def infer_nvars(text: str) -> int:
     """Smallest variable count covering every variable mentioned in the text,
-    at most ``MAX_VARIABLES``: the parser rejects a higher index at its ``x``."""
-    n = max(map(int, re.findall(r"x(\d+)", text)), default=1)
+    at most ``MAX_VARIABLES``: the parser rejects a higher index at its ``x``
+    (an index past ``MAX_DIGITS`` digits is cut there, still past the cap)."""
+    n = max((int(d[:MAX_DIGITS]) for d in re.findall(r"x0*(\d+)", text)), default=1)
     return min(max(n, 3 if "z" in text else 2 if "y" in text else 1), MAX_VARIABLES)
 
 
@@ -491,6 +496,14 @@ def infer_nvars(text: str) -> int:
 _SIGN = re.compile(r"[ \t\r\n]*([+-]?)[ \t\r\n]*")
 _COEF = re.compile(r"(\d+)(?:/(\d*))?")
 _FACTOR = re.compile(r"[ \t\r\n]*(\*)?[ \t\r\n]*(?:(x(\d*)|[yz])(?:\^(\d*))?)?")
+
+
+def _nat(digits: str, cap: int, name: str, position: int) -> int:
+    """The value of a digit run; PolyParseError "<name><value> exceeds the cap <cap>" above ``cap``."""
+    value = digits.lstrip("0") or "0"
+    if len(value) > MAX_DIGITS or int(value) > cap:
+        raise PolyParseError(f"{name}{value} exceeds the cap {cap}", position)
+    return int(value)
 
 
 def parse_poly(text: str, nvars: int | None = None) -> MPoly:
@@ -515,6 +528,9 @@ def parse_poly(text: str, nvars: int | None = None) -> MPoly:
             num, den = coef.groups()
             if den == "":
                 raise PolyParseError("expected a number", coef.end())
+            for k in (1, 2):
+                if len(coef.group(k) or "") > MAX_DIGITS:
+                    raise PolyParseError(f"number longer than {MAX_DIGITS} digits", coef.start(k))
             if den is not None and int(den) == 0:
                 raise PolyParseError("zero denominator", coef.start(2))
             coeff = Fraction(int(num), int(den or 1))
@@ -522,16 +538,12 @@ def parse_poly(text: str, nvars: int | None = None) -> MPoly:
         exps = [0] * nvars
         while (factor := _FACTOR.match(text, pos)).group(2):
             var, digits, power = factor.group(2, 3, 4)
-            index = int(digits) if digits else "xyz".index(var) + 1
+            index = _nat(digits, MAX_VARIABLES, "variable x", factor.start(2)) if digits else "xyz".index(var) + 1
             if not 1 <= index <= nvars:
-                message = (f"variable x{index} exceeds the cap {MAX_VARIABLES}" if index > MAX_VARIABLES
-                           else f"unknown variable x{index} with {nvars} variable(s)")
-                raise PolyParseError(message, factor.start(2))
+                raise PolyParseError(f"unknown variable x{index} with {nvars} variable(s)", factor.start(2))
             if power == "":
                 raise PolyParseError("expected a number", factor.end())
-            power = int(power or 1)
-            if power > MAX_EXPONENT:
-                raise PolyParseError(f"exponent {power} exceeds the cap {MAX_EXPONENT}", factor.start(4))
+            power = _nat(power, MAX_EXPONENT, "exponent ", factor.start(4)) if power else 1
             exps[index - 1] += power
             if exps[index - 1] > MAX_EXPONENT:
                 raise PolyParseError(f"accumulated exponent exceeds the cap {MAX_EXPONENT}", factor.start(2))

@@ -1,11 +1,12 @@
 """Exact quadratic-form algebra over the rationals.
 
-Congruence diagonalization M = P^T diag(D) P by square completion with a
-hyperbolic split on zero diagonals, both run as the fraction-free pivot step
+A quadratic form is a :class:`SymMat`, a symmetric :class:`arith.Mat` built
+from its upper triangle or validated from full rows.  Congruence
+diagonalization M = P^T diag(D) P by square completion with a hyperbolic
+split on zero diagonals, both run as the fraction-free pivot step
 ``arith._pivot`` on denominator-cleared integer rows; rank and signature (with
-an independent second method through the characteristic polynomial and sign
-counting), psd tests, and weighted-square certificates extracted from a
-diagonalization.
+an independent second method: Descartes' rule on det(M + X*I)), psd tests,
+and weighted-square certificates extracted from a diagonalization.
 """
 
 from __future__ import annotations
@@ -22,30 +23,32 @@ class CertificateError(ValueError):
     pass
 
 
-class SymMat:
-    """Symmetric rational matrix stored as its upper triangle."""
+class SymMat(Mat):
+    """Symmetric rational matrix: a :class:`Mat` built from its upper triangle,
+    read row by row, or checked from full rows by :meth:`from_rows`."""
 
-    __slots__ = ("dim", "_upper")
+    __slots__ = ()
 
     def __init__(self, dim: int, upper):
-        self.dim = dim
-        self._upper = [rat(x) for x in upper]
-        if len(self._upper) != dim * (dim + 1) // 2:
+        upper = [rat(x) for x in upper]
+        if len(upper) != dim * (dim + 1) // 2:
             raise ValueError("upper triangle has wrong length")
+        rows, k = [], 0
+        for i in range(dim):  # row i: column i of the rows above, then row i of the triangle
+            rows.append([r[i] for r in rows] + upper[k : k + dim - i])
+            k += dim - i
+        super().__init__(rows)
 
     @classmethod
     def from_rows(cls, rows) -> "SymMat":
         rows = [[rat(x) for x in r] for r in rows]
-        n = len(rows)
-        if any(len(r) != n for r in rows):
+        if any(len(r) != len(rows) for r in rows):
             raise ValueError("matrix is not square")
-        upper = []
-        for i in range(n):
-            for j in range(i, n):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError("matrix is not symmetric")
-                upper.append(rows[i][j])
-        return cls(n, upper)
+        m = cls.__new__(cls)
+        Mat.__init__(m, rows)
+        if m.transpose() != m:
+            raise ValueError("matrix is not symmetric")
+        return m
 
     @classmethod
     def zeros(cls, dim: int) -> "SymMat":
@@ -53,31 +56,12 @@ class SymMat:
 
     @classmethod
     def identity(cls, dim: int) -> "SymMat":
-        m = cls.zeros(dim)
-        for i in range(dim):
-            m._upper[m._index(i, i)] = Fraction(1)
-        return m
+        return cls(dim, [int(i == j) for i in range(dim) for j in range(i, dim)])
 
-    def _index(self, i: int, j: int) -> int:
-        if i > j:
-            i, j = j, i
-        return i * self.dim - i * (i - 1) // 2 + (j - i)
-
-    def __getitem__(self, key) -> Fraction:
-        i, j = key
-        return self._upper[self._index(i, j)]
-
-    def rows(self) -> list[list[Fraction]]:
-        return [[self[i, j] for j in range(self.dim)] for i in range(self.dim)]
-
-    def to_mat(self) -> Mat:
-        return Mat(self.rows())
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SymMat) and self.dim == other.dim and self._upper == other._upper
+    dim = property(lambda self: self.nrows)
 
     def __repr__(self) -> str:
-        return f"SymMat.from_rows({[[str(x) for x in r] for r in self.rows()]})"
+        return f"SymMat.from_rows({[[str(x) for x in r] for r in self.rows]})"
 
 
 @dataclass
@@ -92,15 +76,8 @@ class DiagCongruence:
     d: list[Fraction]
 
     def reassemble(self) -> SymMat:
-        n = self.p.nrows
-        rows = [
-            [
-                sum((self.d[k] * self.p[k, i] * self.p[k, j] for k in range(n)), Fraction(0))
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        return SymMat.from_rows(rows)
+        dp = Mat([[w * x for x in row] for w, row in zip(self.d, self.p.rows)])
+        return SymMat.from_rows((self.p.transpose() * dp).rows)
 
 
 def diagonalize(m: SymMat) -> DiagCongruence:
@@ -118,7 +95,7 @@ def diagonalize(m: SymMat) -> DiagCongruence:
     pivot.  Pivot rows and columns are dropped after each step.
     """
     n = m.dim
-    a, scales = _integer_rows(m.rows())
+    a, scales = _integer_rows(m.rows)
     active = list(range(n))
     prev = 1
     p_rows: list[list[Fraction]] = []
@@ -179,21 +156,19 @@ def rank(m: SymMat) -> int:
 
 
 def signature_via_descartes(m: SymMat) -> int:
-    """Signature as sigma(h) - sigma(h(-X)) for h = det(M - X*I).
+    """Signature as sigma(h(-X)) - sigma(h) for h = det(M + X*I).
 
-    h is real-rooted, so Descartes' rule counts its positive and negative
-    roots exactly; the difference is the signature.  Independent of
-    :func:`diagonalize`.
+    h is real-rooted, its roots the negated eigenvalues, so by Descartes'
+    rule sigma(h(-X)) and sigma(h) count the positive and the negative
+    eigenvalues exactly.  Independent of :func:`diagonalize`.
     """
-    if m.dim == 0:
-        return 0
-    h = charpoly(m.to_mat(), "minus")
-    return sign_changes(h) - sign_changes(h.compose_neg())
+    h = charpoly(m)
+    return sign_changes(h.compose_neg()) - sign_changes(h)
 
 
 def is_psd(m: SymMat) -> bool:
     """Positive semidefiniteness: all coefficients of det(M + X*I) nonnegative."""
-    return all(c >= 0 for c in charpoly(m.to_mat(), "plus").coeffs)
+    return all(c >= 0 for c in charpoly(m).coeffs)
 
 
 def is_psd_via_diagonal(m: SymMat) -> bool:
@@ -203,13 +178,8 @@ def is_psd_via_diagonal(m: SymMat) -> bool:
 
 def is_psd_via_minors(m: SymMat) -> bool:
     """psd iff every principal minor (all index subsets) is nonnegative."""
-    full = m.to_mat()
-    for size in range(1, m.dim + 1):
-        for subset in combinations(range(m.dim), size):
-            sub = Mat([[full[i, j] for j in subset] for i in subset])
-            if det(sub) < 0:
-                return False
-    return True
+    subsets = (s for size in range(1, m.dim + 1) for s in combinations(range(m.dim), size))
+    return all(det(Mat([[m[i, j] for j in s] for i in s])) >= 0 for s in subsets)
 
 
 @dataclass(frozen=True)
@@ -253,9 +223,8 @@ def weighted_square_decomposition(m: SymMat, monomials) -> SosCert:
         if weight == 0:
             continue
         poly_terms: dict = {}
-        for i, alpha in enumerate(monomials):
-            c = cong.p[k, i]
-            if c != 0:
+        for alpha, c in zip(monomials, cong.p.rows[k]):
+            if c:
                 poly_terms[alpha] = poly_terms.get(alpha, Fraction(0)) + c
         terms.append((weight, MPoly(nvars, poly_terms)))
     return SosCert(tuple(terms))
@@ -268,11 +237,9 @@ def gram_product(m: SymMat, monomials) -> MPoly:
         raise ValueError(f"monomial vector has length {len(monomials)}, expected {m.dim}")
     nvars = len(monomials[0]) if monomials else 0
     terms: dict = {}
-    for i in range(m.dim):
-        for j in range(m.dim):
-            c = m[i, j]
-            if c == 0:
-                continue
-            key = tuple(x + y for x, y in zip(monomials[i], monomials[j]))
-            terms[key] = terms.get(key, Fraction(0)) + c
+    for alpha, row in zip(monomials, m.rows):
+        for beta, c in zip(monomials, row):
+            if c:
+                key = tuple(x + y for x, y in zip(alpha, beta))
+                terms[key] = terms.get(key, Fraction(0)) + c
     return MPoly(nvars, terms)

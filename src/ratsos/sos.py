@@ -396,7 +396,7 @@ def cert_to_json(cert: SosCert, target=None) -> dict:
 def gram_to_json(gram: SymMat, monomials, target=None) -> dict:
     doc = {
         "monomials": [list(a) for a in monomials],
-        "gram": [[str(x) for x in row] for row in gram.rows()],
+        "gram": [[str(x) for x in row] for row in gram.rows],
     }
     if target is not None:
         doc["target"] = poly_text(target)

@@ -1,8 +1,11 @@
 import copy
 import itertools
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -424,9 +427,28 @@ def test_input_errors_exit_2():
     # the variable count comes from every text of the command
     (["lasserre", "build", "-d", "1", "-g", "x0", "-g", "y"],
      "unknown variable x0 with 2 variable(s) (at position 0)"),
+    # -n is at least 0, and a digit run too long for int() is a parse error
+    (["lasserre", "build", "-n", "-1", "-d", "1"], "--nvars -1 is negative"),
+    (["lasserre", "bound", "-n", "-2", "-d", "2", "--poly", "1"], "--nvars -2 is negative"),
+    (["lasserre", "check", "-n", "-1", "-d", "2", "--poly", "1", "--cert", "missing.json"],
+     "--nvars -1 is negative"),
+    (["newton", "--poly", "x^2 + " + "1" * 5000], "number longer than 600 digits (at position 6)"),
 ])
 def test_polynomial_and_literal_errors_exit_2(argv, message):
     assert run(argv) == (2, f"error: {message}")
+
+
+@pytest.mark.parametrize("argv, code, out", [
+    (["count-roots", "--poly", "x^3-x"], 0, "real=3 complex_distinct=3"),
+    (["psd-check", "--matrix", "[[1,2],[2,1]]"], 1, "not-psd"),
+    (["newton", "--poly", "x^2-2*"], 2, "error: expected a variable (at position 6)"),
+])
+def test_module_process_exit_codes(argv, code, out):
+    """``python -m ratsos.cli`` as a process: stdout and the exit code."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-m", "ratsos.cli", *argv], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out + "\n", "")
 
 
 def test_zero_variables_stay_valid():

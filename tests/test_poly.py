@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ratsos.poly import (
+    MAX_DIGITS,
     MAX_VARIABLES,
     MPoly,
     NEG_INF,
@@ -100,6 +101,33 @@ def test_variable_cap():
     assert err.value.position == 4
     with pytest.raises(ValueError):
         parse_poly("x", MAX_VARIABLES + 1)
+
+
+#: a digit run just past MAX_DIGITS, which int() reads under every interpreter
+#: limit (never below 640 digits), and one past Python's default limit of 4300
+LONG_RUNS = ["1" * (MAX_DIGITS + 1), "1" * 5000]
+
+
+@pytest.mark.parametrize("run", LONG_RUNS, ids=["past-MAX_DIGITS", "past-default-int-limit"])
+def test_long_digit_runs_get_parse_errors(run):
+    for text, message, position in [
+        (f"x{run}", f"variable x{run} exceeds the cap {MAX_VARIABLES}", 0),
+        (f"y^{run}", f"exponent {run} exceeds the cap 64", 2),
+        (f"{run}*x", f"number longer than {MAX_DIGITS} digits", 0),
+        (f"x + 1/{run}", f"number longer than {MAX_DIGITS} digits", 6),
+    ]:
+        with pytest.raises(PolyParseError) as err:
+            parse_poly(text)
+        assert str(err.value) == f"{message} (at position {position})"
+    assert infer_nvars(f"x{run} + y") == MAX_VARIABLES
+
+
+def test_digit_runs_up_to_the_limit_are_read():
+    run = "9" * MAX_DIGITS
+    assert parse_poly(f"{run}/{run}*x - 1/{run}") == parse_poly(f"x - 1/{run}")
+    assert parse_poly(f"{run}*x").coeff((1,)) == 10**MAX_DIGITS - 1
+    zeros = "0" * 5000  # an index or exponent is read by its value
+    assert parse_poly(f"x{zeros}2^{zeros}3") == parse_poly("y^3")
 
 
 #: the grammar's alphabet, with blanks, a digit int() reads and one it does not

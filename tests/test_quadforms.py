@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ratsos.arith import Mat, charpoly, det
+from ratsos.arith import Mat, charpoly, det, pivot_columns
 from ratsos.poly import parse_poly
 from ratsos.quadforms import (
     CertificateError,
@@ -28,10 +28,13 @@ HYPERBOLIC_EXAMPLE = [[0, 1, 1, 0], [1, 0, 1, 0], [1, 1, 0, 1], [0, 0, 1, 0]]
 
 
 def test_symmat_rejects_asymmetric():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^matrix is not symmetric$"):
         SymMat.from_rows([[1, 2], [3, 4]])
-    with pytest.raises(ValueError):
-        SymMat.from_rows([[1, 2, 3], [2, 1, 1]])
+    for rows in ([[1, 2, 3], [2, 1, 1]], [[1, 2], [2]]):  # ragged rows are not square, too
+        with pytest.raises(ValueError, match="^matrix is not square$"):
+            SymMat.from_rows(rows)
+    with pytest.raises(ValueError, match="^upper triangle has wrong length$"):
+        SymMat(2, [1, 2])
 
 
 def test_diagonalize_hyperbolic_example():
@@ -64,6 +67,21 @@ def test_diagonalize_golden(rows, d, p):
 _FRACS = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 9))
 
 
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(_FRACS, min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2))))
+def test_symmat_is_a_symmetric_mat(case):
+    n, upper = case
+    m = SymMat(n, upper)
+    full = Mat(m.rows)
+    assert isinstance(m, Mat) and m.dim == m.nrows == m.ncols == n
+    assert m.transpose() == m
+    assert SymMat.from_rows(m.rows) == m
+    assert [m[i, j] for i in range(n) for j in range(i, n)] == upper
+    assert (charpoly(m), det(m), pivot_columns(m)) == (charpoly(full), det(full), pivot_columns(full))
+    assert signature_via_descartes(m) == signature(m)
+
+
 @st.composite
 def _symmetric_rows(draw):
     """Symmetric rows up to 7x7 with mixed row denominators, biased toward
@@ -76,7 +94,8 @@ def _symmetric_rows(draw):
         w = draw(st.lists(_FRACS.filter(bool), min_size=r, max_size=r))
         return [[sum((wk * bk[i] * bk[j] for wk, bk in zip(w, b)), Fraction(0)) for j in range(n)]
                 for i in range(n)]
-    rows = SymMat(n, draw(st.lists(_FRACS, min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2))).rows()
+    upper = draw(st.lists(_FRACS, min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2))
+    rows = [list(r) for r in SymMat(n, upper).rows]
     for i in range(n):
         if kind == "pivot-then-hyperbolic" or draw(st.booleans()):
             rows[i][i] = Fraction(0)
@@ -98,7 +117,7 @@ def test_diagonalize_fuzz(rows):
     assert det(cong.p) != 0
     pos = sum(1 for x in cong.d if x > 0)
     neg = sum(1 for x in cong.d if x < 0)
-    h = charpoly(m.to_mat(), "minus")
+    h = charpoly(m).compose_neg()
     zero_mult = next(i for i, c in enumerate(h.coeffs) if c != 0)
     assert (pos - neg, pos + neg) == (signature_via_descartes(m), m.dim - zero_mult)
 
@@ -133,7 +152,7 @@ def test_sylvester_consistency_under_congruence():
             q = Mat([[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)])
             if det(q) != 0:
                 break
-        conj = q.transpose() * m.to_mat() * q
+        conj = q.transpose() * m * q
         m2 = SymMat.from_rows(conj.rows)
         assert signature(m2) == signature(m)
         assert rank(m2) == rank(m)
@@ -208,7 +227,7 @@ def test_rank_equals_dim_minus_zero_multiplicity():
     for _ in range(20):
         n = rng.randint(1, 6)
         m = SymMat.from_rows(rand_symmetric_rows(rng, n, lo=-2, hi=2))
-        h = charpoly(m.to_mat(), "minus")
+        h = charpoly(m).compose_neg()
         zero_mult = next(i for i, c in enumerate(h.coeffs) if c != 0)
         assert rank(m) == n - zero_mult
 

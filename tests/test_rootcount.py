@@ -61,13 +61,13 @@ def test_companion_charpoly_recovers_f():
     for _ in range(20):
         d = rng.randint(1, 6)
         f = UPoly([Fraction(rng.randint(-4, 4)) for _ in range(d)] + [Fraction(1)])
-        h = charpoly(companion(f), "minus")
+        h = charpoly(companion(f)).compose_neg()
         assert h == f or h == -f
 
 
 def test_hermite_golden_x2_plus_1():
     data = hermite_form(parse_upoly("x^2 + 1"))
-    assert data.matrix.rows() == [[2, 0], [0, -2]]
+    assert data.matrix.rows == [[2, 0], [0, -2]]
     assert data.traces == (2, 0, -2)
 
 

@@ -191,7 +191,7 @@ def test_search_family_checks_every_block():
     fam = gram_system(parse_poly("y^2 + 1 + 4*x + 4*x^2", 2), bases, generators)
     status, blocks, detail = search_family(fam)
     assert (status, detail) == ("found", "unique Gram matrix")
-    assert [b.rows() for b in blocks] == [[[1]], [[1, 2], [2, 4]]]
+    assert [b.rows for b in blocks] == [[[1]], [[1, 2], [2, 4]]]
 
 
 def test_restrict_to_face_drops_only_forced_zeros():
@@ -317,7 +317,7 @@ def test_find_gram_refutes_every_bad_vertex():
 
 def test_find_gram_unique_cases():
     res = find_gram(parse_poly("x^2", 1))
-    assert res.found and res.gram.rows() == [[1]]
+    assert res.found and res.gram.rows == [[1]]
     res = find_gram(MPoly.constant(2, 4))
     assert res.found
     res = find_gram(MPoly.constant(1, -1))
