@@ -24,7 +24,6 @@ from .lasserre import (
     lower_bound_bisect,
     module_cert_search,
     monomials_upto,
-    parse_sdpa,
     verify_module_membership,
 )
 from .poly import (
@@ -53,9 +52,7 @@ from .quadforms import (
 )
 from .rootcount import (
     HermiteData,
-    companion,
     count_complex_distinct,
-    count_positive_roots_realrooted,
     count_real_roots,
     count_real_with_signs,
     count_roots,

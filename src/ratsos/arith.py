@@ -58,14 +58,6 @@ class Mat:
             raise DimensionError("ragged rows")
 
     @classmethod
-    def identity(cls, n: int) -> "Mat":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "Mat":
-        return cls([[0] * ncols for _ in range(nrows)])
-
-    @classmethod
     def from_columns(cls, cols) -> "Mat":
         cols = [list(c) for c in cols]
         if not cols:
@@ -96,20 +88,6 @@ class Mat:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def __add__(self, other: "Mat") -> "Mat":
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise DimensionError("shape mismatch")
-        return Mat([[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)])
-
-    def __sub__(self, other: "Mat") -> "Mat":
-        return self + (other * -1)
-
-    def matvec(self, v) -> list[Fraction]:
-        v = [rat(x) for x in v]
-        if len(v) != self.ncols:
-            raise DimensionError("vector length mismatch")
-        return [_dot(r, v) for r in self.rows]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Mat) and self.rows == other.rows

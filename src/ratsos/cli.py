@@ -32,12 +32,17 @@ def _univariate(text: str):
         raise ValueError(f"expected a univariate polynomial in x: {exc}") from exc
 
 
+def _json(text: str):
+    """JSON whose integers are read by ``rat``, under the parser's digit cap."""
+    return json.loads(text, parse_int=lambda digits: int(rat(digits)))
+
+
 def _matrix(text: str) -> SymMat:
-    return SymMat.from_rows(sos.json_rows(json.loads(text), "--matrix"))
+    return SymMat.from_rows(sos.json_rows(_json(text), "--matrix"))
 
 
 def _vectors(text: str) -> list[list[Fraction]]:
-    return sos.json_rows(json.loads(text), "--vectors")
+    return sos.json_rows(_json(text), "--vectors")
 
 
 # --- handlers: each returns (code, human lines, json payload) ---------------
@@ -100,7 +105,7 @@ def cmd_psd_check(args):
 
 def cmd_conic(args):
     vectors = _vectors(args.vectors)
-    target = sos.json_rationals(json.loads(args.target), "--target", "--target entry")
+    target = sos.json_rationals(_json(args.target), "--target", "--target entry")
     result = conic.conic_representation(vectors, target)
     if isinstance(result, conic.ConicCombination):
         coeffs = [str(c) for c in result.coefficients]
@@ -175,7 +180,7 @@ def cmd_sos_find(args):
 
 def cmd_sos_check(args):
     with open(args.cert) as fh:
-        doc = json.load(fh)
+        doc = _json(fh.read())
     if args.poly:
         f = parse_poly(args.poly)
         cert, _ = sos.cert_from_json(doc, f.nvars)
@@ -240,7 +245,7 @@ def cmd_lasserre_check(args):
     nvars, gs = _lasserre_system(args, args.poly)
     f = parse_poly(args.poly, nvars)
     with open(args.cert) as fh:
-        doc = json.load(fh)
+        doc = _json(fh.read())
     cert = lasserre.module_cert_from_json(doc, nvars)
     verdict = lasserre.verify_module_membership(f, gs, args.degree, cert)
     if verdict:
@@ -254,9 +259,9 @@ def cmd_lasserre_bound(args):
     result = lasserre.lower_bound_bisect(f, gs, args.degree, iterations=args.iterations)
     if not result.certified:
         return UNKNOWN, ["unknown (no initial bracket found)"], {"status": "unknown"}
-    lines = [f"lo={result.lo} hi={result.hi} certified=true"]
+    lines = [f"lo={result.lo} certified=true"]  # the bracket's hi proves nothing and is not printed
     cert_doc = lasserre.module_cert_to_json(result.cert, target=f - result.lo, degree=args.degree)
-    payload = {"lo": str(result.lo), "hi": str(result.hi), "certified": True, "certificate": cert_doc}
+    payload = {"lo": str(result.lo), "certified": True, "certificate": cert_doc}
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(sos.dump_cert(cert_doc) + "\n")
@@ -418,18 +423,22 @@ def run(argv, *, in_batch: bool = False) -> tuple[int, str]:
     except _ParseExit as exc:
         code, text = exc.args
         return (OK, text) if code == OK else _input_error(getattr(args, "json", False), text)
+    # an exact answer may have any number of digits, and input text has caps of
+    # its own (MAX_DIGITS), so the interpreter's int-string limit is lifted here
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         code, lines, payload = args.handler(args)
+        if args.json:
+            return code, json.dumps({"exit": code, **payload}, sort_keys=True, default=str)
+        return code, "\n".join(lines)
     except (PolyParseError, ValueError, OSError, json.JSONDecodeError, ZeroDivisionError) as exc:
         return _input_error(args.json, str(exc))
     except (AssertionError, RuntimeError, ArithmeticError) as exc:  # a failed internal check
         message = "internal error: " + (" ".join(str(exc).split()) or type(exc).__name__)
         return UNKNOWN, json.dumps({"error": message}, sort_keys=True) if args.json else message
-    if args.json:
-        payload = dict(payload)
-        payload.setdefault("exit", code)
-        return code, json.dumps(payload, sort_keys=True, default=str)
-    return code, "\n".join(lines)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def main(argv=None) -> int:

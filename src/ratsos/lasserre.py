@@ -165,30 +165,6 @@ def emit_sdpa(rel: LasserreRelaxation, objective: MPoly) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass
-class SdpaProblem:
-    nvars: int
-    block_sizes: list[int]
-    objective: list[float]
-    entries: dict  # (matno, blockno, i, j) -> float
-
-
-def parse_sdpa(text: str) -> SdpaProblem:
-    """Parse SDPA sparse text (as produced by :func:`emit_sdpa`)."""
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith(("*", '"'))]
-    nvars = int(lines[0].split()[0])
-    nblocks = int(lines[1].split()[0])
-    sizes = [abs(int(tok)) for tok in lines[2].split()]
-    if len(sizes) != nblocks:
-        raise ValueError("block size line does not match the block count")
-    objective = [float(tok) for tok in lines[3].split()]
-    entries = {}
-    for ln in lines[4:]:
-        matno, bno, i, j, val = ln.split()
-        entries[(int(matno), int(bno), int(i), int(j))] = float(val)
-    return SdpaProblem(nvars, sizes, objective, entries)
-
-
 # --- module membership certificates ----------------------------------------
 
 @dataclass
@@ -268,7 +244,10 @@ def module_cert_search(f: MPoly, gs, d: int) -> ModuleSearch:
 
 @dataclass
 class BisectResult:
-    """lo and hi are None when the doubling walk never found a bracket."""
+    """The bisection's final bracket: lo is a certified level and hi the last
+    level without a certificate, which proves nothing (the relaxation or the
+    numeric phase may have failed there).  Both are None when the doubling
+    walk never found a bracket."""
 
     lo: Fraction | None
     hi: Fraction | None

@@ -67,10 +67,6 @@ class UPoly:
     def x(cls) -> "UPoly":
         return cls((0, 1))
 
-    @classmethod
-    def constant(cls, c) -> "UPoly":
-        return cls((c,))
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -78,10 +74,6 @@ class UPoly:
     def degree(self):
         """Degree, or ``NEG_INF`` for the zero polynomial."""
         return len(self.coeffs) - 1 if self.coeffs else NEG_INF
-
-    def lc(self) -> Fraction:
-        """Leading coefficient; zero for the zero polynomial."""
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
 
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
@@ -260,15 +252,6 @@ class MPoly:
         return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
-    def variable(cls, nvars: int, i: int) -> "MPoly":
-        """The variable x_i (1-based)."""
-        if not 1 <= i <= nvars:
-            raise ValueError(f"variable index {i} out of range 1..{nvars}")
-        alpha = [0] * nvars
-        alpha[i - 1] = 1
-        return cls(nvars, {tuple(alpha): 1})
-
-    @classmethod
     def monomial(cls, alpha, coeff=1) -> "MPoly":
         return cls(len(alpha), {tuple(alpha): coeff})
 
@@ -377,50 +360,6 @@ class MPoly:
                     v *= x**e
             total += v
         return total
-
-    def derivative(self, i: int) -> "MPoly":
-        """Formal partial derivative with respect to x_i (1-based)."""
-        if not 1 <= i <= self.nvars:
-            raise ValueError(f"variable index {i} out of range 1..{self.nvars}")
-        k = i - 1
-        terms = {}
-        for alpha, c in self.terms.items():
-            e = alpha[k]
-            if e == 0:
-                continue
-            beta = alpha[:k] + (e - 1,) + alpha[k + 1 :]
-            terms[beta] = terms.get(beta, Fraction(0)) + c * e
-        return MPoly(self.nvars, terms)
-
-    def homogenize(self) -> "MPoly":
-        """Homogenization with a fresh variable in the first position.
-
-        The result has ``nvars + 1`` variables and is homogeneous of the same
-        total degree; dehomogenizing recovers the original polynomial.  The
-        zero polynomial homogenizes to zero.
-        """
-        if self.is_zero:
-            return MPoly.zero(self.nvars + 1)
-        d = self.degree()
-        terms = {(d - sum(a),) + a: c for a, c in self.terms.items()}
-        return MPoly(self.nvars + 1, terms)
-
-    def dehomogenize(self) -> "MPoly":
-        """Substitute 1 for the first variable."""
-        if self.nvars == 0:
-            raise ValueError("no variable to dehomogenize")
-        terms: dict = {}
-        for alpha, c in self.terms.items():
-            key = alpha[1:]
-            terms[key] = terms.get(key, Fraction(0)) + c
-        return MPoly(self.nvars - 1, terms)
-
-    def leading_form(self) -> "MPoly":
-        """Sum of the terms of maximal total degree; zero for the zero polynomial."""
-        if self.is_zero:
-            return self
-        d = self.degree()
-        return MPoly(self.nvars, {a: c for a, c in self.terms.items() if sum(a) == d})
 
     def to_upoly(self) -> UPoly:
         if self.nvars != 1:

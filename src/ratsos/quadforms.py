@@ -50,14 +50,6 @@ class SymMat(Mat):
             raise ValueError("matrix is not symmetric")
         return m
 
-    @classmethod
-    def zeros(cls, dim: int) -> "SymMat":
-        return cls(dim, [0] * (dim * (dim + 1) // 2))
-
-    @classmethod
-    def identity(cls, dim: int) -> "SymMat":
-        return cls(dim, [int(i == j) for i in range(dim) for j in range(i, dim)])
-
     dim = property(lambda self: self.nrows)
 
     def __repr__(self) -> str:
@@ -74,10 +66,6 @@ class DiagCongruence:
 
     p: Mat
     d: list[Fraction]
-
-    def reassemble(self) -> SymMat:
-        dp = Mat([[w * x for x in row] for w, row in zip(self.d, self.p.rows)])
-        return SymMat.from_rows((self.p.transpose() * dp).rows)
 
 
 def diagonalize(m: SymMat) -> DiagCongruence:
@@ -197,9 +185,6 @@ class SosCert:
         for w, p in self.terms:
             acc = acc + p * p * w
         return acc
-
-    def __len__(self) -> int:
-        return len(self.terms)
 
 
 def weighted_square_decomposition(m: SymMat, monomials) -> SosCert:

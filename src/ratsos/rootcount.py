@@ -7,9 +7,9 @@ weighted by the sign of g, its rank counts distinct complex roots with g
 nonzero.  The power sums are computed fraction-free: f is scaled to the
 integer polynomial L^d f(X/L), L the lcm of its coefficient denominators,
 Newton's identities run on integers, and only one ``Fraction`` is built per
-trace.  Sign-change counting supplies Descartes bounds and, for real-rooted
-polynomials, exact positive root counts, which together yield a decision
-procedure for strict univariate sign conditions.
+trace.  Sign-change counting supplies Descartes bounds (exact positive root
+counts when f is real-rooted), and counts with sign conditions decide strict
+univariate sign conditions.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 
-from .arith import Mat, _integer_rows
+from .arith import _integer_rows
 from .poly import UPoly, sign_changes  # noqa: F401  (sign_changes is part of this API)
 from .quadforms import SymMat, inertia, signature
 
@@ -36,19 +36,6 @@ class HermiteData:
     g: UPoly
     matrix: SymMat
     traces: tuple
-
-
-def companion(f: UPoly) -> Mat:
-    """Companion matrix of a monic polynomial: subdiagonal ones, last column -a_i."""
-    if f.is_zero or not f.is_monic():
-        raise ValueError("companion matrix requires a monic polynomial")
-    d = f.degree()
-    rows = [[Fraction(0)] * d for _ in range(d)]
-    for i in range(d):
-        if i + 1 < d:
-            rows[i + 1][i] = Fraction(1)
-        rows[i][d - 1] = -f.coeffs[i]
-    return Mat(rows)
 
 
 def hermite_form(f: UPoly, g: UPoly | None = None) -> HermiteData:
@@ -127,8 +114,6 @@ def count_real_with_signs(f: UPoly, gs) -> int:
     gs = list(gs)
     if f.degree() == 0:
         return 0
-    if not gs:
-        return count_real_roots(f)
     total = 0
     for pattern in product((1, 2), repeat=len(gs)):
         g = UPoly.one()
@@ -157,13 +142,6 @@ def is_real_rooted(f: UPoly) -> bool:
     if f.degree() == 0:
         return True
     return inertia(hermite_form(f).matrix)[1] == 0
-
-
-def count_positive_roots_realrooted(f: UPoly) -> int:
-    """Positive roots with multiplicity of a real-rooted f; exactly sigma(f)."""
-    if not is_real_rooted(f):
-        raise ValueError("polynomial is not real-rooted")
-    return sign_changes(f)
 
 
 def decide_strict_system(gs) -> bool:

@@ -1,7 +1,10 @@
-"""Shared generators for the randomized suites (all seeded by the caller)."""
+"""Shared generators for the randomized suites (all seeded by the caller),
+and the reference constructions the suites compare the library against."""
 
+from dataclasses import dataclass
 from fractions import Fraction
 
+from ratsos.arith import Mat
 from ratsos.poly import MPoly, UPoly
 from ratsos.quadforms import SymMat, rank
 
@@ -68,3 +71,55 @@ def planted_rows(rng, nrows, ncols, nbase, max_den=9):
         combo = [sum((c * r[k] for c, r in zip(coeffs, base)), Fraction(0)) for k in range(ncols)]
         rows.insert(rng.randint(0, len(rows)), (True, combo))
     return [r for _, r in rows], [i for i, (is_combo, _) in enumerate(rows) if is_combo]
+
+
+def identity_rows(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def matvec(a: Mat, v) -> list[Fraction]:
+    """The product A v of a matrix and a vector of rationals."""
+    return [sum((x * Fraction(y) for x, y in zip(row, v)), Fraction(0)) for row in a.rows]
+
+
+def companion(f: UPoly) -> Mat:
+    """Companion matrix of a monic polynomial: subdiagonal ones, last column -a_i."""
+    if f.is_zero or not f.is_monic():
+        raise ValueError("companion matrix requires a monic polynomial")
+    d = f.degree()
+    rows = [[Fraction(0)] * d for _ in range(d)]
+    for i in range(d):
+        if i + 1 < d:
+            rows[i + 1][i] = Fraction(1)
+        rows[i][d - 1] = -f.coeffs[i]
+    return Mat(rows)
+
+
+def reassemble(cong) -> SymMat:
+    """P^T diag(D) P for a congruence diagonalization (P, D)."""
+    dp = Mat([[w * x for x in row] for w, row in zip(cong.d, cong.p.rows)])
+    return SymMat.from_rows((cong.p.transpose() * dp).rows)
+
+
+@dataclass
+class SdpaProblem:
+    nvars: int
+    block_sizes: list[int]
+    objective: list[float]
+    entries: dict  # (matno, blockno, i, j) -> float
+
+
+def parse_sdpa(text: str) -> SdpaProblem:
+    """Parse SDPA sparse text (as produced by :func:`ratsos.lasserre.emit_sdpa`)."""
+    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith(("*", '"'))]
+    nvars = int(lines[0].split()[0])
+    nblocks = int(lines[1].split()[0])
+    sizes = [abs(int(tok)) for tok in lines[2].split()]
+    if len(sizes) != nblocks:
+        raise ValueError("block size line does not match the block count")
+    objective = [float(tok) for tok in lines[3].split()]
+    entries = {}
+    for ln in lines[4:]:
+        matno, bno, i, j, val = ln.split()
+        entries[(int(matno), int(bno), int(i), int(j))] = float(val)
+    return SdpaProblem(nvars, sizes, objective, entries)

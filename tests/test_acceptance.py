@@ -14,7 +14,6 @@ from ratsos.lasserre import (
     emit_sdpa,
     lower_bound_bisect,
     module_cert_search,
-    parse_sdpa,
     verify_module_membership,
 )
 from ratsos.poly import MPoly, UPoly, gcd_upoly, parse_poly, parse_upoly
@@ -31,7 +30,6 @@ from ratsos.quadforms import (
 )
 from ratsos.rootcount import (
     count_complex_distinct,
-    count_positive_roots_realrooted,
     count_real_roots,
     count_real_with_signs,
     hermite_form,
@@ -40,7 +38,7 @@ from ratsos.rootcount import (
 )
 from ratsos.sos import cassels_descent, find_gram, gram_family, verify_sos
 
-from helpers import rand_symmetric_rows, rand_upoly, upoly_from_roots
+from helpers import parse_sdpa, rand_symmetric_rows, rand_upoly, upoly_from_roots
 from test_conic import cone_membership_oracle
 from test_rootcount import random_constructed
 from test_sos import gaussian_pair_instance
@@ -77,7 +75,7 @@ def test_criterion_2_symmetric_matrix_golden():
         h = hermite_form(f.monic()).matrix
         assert rank(h) == 3 and signature(h) == 3
         assert is_real_rooted(f)
-        assert count_positive_roots_realrooted(f) == 1
+        assert sign_changes(f) == 1
 
 
 def test_criterion_3_hermite_oracle_suite():

@@ -2,6 +2,7 @@ import copy
 import itertools
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -478,6 +479,61 @@ def test_bad_json_matrices_and_vectors_exit_2(argv, message):
     assert code == 2 and json.loads(out) == {"error": message}
 
 
+def test_long_json_integers_get_the_parser_digit_cap(tmp_path):
+    """A JSON integer past the parser's 600 digits (here also past Python's
+    own 4,300) is an input error with the message the same digits get as a
+    string, in every JSON input: matrices, vectors, targets and both kinds
+    of certificate file."""
+    ones = "1" * 5000
+    message = "rational literal with a number longer than 600 digits"
+    gram = tmp_path / "gram.json"
+    gram.write_text(f'{{"gram": [[{ones}]], "monomials": [[0]], "target": "1"}}')
+    module = tmp_path / "module.json"
+    module.write_text(f'{{"sigmas": [{{"terms": [{{"weight": {ones}, "poly": "1"}}]}}]}}')
+    for argv in (["psd-check", "--matrix", f"[[{ones}]]"],
+                 ["psd-check", "--matrix", f'[["{ones}"]]'],
+                 ["conic", "--vectors", f"[[{ones}]]", "--target", "[1]"],
+                 ["conic", "--vectors", "[[1]]", "--target", f"[-{ones}]"],
+                 ["sos", "check", "--cert", str(gram)],
+                 ["lasserre", "check", "--poly", "1", "-d", "0", "--cert", str(module)]):
+        assert run(argv) == (2, f"error: {message}"), argv
+
+
+def test_diagonalize_prints_numbers_past_the_int_string_limit():
+    """A 9x9 matrix of 600-digit integers has a congruence diagonal with
+    numbers of more than 4,300 digits: the answer is printed in full (exit 0),
+    P^T diag(D) P gives the matrix back exactly, and the interpreter's
+    int-string limit is the same after the call."""
+    rng = random.Random(9)
+    rows = [[0] * 9 for _ in range(9)]
+    for i in range(9):
+        for j in range(i, 9):
+            rows[i][j] = rows[j][i] = rng.randrange(10**599, 10**600) * rng.choice((-1, 1))
+    limit = sys.get_int_max_str_digits()
+    code, out = run(["diagonalize", "--matrix", json.dumps(rows)])
+    assert sys.get_int_max_str_digits() == limit
+    assert code == 0
+    lines = out.splitlines()
+    assert max(map(len, lines[0].split())) > 4300
+    sys.set_int_max_str_digits(0)  # to read the numbers back
+    try:
+        d = [Fraction(x) for x in lines[0].split()[1:]]
+        p = [[Fraction(x) for x in line.split()[1:]] for line in lines[1:]]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert [[sum(p[k][i] * w * p[k][j] for k, w in enumerate(d)) for j in range(9)] for i in range(9)] == rows
+
+
+def test_lasserre_bound_prints_no_uncertified_hi():
+    """The bisection's hi is only the last level without a certificate: for
+    x^3 - x on [-1, 1] it is -397/1024, below the minimum -2/(3*sqrt(3)),
+    so neither the line nor the JSON object carries it."""
+    argv = ["lasserre", "bound", "--poly", "x^3-x", "-g", "1+x", "-g", "1-x", "-d", "4"]
+    assert run(argv) == (0, "lo=-1589/4096 certified=true")
+    code, out = run(["--json"] + argv)
+    assert code == 0 and sorted(json.loads(out)) == ["certificate", "certified", "exit", "lo"]
+
+
 def test_batch_survives_bad_json_matrix(tmp_path):
     batch = tmp_path / "cmds.txt"
     batch.write_text("signature --matrix 5\npsd-check --matrix [[true]]\npsd-check --matrix [[1]]\n")
@@ -776,13 +832,13 @@ GOLDEN = [
       "--constraint=1 - x^2 - y^2"],
      '{"certificate": {"degree": 2, "sigmas": [{"terms": [{"poly": "-4/3*x + 1", "weight": "3/8"}, '
      '{"poly": "x - 3/2*y", "weight": "1/3"}, {"poly": "y", "weight": "1/4"}]}, {"terms": []}], '
-     '"target": "x^2 - x*y + y^2 - x + 3/8"}, "certified": true, "exit": 0, "hi": "-1/4", "lo": "-3/8"}'),
+     '"target": "x^2 - x*y + y^2 - x + 3/8"}, "certified": true, "exit": 0, "lo": "-3/8"}'),
     (["--json", "lasserre", "bound", "--poly=x^3 - x", "-d", "4", "--iterations=3", "--constraint=1 + x",
       "--constraint=1 - x"],
      '{"certificate": {"degree": 4, "sigmas": [{"terms": [{"poly": "-787/1550*x + 1", "weight": "31/142"}, '
      '{"poly": "x", "weight": "40931/11005000"}]}, {"terms": [{"poly": "-3763/2000*x + 1", "weight": '
      '"20/71"}, {"poly": "x", "weight": "561/200000"}]}, {"terms": []}], "target": "x^3 - x + 1/2"}, '
-     '"certified": true, "exit": 0, "hi": "-3/8", "lo": "-1/2"}'),
+     '"certified": true, "exit": 0, "lo": "-1/2"}'),
 ]
 
 

@@ -16,11 +16,12 @@ from ratsos.lasserre import (
     module_cert_search,
     module_cert_to_json,
     monomials_upto,
-    parse_sdpa,
     verify_module_membership,
 )
 from ratsos.poly import MPoly, parse_poly
 from ratsos.quadforms import SosCert, SymMat, is_psd
+
+from helpers import parse_sdpa
 
 G1 = parse_poly("1 - x + y", 2)
 G2 = parse_poly("1 - x^4 - y^4", 2)

@@ -45,7 +45,7 @@ def test_parse_implicit_star_and_aliases():
     assert parse_poly("*x") == parse_poly("x")
     assert parse_poly("xy") == parse_poly("x*y")
     assert parse_poly("2 x") == parse_poly("2*x")
-    assert parse_poly("x12") == MPoly.variable(12, 12)
+    assert parse_poly("x12") == MPoly.monomial((0,) * 11 + (1,))
     assert parse_poly("x^٣") == parse_poly("x^3")  # any decimal digit, as int() reads it
 
 
@@ -145,72 +145,6 @@ def test_parse_round_trips_or_names_a_position(text, nvars):
         assert 0 <= exc.position <= len(text)
     else:
         assert parse_poly(poly_text(f), f.nvars) == f
-
-
-def test_derivative_examples():
-    f = parse_poly("x^2*y", 2)
-    assert f.derivative(1) == parse_poly("2*x*y", 2)
-    assert parse_poly("5", 2).derivative(1).is_zero
-    with pytest.raises(ValueError):
-        f.derivative(3)
-
-
-def test_derivative_term_rule_oracle():
-    rng = random.Random(3)
-    for _ in range(20):
-        f = rand_mpoly(rng, nvars=3)
-        for i in (1, 2, 3):
-            expected: dict = {}
-            for alpha, c in f.terms.items():
-                e = alpha[i - 1]
-                if e:
-                    beta = list(alpha)
-                    beta[i - 1] -= 1
-                    key = tuple(beta)
-                    expected[key] = expected.get(key, Fraction(0)) + c * e
-            assert f.derivative(i) == MPoly(3, expected)
-
-
-def test_homogenize_examples():
-    f = parse_poly("x + 1", 1)
-    # the fresh variable sits first
-    assert f.homogenize() == MPoly(2, {(1, 0): 1, (0, 1): 1})
-    motzkin = parse_poly("x^4*y^2 + x^2*y^4 - 3*x^2*y^2 + 1", 2)
-    form = motzkin.homogenize()
-    assert form == MPoly(3, {(0, 4, 2): 1, (0, 2, 4): 1, (2, 2, 2): -3, (6, 0, 0): 1})
-    assert form.leading_form() == form  # homogeneous
-
-
-def test_homogenize_round_trip_and_eval():
-    rng = random.Random(5)
-    for _ in range(20):
-        f = rand_mpoly(rng, nvars=2)
-        if f.is_zero:
-            continue
-        star = f.homogenize()
-        assert star.dehomogenize() == f
-        point = [rand_frac(rng), rand_frac(rng)]
-        assert star.eval([Fraction(1)] + point) == f.eval(point)
-
-
-def test_leading_form():
-    assert parse_poly("x^2 + x", 1).leading_form() == parse_poly("x^2", 1)
-    assert MPoly.zero(2).leading_form().is_zero
-    rng = random.Random(7)
-    for _ in range(20):
-        f, g = rand_mpoly(rng), rand_mpoly(rng)
-        if f.is_zero or g.is_zero:
-            continue
-        assert (f * g).leading_form() == f.leading_form() * g.leading_form()
-
-
-def test_homogenize_multiplicative():
-    rng = random.Random(9)
-    for _ in range(20):
-        f, g = rand_mpoly(rng), rand_mpoly(rng)
-        if f.is_zero or g.is_zero:
-            continue
-        assert (f * g).homogenize() == f.homogenize() * g.homogenize()
 
 
 def test_gcd_examples():

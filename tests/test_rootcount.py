@@ -4,13 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from ratsos.arith import Mat, charpoly
+from ratsos.arith import charpoly
 from ratsos.poly import UPoly, gcd_upoly, parse_upoly
 from ratsos.quadforms import SymMat, rank, signature
 from ratsos.rootcount import (
-    companion,
     count_complex_distinct,
-    count_positive_roots_realrooted,
     count_real_roots,
     count_real_with_signs,
     decide_strict_system,
@@ -20,7 +18,7 @@ from ratsos.rootcount import (
     sign_changes,
 )
 
-from helpers import rand_frac, upoly_from_roots
+from helpers import companion, identity_rows, rand_frac, upoly_from_roots
 
 X = UPoly.x()
 
@@ -86,7 +84,7 @@ def companion_traces(f, g):
     def times_c(a):
         return [row[1:] + [sum((x * y for x, y in zip(row, last)), Fraction(0))] for row in a]
 
-    power = Mat.identity(d).rows
+    power = identity_rows(d)
     gc = [[Fraction(0)] * d for _ in range(d)]
     for coeff in g.coeffs:
         gc = [[x + coeff * y for x, y in zip(r, s)] for r, s in zip(gc, power)]
@@ -224,12 +222,13 @@ def test_descartes_goldens():
 
 
 def test_positive_roots_realrooted():
-    assert count_positive_roots_realrooted(parse_upoly("-x^3 - x^2 + 4*x + 1")) == 1
+    # a real-rooted f has exactly sigma(f) positive roots with multiplicity
+    f = parse_upoly("-x^3 - x^2 + 4*x + 1")
+    assert is_real_rooted(f) and sign_changes(f) == 1
     f = upoly_from_roots([1, 1, 2])
-    assert count_positive_roots_realrooted(f) == 3
-    assert count_positive_roots_realrooted(UPoly([0, 0, 1])) == 0  # X^2
-    with pytest.raises(ValueError):
-        count_positive_roots_realrooted(parse_upoly("x^2 + 1"))
+    assert is_real_rooted(f) and sign_changes(f) == 3
+    assert is_real_rooted(UPoly([0, 0, 1])) and sign_changes(UPoly([0, 0, 1])) == 0  # X^2
+    assert not is_real_rooted(parse_upoly("x^2 + 1"))
 
 
 def test_real_rooted_flag():
@@ -272,7 +271,7 @@ def test_descartes_bound_and_parity_on_constructed():
         assert mu <= sigma
         assert mu % 2 == sigma % 2
         # real-rooted by construction, so the bound is attained
-        assert count_positive_roots_realrooted(f) == mu == sigma
+        assert is_real_rooted(f) and mu == sigma
 
 
 def grid_oracle(gs):
@@ -282,7 +281,7 @@ def grid_oracle(gs):
         prod = prod * g
     if prod.degree() < 1:
         return all(g.eval(0) > 0 for g in gs)
-    lead = abs(prod.lc())
+    lead = abs(prod.coeffs[-1])
     bound = 1 + max(abs(c) for c in prod.coeffs) / lead
     step = Fraction(1, 16)
     x = -bound - 1
