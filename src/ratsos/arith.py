@@ -29,7 +29,9 @@ class DimensionError(ValueError):
 
 def rat(value) -> Fraction:
     """Coerce an int, Fraction or text into a rational.  Text is an optional
-    sign and a polynomial coefficient ``nat ('/' nat)?``, blanks stripped."""
+    sign and a polynomial coefficient ``nat ('/' nat)?``, blanks stripped;
+    its value is built from the matched digit runs, with the errors
+    ``Fraction(text)`` gives (ZeroDivisionError for a zero denominator)."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
@@ -40,9 +42,10 @@ def rat(value) -> Fraction:
     m = _COEF.fullmatch(s, 1 if s.startswith(("+", "-")) else 0)
     if m is None or m.group(2) == "":
         raise ValueError(f"Invalid literal for Fraction: {s!r}")
-    if max(len(m.group(1)), len(m.group(2) or "")) > MAX_DIGITS:
+    num, den = m.groups()
+    if max(len(num), len(den or "")) > MAX_DIGITS:
         raise ValueError(f"rational literal with a number longer than {MAX_DIGITS} digits")
-    return Fraction(s)
+    return Fraction(-int(num) if s.startswith("-") else int(num), int(den or 1))
 
 
 class Mat:

@@ -330,8 +330,7 @@ class MPoly:
             for b, cb in ys:
                 key = tuple(map(add, a, b))
                 acc[key] = acc.get(key, 0) + ca * cb
-        den = da * db
-        return MPoly._normal(self.nvars, {key: Fraction(c, den) for key, c in acc.items() if c})
+        return _from_integers(self.nvars, acc, da * db)
 
     __rmul__ = __mul__
 
@@ -382,6 +381,11 @@ def _integer_terms(f: MPoly) -> tuple[int, list]:
     """(L, [(alpha, L * c)]) for the lcm L of the coefficient denominators of f."""
     scale = lcm(*(c.denominator for c in f.terms.values()))
     return scale, [(a, c.numerator * (scale // c.denominator)) for a, c in f.terms.items()]
+
+
+def _from_integers(nvars: int, acc: dict, den: int) -> MPoly:
+    """The MPoly with the nonzero integers of ``acc`` over den as coefficients."""
+    return MPoly._normal(nvars, {key: Fraction(c, den) for key, c in acc.items() if c})
 
 
 def _grlex_key(alpha):
@@ -502,7 +506,7 @@ def parse_poly(text: str, nvars: int | None = None) -> MPoly:
             break
     if sign.end() != len(text):
         raise PolyParseError(f"unexpected character {text[sign.end()]!r}", sign.end())
-    return MPoly(nvars, terms)
+    return MPoly._normal(nvars, terms)
 
 
 def parse_upoly(text: str) -> UPoly:

@@ -6,7 +6,10 @@ diagonalization M = P^T diag(D) P by square completion with a hyperbolic
 split on zero diagonals, both run as the fraction-free pivot step
 ``arith._pivot`` on denominator-cleared integer rows; rank and signature (with
 an independent second method: Descartes' rule on det(M + X*I)), psd tests,
-and weighted-square certificates extracted from a diagonalization.
+and weighted-square certificates extracted from a diagonalization.  Both
+certificate expansions, w * p^2 summed over the squares and v^T M v, are
+one fraction-free accumulation over the upper triangle of each form
+(``_add_form_row``), with one ``Fraction`` per term of the result.
 """
 
 from __future__ import annotations
@@ -14,9 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
+from operator import add
 
 from .arith import Mat, _integer_rows, _pivot, charpoly, det, rat
-from .poly import MPoly, sign_changes
+from .poly import MPoly, UPoly, _from_integers, _integer_terms, sign_changes
 
 
 class CertificateError(ValueError):
@@ -180,11 +185,47 @@ class SosCert:
         return all(w >= 0 for w, _ in self.terms)
 
     def expand(self, zero):
-        """Sum of w * p^2 over the terms, started from the given zero polynomial."""
-        acc = zero
+        """Sum of w * p^2 over the terms, as a polynomial of the type and
+        variable count of ``zero`` (an MPoly or a UPoly, the zero polynomial).
+
+        Fraction-free: each p is scaled to integers over the lcm L of its
+        coefficient denominators, and w * p^2 is added, by its upper
+        triangle of products with doubled cross terms, into one integer sum
+        over the common denominator lcm(w.den * L^2).  One ``Fraction`` is
+        built per nonzero term of the result.  UPoly terms run as
+        one-variable MPolys.
+        """
+        nvars = 1 if isinstance(zero, UPoly) else zero.nvars
+        squares = []
         for w, p in self.terms:
-            acc = acc + p * p * w
-        return acc
+            p = p.to_mpoly() if isinstance(p, UPoly) else p
+            if p.nvars != nvars:
+                raise ValueError("mixed variable counts")
+            if w:
+                scale, xs = _integer_terms(p)
+                squares.append((w, scale * scale, [a for a, _ in xs], [c for _, c in xs]))
+        den = lcm(*(w.denominator * s for w, s, _, _ in squares))
+        acc: dict = {}
+        for w, s, alphas, coeffs in squares:
+            k = w.numerator * (den // (w.denominator * s))
+            for i, c in enumerate(coeffs):
+                _add_form_row(acc, alphas, i, k * c, coeffs)
+        total = _from_integers(nvars, acc, den)
+        return total.to_upoly() if isinstance(zero, UPoly) else total
+
+
+def _add_form_row(acc: dict, alphas, i: int, scale: int, row) -> None:
+    """Add scale * x^a_i * (row[i] * x^a_i + 2 * sum_(j > i) row[j] * x^a_j) to
+    the integer sum ``acc``: row i of a symmetric form on the monomials x^a,
+    its upper triangle with the cross terms doubled."""
+    a = alphas[i]
+    key = tuple(map(add, a, a))
+    acc[key] = acc.get(key, 0) + scale * row[i]
+    scale *= 2
+    for b, x in zip(alphas[i + 1 :], row[i + 1 :]):
+        if x:
+            key = tuple(map(add, a, b))
+            acc[key] = acc.get(key, 0) + scale * x
 
 
 def weighted_square_decomposition(m: SymMat, monomials) -> SosCert:
@@ -216,15 +257,24 @@ def weighted_square_decomposition(m: SymMat, monomials) -> SosCert:
 
 
 def gram_product(m: SymMat, monomials) -> MPoly:
-    """The polynomial v^T M v for the monomial vector v given by exponent tuples."""
+    """The polynomial v^T M v for the monomial vector v given by exponent tuples.
+
+    Fraction-free: row i of M is scaled to integers by s_i
+    (``arith._integer_rows``), and the upper triangle of the rows, cross
+    terms doubled, is summed per exponent vector in integers over the common
+    denominator lcm(s_i).  One ``Fraction`` is built per nonzero term of the
+    result.
+    """
     monomials = [tuple(a) for a in monomials]
     if len(monomials) != m.dim:
         raise ValueError(f"monomial vector has length {len(monomials)}, expected {m.dim}")
     nvars = len(monomials[0]) if monomials else 0
-    terms: dict = {}
-    for alpha, row in zip(monomials, m.rows):
-        for beta, c in zip(monomials, row):
-            if c:
-                key = tuple(x + y for x, y in zip(alpha, beta))
-                terms[key] = terms.get(key, Fraction(0)) + c
-    return MPoly(nvars, terms)
+    for alpha in monomials:
+        if len(alpha) != nvars:
+            raise ValueError(f"exponent vector {alpha} has wrong length for {nvars} variables")
+    rows, scales = _integer_rows(m.rows)
+    den = lcm(*scales)
+    acc: dict = {}
+    for i, (row, s) in enumerate(zip(rows, scales)):
+        _add_form_row(acc, monomials, i, den // s, row)
+    return _from_integers(nvars, acc, den)

@@ -336,10 +336,7 @@ def cassels_descent(weights, fs, g: UPoly, degree_trace: list | None = None) -> 
         raise ValueError("negative weight")
     if g.is_zero:
         raise ZeroDivisionError("zero denominator")
-    numerator = UPoly.zero()
-    for w, fi in zip(weights, fs):
-        numerator = numerator + fi * fi * w
-    h, rem = divmod(numerator, g * g)
+    h, rem = divmod(SosCert(tuple(zip(weights, fs))).expand(UPoly.zero()), g * g)
     if not rem.is_zero:
         raise ValueError("sum of weighted squares is not divisible by g^2")
 
@@ -356,19 +353,15 @@ def cassels_descent(weights, fs, g: UPoly, degree_trace: list | None = None) -> 
             new_g = UPoly.one()
         else:
             qs = [q for q, _ in pairs]
-            s = -h
+            s = SosCert(tuple(zip(ws, qs))).expand(UPoly.zero()) - h
             t = -(cur_g * h)
             for w, fi, qi in zip(ws, cur, qs):
-                s = s + qi * qi * w
                 t = t + fi * qi * w
             new_f = [s * fi - (t * qi) * 2 for fi, qi in zip(cur, qs)]
             new_g = s * cur_g - t * 2
         if new_g.is_zero or not new_g.degree() < cur_g.degree():
             raise ArithmeticError("descent failed to lower the denominator degree")
-        check = UPoly.zero()
-        for w, fi in zip(ws, new_f):
-            check = check + fi * fi * w
-        if check != h * new_g * new_g:
+        if SosCert(tuple(zip(ws, new_f))).expand(UPoly.zero()) != h * new_g * new_g:
             raise ArithmeticError("descent identity violated")
         cur, cur_g = new_f, new_g
         if degree_trace is not None:
@@ -472,6 +465,12 @@ def cert_from_json(doc: dict, nvars: int | None = None):
     if "gram" in doc:
         gram = SymMat.from_rows(json_rows(json_field(doc, "gram", list), "certificate field 'gram'"))
         monomials = [_exponents(a) for a in json_field(doc, "monomials", list)]
+        length = nvars if nvars is not None or not monomials else len(monomials[0])
+        for alpha in monomials:
+            if len(alpha) != length:
+                raise ValueError(
+                    f"certificate monomial {list(alpha)} has length {len(alpha)}, expected {length}"
+                )
         return (gram, monomials), target
     raise ValueError("certificate document has neither 'terms' nor 'gram'")
 

@@ -95,6 +95,29 @@ def companion(f: UPoly) -> Mat:
     return Mat(rows)
 
 
+def expand_fold(cert, zero):
+    """Sum of w * p^2 over the certificate's terms, one polynomial sum per
+    square: the reference :meth:`ratsos.quadforms.SosCert.expand` is checked against."""
+    acc = zero
+    for w, p in cert.terms:
+        acc = acc + p * p * w
+    return acc
+
+
+def gram_product_fold(m, monomials) -> MPoly:
+    """v^T M v summed in Fractions over every entry of M, both triangles: the
+    reference :func:`ratsos.quadforms.gram_product` is checked against."""
+    monomials = [tuple(a) for a in monomials]
+    nvars = len(monomials[0]) if monomials else 0
+    terms: dict = {}
+    for alpha, row in zip(monomials, m.rows):
+        for beta, c in zip(monomials, row):
+            if c:
+                key = tuple(x + y for x, y in zip(alpha, beta))
+                terms[key] = terms.get(key, Fraction(0)) + c
+    return MPoly(nvars, terms)
+
+
 def reassemble(cong) -> SymMat:
     """P^T diag(D) P for a congruence diagonalization (P, D)."""
     dp = Mat([[w * x for x in row] for w, row in zip(cong.d, cong.p.rows)])

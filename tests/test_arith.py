@@ -54,6 +54,28 @@ def test_rat_parsing():
                 rat(text)
 
 
+def test_rat_matches_fraction_on_random_literals():
+    """rat builds its value from the matched digit runs: the same rational as
+    Fraction(text) on signed literals with leading zeros and blanks, and the
+    same error where Fraction fails."""
+    rng = random.Random(83)
+    for _ in range(500):
+        num = "0" * rng.randint(0, 3) + str(rng.randint(0, 10 ** rng.choice([1, 5, 40])))
+        den = "0" * rng.randint(0, 3) + str(rng.randint(1, 10 ** rng.choice([1, 5, 40])))
+        text = rng.choice(["", "+", "-"]) + num + rng.choice(["", "/" + den])
+        padded = rng.choice(["", " "]) + text + rng.choice(["", "\t"])
+        value = rat(padded)
+        assert type(value) is Fraction and value == Fraction(text)
+    for text in ["1/0", "-01/000", "1/"]:
+        with pytest.raises(Exception) as expected:
+            Fraction(text)
+        with pytest.raises(expected.type) as got:
+            rat(text)
+        assert str(got.value) == str(expected.value)
+    with pytest.raises(ValueError, match="decimal point"):
+        rat("1.5")  # which Fraction reads
+
+
 def test_det_identity_and_permutation():
     assert det(Mat(identity_rows(3))) == 1
     assert det(Mat([[0, 1], [1, 0]])) == -1

@@ -231,6 +231,25 @@ def test_mistyped_certificates_exit_2(tmp_path):
     assert run(["lasserre", "check", "--poly", "x", "-g", "x", "-d", "2", "--cert", good]) == (0, "valid")
 
 
+def test_gram_monomials_are_checked_where_they_are_read(tmp_path):
+    """Ragged monomials, and monomials of another length than the target's
+    variable count, are input errors naming the monomial from the file."""
+    gram = [["1", "0"], ["0", "1"]]
+    cases = [  # (document, extra arguments, the monomial named), each against 2 variables
+        ({"monomials": [[1, 0], [0, 1, 0]], "gram": gram, "target": "x^2 + y^2"}, [], [0, 1, 0]),
+        ({"monomials": [[1, 0], [0, 1, 0]], "gram": gram}, [], [0, 1, 0]),
+        ({"monomials": [[1], [0]], "gram": gram, "target": "x^2 + y^2"}, [], [1]),
+        ({"monomials": [[1], [0]], "gram": gram}, ["--poly", "x^2 + y^2"], [1]),
+        ({"monomials": [[1, 0, 0], [0, 1, 0]], "gram": gram}, ["--poly", "x^2 + y^2"], [1, 0, 0]),
+    ]
+    for k, (doc, extra, monomial) in enumerate(cases):
+        cert = _write_json(tmp_path / f"cert{k}.json", doc)
+        message = f"error: certificate monomial {monomial} has length {len(monomial)}, expected 2"
+        assert run(["sos", "check", "--cert", cert] + extra) == (2, message), doc
+    good = _write_json(tmp_path / "good.json", {"monomials": [[1, 0], [0, 1]], "gram": gram})
+    assert run(["sos", "check", "--cert", good, "--poly", "x^2 + y^2"]) == (0, "valid")
+
+
 def test_batch_survives_mistyped_certificate(tmp_path):
     bad = _write_json(tmp_path / "bad.json", {"gram": 3, "monomials": [[1]], "target": "x^2"})
     good = _write_json(tmp_path / "good.json", {"gram": [["1"]], "monomials": [[1]], "target": "x^2"})

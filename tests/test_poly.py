@@ -145,6 +145,10 @@ def test_parse_round_trips_or_names_a_position(text, nvars):
         assert 0 <= exc.position <= len(text)
     else:
         assert parse_poly(poly_text(f), f.nvars) == f
+        # the parser's terms are already in the normal form MPoly() would make
+        assert list(f.terms.items()) == list(MPoly(f.nvars, f.terms).terms.items())
+        assert all(type(e) is int for a in f.terms for e in a)
+        assert all(type(c) is Fraction for c in f.terms.values())
 
 
 def test_gcd_examples():

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ratsos.arith import Mat, charpoly, det, pivot_columns
-from ratsos.poly import parse_poly
+from ratsos.poly import MPoly, UPoly, parse_poly
 from ratsos.quadforms import (
     CertificateError,
+    SosCert,
     SymMat,
     diagonalize,
     gram_product,
@@ -22,7 +23,7 @@ from ratsos.quadforms import (
     weighted_square_decomposition,
 )
 
-from helpers import identity_rows, rand_symmetric_rows, reassemble
+from helpers import expand_fold, gram_product_fold, identity_rows, rand_symmetric_rows, reassemble
 
 HYPERBOLIC_EXAMPLE = [[0, 1, 1, 0], [1, 0, 1, 0], [1, 1, 0, 1], [0, 0, 1, 0]]
 
@@ -259,6 +260,82 @@ def test_weighted_square_decomposition_random_psd():
         cert = weighted_square_decomposition(m, v)
         assert cert.expand(parse_poly("0", 2)) == gram_product(m, v)
         assert all(w >= 0 for w, _ in cert.terms)
+
+
+def _big_frac(rng, zero_share=0.0) -> Fraction:
+    """A rational with numerator and denominator up to 10^30, or 0."""
+    if rng.random() < zero_share:
+        return Fraction(0)
+    top = 10 ** rng.choice([0, 1, 3, 30])
+    return Fraction(rng.randint(-top, top), rng.randint(1, 10 ** rng.choice([0, 2, 30])))
+
+
+def _normal_form(f: MPoly) -> bool:
+    return all(type(a) is tuple and len(a) == f.nvars and all(type(e) is int for e in a)
+               and type(c) is Fraction and c != 0 for a, c in f.terms.items())
+
+
+def test_expand_matches_the_fold():
+    """The one integer accumulation of SosCert.expand equals the sum of the
+    squares one at a time, on 0-4 variables, zero weights and polynomials,
+    full cancellation, the empty certificate, denominators up to 10^30."""
+    rng = random.Random(71)
+    certs = [(SosCert(()), n) for n in range(5)]
+    p = parse_poly("1/3*x - 2/7*y + 5", 2)
+    certs.append((SosCert(((Fraction(3, 4), p), (Fraction(-3, 4), p))), 2))  # cancels to 0
+    for _ in range(60):
+        nvars = rng.randint(0, 4)
+        terms = []
+        for _ in range(rng.randint(0, 6)):
+            poly = MPoly(nvars, {tuple(rng.randint(0, 3) for _ in range(nvars)): _big_frac(rng)
+                                 for _ in range(rng.randint(0, 5))})
+            terms.append((_big_frac(rng, zero_share=0.2), poly))
+        certs.append((SosCert(tuple(terms)), nvars))
+    for cert, nvars in certs:
+        got = cert.expand(MPoly.zero(nvars))
+        assert got == expand_fold(cert, MPoly.zero(nvars)) and got.nvars == nvars and _normal_form(got)
+    assert certs[5][0].expand(MPoly.zero(2)).is_zero
+    with pytest.raises(ValueError):
+        SosCert(((Fraction(1), parse_poly("x", 1)),)).expand(MPoly.zero(2))
+
+
+def test_expand_on_univariate_terms_matches_the_fold():
+    rng = random.Random(73)
+    x = UPoly.x()
+    one, two = Fraction(1), Fraction(-2)
+    certs = [SosCert(()), SosCert(((Fraction(0), x), (Fraction(2), UPoly.zero()))),
+             SosCert(((one, x + 1), (one, x - 1), (two, x), (two, UPoly.one())))]  # cancels to 0
+    for _ in range(40):
+        polys = [UPoly([_big_frac(rng, zero_share=0.3) for _ in range(rng.randint(0, 6))])
+                 for _ in range(rng.randint(0, 5))]
+        certs.append(SosCert(tuple((_big_frac(rng, zero_share=0.2), p) for p in polys)))
+    for cert in certs:
+        got = cert.expand(UPoly.zero())
+        assert isinstance(got, UPoly) and got == expand_fold(cert, UPoly.zero())
+    assert certs[1].expand(UPoly.zero()).is_zero and certs[2].expand(UPoly.zero()).is_zero
+
+
+def test_gram_product_matches_the_fold():
+    """gram_product's integer sum over the upper triangle equals the entry by
+    entry Fraction sum over all of M, repeated monomials and cancellation included."""
+    rng = random.Random(79)
+    cases = [(SymMat.from_rows([]), []),
+             # 2*x^2 - 2*x^2: every term cancels
+             (SymMat.from_rows([[0, 0, 1], [0, -2, 0], [1, 0, 0]]), [(0,), (1,), (2,)])]
+    for _ in range(60):
+        nvars, dim = rng.randint(0, 4), rng.randint(1, 7)
+        rows = [[Fraction(0)] * dim for _ in range(dim)]
+        for i in range(dim):
+            for j in range(i, dim):
+                rows[i][j] = rows[j][i] = _big_frac(rng, zero_share=0.3)
+        monomials = [tuple(rng.randint(0, 2) for _ in range(nvars)) for _ in range(dim)]
+        cases.append((SymMat.from_rows(rows), monomials))
+    for m, monomials in cases:
+        got = gram_product(m, monomials)
+        assert got == gram_product_fold(m, monomials) and _normal_form(got)
+    assert gram_product(*cases[1]).is_zero
+    with pytest.raises(ValueError, match=r"exponent vector \(0, 1, 0\)"):
+        gram_product(SymMat.from_rows([[1, 0], [0, 1]]), [(1, 0), (0, 1, 0)])
 
 
 def test_weighted_square_decomposition_requires_psd():

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from ratsos import numeric
 from ratsos.arith import Mat, affine_solution_set, pivot_columns
 from ratsos.conic import convex_membership, newton_halved_lattice
+from ratsos.lasserre import monomials_upto
 from ratsos.poly import MPoly, UPoly, parse_poly, parse_upoly
 from ratsos.quadforms import SosCert, SymMat, gram_product, weighted_square_decomposition
 from ratsos.sos import (
@@ -23,7 +25,7 @@ from ratsos.sos import (
     verify_sos,
 )
 
-from helpers import rand_frac, rand_mpoly, rand_upoly
+from helpers import expand_fold, rand_frac, rand_mpoly, rand_upoly
 
 SEC26 = "2*x^4 + 5*y^4 - x^2*y^2 + 2*x^3*y"
 MOTZKIN = "x^4*y^2 + x^2*y^4 - 3*x^2*y^2 + 1"
@@ -363,6 +365,24 @@ def test_verify_sos_rejects_negative_weight():
     cert = SosCert(((Fraction(-1), parse_poly("x", 1)),))
     verdict = verify_sos(f, cert)
     assert not verdict and verdict.reason == "negative-weight"
+
+
+def test_verify_sos_checks_a_thousand_squares_within_budget():
+    """1,000 weighted squares in 3 variables, degree <= 4 and 20 terms each:
+    one integer accumulation checks them in well under a second (the square
+    by square fold took 1.6 s on a 2-core VM); the target is the fold's."""
+    rng = random.Random(113)
+    monomials = monomials_upto(3, 4)
+    cert = SosCert(tuple(
+        (Fraction(rng.randint(1, 9), rng.randint(1, 4)),
+         MPoly(3, {a: Fraction(rng.randint(-5, 5) or 1, rng.choice((1, 2))) for a in rng.sample(monomials, 20)}))
+        for _ in range(1000)))
+    f = expand_fold(cert, MPoly.zero(3))
+    start = time.perf_counter()
+    verdict = verify_sos(f, cert)
+    assert time.perf_counter() - start < 0.6
+    assert verdict
+    assert verify_sos(f + 1, cert).reason == "expansion-mismatch"
 
 
 def test_find_gram_soundness_on_random_sos():
