@@ -2,7 +2,10 @@
 
 Univariate polynomials (:class:`UPoly`) are dense coefficient sequences,
 multivariate polynomials (:class:`MPoly`) are sparse maps from exponent
-vectors to nonzero rational coefficients.  All arithmetic is exact.
+vectors to nonzero rational coefficients.  All arithmetic is exact.  Both
+derive subtraction, powers and the reflected operators from one base class,
+and share one product kernel: ``MPoly.__mul__`` on integer numerators, which
+two UPolys run as one-variable MPolys.
 
 Polynomial text (:func:`parse_poly`) is read by three compiled patterns (a
 sign, a coefficient, a factor).  Its variables are ``x1..xn`` with aliases
@@ -40,7 +43,42 @@ class PolyParseError(ValueError):
         self.position = position
 
 
-class UPoly:
+class _Ring:
+    """Ring operators derived from a type's own ``_lift`` (an operand as a
+    polynomial of the type, or None), ``__neg__``, ``__add__`` and ``__mul__``,
+    called directly: an operand no type accepts ends in ``TypeError``."""
+
+    __slots__ = ()
+
+    def __radd__(self, other):
+        return self.__add__(other)
+
+    def __rmul__(self, other):
+        return self.__mul__(other)
+
+    def __sub__(self, other):
+        other = self._lift(other)
+        return NotImplemented if other is None else self.__add__(other.__neg__())
+
+    def __rsub__(self, other):
+        other = self._lift(other)  # the lifted operand's terms come first
+        return NotImplemented if other is None else other.__add__(self.__neg__())
+
+    def __pow__(self, n):
+        """Repeated squaring from the type's own one."""
+        if n < 0:
+            raise ValueError("negative exponent")
+        result, base = self._lift(1), self
+        while n:
+            if n & 1:
+                result = result.__mul__(base)
+            n >>= 1
+            if n:
+                base = base.__mul__(base)
+        return result
+
+
+class UPoly(_Ring):
     """Dense univariate polynomial; ``coeffs[i]`` is the coefficient of X^i.
 
     The trailing (highest-index) coefficient is nonzero unless the polynomial
@@ -94,9 +132,15 @@ class UPoly:
     def __neg__(self) -> "UPoly":
         return UPoly(-c for c in self.coeffs)
 
+    @staticmethod
+    def _lift(other):
+        if isinstance(other, (int, Fraction)):
+            return UPoly((other,))
+        return other if isinstance(other, UPoly) else None
+
     def __add__(self, other) -> "UPoly":
-        other = _as_upoly(other)
-        if other is NotImplemented:
+        other = self._lift(other)
+        if other is None:
             return NotImplemented
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -106,45 +150,13 @@ class UPoly:
             res[i] += c
         return UPoly(res)
 
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "UPoly":
-        other = _as_upoly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "UPoly":
-        return _as_upoly(other) - self
-
     def __mul__(self, other) -> "UPoly":
+        """Exact product; two polynomials multiply as one-variable MPolys."""
         if isinstance(other, (int, Fraction)):
             return UPoly(c * other for c in self.coeffs)
         if not isinstance(other, UPoly):
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return UPoly()
-        res = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                res[i + j] += a * b
-        return UPoly(res)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "UPoly":
-        if n < 0:
-            raise ValueError("negative exponent")
-        result = UPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return (self.to_mpoly() * other.to_mpoly()).to_upoly()
 
     def __divmod__(self, other: "UPoly"):
         """Exact polynomial division with remainder."""
@@ -186,21 +198,13 @@ class UPoly:
         return UPoly(-c if i % 2 else c for i, c in enumerate(self.coeffs))
 
     def to_mpoly(self) -> "MPoly":
-        return MPoly(1, {(i,): c for i, c in enumerate(self.coeffs) if c != 0})
+        return MPoly._normal(1, {(i,): c for i, c in enumerate(self.coeffs) if c})
 
     def __str__(self) -> str:
         return str(self.to_mpoly())
 
     def __repr__(self) -> str:
         return f"UPoly({list(self.coeffs)!r})"
-
-
-def _as_upoly(value):
-    if isinstance(value, UPoly):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return UPoly((value,))
-    return NotImplemented
 
 
 def gcd_upoly(f: UPoly, g: UPoly) -> UPoly:
@@ -218,7 +222,7 @@ def sign_changes(f: UPoly) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-class MPoly:
+class MPoly(_Ring):
     """Sparse multivariate polynomial: exponent vector -> nonzero coefficient."""
 
     __slots__ = ("nvars", "terms")
@@ -281,7 +285,7 @@ class MPoly:
     def __neg__(self) -> "MPoly":
         return MPoly(self.nvars, {a: -c for a, c in self.terms.items()})
 
-    def _coerce(self, other):
+    def _lift(self, other):
         if isinstance(other, MPoly):
             if other.nvars != self.nvars:
                 raise ValueError("mixed variable counts")
@@ -291,24 +295,13 @@ class MPoly:
         return None
 
     def __add__(self, other) -> "MPoly":
-        other = self._coerce(other)
+        other = self._lift(other)
         if other is None:
             return NotImplemented
         terms = dict(self.terms)
         for a, c in other.terms.items():
             terms[a] = terms.get(a, Fraction(0)) + c
         return MPoly(self.nvars, terms)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "MPoly":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "MPoly":
-        return self._coerce(other) - self
 
     def __mul__(self, other) -> "MPoly":
         """Exact product with a polynomial or a rational scalar.
@@ -332,20 +325,6 @@ class MPoly:
                 acc[key] = acc.get(key, 0) + ca * cb
         return _from_integers(self.nvars, acc, da * db)
 
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "MPoly":
-        if n < 0:
-            raise ValueError("negative exponent")
-        result = MPoly.constant(self.nvars, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def eval(self, point) -> Fraction:
         """Exact evaluation at a rational point."""
         pt = [x if isinstance(x, Fraction) else Fraction(x) for x in point]
@@ -363,12 +342,8 @@ class MPoly:
     def to_upoly(self) -> UPoly:
         if self.nvars != 1:
             raise ValueError("only single-variable polynomials convert to UPoly")
-        if not self.terms:
-            return UPoly()
-        coeffs = [Fraction(0)] * (max(a[0] for a in self.terms) + 1)
-        for (e,), c in self.terms.items():
-            coeffs[e] = c
-        return UPoly(coeffs)
+        top = max((e for (e,) in self.terms), default=-1)
+        return UPoly(self.terms.get((e,), 0) for e in range(top + 1))
 
     def __str__(self) -> str:
         return poly_text(self)
@@ -465,10 +440,9 @@ def parse_poly(text: str, nvars: int | None = None) -> MPoly:
     sign = _SIGN.match(text)
     while True:
         pos = sign.end()
-        coeff = Fraction(1)
         coef = _COEF.match(text, pos)
+        num, den = coef.groups() if coef else ("1", None)
         if coef:
-            num, den = coef.groups()
             if den == "":
                 raise PolyParseError("expected a number", coef.end())
             for k in (1, 2):
@@ -476,8 +450,8 @@ def parse_poly(text: str, nvars: int | None = None) -> MPoly:
                     raise PolyParseError(f"number longer than {MAX_DIGITS} digits", coef.start(k))
             if den is not None and int(den) == 0:
                 raise PolyParseError("zero denominator", coef.start(2))
-            coeff = Fraction(int(num), int(den or 1))
             pos = coef.end()
+        coeff = Fraction(-int(num) if sign.group(1) == "-" else int(num), int(den or 1))
         exps = [0] * nvars
         while (factor := _FACTOR.match(text, pos)).group(2):
             var, digits, power = factor.group(2, 3, 4)
@@ -496,7 +470,8 @@ def parse_poly(text: str, nvars: int | None = None) -> MPoly:
         if not coef and pos == sign.end():
             raise PolyParseError("expected a term", pos)
         alpha = tuple(exps)
-        total = terms.get(alpha, 0) + (-coeff if sign.group(1) == "-" else coeff)
+        old = terms.get(alpha)
+        total = coeff if old is None else old + coeff  # a first occurrence is stored as read
         if total:
             terms[alpha] = total
         else:  # a cancelled term leaves the dict, so the term order is MPoly.__add__'s

@@ -49,10 +49,10 @@ class SymMat(Mat):
         rows = [[rat(x) for x in r] for r in rows]
         if any(len(r) != len(rows) for r in rows):
             raise ValueError("matrix is not square")
-        m = cls.__new__(cls)
-        Mat.__init__(m, rows)
-        if m.transpose() != m:
+        if any(list(col) != row for row, col in zip(rows, zip(*rows))):
             raise ValueError("matrix is not symmetric")
+        m = cls.__new__(cls)
+        m.rows, m.nrows, m.ncols = rows, len(rows), len(rows)
         return m
 
     dim = property(lambda self: self.nrows)

@@ -95,12 +95,25 @@ def companion(f: UPoly) -> Mat:
     return Mat(rows)
 
 
+def upoly_mul_fold(a: UPoly, b: UPoly) -> UPoly:
+    """a * b summed in Fractions over every pair of coefficients: the reference
+    the one product kernel (UPolys multiply as one-variable MPolys) is checked against."""
+    if a.is_zero or b.is_zero:
+        return UPoly()
+    res = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            res[i + j] += x * y
+    return UPoly(res)
+
+
 def expand_fold(cert, zero):
     """Sum of w * p^2 over the certificate's terms, one polynomial sum per
-    square: the reference :meth:`ratsos.quadforms.SosCert.expand` is checked against."""
+    square, UPoly squares by :func:`upoly_mul_fold`: the reference
+    :meth:`ratsos.quadforms.SosCert.expand` is checked against."""
     acc = zero
     for w, p in cert.terms:
-        acc = acc + p * p * w
+        acc = acc + (upoly_mul_fold(p, p) if isinstance(p, UPoly) else p * p) * w
     return acc
 
 

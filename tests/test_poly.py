@@ -21,7 +21,7 @@ from ratsos.poly import (
     sign_changes,
 )
 
-from helpers import rand_frac, rand_mpoly, rand_upoly, upoly_from_roots
+from helpers import rand_frac, rand_mpoly, rand_upoly, upoly_from_roots, upoly_mul_fold
 
 
 def test_parse_motzkin():
@@ -285,3 +285,47 @@ def test_sign_changes_rejects_zero():
 def test_parse_upoly_and_leading_sign():
     f = parse_upoly("-x^3 - x^2 + 4*x + 1")
     assert f == UPoly([1, 4, -1, -1])
+
+
+@pytest.mark.parametrize("p", [UPoly([1, -2, 3]), parse_poly("x*y - 2*z + 1", 3)], ids=["UPoly", "MPoly"])
+def test_unaccepted_operands_raise_type_error(p):
+    # each used to end in RecursionError: __rsub__ handed an operand it could not lift back to "-"
+    for other in (1.5, "a", None, [1]):
+        with pytest.raises(TypeError):
+            other - p
+    other = parse_poly("x + y", 2) if isinstance(p, UPoly) else UPoly([1, 1])
+    for op in (lambda a, b: a - b, lambda a, b: b - a, lambda a, b: a + b, lambda a, b: b * a):
+        with pytest.raises(TypeError):
+            op(p, other)
+    for n in (0, 3):
+        q = p**n
+        assert type(q) is type(p) and getattr(q, "nvars", 1) == getattr(p, "nvars", 1)
+    assert p**0 == p - p + 1
+    with pytest.raises(ValueError, match="^negative exponent$"):
+        p**-1
+
+
+def test_ring_operators_keep_mpoly_rules():
+    m = parse_poly("x*y - 2*z", 3)
+    with pytest.raises(ValueError, match="^mixed variable counts$"):
+        m - parse_poly("x", 2)
+    assert list((2 - m).terms) == [(0, 0, 0), (1, 1, 0), (0, 0, 1)]  # the constant first
+    assert list((m - 2).terms) == [(1, 1, 0), (0, 0, 1), (0, 0, 0)]
+    assert 2 - m == -(m - 2) and 2 + m == m + 2 and 2 * m == m * 2
+
+
+#: rationals with denominators up to 10^12, zero included
+_BIG_FRACS = st.builds(Fraction, st.integers(-10**12, 10**12), st.integers(1, 10**12))
+_UPOLYS = st.lists(_BIG_FRACS | st.just(Fraction(0)), max_size=11).map(UPoly)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_UPOLYS, _UPOLYS, _BIG_FRACS | st.integers(-5, 5), st.integers(0, 4))
+def test_upoly_arithmetic_is_the_one_variable_mpoly_arithmetic(a, b, c, k):
+    ma, mb = a.to_mpoly(), b.to_mpoly()
+    assert a * b == upoly_mul_fold(a, b) == (ma * mb).to_upoly()
+    assert a * c == c * a == (ma * c).to_upoly() == upoly_mul_fold(a, UPoly([c]))
+    assert a - b == (ma - mb).to_upoly()
+    assert c - a == (c - ma).to_upoly()
+    assert a**k == (ma**k).to_upoly()
+    assert all(type(x) is Fraction for x in (a * b).coeffs)
