@@ -63,11 +63,12 @@ from .rootcount import (
 )
 from .sos import (
     GramFamily,
-    GramSearch,
+    Search,
     VerifyResult,
     cassels_descent,
     find_gram,
     gram_family,
+    search,
     verify_sos,
 )
 

@@ -45,6 +45,26 @@ def _vectors(text: str) -> list[list[Fraction]]:
     return sos.json_rows(_json(text), "--vectors")
 
 
+def _cert_file(path: str):
+    """The JSON document of a --cert file."""
+    with open(path) as fh:
+        return _json(fh.read())
+
+
+def _verdict(verdict):
+    """The answer of a certificate check."""
+    if verdict:
+        return OK, ["valid"], {"valid": True}
+    return NEGATIVE, [f"invalid ({verdict.reason})"], {"valid": False, "reason": verdict.reason}
+
+
+def _save(path: str, text: str, what: str) -> str:
+    """Write ``text``, ending in one newline, to the -o/--output file; returns the line saying so."""
+    with open(path, "w") as fh:
+        fh.write(text.rstrip("\n") + "\n")
+    return f"{what} written to {path}"
+
+
 # --- handlers: each returns (code, human lines, json payload) ---------------
 
 def cmd_count_roots(args):
@@ -169,18 +189,15 @@ def cmd_sos_find(args):
         }
     if result.status == "unknown":
         return UNKNOWN, ["unknown", result.detail], {"status": "unknown", "detail": result.detail}
-    doc = sos.gram_to_json(result.gram, result.monomials, target=f)
+    doc = sos.gram_to_json(*result.cert, target=f)
     text = sos.dump_cert(doc)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-        return OK, ["sos", f"certificate written to {args.output}"], {"status": "sos", "file": args.output}
+        return OK, ["sos", _save(args.output, text, "certificate")], {"status": "sos", "file": args.output}
     return OK, ["sos", text], {"status": "sos", "certificate": doc}
 
 
 def cmd_sos_check(args):
-    with open(args.cert) as fh:
-        doc = _json(fh.read())
+    doc = _cert_file(args.cert)
     if args.poly:
         f = parse_poly(args.poly)
         cert, _ = sos.cert_from_json(doc, f.nvars)
@@ -188,10 +205,7 @@ def cmd_sos_check(args):
         cert, f = sos.cert_from_json(doc)
         if f is None:
             raise ValueError("no target polynomial: pass --poly or include 'target' in the file")
-    verdict = sos.verify_sos(f, cert)
-    if verdict:
-        return OK, ["valid"], {"valid": True}
-    return NEGATIVE, [f"invalid ({verdict.reason})"], {"valid": False, "reason": verdict.reason}
+    return _verdict(sos.verify_sos(f, cert))
 
 
 def cmd_cassels(args):
@@ -202,9 +216,7 @@ def cmd_cassels(args):
     doc = sos.cert_to_json(cert)
     text = sos.dump_cert(doc)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-        return OK, [f"certificate written to {args.output}"], {"file": args.output}
+        return OK, [_save(args.output, text, "certificate")], {"file": args.output}
     return OK, [text], {"certificate": doc}
 
 
@@ -231,9 +243,7 @@ def cmd_lasserre_build(args):
     ]
     payload = {"block_sizes": rel.block_sizes, "variables": rel.num_moment_vars}
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-        lines.append(f"sdpa written to {args.output}")
+        lines.append(_save(args.output, text, "sdpa"))
         payload["file"] = args.output
     else:
         lines.append(text.rstrip("\n"))
@@ -244,13 +254,8 @@ def cmd_lasserre_build(args):
 def cmd_lasserre_check(args):
     nvars, gs = _lasserre_system(args, args.poly)
     f = parse_poly(args.poly, nvars)
-    with open(args.cert) as fh:
-        doc = _json(fh.read())
-    cert = lasserre.module_cert_from_json(doc, nvars)
-    verdict = lasserre.verify_module_membership(f, gs, args.degree, cert)
-    if verdict:
-        return OK, ["valid"], {"valid": True}
-    return NEGATIVE, [f"invalid ({verdict.reason})"], {"valid": False, "reason": verdict.reason}
+    cert = lasserre.module_cert_from_json(_cert_file(args.cert), nvars)
+    return _verdict(lasserre.verify_module_membership(f, gs, args.degree, cert))
 
 
 def cmd_lasserre_bound(args):
@@ -263,9 +268,7 @@ def cmd_lasserre_bound(args):
     cert_doc = lasserre.module_cert_to_json(result.cert, target=f - result.lo, degree=args.degree)
     payload = {"lo": str(result.lo), "certified": True, "certificate": cert_doc}
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(sos.dump_cert(cert_doc) + "\n")
-        lines.append(f"certificate written to {args.output}")
+        lines.append(_save(args.output, sos.dump_cert(cert_doc), "certificate"))
         payload["file"] = args.output
     return OK, lines, payload
 

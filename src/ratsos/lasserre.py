@@ -6,11 +6,10 @@ and one localizing block per constraint be positive semidefinite.  The
 blocks read their entries off :func:`ratsos.sos.incidence`, the map whose
 rows are the Gram system of the certificates below.  The module also
 searches and verifies exact weighted-SOS membership certificates for the
-degree-d truncated module sum_i sigma_i g_i (the search runs on the
-Gram-system core of :mod:`ratsos.sos`, one block per kept generator,
-restricted exactly to the face its forced zeros define) and computes
-certified lower bounds by bisection on those exact searches: a level counts
-as feasible only when its certificate is found.
+degree-d truncated module sum_i sigma_i g_i (one :func:`ratsos.sos.search`,
+one block per generator, restricted exactly to the face its forced zeros
+define) and computes certified lower bounds by bisection on those exact
+searches: a level counts as feasible only when its certificate is found.
 """
 
 from __future__ import annotations
@@ -21,18 +20,7 @@ from fractions import Fraction
 from .arith import rat
 from .poly import MPoly, _grlex_key, poly_text
 from .quadforms import SosCert, SymMat, weighted_square_decomposition
-from .sos import (
-    GramInfeasibleError,
-    VerifyResult,
-    _slots,
-    gram_system,
-    incidence,
-    json_field,
-    restrict_to_face,
-    search_family,
-    terms_from_json,
-    terms_to_json,
-)
+from .sos import Search, VerifyResult, _slots, incidence, json_field, search, terms_from_json, terms_to_json
 
 
 def monomials_upto(nvars: int, degree: int) -> list[tuple[int, ...]]:
@@ -197,49 +185,29 @@ def verify_module_membership(f: MPoly, gs, d: int, cert: ModuleCert) -> VerifyRe
     return VerifyResult(True, "ok")
 
 
-@dataclass
-class ModuleSearch:
-    status: str  # found / infeasible / unknown
-    cert: ModuleCert | None
-    detail: str
-    #: index into [1] + gs -> the monomials facial reduction cut off that sigma's basis
-    dropped: dict[int, list[tuple[int, ...]]] = field(default_factory=dict)
-
-
-def module_cert_search(f: MPoly, gs, d: int) -> ModuleSearch:
+def module_cert_search(f: MPoly, gs, d: int) -> Search:
     """Search an exact certificate f = sum sigma_i g_i of degree d.
 
-    One Gram block per kept generator, on the Gram-system core of
-    :mod:`ratsos.sos`, restricted to its face by
-    :func:`~ratsos.sos.restrict_to_face` and searched by
-    :func:`~ratsos.sos.search_family` at the numeric budget ``sos find`` runs
-    at too; an accepted member is turned into weighted squares over the kept
-    monomials and the certificate is re-verified exactly before return.  ``found`` is the only verdict that
-    puts f in the module; ``unknown`` (a separated, stalled or unrounded
-    numeric run) proves nothing either way.
+    One :func:`~ratsos.sos.search` with one Gram block per generator of
+    [1] + gs, over the monomials up to its degree-d cap (none for a generator
+    the module does not keep), at the numeric budget ``sos find`` runs at
+    too.  An accepted member is turned into weighted squares over the kept
+    monomials, and the certificate is re-verified exactly before return.
+    ``found`` is the only verdict that puts f in the module; ``unknown`` (a
+    separated, stalled or unrounded numeric run) proves nothing either way.
     """
     gs = list(gs)
     if f.degree() > d:
         raise ValueError("target degree exceeds the relaxation degree")
-    kept = _kept_generators(gs, d, f.nvars)
-    bases = [monomials_upto(f.nvars, cap) for _, _, cap in kept]
-    generators = [g for _, g, _ in kept]
-    try:
-        family, face_dropped = restrict_to_face(f, gram_system(f, bases, generators), generators)
-    except GramInfeasibleError as exc:
-        return ModuleSearch("infeasible", None, str(exc))
-    dropped = {k: monomials for (k, _, _), monomials in zip(kept, face_dropped) if monomials}
-    status, blocks, detail = search_family(family)
-    if status != "found":
-        return ModuleSearch(status, None, detail, dropped)
-    sigmas = [SosCert(()) for _ in range(len(gs) + 1)]
-    for (k, _, _), basis, block in zip(kept, family.bases, blocks):
-        sigmas[k] = weighted_square_decomposition(block, basis)
-    cert = ModuleCert(sigmas)
-    check = verify_module_membership(f, gs, d, cert)
-    if not check:
-        raise AssertionError(f"reconstructed certificate failed verification: {check.reason}")
-    return ModuleSearch("found", cert, detail, dropped)
+    caps = {k: cap for k, _, cap in _kept_generators(gs, d, f.nvars)}
+    generators = [MPoly.constant(f.nvars, 1)] + gs
+    res = search(f, [monomials_upto(f.nvars, caps.get(k, -1)) for k in range(len(generators))], generators)
+    if res.status == "found":
+        res.cert = ModuleCert([weighted_square_decomposition(block, basis) for block, basis in res.cert])
+        check = verify_module_membership(f, gs, d, res.cert)
+        if not check:
+            raise AssertionError(f"reconstructed certificate failed verification: {check.reason}")
+    return res
 
 
 @dataclass

@@ -4,16 +4,16 @@ A polynomial is a sum of squares exactly when some positive semidefinite
 rational matrix G satisfies f = v^T G v for the vector v of candidate
 monomials (the lattice points of half the Newton polytope).  The same system,
 with one psd block per generator, gives the truncated-module certificates of
-:mod:`ratsos.lasserre`, so both searches run on one Gram-system core here:
-:func:`gram_system` writes the affine family of coefficient-matching blocks
+:mod:`ratsos.lasserre`, so both searches are one call of :func:`search` here:
+:func:`gram_family` writes the affine family of coefficient-matching blocks
 down once, exactly, as its reduced equations (closed form for single-term
 generators, Bareiss elimination otherwise), and the numeric search projects
 with the same rows; :func:`restrict_to_face` drops the monomials whose
-diagonal entries are forced to 0 before any float is used, and
-:func:`search_family` excludes forced negative diagonals, then lets a numeric
-search plus continued-fraction rounding propose members that are accepted
-only after an exact psd check.  Infeasibility is certified only from exact
-linear consequences.
+diagonal entries are forced to 0 before any float is used, and the search
+excludes forced negative diagonals, then lets a numeric search plus
+continued-fraction rounding propose members that are accepted only after an
+exact psd check.  Infeasibility is certified only from exact linear
+consequences.
 """
 
 from __future__ import annotations
@@ -125,17 +125,18 @@ def incidence(bases, generators):
             yield u, tuple(a + b + e for a, b, e in zip(bases[k][i], bases[k][j], delta)), c
 
 
-def gram_system(f: MPoly, bases, generators) -> GramFamily:
+def gram_family(f: MPoly, bases, generators) -> GramFamily:
     """All blocks G_k with sum_k g_k * (v_k^T G_k v_k) = f, one per generator g_k.
 
     Unknown G_ij of block k enters the coefficient of gamma = b_i + b_j + delta
     for each term c x^delta of g_k, with multiplier c on the diagonal and 2c
-    off it.  With single-term generators every unknown enters one equation,
-    and the reduced equations are written down in closed form: each gamma
-    class solves its first unknown as (f_gamma - sum mult_u x_u) / mult_first
-    over its other, free, members u.  The reduced echelon form (pivots greedy
-    by column) that solves every other system gives the same rows.  An
-    unreachable target monomial or an inconsistent system raises GramInfeasibleError.
+    off it.  When every generator with a nonempty block is a single term,
+    every unknown enters one equation, and the reduced equations are written
+    down in closed form: each gamma class solves its first unknown as
+    (f_gamma - sum mult_u x_u) / mult_first over its other, free, members u.
+    The reduced echelon form (pivots greedy by column) that solves every
+    other system gives the same rows.  An unreachable target monomial or an
+    inconsistent system raises GramInfeasibleError.
     """
     bases = [[tuple(a) for a in b] for b in bases]
     slots = _slots(bases)
@@ -150,7 +151,7 @@ def gram_system(f: MPoly, bases, generators) -> GramFamily:
             f"monomial {missing[0]} of the target is not a sum of two candidate exponents"
         )
     particular, rows = [Fraction(0)] * len(slots), {}
-    if all(len(g.terms) == 1 for g in generators):  # classes come in order of their first unknown
+    if all(len(g.terms) == 1 for g, b in zip(generators, bases) if b):  # classes in order of first unknown
         for gamma, members in classes.items():
             (first, first_mult), *others = members.items()
             particular[first] = f.coeff(gamma) / first_mult
@@ -169,19 +170,11 @@ def gram_system(f: MPoly, bases, generators) -> GramFamily:
     return GramFamily(bases, particular, free, rows, forced)
 
 
-def gram_family(f: MPoly, monomials) -> GramFamily:
-    """All G with v^T G v = f: the one-block :func:`gram_system`, in closed form.
-
-    With no monomials at all every target monomial is unreachable.
-    """
-    return gram_system(f, [monomials], [MPoly.constant(f.nvars, 1)])
-
-
 def restrict_to_face(f: MPoly, family: GramFamily, generators):
     """Exact facial reduction: returns (face, dropped monomials per block).
 
     A psd member has a zero row and column at a diagonal entry forced to 0,
-    so that monomial leaves its block's basis and :func:`gram_system`
+    so that monomial leaves its block's basis and :func:`gram_family`
     rebuilds the system, until no diagonal entry is forced to 0.  The psd
     members of the face, padded with zeros, are those of ``family``; a
     GramInfeasibleError from a rebuild refutes them all.
@@ -191,7 +184,7 @@ def restrict_to_face(f: MPoly, family: GramFamily, generators):
         for k, b in enumerate(family.bases):
             dropped[k] += [a for i, a in enumerate(b) if (k, i) in zeros]
         bases = [[a for i, a in enumerate(b) if (k, i) not in zeros] for k, b in enumerate(family.bases)]
-        family = gram_system(f, bases, generators)
+        family = gram_family(f, bases, generators)
     return family, dropped
 
 
@@ -204,31 +197,57 @@ def _round(family: GramFamily, t):
     return None
 
 
-def search_family(family: GramFamily):
-    """Look for a member whose blocks are all psd; returns (status, blocks, detail).
+@dataclass
+class Search:
+    """Outcome of a Gram search: status found / infeasible / unknown.
 
-    Callers pass the face of :func:`restrict_to_face`.  A negative forced
-    diagonal proves infeasibility, and a family with one member is decided by
-    that member.  Otherwise alternating projections, at the one budget of
-    :func:`~ratsos.numeric.alternating_projection`, propose a point.  A
-    converged one is nudged off the psd boundary, to the affine projection of
-    x + _NUDGE * I, and its free unknowns are rounded down the denominator
-    ladder; if none rounds, a second run at the same budget on the family
-    shifted by -_FLOOR * I from that point pushes it to {X >= _FLOOR * I}
-    (max(w - e, 0) + e = max(w, e)), and the ladder runs once more.  A member
-    is accepted only when every block passes the exact psd test.  A run that
-    separated (a float stopping rule) is not rounded, and neither is a family
-    whose coefficients or iterates floats cannot hold: both end ``unknown``,
-    as does a run that stalled at the sweep cap and did not round.
+    ``cert`` is None unless found.  :func:`search` leaves there one
+    (gram, monomials) pair per generator, and :func:`find_gram` and
+    :func:`~ratsos.lasserre.module_cert_search` replace it by what their
+    verifier takes.  ``dropped`` maps a generator index to the monomials
+    facial reduction cut off its basis.
     """
+
+    status: str
+    cert: object
+    detail: str
+    dropped: dict[int, list[tuple[int, ...]]] = field(default_factory=dict)
+
+
+def search(f: MPoly, bases, generators) -> Search:
+    """Look for f = sum_k g_k * (v_k^T G_k v_k) with every block G_k psd.
+
+    The system of :func:`gram_family` is restricted to its face by
+    :func:`restrict_to_face`, which refutes f exactly when a target monomial
+    is unreachable or the system inconsistent.  On the face, a negative
+    forced diagonal proves infeasibility, and a family with one member is
+    decided by that member.  Otherwise alternating projections, at the one
+    budget of :func:`~ratsos.numeric.alternating_projection`, propose a
+    point.  A converged one is nudged off the psd boundary, to the affine
+    projection of x + _NUDGE * I, and its free unknowns are rounded down the
+    denominator ladder; if none rounds, a second run at the same budget on
+    the family shifted by -_FLOOR * I from that point pushes it to
+    {X >= _FLOOR * I} (max(w - e, 0) + e = max(w, e)), and the ladder runs
+    once more.  A member is accepted only when every block passes the exact
+    psd test.  A run that separated (a float stopping rule) is not rounded,
+    and neither is a family whose coefficients or iterates floats cannot
+    hold: both end ``unknown``, as does a run that stalled at the sweep cap
+    and did not round.
+    """
+    try:
+        family, dropped = restrict_to_face(f, gram_family(f, bases, generators), generators)
+    except GramInfeasibleError as exc:
+        return Search("infeasible", None, str(exc))
+    dropped = {k: monomials for k, monomials in enumerate(dropped) if monomials}
     for (k, i), value in family.forced.items():
         if value < 0:
-            return "infeasible", None, f"diagonal entry for {family.bases[k][i]} forced to {value}"
+            detail = f"diagonal entry for {family.bases[k][i]} forced to {value}"
+            return Search("infeasible", None, detail, dropped)
     if not family.free:  # the one member decides
         blocks = family.at([])
         if all(is_psd(b) for b in blocks):
-            return "found", blocks, "unique Gram matrix"
-        return "infeasible", None, "unique Gram matrix is not psd"
+            return Search("found", list(zip(blocks, family.bases)), "unique Gram matrix", dropped)
+        return Search("infeasible", None, "unique Gram matrix is not psd", dropped)
     free = family.positions()[family.free, 0]
     try:
         with np.errstate(over="raise"):
@@ -236,7 +255,7 @@ def search_family(family: GramFamily):
             eye = numeric.eye_vector()
             x, gap, converged, separated = alternating_projection(numeric)
             if separated:
-                return "unknown", None, f"numeric phase separated at gap {gap:.2e}"
+                return Search("unknown", None, f"numeric phase separated at gap {gap:.2e}", dropped)
             if converged:
                 x = numeric.project(x + _NUDGE * eye)
             rounded = _round(family, x[free])
@@ -244,43 +263,22 @@ def search_family(family: GramFamily):
                 x = alternating_projection(AffineFamily(x - _FLOOR * eye, numeric.a, numeric.sizes))[0]
                 rounded = _round(family, (x + _FLOOR * eye)[free])
     except (OverflowError, FloatingPointError):
-        return "unknown", None, "a coefficient of the Gram system exceeds the float range"
+        return Search("unknown", None, "a coefficient of the Gram system exceeds the float range", dropped)
     if rounded is not None:
-        return "found", *rounded
+        blocks, detail = rounded
+        return Search("found", list(zip(blocks, family.bases)), detail, dropped)
     if not converged:
-        return "unknown", None, f"numeric phase stalled at gap {gap:.2e}"
-    return "unknown", None, "rationalization failed"
+        return Search("unknown", None, f"numeric phase stalled at gap {gap:.2e}", dropped)
+    return Search("unknown", None, "rationalization failed", dropped)
 
 
-@dataclass
-class GramSearch:
-    """Outcome of the sums-of-squares search: found / infeasible / unknown."""
-
-    status: str
-    gram: SymMat | None
-    monomials: list[tuple[int, ...]] | None
-    detail: str
-    dropped: list[tuple[int, ...]] = field(default_factory=list)  # cut off by facial reduction
-
-    @property
-    def found(self) -> bool:
-        return self.status == "found"
-
-    @property
-    def infeasible(self) -> bool:
-        return self.status == "infeasible"
-
-
-def find_gram(f: MPoly) -> GramSearch:
+def find_gram(f: MPoly) -> Search:
     """Search for an exact psd Gram matrix of f over the halved Newton lattice.
 
-    Order of play: odd degree is refuted at once; then the Gram family over
-    the lattice is restricted to its face by :func:`restrict_to_face` and
-    either refutes f exactly (a monomial of f that is no sum of two kept
-    lattice points, or a diagonal entry forced negative) or goes to
-    :func:`search_family`, and a member it accepts is re-checked against f.
-    ``monomials`` of a found result are the kept ones, and ``dropped`` lists
-    those facial reduction cut off.
+    Odd degree is refuted at once; otherwise :func:`search` runs on the one
+    block of the lattice, and a member it accepts is re-checked against f.
+    A found result holds the (gram, monomials) pair :func:`verify_sos`
+    takes, over the monomials left after facial reduction.
     The Newton-polytope vertex rule needs no pass of its own: a vertex alpha
     is no midpoint of two points of the polytope, so its only Gram entry is
     the diagonal one of alpha/2.  An odd vertex is therefore unreachable, and
@@ -289,19 +287,13 @@ def find_gram(f: MPoly) -> GramSearch:
     if f.is_zero:
         raise ValueError("the zero polynomial needs no certificate")
     if f.degree() % 2 == 1:
-        return GramSearch("infeasible", None, None, "odd degree")
-    monomials = newton_halved_lattice(f)
-    try:
-        family, [dropped] = restrict_to_face(f, gram_family(f, monomials), [MPoly.constant(f.nvars, 1)])
-    except GramInfeasibleError as exc:
-        return GramSearch("infeasible", None, monomials, str(exc))
-    status, blocks, detail = search_family(family)
-    if status != "found":
-        return GramSearch(status, None, monomials, detail, dropped)
-    [gram], [kept] = blocks, family.bases
-    if gram_product(gram, kept) != f:
-        raise AssertionError("family member does not reproduce the target")
-    return GramSearch("found", gram, kept, detail, dropped)
+        return Search("infeasible", None, "odd degree")
+    res = search(f, [newton_halved_lattice(f)], [MPoly.constant(f.nvars, 1)])
+    if res.status == "found":
+        [res.cert] = res.cert
+        if gram_product(*res.cert) != f:
+            raise AssertionError("family member does not reproduce the target")
+    return res
 
 
 def verify_sos(f: MPoly, cert) -> VerifyResult:
@@ -315,7 +307,8 @@ def verify_sos(f: MPoly, cert) -> VerifyResult:
     gram, monomials = cert
     if not is_psd(gram):
         return VerifyResult(False, "gram-not-psd")
-    if gram_product(gram, monomials) != f:
+    # terms, not polynomials: an empty monomial vector gives no variable count
+    if gram_product(gram, monomials).terms != f.terms:
         return VerifyResult(False, "gram-product-mismatch")
     return VerifyResult(True, "ok")
 

@@ -264,9 +264,11 @@ def test_batch_survives_mistyped_certificate(tmp_path):
     ]
 
 
-#: valid certificate documents (sos check with a target, lasserre check for
+#: valid certificate documents (sos check with a target, the empty Gram
+#: matrix of the zero polynomial among them, lasserre check for
 #: x = 0 * 1 + 1 * x at degree 2) that the fuzz test mutates
 FUZZ_DOCS = {
+    "empty-gram": ({"gram": [], "monomials": [], "target": "0"}, ["sos", "check"]),
     "gram": (
         {"monomials": [[0, 0], [1, 0], [0, 1]],
          "gram": [["1", "0", "1/2"], ["0", "1", "0"], ["1/2", "0", "2"]],

@@ -1,27 +1,28 @@
 import random
+import re
 import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ratsos import numeric
+from ratsos import numeric, sos
 from ratsos.arith import Mat, affine_solution_set, pivot_columns
 from ratsos.conic import convex_membership, newton_halved_lattice
 from ratsos.lasserre import monomials_upto
 from ratsos.poly import MPoly, UPoly, parse_poly, parse_upoly
-from ratsos.quadforms import SosCert, SymMat, gram_product, weighted_square_decomposition
+from ratsos.quadforms import SosCert, SymMat, gram_product, is_psd, weighted_square_decomposition
 from ratsos.sos import (
     GramInfeasibleError,
+    Search,
     cassels_descent,
     cert_from_json,
     cert_to_json,
     find_gram,
     gram_family,
-    gram_system,
     gram_to_json,
     restrict_to_face,
-    search_family,
+    search,
     verify_sos,
 )
 
@@ -29,11 +30,12 @@ from helpers import expand_fold, rand_frac, rand_mpoly, rand_upoly
 
 SEC26 = "2*x^4 + 5*y^4 - x^2*y^2 + 2*x^3*y"
 MOTZKIN = "x^4*y^2 + x^2*y^4 - 3*x^2*y^2 + 1"
+ONE = [MPoly.constant(2, 1)]
 
 
 def test_gram_family_sec26_shape():
     f = parse_poly(SEC26, 2)
-    fam = gram_family(f, [(2, 0), (1, 1), (0, 2)])
+    fam = gram_family(f, [[(2, 0), (1, 1), (0, 2)]], ONE)
     assert len(fam.free) == 1
     assert fam.forced[(0, 0)] == 2 and fam.forced[(0, 2)] == 5
     # one-parameter family: entries (0,1) and (1,2) are fixed, and the
@@ -48,7 +50,7 @@ def test_gram_family_sec26_shape():
 
 def test_gram_family_unique_square():
     f = parse_poly("x^2", 1)
-    fam = gram_family(f, [(1,)])
+    fam = gram_family(f, [[(1,)]], [MPoly.constant(1, 1)])
     assert not fam.free
     assert fam.particular == [1]
 
@@ -56,14 +58,14 @@ def test_gram_family_unique_square():
 def test_gram_family_motzkin_forced_diagonal():
     f = parse_poly(MOTZKIN, 2)
     monoms = [(0, 0), (1, 1), (2, 1), (1, 2)]
-    fam = gram_family(f, monoms)
+    fam = gram_family(f, [monoms], ONE)
     xy = monoms.index((1, 1))
     assert fam.forced[(0, xy)] == -3
 
 
 def test_gram_family_inexpressible_monomial():
     with pytest.raises(GramInfeasibleError):
-        gram_family(parse_poly("x^3", 1), [(1,)])
+        gram_family(parse_poly("x^3", 1), [[(1,)]], [MPoly.constant(1, 1)])
 
 
 def _dense_gram_family(f, bases, generators):
@@ -95,11 +97,8 @@ def _dense_gram_family(f, bases, generators):
 
 
 def _assert_family_matches_dense_solve(f, bases, generators=None):
-    if generators is None:  # the one-block Gram family
-        fam = gram_family(f, bases[0])
-        generators = [MPoly.constant(f.nvars, 1)]
-    else:
-        fam = gram_system(f, bases, generators)
+    generators = generators or [MPoly.constant(f.nvars, 1)]  # None: the one-block Gram family
+    fam = gram_family(f, bases, generators)
     particular, free, basis, forced = _dense_gram_family(f, bases, generators)
     assert fam.particular == particular
     # the free unknowns are the non-pivot columns, one basis vector each, and
@@ -159,13 +158,27 @@ def test_gram_family_matches_dense_solve():
         _assert_family_matches_dense_solve(f, bases, generators)
 
 
+def test_empty_blocks_leave_the_family_unchanged(monkeypatch):
+    """A generator with an empty block (a module generator past its degree
+    cap) adds no unknown: the family is the one without it, still written
+    down in closed form when every other generator is a single term."""
+    f = parse_poly(SEC26, 2)
+    lattice = newton_halved_lattice(f)
+    fam = gram_family(f, [lattice], ONE)
+    monkeypatch.setattr(sos, "_reduced", None)  # no elimination
+    for extra in ("1 - x^2 - y^2", "0"):
+        padded = gram_family(f, [lattice, []], ONE + [parse_poly(extra, 2)])
+        assert (padded.particular, padded.free, padded.rows, padded.forced) == (
+            fam.particular, fam.free, fam.rows, fam.forced)
+
+
 def test_numeric_family_agrees_with_exact_rows():
     """The float family of numeric() is the exact one: every exact member is a
     fixed point of its projection, A has one independent row per solved
     unknown, and a projected point solves each of them from its free entries."""
     rng = np.random.default_rng(13)
     for f, bases, generators in _random_families():
-        fam = gram_system(f, bases, generators or [MPoly.constant(f.nvars, 1)])
+        fam = gram_family(f, bases, generators or [MPoly.constant(f.nvars, 1)])
         numeric, pos = fam.numeric(), fam.positions()
         assert numeric.a.shape[0] == len(fam.rows) == np.linalg.matrix_rank(numeric.a)
         for t in ([0] * len(fam.free), [Fraction(k + 1, 3) for k in range(len(fam.free))]):
@@ -180,24 +193,64 @@ def test_numeric_family_agrees_with_exact_rows():
             assert abs(x[pos[p, 0]] - solved) < 1e-9 and abs(x[pos[p, 1]] - solved) < 1e-9
 
 
-def test_search_family_checks_every_block():
+def test_search_checks_every_block():
     # f = y^2 * G0 + (1, x) G1 (1, x)^T has one member, G0 = [1] and
     # G1 = [[1, 2], [2, 1]], which is not psd though no diagonal entry is negative
     generators = [parse_poly("y^2", 2), parse_poly("1", 2)]
     bases = [[(0, 0)], [(0, 0), (1, 0)]]
-    fam = gram_system(parse_poly("y^2 + 1 + 4*x + x^2", 2), bases, generators)
+    f = parse_poly("y^2 + 1 + 4*x + x^2", 2)
+    fam = gram_family(f, bases, generators)
     assert not fam.free and fam.forced == {(0, 0): 1, (1, 0): 1, (1, 1): 1}
-    assert search_family(fam) == ("infeasible", None, "unique Gram matrix is not psd")
-    fam = gram_system(parse_poly("y^2 + 1 + 4*x + x^2", 2), bases[::-1], generators[::-1])
-    assert search_family(fam)[0] == "infeasible"
-    fam = gram_system(parse_poly("y^2 + 1 + 4*x + 4*x^2", 2), bases, generators)
-    status, blocks, detail = search_family(fam)
-    assert (status, detail) == ("found", "unique Gram matrix")
-    assert [b.rows for b in blocks] == [[[1]], [[1, 2], [2, 4]]]
+    assert search(f, bases, generators) == Search("infeasible", None, "unique Gram matrix is not psd")
+    assert search(f, bases[::-1], generators[::-1]).status == "infeasible"
+    res = search(parse_poly("y^2 + 1 + 4*x + 4*x^2", 2), bases, generators)
+    assert (res.status, res.detail) == ("found", "unique Gram matrix")
+    assert [(b.rows, basis) for b, basis in res.cert] == [([[1]], bases[0]), ([[1, 2], [2, 4]], bases[1])]
+
+
+GAP = r"\d\.\d\de-\d\d"
+BIG = "1" + "0" * 400
+
+#: (target, bases, generators, sos attributes patched, status, detail pattern):
+#: one row per outcome of search; bases None is the halved Newton lattice of
+#: the target under the generator 1
+SEARCH_OUTCOMES = [
+    ("x^3", [[(1,)]], ["1"], {}, "infeasible",
+     r"monomial \(3,\) of the target is not a sum of two candidate exponents"),
+    ("1 + x^2", [[(0,)]], ["1 - x^2"], {}, "infeasible", "coefficient-match system is inconsistent"),
+    ("0 - x^4", [[(2,)]], ["1"], {}, "infeasible", r"diagonal entry for \(2,\) forced to -1"),
+    ("x^2", [[(1,)]], ["1"], {}, "found", "unique Gram matrix"),
+    ("x^2 + 4*x + 1", [[(0,), (1,)]], ["1"], {}, "infeasible", "unique Gram matrix is not psd"),
+    ("x*y + 1/4", [[(0, 0), (1, 0), (0, 1)], [(0, 0)]], ["1", "1 - x^2 - y^2"], {}, "unknown",
+     f"numeric phase separated at gap {GAP}"),
+    (f"x^4 + {BIG}*x^2*y^2 + y^4 + 1", None, ["1"], {}, "unknown",
+     "a coefficient of the Gram system exceeds the float range"),
+    (SEC26, None, ["1"], {}, "found", r"denominator bound \d+"),
+    ("x^4 + y^4 - 4*y + 3", None, ["1"], {"DENOMINATOR_LADDER": []}, "unknown",
+     f"numeric phase stalled at gap {GAP}"),
+    (SEC26, None, ["1"], {"DENOMINATOR_LADDER": []}, "unknown", "rationalization failed"),
+]
+
+
+@pytest.mark.parametrize("text, bases, generators, patches, status, detail", SEARCH_OUTCOMES)
+def test_search_outcomes(monkeypatch, text, bases, generators, patches, status, detail):
+    """Every verdict of search, each with its detail; a found certificate
+    holds one psd block per generator that reproduces the target."""
+    nvars = 2 if "y" in text else 1
+    f = parse_poly(text, nvars)
+    generators = [parse_poly(g, nvars) for g in generators]
+    for name, value in patches.items():
+        monkeypatch.setattr(sos, name, value)
+    res = search(f, bases or [newton_halved_lattice(f)], generators)
+    assert res.status == status and re.fullmatch(detail, res.detail), res.detail
+    assert (res.cert is not None) == (status == "found")
+    if res.cert is not None:
+        assert all(is_psd(block) for block, _ in res.cert)
+        assert sum((g * gram_product(*pair) for g, pair in zip(generators, res.cert)), MPoly.zero(nvars)) == f
 
 
 def test_restrict_to_face_drops_only_forced_zeros():
-    """Replayed round by round from the unreduced gram_system, every dropped
+    """Replayed round by round from the unreduced gram_family, every dropped
     monomial has its diagonal entry forced to exactly 0 in the system it
     leaves, every such entry is dropped, and the last system is the face."""
     x = lambda t: parse_poly(t, 1)  # noqa: E731
@@ -209,16 +262,16 @@ def test_restrict_to_face_drops_only_forced_zeros():
          [[(1, 1)]]),
     ]
     for f, bases, generators, expected in cases:
-        face, dropped = restrict_to_face(f, gram_system(f, bases, generators), generators)
+        face, dropped = restrict_to_face(f, gram_family(f, bases, generators), generators)
         assert dropped == expected
         left = [list(d) for d in dropped]
-        family = gram_system(f, bases, generators)
+        family = gram_family(f, bases, generators)
         while any(left):
             zeros = {(k, family.bases[k][i]) for (k, i), value in family.forced.items() if value == 0}
             assert zeros and all(a in left[k] for k, a in zeros)
             for k, a in zeros:
                 left[k].remove(a)
-            family = gram_system(f, [[a for a in b if (k, a) not in zeros] for k, b in enumerate(family.bases)],
+            family = gram_family(f, [[a for a in b if (k, a) not in zeros] for k, b in enumerate(family.bases)],
                                  generators)
         assert family.bases == face.bases and family.particular == face.particular
         assert all(value != 0 for value in face.forced.values())
@@ -228,18 +281,18 @@ def test_find_gram_reports_dropped_monomials():
     # (2, 2) is only (1, 1) + (1, 1) and has coefficient 0: xy leaves the basis
     f = parse_poly("x^4*y^2 + x^2*y^4 + 1", 2)
     res = find_gram(f)
-    assert res.found and res.dropped == [(1, 1)]
-    assert (1, 1) not in res.monomials
-    assert verify_sos(f, (res.gram, res.monomials))
-    assert find_gram(parse_poly(SEC26, 2)).dropped == []
+    assert res.status == "found" and res.dropped == {0: [(1, 1)]}
+    assert (1, 1) not in res.cert[1]
+    assert verify_sos(f, res.cert)
+    assert find_gram(parse_poly(SEC26, 2)).dropped == {}
 
 
 def test_find_gram_sec26():
     f = parse_poly(SEC26, 2)
     res = find_gram(f)
-    assert res.found
-    assert verify_sos(f, (res.gram, res.monomials))
-    cert = weighted_square_decomposition(res.gram, res.monomials)
+    assert res.status == "found"
+    assert verify_sos(f, res.cert)
+    cert = weighted_square_decomposition(*res.cert)
     assert verify_sos(f, cert)
 
 
@@ -254,9 +307,9 @@ def test_boundary_instance_rounds_at_the_one_sweep_budget(monkeypatch):
     monkeypatch.setattr(numeric.AffineFamily, "project", lambda self, y: calls.append(1) or project(self, y))
     f = parse_poly("x^4 + y^4 - 4*y + 3", 2)
     res = find_gram(f)
-    assert res.found and res.detail == "denominator bound 10"
+    assert res.status == "found" and res.detail == "denominator bound 10"
     assert len(calls) == 3000
-    assert verify_sos(f, (res.gram, res.monomials))
+    assert verify_sos(f, res.cert)
 
 
 def test_sec26_paper_member_and_certificate():
@@ -274,18 +327,18 @@ def test_sec26_paper_member_and_certificate():
 
 def test_find_gram_motzkin_infeasible():
     res = find_gram(parse_poly(MOTZKIN, 2))
-    assert res.infeasible
+    assert res.status == "infeasible"
     assert "forced" in res.detail
 
 
 def test_find_gram_odd_degree_and_vertex_exclusions():
-    assert find_gram(parse_poly("x^3 + x", 1)).infeasible  # odd degree
+    assert find_gram(parse_poly("x^3 + x", 1)).status == "infeasible"  # odd degree
     # a negative vertex coefficient forces the diagonal entry of its half
     res = find_gram(parse_poly("0 - x^4", 1))
-    assert res.infeasible and "forced to -1" in res.detail
+    assert res.status == "infeasible" and "forced to -1" in res.detail
     # an odd vertex is no sum of two lattice points
     res = find_gram(parse_poly("x^3*y + x^2*y^2", 2))
-    assert res.infeasible and "not a sum of two candidate exponents" in res.detail
+    assert res.status == "infeasible" and "not a sum of two candidate exponents" in res.detail
 
 
 def _newton_vertices(f):
@@ -312,18 +365,18 @@ def test_find_gram_refutes_every_bad_vertex():
             continue
         bad += 1
         res = find_gram(f)
-        assert res.infeasible, f
+        assert res.status == "infeasible", f
         assert "forced to -" in res.detail or "not a sum of two candidate exponents" in res.detail
     assert bad >= 50
 
 
 def test_find_gram_unique_cases():
     res = find_gram(parse_poly("x^2", 1))
-    assert res.found and res.gram.rows == [[1]]
+    assert res.status == "found" and res.cert[0].rows == [[1]]
     res = find_gram(MPoly.constant(2, 4))
-    assert res.found
+    assert res.status == "found"
     res = find_gram(MPoly.constant(1, -1))
-    assert res.infeasible
+    assert res.status == "infeasible"
 
 
 def test_motzkin_multiplier_certificates():
@@ -339,8 +392,8 @@ def test_motzkin_multiplier_certificates():
     )
     assert verify_sos(target, paper_cert)
     res = find_gram(target)
-    assert res.found
-    assert verify_sos(target, (res.gram, res.monomials))
+    assert res.status == "found"
+    assert verify_sos(target, res.cert)
 
 
 def test_motzkin_cubed_substitution_certificate():
@@ -396,10 +449,10 @@ def test_find_gram_soundness_on_random_sos():
         if f.is_zero:
             continue
         res = find_gram(f)
-        assert not res.infeasible  # an SOS input may stall but can never be excluded
-        if res.found:
+        assert res.status != "infeasible"  # an SOS input may stall but can never be excluded
+        if res.status == "found":
             hits += 1
-            assert verify_sos(f, (res.gram, res.monomials))
+            assert verify_sos(f, res.cert)
     assert hits >= 6  # the numeric phase should succeed nearly always here
 
 
@@ -460,11 +513,11 @@ def test_cassels_zero_weights_preserved():
 def test_certificate_json_round_trip():
     f = parse_poly(SEC26, 2)
     res = find_gram(f)
-    cert = weighted_square_decomposition(res.gram, res.monomials)
+    cert = weighted_square_decomposition(*res.cert)
     doc = cert_to_json(cert, target=f)
     loaded, target = cert_from_json(doc)
     assert target == f
     assert verify_sos(f, loaded)
-    gram_doc = gram_to_json(res.gram, res.monomials, target=f)
+    gram_doc = gram_to_json(*res.cert, target=f)
     loaded, target = cert_from_json(gram_doc)
     assert verify_sos(f, loaded)
