@@ -4,6 +4,11 @@ Every subcommand wraps one library pipeline, reads polynomials in the text
 grammar (variables x1..xn with x, y, z aliases) and matrices/vectors as JSON,
 and prints deterministic human output or, with --json, a stable JSON object.
 
+Each command is declared once, by ``@command`` on its handler: its words
+("count-roots", "sos find"), help line and options (shared ones are named
+specs: POLY, MATRIX, ...).  ``build_parser`` adds them in definition order,
+opening a group's subparsers (dest ``<group>_command``) at its first command.
+
 Exit codes: 0 success, 1 proved mathematical negative (not SOS, not psd,
 unsatisfiable, ...), 2 input error, 3 unknown / numeric failure / a failed
 internal check.
@@ -15,7 +20,6 @@ import argparse
 import json
 import shlex
 import sys
-from fractions import Fraction
 
 from . import conic, lasserre, rootcount, sos
 from .arith import rat
@@ -41,10 +45,6 @@ def _matrix(text: str) -> SymMat:
     return SymMat.from_rows(sos.json_rows(_json(text), "--matrix"))
 
 
-def _vectors(text: str) -> list[list[Fraction]]:
-    return sos.json_rows(_json(text), "--vectors")
-
-
 def _cert_file(path: str):
     """The JSON document of a --cert file."""
     with open(path) as fh:
@@ -65,13 +65,64 @@ def _save(path: str, text: str, what: str) -> str:
     return f"{what} written to {path}"
 
 
+def _write_or_print(args, what: str, text: str, lines: list, payload: dict, printed: dict):
+    """The answer of a command whose ``text`` goes to -o/--output if given;
+    else it is printed after ``lines`` and ``printed`` joins the JSON payload."""
+    if args.output:
+        return OK, [*lines, _save(args.output, text, what)], {**payload, "file": args.output}
+    return OK, [*lines, text.rstrip("\n")], {**payload, **printed}
+
+
+def _system(args, text: str):
+    """The variable count (-n where the command has it, else inferred from the
+    constraints and ``text``) and the parsed constraints."""
+    nvars = getattr(args, "nvars", None)
+    if nvars is None:
+        nvars = max(map(infer_nvars, [*args.constraint, text]))
+    elif not 0 <= nvars <= MAX_VARIABLES:
+        problem = "is negative" if nvars < 0 else f"exceeds the cap {MAX_VARIABLES}"
+        raise ValueError(f"--nvars {nvars} {problem}")
+    return nvars, [parse_poly(g, nvars) for g in args.constraint]
+
+
+# --- registration: a command's words, help line and options ------------------
+
+COMMANDS = []  # (words, help line, options, handler), in definition order
+GROUPS = {"sos": "sums-of-squares pipeline", "lasserre": "moment relaxations"}
+
+
+def _option(*flags, **kwargs):
+    """One option: the positional and keyword arguments of ``add_argument``."""
+    return flags, kwargs
+
+
+POLY = _option("--poly", required=True)
+MATRIX = _option("--matrix", required=True)
+CONSTRAINTS = _option("-g", "--constraint", action="append", default=[])
+DEGREE = _option("-d", "--degree", type=int, required=True)
+NVARS = _option("-n", "--nvars", type=int)
+OUTPUT = _option("-o", "--output")
+SYSTEM = (CONSTRAINTS, DEGREE, NVARS)
+
+
+def command(words: str, help: str, *options):
+    """Register the decorated handler as the command ``words``."""
+    def register(handler):
+        COMMANDS.append((words.split(), help, options, handler))
+        return handler
+    return register
+
+
 # --- handlers: each returns (code, human lines, json payload) ---------------
 
+@command("count-roots", "count distinct real/complex roots", POLY)
 def cmd_count_roots(args):
     real, cplx = rootcount.count_roots(_univariate(args.poly))
     return OK, [f"real={real} complex_distinct={cplx}"], {"real": real, "complex_distinct": cplx}
 
 
+@command("count-with-signs", "count real roots with positivity conditions",
+         POLY, _option("-g", "--condition", action="append", default=[]))
 def cmd_count_with_signs(args):
     f = _univariate(args.poly)
     gs = [_univariate(g) for g in args.condition]
@@ -79,6 +130,8 @@ def cmd_count_with_signs(args):
     return OK, [f"count={n}"], {"count": n}
 
 
+@command("decide-strict", "decide a strict univariate inequality system",
+         _option("-g", "--condition", action="append", required=True))
 def cmd_decide_strict(args):
     gs = [_univariate(g) for g in args.condition]
     sat = rootcount.decide_strict_system(gs)
@@ -86,6 +139,7 @@ def cmd_decide_strict(args):
     return (OK if sat else NEGATIVE), [text], {"satisfiable": sat}
 
 
+@command("descartes", "sign changes and positive-root bound", POLY)
 def cmd_descartes(args):
     f = _univariate(args.poly)
     bound, parity = rootcount.positive_root_count_bound(f)
@@ -97,6 +151,8 @@ def cmd_descartes(args):
     )
 
 
+@command("signature", "rank and signature of a symmetric matrix",
+         _option("--matrix", required=True, help="JSON rows, e.g. [[2,1],[1,5]]"))
 def cmd_signature(args):
     m = _matrix(args.matrix)
     pos, neg, _ = inertia(m)
@@ -108,6 +164,7 @@ def cmd_signature(args):
     )
 
 
+@command("diagonalize", "congruence diagonalization M = P^T D P", MATRIX)
 def cmd_diagonalize(args):
     m = _matrix(args.matrix)
     cong = diagonalize(m)
@@ -117,14 +174,18 @@ def cmd_diagonalize(args):
     return OK, lines, {"d": d_strs, "p": p_rows}
 
 
+@command("psd-check", "exact positive semidefiniteness test", MATRIX)
 def cmd_psd_check(args):
     m = _matrix(args.matrix)
     psd = is_psd(m)
     return (OK if psd else NEGATIVE), ["psd" if psd else "not-psd"], {"psd": psd}
 
 
+@command("conic", "conic combination or separating functional",
+         _option("--vectors", required=True, help="JSON list of generator vectors"),
+         _option("--target", required=True, help="JSON target vector"))
 def cmd_conic(args):
-    vectors = _vectors(args.vectors)
+    vectors = sos.json_rows(_json(args.vectors), "--vectors")
     target = sos.json_rationals(_json(args.target), "--target", "--target entry")
     result = conic.conic_representation(vectors, target)
     if isinstance(result, conic.ConicCombination):
@@ -142,11 +203,11 @@ def cmd_conic(args):
     )
 
 
+@command("lin-nns", "linear nonnegativity certificate or witness",
+         POLY, _option("-l", "--constraint", action="append", default=[]))
 def cmd_lin_nns(args):
-    nvars = max(map(infer_nvars, [args.poly, *args.constraint]))
-    f = parse_poly(args.poly, nvars)
-    ls = [parse_poly(l, nvars) for l in args.constraint]
-    result = conic.linear_nns(f, ls)
+    nvars, ls = _system(args, args.poly)
+    result = conic.linear_nns(parse_poly(args.poly, nvars), ls)
     if isinstance(result, conic.LinearCertificate):
         coeffs = [str(c) for c in result.coefficients]
         return (
@@ -169,6 +230,7 @@ def cmd_lin_nns(args):
     )
 
 
+@command("newton", "lattice points of half the Newton polytope", POLY)
 def cmd_newton(args):
     f = parse_poly(args.poly)
     pts = conic.newton_halved_lattice(f)
@@ -179,6 +241,7 @@ def cmd_newton(args):
     )
 
 
+@command("sos find", "search an exact Gram certificate", POLY, OUTPUT)
 def cmd_sos_find(args):
     f = parse_poly(args.poly)
     result = sos.find_gram(f)
@@ -190,12 +253,11 @@ def cmd_sos_find(args):
     if result.status == "unknown":
         return UNKNOWN, ["unknown", result.detail], {"status": "unknown", "detail": result.detail}
     doc = sos.gram_to_json(*result.cert, target=f)
-    text = sos.dump_cert(doc)
-    if args.output:
-        return OK, ["sos", _save(args.output, text, "certificate")], {"status": "sos", "file": args.output}
-    return OK, ["sos", text], {"status": "sos", "certificate": doc}
+    return _write_or_print(args, "certificate", sos.dump_cert(doc), ["sos"], {"status": "sos"},
+                           {"certificate": doc})
 
 
+@command("sos check", "verify a certificate file", _option("--poly"), _option("--cert", required=True))
 def cmd_sos_check(args):
     doc = _cert_file(args.cert)
     if args.poly:
@@ -208,32 +270,22 @@ def cmd_sos_check(args):
     return _verdict(sos.verify_sos(f, cert))
 
 
+@command("cassels", "remove a univariate denominator from weighted squares",
+         _option("--weights", required=True, help="comma-separated rationals"),
+         _option("--fs", required=True, help="comma-separated univariate polynomials"),
+         _option("--g", required=True, help="the common denominator polynomial"),
+         OUTPUT)
 def cmd_cassels(args):
     weights = [rat(w) for w in args.weights.split(",")]
     fs = [_univariate(t) for t in args.fs.split(",")]
     g = _univariate(args.g)
-    cert = sos.cassels_descent(weights, fs, g)
-    doc = sos.cert_to_json(cert)
-    text = sos.dump_cert(doc)
-    if args.output:
-        return OK, [_save(args.output, text, "certificate")], {"file": args.output}
-    return OK, [text], {"certificate": doc}
+    doc = sos.cert_to_json(sos.cassels_descent(weights, fs, g))
+    return _write_or_print(args, "certificate", sos.dump_cert(doc), [], {}, {"certificate": doc})
 
 
-def _lasserre_system(args, text: str):
-    """The variable count (-n, or inferred from the constraints and ``text``)
-    and the parsed constraints."""
-    nvars = args.nvars
-    if nvars is None:
-        nvars = max(map(infer_nvars, [*args.constraint, text]))
-    elif not 0 <= nvars <= MAX_VARIABLES:
-        problem = "is negative" if nvars < 0 else f"exceeds the cap {MAX_VARIABLES}"
-        raise ValueError(f"--nvars {nvars} {problem}")
-    return nvars, [parse_poly(g, nvars) for g in args.constraint]
-
-
+@command("lasserre build", "build the relaxation and emit SDPA", *SYSTEM, _option("--objective"), OUTPUT)
 def cmd_lasserre_build(args):
-    nvars, gs = _lasserre_system(args, args.objective or "")
+    nvars, gs = _system(args, args.objective or "")
     objective = parse_poly(args.objective, nvars) if args.objective else MPoly.zero(nvars)
     rel = lasserre.build_relaxation(gs, args.degree, nvars)
     text = lasserre.emit_sdpa(rel, objective)
@@ -242,24 +294,22 @@ def cmd_lasserre_build(args):
         f"variables: {rel.num_moment_vars}",
     ]
     payload = {"block_sizes": rel.block_sizes, "variables": rel.num_moment_vars}
-    if args.output:
-        lines.append(_save(args.output, text, "sdpa"))
-        payload["file"] = args.output
-    else:
-        lines.append(text.rstrip("\n"))
-        payload["sdpa"] = text
-    return OK, lines, payload
+    return _write_or_print(args, "sdpa", text, lines, payload, {"sdpa": text})
 
 
+@command("lasserre check", "verify a module membership certificate",
+         POLY, *SYSTEM, _option("--cert", required=True))
 def cmd_lasserre_check(args):
-    nvars, gs = _lasserre_system(args, args.poly)
+    nvars, gs = _system(args, args.poly)
     f = parse_poly(args.poly, nvars)
     cert = lasserre.module_cert_from_json(_cert_file(args.cert), nvars)
     return _verdict(lasserre.verify_module_membership(f, gs, args.degree, cert))
 
 
+@command("lasserre bound", "certified bisection lower bound",
+         POLY, *SYSTEM, _option("--iterations", type=int, default=12), OUTPUT)
 def cmd_lasserre_bound(args):
-    nvars, gs = _lasserre_system(args, args.poly)
+    nvars, gs = _system(args, args.poly)
     f = parse_poly(args.poly, nvars)
     result = lasserre.lower_bound_bisect(f, gs, args.degree, iterations=args.iterations)
     if not result.certified:
@@ -273,6 +323,7 @@ def cmd_lasserre_bound(args):
     return OK, lines, payload
 
 
+@command("batch", "run a file of command lines in order", _option("file"))
 def cmd_batch(args):
     if args.in_batch:
         raise ValueError("batch files do not nest")
@@ -311,98 +362,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact real-root counting, SOS certificates and moment relaxations over Q.",
     )
     parser.add_argument("--json", action="store_true", help="emit a JSON object instead of text")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("count-roots", help="count distinct real/complex roots")
-    p.add_argument("--poly", required=True)
-    p.set_defaults(handler=cmd_count_roots)
-
-    p = sub.add_parser("count-with-signs", help="count real roots with positivity conditions")
-    p.add_argument("--poly", required=True)
-    p.add_argument("-g", "--condition", action="append", default=[])
-    p.set_defaults(handler=cmd_count_with_signs)
-
-    p = sub.add_parser("decide-strict", help="decide a strict univariate inequality system")
-    p.add_argument("-g", "--condition", action="append", required=True)
-    p.set_defaults(handler=cmd_decide_strict)
-
-    p = sub.add_parser("descartes", help="sign changes and positive-root bound")
-    p.add_argument("--poly", required=True)
-    p.set_defaults(handler=cmd_descartes)
-
-    p = sub.add_parser("signature", help="rank and signature of a symmetric matrix")
-    p.add_argument("--matrix", required=True, help='JSON rows, e.g. [[2,1],[1,5]]')
-    p.set_defaults(handler=cmd_signature)
-
-    p = sub.add_parser("diagonalize", help="congruence diagonalization M = P^T D P")
-    p.add_argument("--matrix", required=True)
-    p.set_defaults(handler=cmd_diagonalize)
-
-    p = sub.add_parser("psd-check", help="exact positive semidefiniteness test")
-    p.add_argument("--matrix", required=True)
-    p.set_defaults(handler=cmd_psd_check)
-
-    p = sub.add_parser("conic", help="conic combination or separating functional")
-    p.add_argument("--vectors", required=True, help="JSON list of generator vectors")
-    p.add_argument("--target", required=True, help="JSON target vector")
-    p.set_defaults(handler=cmd_conic)
-
-    p = sub.add_parser("lin-nns", help="linear nonnegativity certificate or witness")
-    p.add_argument("--poly", required=True)
-    p.add_argument("-l", "--constraint", action="append", default=[])
-    p.set_defaults(handler=cmd_lin_nns)
-
-    p = sub.add_parser("newton", help="lattice points of half the Newton polytope")
-    p.add_argument("--poly", required=True)
-    p.set_defaults(handler=cmd_newton)
-
-    p_sos = sub.add_parser("sos", help="sums-of-squares pipeline")
-    sos_sub = p_sos.add_subparsers(dest="sos_command", required=True)
-    p = sos_sub.add_parser("find", help="search an exact Gram certificate")
-    p.add_argument("--poly", required=True)
-    p.add_argument("-o", "--output")
-    p.set_defaults(handler=cmd_sos_find)
-    p = sos_sub.add_parser("check", help="verify a certificate file")
-    p.add_argument("--poly")
-    p.add_argument("--cert", required=True)
-    p.set_defaults(handler=cmd_sos_check)
-
-    p = sub.add_parser("cassels", help="remove a univariate denominator from weighted squares")
-    p.add_argument("--weights", required=True, help="comma-separated rationals")
-    p.add_argument("--fs", required=True, help="comma-separated univariate polynomials")
-    p.add_argument("--g", required=True, help="the common denominator polynomial")
-    p.add_argument("-o", "--output")
-    p.set_defaults(handler=cmd_cassels)
-
-    p_las = sub.add_parser("lasserre", help="moment relaxations")
-    las_sub = p_las.add_subparsers(dest="lasserre_command", required=True)
-    p = las_sub.add_parser("build", help="build the relaxation and emit SDPA")
-    p.add_argument("-g", "--constraint", action="append", default=[])
-    p.add_argument("-d", "--degree", type=int, required=True)
-    p.add_argument("-n", "--nvars", type=int)
-    p.add_argument("--objective")
-    p.add_argument("-o", "--output")
-    p.set_defaults(handler=cmd_lasserre_build)
-    p = las_sub.add_parser("check", help="verify a module membership certificate")
-    p.add_argument("--poly", required=True)
-    p.add_argument("-g", "--constraint", action="append", default=[])
-    p.add_argument("-d", "--degree", type=int, required=True)
-    p.add_argument("-n", "--nvars", type=int)
-    p.add_argument("--cert", required=True)
-    p.set_defaults(handler=cmd_lasserre_check)
-    p = las_sub.add_parser("bound", help="certified bisection lower bound")
-    p.add_argument("--poly", required=True)
-    p.add_argument("-g", "--constraint", action="append", default=[])
-    p.add_argument("-d", "--degree", type=int, required=True)
-    p.add_argument("-n", "--nvars", type=int)
-    p.add_argument("--iterations", type=int, default=12)
-    p.add_argument("-o", "--output")
-    p.set_defaults(handler=cmd_lasserre_bound)
-
-    p = sub.add_parser("batch", help="run a file of command lines in order")
-    p.add_argument("file")
-    p.set_defaults(handler=cmd_batch)
-
+    top = parser.add_subparsers(dest="command", required=True)
+    groups = {}
+    for words, help, options, handler in COMMANDS:
+        *group, name = words
+        sub = top
+        if group:
+            if group[0] not in groups:
+                p = top.add_parser(group[0], help=GROUPS[group[0]])
+                groups[group[0]] = p.add_subparsers(dest=f"{group[0]}_command", required=True)
+            sub = groups[group[0]]
+        p = sub.add_parser(name, help=help)
+        for flags, kwargs in options:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(handler=handler)
     return parser
 
 

@@ -464,6 +464,10 @@ def cert_from_json(doc: dict, nvars: int | None = None):
                 raise ValueError(
                     f"certificate monomial {list(alpha)} has length {len(alpha)}, expected {length}"
                 )
+        if gram.dim != len(monomials):
+            raise ValueError(
+                f"certificate field 'gram' is {gram.dim}x{gram.dim} but 'monomials' lists {len(monomials)}"
+            )
         return (gram, monomials), target
     raise ValueError("certificate document has neither 'terms' nor 'gram'")
 

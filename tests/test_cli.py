@@ -209,6 +209,9 @@ def test_mistyped_certificates_exit_2(tmp_path):
         "terms": {"terms": {"weight": "1", "poly": "x"}, "target": "x^2"},
         "weight": {"terms": [{"weight": [1], "poly": "x"}], "target": "x^2"},
         "poly": {"terms": [{"weight": "1", "poly": 2}], "target": "x^2"},
+        "'gram' is 2x2 but 'monomials' lists 1": {"gram": [["1", "0"], ["0", "1"]], "monomials": [[1]],
+                                                  "target": "x^2"},
+        "'gram' is 1x1 but 'monomials' lists 2": {"gram": [["1"]], "monomials": [[1], [0]], "target": "x^2"},
     }
     for k, (key, doc) in enumerate(sos_docs.items()):
         code, out = run(["sos", "check", "--cert", _write_json(tmp_path / f"sos{k}.json", doc)])
@@ -607,7 +610,49 @@ ARGUMENT_ERRORS = [
     (["count-roots"], "the following arguments are required: --poly"),
     (["count-roots", "--poly", "x", "--bogus"], "unrecognized arguments: --bogus"),
     ([], "the following arguments are required: command"),
+    # the required arguments of every command and group, in declaration order
+    (["sos"], "the following arguments are required: sos_command"),
+    (["lasserre"], "the following arguments are required: lasserre_command"),
+    (["count-with-signs"], "the following arguments are required: --poly"),
+    (["decide-strict"], "the following arguments are required: -g/--condition"),
+    (["descartes"], "the following arguments are required: --poly"),
+    (["signature"], "the following arguments are required: --matrix"),
+    (["diagonalize"], "the following arguments are required: --matrix"),
+    (["psd-check"], "the following arguments are required: --matrix"),
+    (["conic"], "the following arguments are required: --vectors, --target"),
+    (["lin-nns"], "the following arguments are required: --poly"),
+    (["newton"], "the following arguments are required: --poly"),
+    (["sos", "find"], "the following arguments are required: --poly"),
+    (["sos", "check"], "the following arguments are required: --cert"),
+    (["cassels"], "the following arguments are required: --weights, --fs, --g"),
+    (["lasserre", "build"], "the following arguments are required: -d/--degree"),
+    (["lasserre", "check"], "the following arguments are required: --poly, -d/--degree, --cert"),
+    (["lasserre", "bound"], "the following arguments are required: --poly, -d/--degree"),
+    (["batch"], "the following arguments are required: file"),
 ]
+
+#: every command path with the help line the top-level help gives it
+COMMANDS = {
+    ("count-roots",): "count distinct real/complex roots",
+    ("count-with-signs",): "count real roots with positivity conditions",
+    ("decide-strict",): "decide a strict univariate inequality system",
+    ("descartes",): "sign changes and positive-root bound",
+    ("signature",): "rank and signature of a symmetric matrix",
+    ("diagonalize",): "congruence diagonalization M = P^T D P",
+    ("psd-check",): "exact positive semidefiniteness test",
+    ("conic",): "conic combination or separating functional",
+    ("lin-nns",): "linear nonnegativity certificate or witness",
+    ("newton",): "lattice points of half the Newton polytope",
+    ("sos",): "sums-of-squares pipeline",
+    ("sos", "find"): "search an exact Gram certificate",
+    ("sos", "check"): "verify a certificate file",
+    ("cassels",): "remove a univariate denominator from weighted squares",
+    ("lasserre",): "moment relaxations",
+    ("lasserre", "build"): "build the relaxation and emit SDPA",
+    ("lasserre", "check"): "verify a module membership certificate",
+    ("lasserre", "bound"): "certified bisection lower bound",
+    ("batch",): "run a file of command lines in order",
+}
 
 
 @pytest.mark.parametrize("argv,message", ARGUMENT_ERRORS)
@@ -621,8 +666,15 @@ def test_argument_errors_come_back_through_run(argv, message, capsys):
 def test_help_comes_back_through_run(capsys):
     code, out = run(["--help"])
     assert code == 0 and out.startswith("usage: ratsos")
-    code, out = run(["count-roots", "-h"])
-    assert code == 0 and out.startswith("usage: ratsos count-roots")
+    top_level = " ".join(out.split())
+    for words, help_line in COMMANDS.items():
+        code, out = run([*words, "-h"])
+        assert code == 0 and out.startswith(f"usage: ratsos {' '.join(words)}"), words
+        if len(words) == 1:
+            assert f"{words[0]} {help_line}" in top_level, words
+        else:
+            group_help = " ".join(run([words[0], "--help"])[1].split())
+            assert f"{words[1]} {help_line}" in group_help, words
     assert capsys.readouterr() == ("", "")
 
 
