@@ -10,10 +10,12 @@ down once, exactly, as its reduced equations (closed form for single-term
 generators, Bareiss elimination otherwise), and the numeric search projects
 with the same rows; :func:`restrict_to_face` drops the monomials whose
 diagonal entries are forced to 0 before any float is used, and the search
-excludes forced negative diagonals, then lets a numeric search plus
+excludes forced negative diagonals, cuts the family by G v(x) = 0 at the
+rational real zeros x of the target that :func:`find_gram` scans (a scanned
+point where the target is negative refutes it), then lets a numeric search plus
 continued-fraction rounding propose members that are accepted only after an
 exact psd check.  Infeasibility is certified only from exact linear
-consequences.
+consequences and exact values of the target.
 """
 
 from __future__ import annotations
@@ -21,13 +23,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
+from math import prod
 
 import numpy as np
 
 from .arith import _reduced, rat
 from .conic import newton_halved_lattice
 from .numeric import AffineFamily, alternating_projection
-from .poly import MPoly, UPoly, parse_poly, poly_text
+from .poly import MPoly, UPoly, _integer_terms, parse_poly, poly_text
 from .quadforms import SosCert, SymMat, gram_product, is_psd
 
 #: continued-fraction rounding bounds tried during rationalization
@@ -125,8 +129,9 @@ def incidence(bases, generators):
             yield u, tuple(a + b + e for a, b, e in zip(bases[k][i], bases[k][j], delta)), c
 
 
-def gram_family(f: MPoly, bases, generators) -> GramFamily:
-    """All blocks G_k with sum_k g_k * (v_k^T G_k v_k) = f, one per generator g_k.
+def gram_family(f: MPoly, bases, generators, points=()) -> GramFamily:
+    """All blocks G_k with sum_k g_k * (v_k^T G_k v_k) = f, one per generator
+    g_k, and G_k v_k(x) = 0 at each of ``points``.
 
     Unknown G_ij of block k enters the coefficient of gamma = b_i + b_j + delta
     for each term c x^delta of g_k, with multiplier c on the diagonal and 2c
@@ -137,6 +142,11 @@ def gram_family(f: MPoly, bases, generators) -> GramFamily:
     The reduced echelon form (pivots greedy by column) that solves every
     other system gives the same rows.  An unreachable target monomial or an
     inconsistent system raises GramInfeasibleError.
+
+    ``points`` are real zeros of f at which every generator is positive, so
+    that every psd member has v_k(x)^T G_k v_k(x) = 0, hence G_k v_k(x) = 0.
+    These equations are added to the reduced ones by :func:`_solve_at_zeros`,
+    with no elimination over every unknown.
     """
     bases = [[tuple(a) for a in b] for b in bases]
     slots = _slots(bases)
@@ -159,24 +169,80 @@ def gram_family(f: MPoly, bases, generators) -> GramFamily:
     else:
         system = [[members.get(u, 0) for u in range(len(slots))] + [f.coeff(gamma)]
                   for gamma, members in classes.items()]
-        pivots, reduced, den = _reduced(system)
-        if pivots and pivots[-1] == len(slots):
-            raise GramInfeasibleError("coefficient-match system is inconsistent")
-        for p, row in zip(pivots, reduced):
-            particular[p] = Fraction(row[-1], den)
-            rows[p] = {j: Fraction(x, den) for j, x in enumerate(row[:-1]) if x and j != p}
+        for p, (value, row) in _solve(system, range(len(slots)), "coefficient-match system is inconsistent"):
+            particular[p], rows[p] = value, row
+    if points:
+        _solve_at_zeros(bases, points, particular, rows)
     free = [u for u in range(len(slots)) if u not in rows]
     forced = {(k, i): particular[u] for u, (k, i, j) in enumerate(slots) if i == j and rows.get(u) == {}}
     return GramFamily(bases, particular, free, rows, forced)
 
 
-def restrict_to_face(f: MPoly, family: GramFamily, generators):
+def _solve(system, unknowns, inconsistent: str):
+    """(unknown, (value, row)) per pivot of the reduced echelon form of ``system``,
+    solving it as value - sum c * x_j over row = {j: c} of non-pivot unknowns.
+
+    Each equation lists its coefficients on ``unknowns``, then its right-hand
+    side; an inconsistent system raises GramInfeasibleError(inconsistent).
+    """
+    unknowns = list(unknowns)
+    pivots, reduced, den = _reduced(system)
+    if pivots and pivots[-1] == len(unknowns):
+        raise GramInfeasibleError(inconsistent)
+    for p, row in zip(pivots, reduced):
+        yield unknowns[p], (Fraction(row[-1], den),
+                            {unknowns[j]: Fraction(x, den) for j, x in enumerate(row[:-1]) if x and j != p})
+
+
+def _solve_at_zeros(bases, points, particular, rows) -> None:
+    """Add G_k v_k(x) = 0 at each of ``points`` to the reduced equations, in place.
+
+    Row i of G_k v_k(x) sums G_ij v_j(x) over the monomials with v_j(x) != 0.
+    Each solved G_ij in it is replaced by its row, which leaves an equation
+    over free unknowns only.  These equations are reduced together over the
+    free unknowns they touch, and each new pivot is substituted into the
+    earlier rows, so that every row again holds free unknowns only.
+    """
+    index = {slot: u for u, slot in enumerate(_slots(bases))}
+    equations = []
+    for x in points:
+        for k, b in enumerate(bases):
+            v = [(j, vj) for j, vj in enumerate(prod(t**e for t, e in zip(x, a)) for a in b) if vj]
+            for i in range(len(b)) if v else ():
+                eq, rhs = {}, Fraction(0)
+                for j, vj in v:
+                    u = index[k, min(i, j), max(i, j)]
+                    if u in rows:
+                        rhs -= vj * particular[u]
+                        for w, c in rows[u].items():
+                            eq[w] = eq.get(w, 0) - vj * c
+                    else:
+                        eq[u] = eq.get(u, 0) + vj
+                equations.append((eq, rhs))
+    touched = sorted({u for eq, _ in equations for u, c in eq.items() if c})
+    solved = dict(_solve([[eq.get(u, 0) for u in touched] + [rhs] for eq, rhs in equations], touched,
+                         "no Gram matrix G has G v(x) = 0 at the real zeros x of the target"))
+    for p, row in rows.items():
+        for q in [q for q in row if q in solved]:
+            c = row.pop(q)
+            value, sub = solved[q]
+            particular[p] -= c * value
+            for j, d in sub.items():
+                row[j] = row.get(j, 0) - c * d
+                if not row[j]:
+                    del row[j]
+    for q, (value, row) in solved.items():
+        particular[q], rows[q] = value, row
+
+
+def restrict_to_face(f: MPoly, family: GramFamily, generators, points=()):
     """Exact facial reduction: returns (face, dropped monomials per block).
 
     A psd member has a zero row and column at a diagonal entry forced to 0,
     so that monomial leaves its block's basis and :func:`gram_family`
-    rebuilds the system, until no diagonal entry is forced to 0.  The psd
-    members of the face, padded with zeros, are those of ``family``; a
+    rebuilds the system, with the equations at the same real zeros
+    ``points``, until no diagonal entry is forced to 0.  The psd members of
+    the face, padded with zeros, are those of ``family``; a
     GramInfeasibleError from a rebuild refutes them all.
     """
     dropped = [[] for _ in family.bases]
@@ -184,7 +250,7 @@ def restrict_to_face(f: MPoly, family: GramFamily, generators):
         for k, b in enumerate(family.bases):
             dropped[k] += [a for i, a in enumerate(b) if (k, i) in zeros]
         bases = [[a for i, a in enumerate(b) if (k, i) not in zeros] for k, b in enumerate(family.bases)]
-        family = gram_family(f, bases, generators)
+        family = gram_family(f, bases, generators, points)
     return family, dropped
 
 
@@ -205,57 +271,90 @@ class Search:
     (gram, monomials) pair per generator, and :func:`find_gram` and
     :func:`~ratsos.lasserre.module_cert_search` replace it by what their
     verifier takes.  ``dropped`` maps a generator index to the monomials
-    facial reduction cut off its basis.
+    facial reduction cut off its basis, and ``points`` lists the real zeros
+    whose equations G_k v_k(x) = 0 cut the family.
     """
 
     status: str
     cert: object
     detail: str
     dropped: dict[int, list[tuple[int, ...]]] = field(default_factory=dict)
+    points: list[tuple] = field(default_factory=list)
 
 
-def search(f: MPoly, bases, generators) -> Search:
+def search(f: MPoly, bases, generators, points=None) -> Search:
     """Look for f = sum_k g_k * (v_k^T G_k v_k) with every block G_k psd.
 
-    The system of :func:`gram_family` is restricted to its face by
+    ``points`` maps rational points at which every generator is positive to
+    the exact value of f there (only values <= 0 matter).  The system of
+    :func:`gram_family` is first restricted to its face by
     :func:`restrict_to_face`, which refutes f exactly when a target monomial
-    is unreachable or the system inconsistent.  On the face, a negative
-    forced diagonal proves infeasibility, and a family with one member is
-    decided by that member.  Otherwise alternating projections, at the one
-    budget of :func:`~ratsos.numeric.alternating_projection`, propose a
-    point.  A converged one is nudged off the psd boundary, to the affine
-    projection of x + _NUDGE * I, and its free unknowns are rounded down the
-    denominator ladder; if none rounds, a second run at the same budget on
-    the family shifted by -_FLOOR * I from that point pushes it to
-    {X >= _FLOOR * I} (max(w - e, 0) + e = max(w, e)), and the ladder runs
-    once more.  A member is accepted only when every block passes the exact
-    psd test.  A run that separated (a float stopping rule) is not rounded,
-    and neither is a family whose coefficients or iterates floats cannot
-    hold: both end ``unknown``, as does a run that stalled at the sweep cap
-    and did not round.
+    is unreachable or the system inconsistent; on that face a negative
+    forced diagonal proves infeasibility, and so does a point where f is
+    negative.  The real zeros among ``points`` then cut the face further
+    (G_k v_k(x) = 0), and the same refutations run on that final face.
+    There, a family with one member is decided by that member, and otherwise
+    :func:`_numeric_search` proposes one.
     """
+    points = points or {}
+    zeros = [x for x, value in points.items() if value == 0]
+    dropped, used = {}, []
+
+    def face(start, at):
+        """The face from the bases ``start`` with the zeros ``at``, and its forced-negative refutation."""
+        family, cut = restrict_to_face(f, gram_family(f, start, generators, at), generators, at)
+        for k, monomials in enumerate(cut):
+            if monomials:
+                dropped.setdefault(k, []).extend(monomials)
+        return family, next((f"diagonal entry for {family.bases[k][i]} forced to {value}"
+                             for (k, i), value in family.forced.items() if value < 0), None)
+
     try:
-        family, dropped = restrict_to_face(f, gram_family(f, bases, generators), generators)
+        family, refuted = face(bases, [])
+        refuted = refuted or next(
+            (f"the target is {value} at the point {x}" for x, value in points.items() if value < 0), None)
+        if zeros and family.free and not refuted:  # one member is decided without them
+            used = zeros
+            family, refuted = face(family.bases, zeros)
     except GramInfeasibleError as exc:
-        return Search("infeasible", None, str(exc))
-    dropped = {k: monomials for k, monomials in enumerate(dropped) if monomials}
-    for (k, i), value in family.forced.items():
-        if value < 0:
-            detail = f"diagonal entry for {family.bases[k][i]} forced to {value}"
-            return Search("infeasible", None, detail, dropped)
+        refuted = str(exc)
+    if refuted:
+        return Search("infeasible", None, refuted, dropped, used)
     if not family.free:  # the one member decides
         blocks = family.at([])
         if all(is_psd(b) for b in blocks):
-            return Search("found", list(zip(blocks, family.bases)), "unique Gram matrix", dropped)
-        return Search("infeasible", None, "unique Gram matrix is not psd", dropped)
+            return Search("found", list(zip(blocks, family.bases)), "unique Gram matrix", dropped, used)
+        return Search("infeasible", None, "unique Gram matrix is not psd", dropped, used)
+    return Search(*_numeric_search(family), dropped, used)
+
+
+def _numeric_search(family: GramFamily):
+    """(status, cert, detail) of the numeric phase on a family with free unknowns.
+
+    Alternating projections, at the one budget of
+    :func:`~ratsos.numeric.alternating_projection`, propose a point.  A
+    converged one is nudged off the psd boundary, to the affine projection of
+    x + _NUDGE * I, and its free unknowns are rounded down the denominator
+    ladder; if none rounds, a second run at the same budget on the family
+    shifted by -_FLOOR * I from that point pushes it to {X >= _FLOOR * I}
+    (max(w - e, 0) + e = max(w, e)), and the ladder runs once more.  A member
+    is accepted only when every block passes the exact psd test.  A run that
+    separated (a float stopping rule) is not rounded, and neither is a family
+    whose coefficients or iterates floats cannot hold, or whose float matrix
+    does not fit in memory: each ends ``unknown``, as does a run that stalled
+    at the sweep cap and did not round.
+    """
     free = family.positions()[family.free, 0]
     try:
         with np.errstate(over="raise"):
-            numeric = family.numeric()
+            try:
+                numeric = family.numeric()
+            except MemoryError:
+                return "unknown", None, "the float Gram system does not fit in memory"
             eye = numeric.eye_vector()
             x, gap, converged, separated = alternating_projection(numeric)
             if separated:
-                return Search("unknown", None, f"numeric phase separated at gap {gap:.2e}", dropped)
+                return "unknown", None, f"numeric phase separated at gap {gap:.2e}"
             if converged:
                 x = numeric.project(x + _NUDGE * eye)
             rounded = _round(family, x[free])
@@ -263,13 +362,40 @@ def search(f: MPoly, bases, generators) -> Search:
                 x = alternating_projection(AffineFamily(x - _FLOOR * eye, numeric.a, numeric.sizes))[0]
                 rounded = _round(family, (x + _FLOOR * eye)[free])
     except (OverflowError, FloatingPointError):
-        return Search("unknown", None, "a coefficient of the Gram system exceeds the float range", dropped)
+        return "unknown", None, "a coefficient of the Gram system exceeds the float range"
     if rounded is not None:
         blocks, detail = rounded
-        return Search("found", list(zip(blocks, family.bases)), detail, dropped)
+        return "found", list(zip(blocks, family.bases)), detail
     if not converged:
-        return Search("unknown", None, f"numeric phase stalled at gap {gap:.2e}", dropped)
-    return Search("unknown", None, "rationalization failed", dropped)
+        return "unknown", None, f"numeric phase stalled at gap {gap:.2e}"
+    return "unknown", None, "rationalization failed"
+
+
+def _nonpositive_grid_values(f: MPoly, unknowns: int) -> dict:
+    """{x: f(x)} over the points x of {-1, 0, 1}^n where f(x) <= 0; empty when 3^n > ``unknowns``.
+
+    Each point is evaluated on the integer-scaled coefficients of f: a term
+    c x^alpha is 0 when some x_i = 0 has alpha_i > 0, and otherwise c times
+    the sign (-1)^(sum of alpha_i over the x_i = -1).  One Fraction is made
+    per point returned.
+    """
+    if 3**f.nvars > unknowns:
+        return {}
+    scale, terms = _integer_terms(f)
+    masks = [(_mask(a), _mask([e % 2 for e in a]), c) for a, c in terms]  # support, odd exponents, L * c
+    out = {}
+    for x in product((-1, 0, 1), repeat=f.nvars):
+        zero, negative = _mask([t == 0 for t in x]), _mask([t < 0 for t in x])
+        value = sum(-c if (odd & negative).bit_count() % 2 else c
+                    for support, odd, c in masks if not support & zero)
+        if value <= 0:
+            out[x] = Fraction(value, scale)
+    return out
+
+
+def _mask(flags) -> int:
+    """The bit set of the indices i with flags[i] true."""
+    return sum(1 << i for i, flag in enumerate(flags) if flag)
 
 
 def find_gram(f: MPoly) -> Search:
@@ -283,12 +409,19 @@ def find_gram(f: MPoly) -> Search:
     is no midpoint of two points of the polytope, so its only Gram entry is
     the diagonal one of alpha/2.  An odd vertex is therefore unreachable, and
     a negative vertex coefficient forces that diagonal negative.
+    The search is handed the points of {-1, 0, 1}^n where f <= 0, scanned
+    only while 3^n is at most the number of Gram unknowns (so the scan never
+    costs more than the family): a negative value refutes f, and each real
+    zero x puts the search on the exact face G v(x) = 0, where a boundary
+    instance has a relative interior the numeric phase converges to.
     """
     if f.is_zero:
         raise ValueError("the zero polynomial needs no certificate")
     if f.degree() % 2 == 1:
         return Search("infeasible", None, "odd degree")
-    res = search(f, [newton_halved_lattice(f)], [MPoly.constant(f.nvars, 1)])
+    lattice = newton_halved_lattice(f)
+    points = _nonpositive_grid_values(f, len(lattice) * (len(lattice) + 1) // 2)
+    res = search(f, [lattice], [MPoly.constant(f.nvars, 1)], points)
     if res.status == "found":
         [res.cert] = res.cert
         if gram_product(*res.cert) != f:

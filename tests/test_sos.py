@@ -1,12 +1,16 @@
+import itertools
 import random
 import re
 import time
 from fractions import Fraction
+from math import prod
+from operator import add
 
 import numpy as np
 import pytest
 
 from ratsos import numeric, sos
+from ratsos.cli import run
 from ratsos.arith import Mat, affine_solution_set, pivot_columns
 from ratsos.conic import convex_membership, newton_halved_lattice
 from ratsos.lasserre import monomials_upto
@@ -296,19 +300,169 @@ def test_find_gram_sec26():
     assert verify_sos(f, cert)
 
 
-def test_boundary_instance_rounds_at_the_one_sweep_budget(monkeypatch):
+def test_boundary_instance_converges_on_its_zero_face(monkeypatch):
     """x^4 + y^4 - 4y + 3 has a real zero at (0, 1), so no Gram matrix is
-    interior: the run stalls at its sweep cap and the ladder rounds its last,
-    unconverged point (CHANGES.md, FOUND 29).  The cap is part of the
-    outcome, so the one budget is pinned here by counting affine
-    projections, one per sweep."""
+    interior to the psd cone.  On the face G v(0, 1) = 0 the run converges
+    in its first sweep: two affine projections, the sweep's and the
+    nudge's, where the plain family ran its 3,000-sweep cap.  The ladder
+    rounds the converged point at denominator 10."""
     calls = []
     project = numeric.AffineFamily.project
     monkeypatch.setattr(numeric.AffineFamily, "project", lambda self, y: calls.append(1) or project(self, y))
     f = parse_poly("x^4 + y^4 - 4*y + 3", 2)
     res = find_gram(f)
     assert res.status == "found" and res.detail == "denominator bound 10"
-    assert len(calls) == 3000
+    assert res.points == [(0, 1)]
+    assert len(calls) == 2
+    assert verify_sos(f, res.cert)
+
+
+SEXTIC = "x^6 + y^6 + z^6 - x^4*y^2 - y^4*z^2 - z^4*x^2"
+ROBINSON = ("x^6 + y^6 + z^6 - x^4*y^2 - x^2*y^4 - x^4*z^2 - x^2*z^4 - y^4*z^2 - y^2*z^4"
+            " + 3*x^2*y^2*z^2")
+
+
+def _value(x, alpha):
+    return prod(t**e for t, e in zip(x, alpha))
+
+
+def _assert_vanishes_at_points(res):
+    """G v(x) = 0 exactly at every point the search recorded."""
+    gram, monomials = res.cert
+    for x in res.points:
+        v = [_value(x, a) for a in monomials]
+        assert all(sum(g * t for g, t in zip(row, v)) == 0 for row in gram.rows), x
+
+
+def test_sextic_is_found_on_the_face_of_its_real_zeros():
+    """The sextic vanishes at (+-1, +-1, +-1) and at 0 (where v is 0), and
+    the plain family stalls; on the face of those zeros it is found."""
+    f = parse_poly(SEXTIC, 3)
+    res = find_gram(f)
+    assert res.status == "found", res.detail
+    assert res.points == [x for x in itertools.product((-1, 0, 1), repeat=3) if f.eval(x) == 0]
+    assert len(res.points) == 9
+    assert verify_sos(f, res.cert)
+    _assert_vanishes_at_points(res)
+    plain = search(f, [newton_halved_lattice(f)], [MPoly.constant(3, 1)])
+    assert plain.status == "unknown" and plain.points == []
+
+
+def test_every_recorded_point_is_a_zero_of_the_certificate():
+    """G v(x) = 0 holds exactly at each point a found search used: on the
+    boundary instance, and on sums of five or six squares of quadratics
+    through one grid point, whose Gram matrix has full rank on the face of
+    that zero (5 of the 6 monomials), so that the search finds them all."""
+    f = parse_poly("x^4 + y^4 - 4*x + 3", 2)
+    res = find_gram(f)
+    assert res.points == [(1, 0)]
+    _assert_vanishes_at_points(res)
+    rng = random.Random(307)
+    monomials = monomials_upto(2, 2)
+    for _ in range(12):
+        zero = (rng.choice((-1, 1)), rng.choice((-1, 0, 1)))
+        f = MPoly.zero(2)
+        for _ in range(rng.randint(5, 6)):
+            q = {a: rand_frac(rng, -3, 3, max_den=3) for a in monomials}
+            q[(0, 0)] -= sum(c * _value(zero, a) for a, c in q.items())  # q(zero) = 0
+            f = f + MPoly(2, q) ** 2
+        res = find_gram(f)
+        assert res.status == "found" and zero in res.points, (f, res.detail)
+        assert verify_sos(f, res.cert)
+        _assert_vanishes_at_points(res)
+
+
+def test_zero_equations_keep_every_member_and_no_other():
+    """gram_family with a real zero x is the solution set of the coefficient
+    match plus G v(x) = 0: every member it gives solves both, and it has as
+    many free unknowns as the dense system of both has non-pivot columns."""
+    rng = random.Random(311)
+    for _ in range(10):
+        nvars = rng.randint(1, 2)
+        zero = tuple(rng.choice((-1, 0, 1)) for _ in range(nvars))
+        monomials = monomials_upto(nvars, 2)
+        v = [_value(zero, a) for a in monomials]
+        f = MPoly.zero(nvars)
+        for _ in range(2):
+            q = {a: rand_frac(rng, -2, 2, max_den=2) for a in monomials}
+            q[(0,) * nvars] -= sum(c * t for c, t in zip(q.values(), v))  # q(zero) = 0
+            f = f + MPoly(nvars, q) ** 2
+        if f.is_zero:
+            continue
+        fam = gram_family(f, [monomials], [MPoly.constant(nvars, 1)], [zero])
+        slots = [(i, j) for i in range(len(monomials)) for j in range(i, len(monomials))]
+        exponent = [tuple(map(add, monomials[i], monomials[j])) for i, j in slots]
+        dense = [[(1 if i == j else 2) * (e == gamma) for (i, j), e in zip(slots, exponent)]
+                 for gamma in set(exponent)]
+        dense += [[v[j] if i == k else v[i] if j == k else 0 for i, j in slots] for k in range(len(monomials))]
+        assert len(fam.free) == len(slots) - len(pivot_columns(Mat(dense)))
+        for t in ([0] * len(fam.free), [Fraction(k + 1, 3) for k in range(len(fam.free))]):
+            [g] = fam.at(t)
+            assert gram_product(g, monomials) == f
+            assert all(sum(x * w for x, w in zip(row, v)) == 0 for row in g.rows)
+
+
+def test_grid_scan_matches_exact_evaluation():
+    """The scan on integer-scaled coefficients gives the points of {-1, 0, 1}^n
+    where MPoly.eval is <= 0, with its values, and scans nothing once 3^n
+    exceeds the number of Gram unknowns it is given."""
+    rng = random.Random(401)
+    values = []
+    for _ in range(40):
+        nvars = rng.randint(1, 3)
+        f = rand_mpoly(rng, nvars=nvars, max_deg=4, max_terms=6) * Fraction(rng.randint(1, 5), rng.randint(1, 6))
+        expected = {x: f.eval(x) for x in itertools.product((-1, 0, 1), repeat=nvars) if f.eval(x) <= 0}
+        assert sos._nonpositive_grid_values(f, 3**nvars) == expected
+        assert sos._nonpositive_grid_values(f, 3**nvars - 1) == {}
+        values += expected.values()
+    assert 0 in values and any(value.denominator > 1 for value in values)
+
+
+def test_point_refutation_after_the_exact_refutations():
+    """A grid point where f is negative refutes it, with the point and the
+    value in the detail, once the plain face has no refutation of its own."""
+    res = find_gram(parse_poly("x^4 - 3*x^2 + 1", 1))
+    assert (res.status, res.detail) == ("infeasible", "the target is -1 at the point (-1,)")
+    # f(1, 0, 0) = -1 too, but 3^3 exceeds the 15 Gram unknowns: no scan
+    res = find_gram(parse_poly("x^4 - 3*x^2 + 1 + y^2 + z^2", 3))
+    assert res.status == "unknown" and res.points == []
+
+
+def test_robinson_form_is_refuted_at_its_real_zeros():
+    """Robinson's form is psd and not SOS.  It vanishes at (+-1, +-1, +-1) and
+    at the permutations of (+-1, +-1, 0), and no Gram matrix satisfies G v(x)
+    = 0 at all of them, which is an exact refutation."""
+    f = parse_poly(ROBINSON, 3)
+    res = find_gram(f)
+    assert res.status == "infeasible"
+    assert res.detail == "no Gram matrix G has G v(x) = 0 at the real zeros x of the target"
+    assert len(res.points) == 21
+
+
+def test_a_float_family_out_of_memory_ends_unknown(monkeypatch):
+    """A MemoryError from the dense float family is a budget, not a verdict:
+    the search ends unknown and the command in exit 3."""
+
+    def numeric(self):
+        raise MemoryError("Unable to allocate 6.53 GiB")
+
+    monkeypatch.setattr(sos.GramFamily, "numeric", numeric)
+    res = find_gram(parse_poly(SEC26, 2))
+    assert (res.status, res.detail) == ("unknown", "the float Gram system does not fit in memory")
+    assert run(["sos", "find", "--poly", SEC26]) == (3, "unknown\nthe float Gram system does not fit in memory")
+
+
+def test_zero_face_budget():
+    """x^8 + y^8 + z^8 - 8z + 7 vanishes at (0, 0, 1), and the certificate on
+    the face of that zero is found in under 2 s (0.1-0.3 s on a 2-core VM,
+    where the plain family stalls after 0.9-1.1 s).  The budget guards the
+    reduction of the zero equations over only the free unknowns they touch,
+    not over all 630 Gram unknowns."""
+    f = parse_poly("x^8 + y^8 + z^8 - 8*z + 7", 3)
+    start = time.perf_counter()
+    res = find_gram(f)
+    assert time.perf_counter() - start < 2.0
+    assert res.status == "found" and res.points == [(0, 0, 1)]
     assert verify_sos(f, res.cert)
 
 
@@ -394,6 +548,13 @@ def test_motzkin_multiplier_certificates():
     res = find_gram(target)
     assert res.status == "found"
     assert verify_sos(target, res.cert)
+    # on the face of their grid zeros these products have one Gram matrix each
+    choi_lam = parse_poly("x^4*y^2 + y^4*z^2 + z^4*x^2 - 3*x^2*y^2*z^2", 3)
+    for target in (motzkin * parse_poly("x^2 + y^2 + 1", 2), motzkin * parse_poly("x^2 + y^2", 2),
+                   choi_lam * parse_poly("x^2 + y^2 + z^2", 3)):
+        res = find_gram(target)
+        assert (res.status, res.detail) == ("found", "unique Gram matrix")
+        assert verify_sos(target, res.cert)
 
 
 def test_motzkin_cubed_substitution_certificate():
