@@ -1,11 +1,11 @@
 """Exact univariate and multivariate polynomial arithmetic over the rationals.
 
-Univariate polynomials (:class:`UPoly`) are dense coefficient sequences,
-multivariate polynomials (:class:`MPoly`) are sparse maps from exponent
-vectors to nonzero rational coefficients.  All arithmetic is exact.  Both
-derive subtraction, powers and the reflected operators from one base class,
-and share one product kernel: ``MPoly.__mul__`` on integer numerators, which
-two UPolys run as one-variable MPolys.
+A polynomial (:class:`MPoly`) is a sparse map from exponent vectors to
+nonzero rational coefficients, and all arithmetic is exact.  A univariate
+polynomial (:class:`UPoly`) is the one-variable MPoly: it stores nothing of
+its own and adds a dense coefficient view, division with remainder, the
+derivative and f(-X).  There is one product kernel, ``MPoly.__mul__`` on
+integer numerators, and the operators of both return the operand type.
 
 Polynomial text (:func:`parse_poly`) is read by three compiled patterns (a
 sign, a coefficient, a factor).  Its variables are ``x1..xn`` with aliases
@@ -43,187 +43,16 @@ class PolyParseError(ValueError):
         self.position = position
 
 
-class _Ring:
-    """Ring operators derived from a type's own ``_lift`` (an operand as a
-    polynomial of the type, or None), ``__neg__``, ``__add__`` and ``__mul__``,
-    called directly: an operand no type accepts ends in ``TypeError``."""
+class MPoly:
+    """Sparse multivariate polynomial: exponent vector -> nonzero coefficient.
 
-    __slots__ = ()
-
-    def __radd__(self, other):
-        return self.__add__(other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __sub__(self, other):
-        other = self._lift(other)
-        return NotImplemented if other is None else self.__add__(other.__neg__())
-
-    def __rsub__(self, other):
-        other = self._lift(other)  # the lifted operand's terms come first
-        return NotImplemented if other is None else other.__add__(self.__neg__())
-
-    def __pow__(self, n):
-        """Repeated squaring from the type's own one."""
-        if n < 0:
-            raise ValueError("negative exponent")
-        result, base = self._lift(1), self
-        while n:
-            if n & 1:
-                result = result.__mul__(base)
-            n >>= 1
-            if n:
-                base = base.__mul__(base)
-        return result
-
-
-class UPoly(_Ring):
-    """Dense univariate polynomial; ``coeffs[i]`` is the coefficient of X^i.
-
-    The trailing (highest-index) coefficient is nonzero unless the polynomial
-    is zero, in which case ``coeffs`` is empty.
+    The operators build their results as ``type(self)``, and a polynomial
+    operand must be of the same type: a :class:`UPoly` operation returns a
+    UPoly, and an MPoly and a UPoly never mix (``TypeError``).  Subtraction,
+    powers and the reflected operators call ``_lift``, ``__neg__``, ``__add__``
+    and ``__mul__`` directly, so an operand no type accepts ends in
+    ``TypeError``.
     """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def zero(cls) -> "UPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "UPoly":
-        return cls((1,))
-
-    @classmethod
-    def x(cls) -> "UPoly":
-        return cls((0, 1))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def degree(self):
-        """Degree, or ``NEG_INF`` for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def monic(self) -> "UPoly":
-        """Divide by the leading coefficient; zero stays zero."""
-        if self.is_zero or self.coeffs[-1] == 1:
-            return self
-        lead = self.coeffs[-1]
-        return UPoly(c / lead for c in self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, UPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __neg__(self) -> "UPoly":
-        return UPoly(-c for c in self.coeffs)
-
-    @staticmethod
-    def _lift(other):
-        if isinstance(other, (int, Fraction)):
-            return UPoly((other,))
-        return other if isinstance(other, UPoly) else None
-
-    def __add__(self, other) -> "UPoly":
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        res = list(a)
-        for i, c in enumerate(b):
-            res[i] += c
-        return UPoly(res)
-
-    def __mul__(self, other) -> "UPoly":
-        """Exact product; two polynomials multiply as one-variable MPolys."""
-        if isinstance(other, (int, Fraction)):
-            return UPoly(c * other for c in self.coeffs)
-        if not isinstance(other, UPoly):
-            return NotImplemented
-        return (self.to_mpoly() * other.to_mpoly()).to_upoly()
-
-    def __divmod__(self, other: "UPoly"):
-        """Exact polynomial division with remainder."""
-        if not isinstance(other, UPoly):
-            return NotImplemented
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dd, dg = len(rem) - 1, len(other.coeffs) - 1
-        if dd < dg:
-            return UPoly(), self
-        lead = other.coeffs[-1]
-        quo = [Fraction(0)] * (dd - dg + 1)
-        for k in range(dd - dg, -1, -1):
-            c = rem[k + dg] / lead
-            if c == 0:
-                continue
-            quo[k] = c
-            for j, b in enumerate(other.coeffs):
-                rem[k + j] -= c * b
-        return UPoly(quo), UPoly(rem[:dg])
-
-    def __mod__(self, other: "UPoly") -> "UPoly":
-        return divmod(self, other)[1]
-
-    def derivative(self) -> "UPoly":
-        return UPoly(i * c for i, c in enumerate(self.coeffs) if i > 0)
-
-    def eval(self, x) -> Fraction:
-        """Exact evaluation by Horner's rule."""
-        x = x if isinstance(x, Fraction) else Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def compose_neg(self) -> "UPoly":
-        """Return f(-X): flips the sign of every odd-degree coefficient."""
-        return UPoly(-c if i % 2 else c for i, c in enumerate(self.coeffs))
-
-    def to_mpoly(self) -> "MPoly":
-        return MPoly._normal(1, {(i,): c for i, c in enumerate(self.coeffs) if c})
-
-    def __str__(self) -> str:
-        return str(self.to_mpoly())
-
-    def __repr__(self) -> str:
-        return f"UPoly({list(self.coeffs)!r})"
-
-
-def gcd_upoly(f: UPoly, g: UPoly) -> UPoly:
-    """Monic greatest common divisor by the Euclidean algorithm; gcd(0,0)=0."""
-    while not g.is_zero:
-        f, g = g, f % g
-    return f.monic()
-
-
-def sign_changes(f: UPoly) -> int:
-    """Number of sign changes in the ordered nonzero coefficients of f."""
-    if f.is_zero:
-        raise ValueError("sign changes of the zero polynomial are undefined")
-    signs = [c > 0 for c in f.coeffs if c != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-class MPoly(_Ring):
-    """Sparse multivariate polynomial: exponent vector -> nonzero coefficient."""
 
     __slots__ = ("nvars", "terms")
 
@@ -253,17 +82,19 @@ class MPoly(_Ring):
 
     @classmethod
     def constant(cls, nvars: int, c) -> "MPoly":
-        return cls(nvars, {(0,) * nvars: c})
+        return cls.monomial((0,) * nvars, c)
 
     @classmethod
     def monomial(cls, alpha, coeff=1) -> "MPoly":
-        return cls(len(alpha), {tuple(alpha): coeff})
+        c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
+        return cls._normal(len(alpha), {tuple(int(e) for e in alpha): c} if c else {})
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
     def degree(self):
+        """Total degree, or ``NEG_INF`` for the zero polynomial."""
         return max((sum(a) for a in self.terms), default=NEG_INF)
 
     def degree_in(self, i: int) -> int:
@@ -277,22 +108,24 @@ class MPoly(_Ring):
         return self.terms.get(tuple(alpha), Fraction(0))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, MPoly) and self.nvars == other.nvars and self.terms == other.terms
+        return type(other) is type(self) and self.nvars == other.nvars and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
 
     def __neg__(self) -> "MPoly":
-        return MPoly(self.nvars, {a: -c for a, c in self.terms.items()})
+        return type(self)._normal(self.nvars, {a: -c for a, c in self.terms.items()})
 
     def _lift(self, other):
-        if isinstance(other, MPoly):
-            if other.nvars != self.nvars:
-                raise ValueError("mixed variable counts")
-            return other
+        """A scalar as a constant of this type, a polynomial of this type as
+        itself, anything else as None."""
         if isinstance(other, (int, Fraction)):
-            return MPoly.constant(self.nvars, other)
-        return None
+            return type(self).constant(self.nvars, other)
+        if type(other) is not type(self):
+            return None
+        if other.nvars != self.nvars:
+            raise ValueError("mixed variable counts")
+        return other
 
     def __add__(self, other) -> "MPoly":
         other = self._lift(other)
@@ -300,8 +133,19 @@ class MPoly(_Ring):
             return NotImplemented
         terms = dict(self.terms)
         for a, c in other.terms.items():
-            terms[a] = terms.get(a, Fraction(0)) + c
-        return MPoly(self.nvars, terms)
+            terms[a] = terms.get(a, 0) + c
+        return type(self)._normal(self.nvars, {a: c for a, c in terms.items() if c})
+
+    def __radd__(self, other):
+        return self.__add__(other)
+
+    def __sub__(self, other):
+        other = self._lift(other)
+        return NotImplemented if other is None else self.__add__(other.__neg__())
+
+    def __rsub__(self, other):
+        other = self._lift(other)  # the lifted operand's terms come first
+        return NotImplemented if other is None else other.__add__(self.__neg__())
 
     def __mul__(self, other) -> "MPoly":
         """Exact product with a polynomial or a rational scalar.
@@ -312,8 +156,8 @@ class MPoly(_Ring):
         per nonzero term of the result, over the product of the two lcms.
         """
         if isinstance(other, (int, Fraction)):
-            return MPoly(self.nvars, {a: c * other for a, c in self.terms.items()})
-        if not isinstance(other, MPoly):
+            return type(self)._normal(self.nvars, {a: c * other for a, c in self.terms.items()} if other else {})
+        if type(other) is not type(self):
             return NotImplemented
         if other.nvars != self.nvars:
             raise ValueError("mixed variable counts")
@@ -323,7 +167,23 @@ class MPoly(_Ring):
             for b, cb in ys:
                 key = tuple(map(add, a, b))
                 acc[key] = acc.get(key, 0) + ca * cb
-        return _from_integers(self.nvars, acc, da * db)
+        return _from_integers(self.nvars, acc, da * db, type(self))
+
+    def __rmul__(self, other):
+        return self.__mul__(other)
+
+    def __pow__(self, n):
+        """Repeated squaring from the type's own one."""
+        if n < 0:
+            raise ValueError("negative exponent")
+        result, base = self._lift(1), self
+        while n:
+            if n & 1:
+                result = result.__mul__(base)
+            n >>= 1
+            if n:
+                base = base.__mul__(base)
+        return result
 
     def eval(self, point) -> Fraction:
         """Exact evaluation at a rational point."""
@@ -339,11 +199,10 @@ class MPoly(_Ring):
             total += v
         return total
 
-    def to_upoly(self) -> UPoly:
+    def to_upoly(self) -> "UPoly":
         if self.nvars != 1:
             raise ValueError("only single-variable polynomials convert to UPoly")
-        top = max((e for (e,) in self.terms), default=-1)
-        return UPoly(self.terms.get((e,), 0) for e in range(top + 1))
+        return UPoly._normal(1, dict(self.terms))
 
     def __str__(self) -> str:
         return poly_text(self)
@@ -352,15 +211,122 @@ class MPoly(_Ring):
         return f"MPoly({self.nvars}, {self.terms!r})"
 
 
+class UPoly(MPoly):
+    """A polynomial in one variable: the one-variable MPoly, terms ``{(i,): c}``.
+
+    Equality, hashing, degree, sums, negation and the printer are MPoly's;
+    this class adds the dense view ``coeffs`` and what only one variable has:
+    division with remainder, the derivative and f(-X).
+    """
+
+    __slots__ = ()
+
+    def __init__(self, coeffs=()):
+        """The polynomial sum_i coeffs[i] * X^i."""
+        cs = (c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
+        self.nvars = 1
+        self.terms = {(i,): c for i, c in enumerate(cs) if c}
+
+    @classmethod
+    def zero(cls) -> "UPoly":
+        return cls()
+
+    @classmethod
+    def one(cls) -> "UPoly":
+        return cls((1,))
+
+    @classmethod
+    def x(cls) -> "UPoly":
+        return cls((0, 1))
+
+    @property
+    def coeffs(self) -> tuple:
+        """Dense coefficients, ``coeffs[i]`` that of X^i: the last one is
+        nonzero, and the zero polynomial has none.  Built on each read."""
+        terms = self.terms
+        zero = Fraction(0)
+        return tuple(terms.get((i,), zero) for i in range(max((e for (e,) in terms), default=-1) + 1))
+
+    def is_monic(self) -> bool:
+        return not self.is_zero and self.terms[(self.degree(),)] == 1
+
+    def monic(self) -> "UPoly":
+        """Divide by the leading coefficient; zero stays zero."""
+        if self.is_zero:
+            return self
+        lead = self.terms[(self.degree(),)]
+        return self if lead == 1 else UPoly._normal(1, {a: c / lead for a, c in self.terms.items()})
+
+    def __mul__(self, other) -> "UPoly":
+        """The MPoly product (a UPoly entry of its own, so that it can be traced)."""
+        return MPoly.__mul__(self, other)
+
+    def __divmod__(self, other: "UPoly"):
+        """Exact polynomial division with remainder."""
+        if type(other) is not UPoly:
+            return NotImplemented
+        if other.is_zero:
+            raise ZeroDivisionError("polynomial division by zero")
+        rem, div = list(self.coeffs), other.coeffs
+        dd, dg = len(rem) - 1, len(div) - 1
+        if dd < dg:
+            return UPoly(), self
+        lead = div[-1]
+        quo = [Fraction(0)] * (dd - dg + 1)
+        for k in range(dd - dg, -1, -1):
+            c = rem[k + dg] / lead
+            if c == 0:
+                continue
+            quo[k] = c
+            for j, b in enumerate(div):
+                rem[k + j] -= c * b
+        return UPoly(quo), UPoly(rem[:dg])
+
+    def __mod__(self, other: "UPoly") -> "UPoly":
+        return divmod(self, other)[1]
+
+    def derivative(self) -> "UPoly":
+        return UPoly._normal(1, {(i - 1,): i * c for (i,), c in self.terms.items() if i})
+
+    def compose_neg(self) -> "UPoly":
+        """Return f(-X): flips the sign of every odd-degree coefficient."""
+        return UPoly._normal(1, {a: -c if a[0] % 2 else c for a, c in self.terms.items()})
+
+    def eval(self, x) -> Fraction:
+        """Exact evaluation at the rational x."""
+        return MPoly.eval(self, [x])
+
+    def to_mpoly(self) -> MPoly:
+        return MPoly._normal(1, dict(self.terms))
+
+    def __repr__(self) -> str:
+        return f"UPoly({list(self.coeffs)!r})"
+
+
+def gcd_upoly(f: UPoly, g: UPoly) -> UPoly:
+    """Monic greatest common divisor by the Euclidean algorithm; gcd(0,0)=0."""
+    while not g.is_zero:
+        f, g = g, f % g
+    return f.monic()
+
+
+def sign_changes(f: UPoly) -> int:
+    """Number of sign changes in the ordered nonzero coefficients of f."""
+    if f.is_zero:
+        raise ValueError("sign changes of the zero polynomial are undefined")
+    signs = [c > 0 for c in f.coeffs if c != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
 def _integer_terms(f: MPoly) -> tuple[int, list]:
     """(L, [(alpha, L * c)]) for the lcm L of the coefficient denominators of f."""
     scale = lcm(*(c.denominator for c in f.terms.values()))
     return scale, [(a, c.numerator * (scale // c.denominator)) for a, c in f.terms.items()]
 
 
-def _from_integers(nvars: int, acc: dict, den: int) -> MPoly:
-    """The MPoly with the nonzero integers of ``acc`` over den as coefficients."""
-    return MPoly._normal(nvars, {key: Fraction(c, den) for key, c in acc.items() if c})
+def _from_integers(nvars: int, acc: dict, den: int, cls=MPoly) -> MPoly:
+    """The polynomial of type cls with the nonzero integers of ``acc`` over den as coefficients."""
+    return cls._normal(nvars, {key: Fraction(c, den) for key, c in acc.items() if c})
 
 
 def _grlex_key(alpha):

@@ -21,7 +21,7 @@ from math import lcm
 from operator import add
 
 from .arith import Mat, _integer_rows, _pivot, charpoly, det, rat
-from .poly import MPoly, UPoly, _from_integers, _integer_terms, sign_changes
+from .poly import MPoly, _from_integers, _integer_terms, sign_changes
 
 
 class CertificateError(ValueError):
@@ -186,19 +186,18 @@ class SosCert:
 
     def expand(self, zero):
         """Sum of w * p^2 over the terms, as a polynomial of the type and
-        variable count of ``zero`` (an MPoly or a UPoly, the zero polynomial).
+        variable count of ``zero`` (the zero MPoly or UPoly; a UPoly is the
+        one-variable MPoly).
 
         Fraction-free: each p is scaled to integers over the lcm L of its
         coefficient denominators, and w * p^2 is added, by its upper
         triangle of products with doubled cross terms, into one integer sum
         over the common denominator lcm(w.den * L^2).  One ``Fraction`` is
-        built per nonzero term of the result.  UPoly terms run as
-        one-variable MPolys.
+        built per nonzero term of the result.
         """
-        nvars = 1 if isinstance(zero, UPoly) else zero.nvars
+        nvars = zero.nvars
         squares = []
         for w, p in self.terms:
-            p = p.to_mpoly() if isinstance(p, UPoly) else p
             if p.nvars != nvars:
                 raise ValueError("mixed variable counts")
             if w:
@@ -210,8 +209,7 @@ class SosCert:
             k = w.numerator * (den // (w.denominator * s))
             for i, c in enumerate(coeffs):
                 _add_form_row(acc, alphas, i, k * c, coeffs)
-        total = _from_integers(nvars, acc, den)
-        return total.to_upoly() if isinstance(zero, UPoly) else total
+        return _from_integers(nvars, acc, den, type(zero))
 
 
 def _add_form_row(acc: dict, alphas, i: int, scale: int, row) -> None:

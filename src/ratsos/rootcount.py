@@ -57,12 +57,12 @@ def hermite_form(f: UPoly, g: UPoly | None = None) -> HermiteData:
         raise ValueError("the Hankel trace form needs degree at least 1")
     if not f.is_monic():
         raise ValueError("the Hankel trace form requires a monic polynomial")
-    d = f.degree()
+    d, fs = f.degree(), f.coeffs
     (g_num,), (den,) = _integer_rows([(g % f).coeffs])
     top = max(len(g_num) - 1, 0)
-    scale = lcm(*(c.denominator for c in f.coeffs))
+    scale = lcm(*(c.denominator for c in fs))
     powers = [scale**e for e in range(top + 2 * d)]
-    a = [c.numerator * (powers[d - i] // c.denominator) for i, c in enumerate(f.coeffs)]
+    a = [c.numerator * (powers[d - i] // c.denominator) for i, c in enumerate(fs)]
     # Newton's identities for P_1..P_(3d-3), the first term only while m <= d:
     # P_m = -m A_(d-m) - sum_(i=1..min(m-1, d)) A_(d-i) P_(m-i)
     p = [d]

@@ -508,7 +508,7 @@ def cassels_descent(weights, fs, g: UPoly, degree_trace: list | None = None) -> 
 def cert_to_json(cert: SosCert, target=None) -> dict:
     doc = {"terms": terms_to_json(cert.terms)}
     if target is not None:
-        doc["target"] = poly_text(target) if isinstance(target, MPoly) else str(target)
+        doc["target"] = poly_text(target)
     return doc
 
 
@@ -559,7 +559,7 @@ def json_field(doc, key: str, kind):
 
 def terms_to_json(terms) -> list[dict]:
     """{"weight", "poly"} objects of (weight, polynomial) pairs; read back by :func:`terms_from_json`."""
-    return [{"weight": str(w), "poly": poly_text(p) if isinstance(p, MPoly) else str(p)} for w, p in terms]
+    return [{"weight": str(w), "poly": poly_text(p)} for w, p in terms]
 
 
 def terms_from_json(items, nvars: int | None) -> tuple:

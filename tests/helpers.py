@@ -86,23 +86,24 @@ def companion(f: UPoly) -> Mat:
     """Companion matrix of a monic polynomial: subdiagonal ones, last column -a_i."""
     if f.is_zero or not f.is_monic():
         raise ValueError("companion matrix requires a monic polynomial")
-    d = f.degree()
+    d, coeffs = f.degree(), f.coeffs
     rows = [[Fraction(0)] * d for _ in range(d)]
     for i in range(d):
         if i + 1 < d:
             rows[i + 1][i] = Fraction(1)
-        rows[i][d - 1] = -f.coeffs[i]
+        rows[i][d - 1] = -coeffs[i]
     return Mat(rows)
 
 
 def upoly_mul_fold(a: UPoly, b: UPoly) -> UPoly:
-    """a * b summed in Fractions over every pair of coefficients: the reference
-    the one product kernel (UPolys multiply as one-variable MPolys) is checked against."""
+    """a * b summed in Fractions over every pair of dense coefficients: the
+    reference the one product kernel (``MPoly.__mul__``) is checked against."""
     if a.is_zero or b.is_zero:
         return UPoly()
-    res = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
-    for i, x in enumerate(a.coeffs):
-        for j, y in enumerate(b.coeffs):
+    xs, ys = a.coeffs, b.coeffs
+    res = [Fraction(0)] * (len(xs) + len(ys) - 1)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
             res[i + j] += x * y
     return UPoly(res)
 

@@ -293,13 +293,17 @@ def test_unaccepted_operands_raise_type_error(p):
     for other in (1.5, "a", None, [1]):
         with pytest.raises(TypeError):
             other - p
-    other = parse_poly("x + y", 2) if isinstance(p, UPoly) else UPoly([1, 1])
-    for op in (lambda a, b: a - b, lambda a, b: b - a, lambda a, b: a + b, lambda a, b: b * a):
-        with pytest.raises(TypeError):
-            op(p, other)
+    # a UPoly is the one-variable MPoly, but the two types never mix, not even in one variable
+    others = [parse_poly("x + y", 2), parse_poly("x", 1)] if type(p) is UPoly else [UPoly([1, 1])]
+    for other in others:
+        for op in (lambda a, b: a - b, lambda a, b: b - a, lambda a, b: a + b, lambda a, b: b * a,
+                   lambda a, b: a * b):
+            with pytest.raises(TypeError):
+                op(p, other)
+        assert p != other and other != p
     for n in (0, 3):
         q = p**n
-        assert type(q) is type(p) and getattr(q, "nvars", 1) == getattr(p, "nvars", 1)
+        assert type(q) is type(p) and q.nvars == p.nvars
     assert p**0 == p - p + 1
     with pytest.raises(ValueError, match="^negative exponent$"):
         p**-1
@@ -319,13 +323,51 @@ _BIG_FRACS = st.builds(Fraction, st.integers(-10**12, 10**12), st.integers(1, 10
 _UPOLYS = st.lists(_BIG_FRACS | st.just(Fraction(0)), max_size=11).map(UPoly)
 
 
+def test_upoly_is_the_one_variable_mpoly():
+    assert issubclass(UPoly, MPoly) and UPoly.__slots__ == ()
+    f = UPoly([Fraction(1, 2), 0, -3])
+    assert f.nvars == 1 and f.terms == {(0,): Fraction(1, 2), (2,): -3}
+    assert str(f) == poly_text(f.to_mpoly()) == "-3*x^2 + 1/2"
+    assert repr(f) == "UPoly([Fraction(1, 2), Fraction(0, 1), Fraction(-3, 1)])"
+    assert f.degree() == 2 and UPoly([0, 0]).is_zero and UPoly([0, 0]).coeffs == ()
+    assert UPoly.constant(1, 2) == UPoly([2]) and UPoly.monomial((3,), -1) == -UPoly.x() ** 3
+    assert UPoly([1]) != MPoly.constant(1, 1) and MPoly.constant(1, 1) != UPoly([1])
+    assert type(f.to_mpoly()) is MPoly and type(f.to_mpoly().to_upoly()) is UPoly
+
+
+def _upoly_in_normal_form(r):
+    """r is a UPoly whose dense view rebuilds it and ends in a nonzero coefficient."""
+    cs = r.coeffs
+    assert type(r) is UPoly and type(cs) is tuple
+    assert UPoly(cs) == r and hash(UPoly(cs)) == hash(r)
+    assert not cs or cs[-1] != 0
+    assert all(type(x) is Fraction for x in cs)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(_UPOLYS, _UPOLYS, _BIG_FRACS | st.integers(-5, 5), st.integers(0, 4))
 def test_upoly_arithmetic_is_the_one_variable_mpoly_arithmetic(a, b, c, k):
     ma, mb = a.to_mpoly(), b.to_mpoly()
     assert a * b == upoly_mul_fold(a, b) == (ma * mb).to_upoly()
     assert a * c == c * a == (ma * c).to_upoly() == upoly_mul_fold(a, UPoly([c]))
+    assert a + b == (ma + mb).to_upoly() and -a == (-ma).to_upoly()
     assert a - b == (ma - mb).to_upoly()
     assert c - a == (c - ma).to_upoly()
     assert a**k == (ma**k).to_upoly()
-    assert all(type(x) is Fraction for x in (a * b).coeffs)
+    assert a.to_mpoly().to_upoly() == a and a != ma
+    results = [a + b, a + c, c + a, a - b, c - a, -a, a * b, a * c, c * a, a**k,
+               a.derivative(), a.compose_neg(), a.monic()]
+    if not b.is_zero:
+        q, r = divmod(a, b)
+        assert q * b + r == a and r.degree() < b.degree() and a % b == r
+        results += [q, r, a % b]
+    for r in results:
+        _upoly_in_normal_form(r)
+    # the same polynomial reached by other routes is equal, with the same hash
+    for p, q in [(a + b - b, a), (a * b, b * a), (-(-a), a), (a.compose_neg().compose_neg(), a)]:
+        assert p == q and hash(p) == hash(q)
+    # the univariate operations against the dense coefficients
+    cs = a.coeffs
+    assert a.derivative() == UPoly([i * x for i, x in enumerate(cs)][1:])
+    assert a.compose_neg().eval(c) == a.eval(-c) == sum(x * (-c) ** i for i, x in enumerate(cs))
+    assert a.is_zero or (a.monic().is_monic() and a.monic() * cs[-1] == a)

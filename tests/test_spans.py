@@ -62,3 +62,20 @@ def test_bench_bisect_keeps_its_interaction_map():
         tracer.remove()
     _, calls = spans.layer_metrics(tracer.spans(), 1)
     assert spans.check_interaction_map("bisect", calls) == []
+
+
+def test_bench_traces_the_univariate_products_and_divisions():
+    """count-with-signs multiplies the conditions and reduces them mod f
+    through the UPoly class entries the bench traces, so a univariate
+    product or division that bypassed them fails here instead of reading 0
+    as a per-layer metric."""
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        assert cli.run(["count-with-signs", "--poly", "x^3-x", "-g", "x", "-g", "x+1"]) == (0, "count=1")
+    finally:
+        tracer.remove()
+    _, calls = spans.layer_metrics(tracer.spans(), 1)
+    assert calls["poly.UPoly.mul"] > 0 and calls["poly.UPoly.divmod"] > 0
+    assert spans.check_interaction_map("roots", calls) == []
