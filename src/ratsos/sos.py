@@ -6,8 +6,8 @@ monomials (the lattice points of half the Newton polytope).  The same system,
 with one psd block per generator, gives the truncated-module certificates of
 :mod:`ratsos.lasserre`, so both searches are one call of :func:`search` here:
 :func:`gram_family` writes the affine family of coefficient-matching blocks
-down once, exactly, as its reduced equations (closed form for single-term
-generators, Bareiss elimination otherwise), and the numeric search projects
+down once, exactly, as reduced equations that :meth:`GramFamily.cut`, their
+one solver, reduces group by linked group, and the numeric search projects
 with the same rows; :func:`restrict_to_face` drops the monomials whose
 diagonal entries are forced to 0 before any float is used, and the search
 excludes forced negative diagonals, cuts the family by G v(x) = 0 at the
@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import prod
+from operator import add
 
 import numpy as np
 
@@ -63,18 +64,67 @@ class GramFamily:
 
     The unknowns are the upper triangles of the blocks, block after block
     (``bases[k]`` is the monomial vector of block k).  The reduced equations
-    solve each unknown p from the ``free`` ones (increasing) as
-    x_p = particular[p] - sum c * x_j over rows[p] = {j: c}; ``particular``
-    is the member with every free unknown 0.  ``forced`` maps (block, i) to
-    diagonal entry (i, i) when its row is empty, so it is the same across the
-    family; a negative one rules out any psd member.
+    solve each unknown p in ``rows`` from the ``free`` ones (the others, in
+    increasing order) as x_p = particular[p] - sum c * x_j over rows[p] = {j: c};
+    ``particular`` is the member with every free unknown 0.  ``forced`` maps
+    (block, i) to diagonal entry (i, i) when its row is empty, so it is the
+    same across the family; a negative one rules out any psd member.  Only
+    :meth:`cut` adds equations.
     """
 
     bases: list[list[tuple[int, ...]]]
     particular: list[Fraction]
-    free: list[int]
     rows: dict[int, dict[int, Fraction]]
-    forced: dict[tuple[int, int], Fraction]
+
+    @property
+    def free(self) -> list[int]:
+        return [u for u in range(len(self.particular)) if u not in self.rows]
+
+    @property
+    def forced(self) -> dict[tuple[int, int], Fraction]:
+        return {(k, i): self.particular[u] for u, (k, i, j) in enumerate(_slots(self.bases))
+                if i == j and self.rows.get(u) == {}}
+
+    def cut(self, equations, reason: str) -> None:
+        """Add the equations ({unknown: nonzero Fraction}, rhs), in place.
+
+        Solved unknowns are replaced by their rows, equations linked by a
+        shared unknown are reduced together (one alone already is), and the
+        new pivots are substituted into the earlier rows.  The reduced form
+        with pivots greedy by column is the union of those of the groups, so
+        the family is the one a single reduction gives.  An inconsistent
+        equation raises GramInfeasibleError(reason).
+        """
+        groups, owner = {}, {}  # group id -> its equations; unknown -> id of its group
+        for n, (eq, rhs) in enumerate(equations):
+            eq = dict(eq)
+            rhs = _substitute(eq, rhs, self.particular, self.rows)
+            if eq:
+                groups[n] = [(eq, rhs)]
+                for g in {owner[u] for u in eq.keys() & owner.keys()}:
+                    groups[n] += groups.pop(g)
+                for e, _ in groups[n]:
+                    owner.update(dict.fromkeys(e, n))
+            elif rhs:
+                raise GramInfeasibleError(reason)
+        values, rows = {}, {}
+        for group in groups.values():
+            if len(group) == 1:  # divided by its first coefficient
+                [(eq, rhs)] = group
+                c = eq.pop(p := min(eq))
+                values[p], rows[p] = rhs / c, {u: a / c for u, a in eq.items()}
+                continue
+            cols = sorted({u for eq, _ in group for u in eq})
+            pivots, reduced, den = _reduced([[eq.get(u, 0) for u in cols] + [rhs] for eq, rhs in group])
+            if pivots[-1] == len(cols):
+                raise GramInfeasibleError(reason)
+            for p, row in zip(pivots, reduced):
+                values[cols[p]] = Fraction(row[-1], den)
+                rows[cols[p]] = {cols[j]: Fraction(x, den) for j, x in enumerate(row[:-1]) if x and j != p}
+        for p, row in self.rows.items():
+            self.particular[p] = _substitute(row, self.particular[p], values, rows)
+        for q in sorted(rows):
+            self.particular[q], self.rows[q] = values[q], rows[q]
 
     def at(self, params) -> list[SymMat]:
         vec = list(self.particular)
@@ -109,6 +159,19 @@ class GramFamily:
         return AffineFamily(particular, a, [len(b) for b in self.bases])
 
 
+def _substitute(eq: dict, rhs, values, rows):
+    """``rhs`` once each unknown u of ``rows`` in ``eq`` is replaced, in place, by
+    values[u] - sum c * x_j over rows[u] = {j: c}; zero coefficients are dropped."""
+    for u in [u for u in eq if u in rows]:
+        c = eq.pop(u)
+        rhs -= c * values[u]
+        for j, d in rows[u].items():
+            eq[j] = eq.get(j, 0) - c * d
+            if not eq[j]:
+                del eq[j]
+    return rhs
+
+
 def _slots(bases) -> list[tuple[int, int, int]]:
     """(block, i, j) of every unknown, in order."""
     return [(k, i, j) for k, b in enumerate(bases) for i in range(len(b)) for j in range(i, len(b))]
@@ -126,7 +189,7 @@ def incidence(bases, generators):
     """
     for u, (k, i, j) in enumerate(_slots(bases)):
         for delta, c in generators[k].terms.items():
-            yield u, tuple(a + b + e for a, b, e in zip(bases[k][i], bases[k][j], delta)), c
+            yield u, tuple(map(add, map(add, bases[k][i], bases[k][j]), delta)), c
 
 
 def gram_family(f: MPoly, bases, generators, points=()) -> GramFamily:
@@ -135,18 +198,11 @@ def gram_family(f: MPoly, bases, generators, points=()) -> GramFamily:
 
     Unknown G_ij of block k enters the coefficient of gamma = b_i + b_j + delta
     for each term c x^delta of g_k, with multiplier c on the diagonal and 2c
-    off it.  When every generator with a nonempty block is a single term,
-    every unknown enters one equation, and the reduced equations are written
-    down in closed form: each gamma class solves its first unknown as
-    (f_gamma - sum mult_u x_u) / mult_first over its other, free, members u.
-    The reduced echelon form (pivots greedy by column) that solves every
-    other system gives the same rows.  An unreachable target monomial or an
-    inconsistent system raises GramInfeasibleError.
-
-    ``points`` are real zeros of f at which every generator is positive, so
-    that every psd member has v_k(x)^T G_k v_k(x) = 0, hence G_k v_k(x) = 0.
-    These equations are added to the reduced ones by :func:`_solve_at_zeros`,
-    with no elimination over every unknown.
+    off it.  The family is cut from all blocks by one equation per gamma
+    class, then by :func:`_zero_equations` at ``points``: real zeros of f at
+    which every generator is positive, so that every psd member has
+    v_k(x)^T G_k v_k(x) = 0, hence G_k v_k(x) = 0.  An unreachable target
+    monomial or an inconsistent system raises GramInfeasibleError.
     """
     bases = [[tuple(a) for a in b] for b in bases]
     slots = _slots(bases)
@@ -155,84 +211,27 @@ def gram_family(f: MPoly, bases, generators, points=()) -> GramFamily:
     for u, gamma, c in incidence(bases, generators):
         _, i, j = slots[u]
         classes.setdefault(gamma, {})[u] = c if i == j else 2 * c
-    missing = [g for g in f.terms if g not in classes]
-    if missing:
-        raise GramInfeasibleError(
-            f"monomial {missing[0]} of the target is not a sum of two candidate exponents"
-        )
-    particular, rows = [Fraction(0)] * len(slots), {}
-    if all(len(g.terms) == 1 for g, b in zip(generators, bases) if b):  # classes in order of first unknown
-        for gamma, members in classes.items():
-            (first, first_mult), *others = members.items()
-            particular[first] = f.coeff(gamma) / first_mult
-            rows[first] = {u: mult / first_mult for u, mult in others}
-    else:
-        system = [[members.get(u, 0) for u in range(len(slots))] + [f.coeff(gamma)]
-                  for gamma, members in classes.items()]
-        for p, (value, row) in _solve(system, range(len(slots)), "coefficient-match system is inconsistent"):
-            particular[p], rows[p] = value, row
+    if missing := [g for g in f.terms if g not in classes]:
+        raise GramInfeasibleError(f"monomial {missing[0]} of the target is not a sum of two candidate exponents")
+    family = GramFamily(bases, [Fraction(0)] * len(slots), {})
+    family.cut(((members, f.coeff(gamma)) for gamma, members in classes.items()),
+               "coefficient-match system is inconsistent")
     if points:
-        _solve_at_zeros(bases, points, particular, rows)
-    free = [u for u in range(len(slots)) if u not in rows]
-    forced = {(k, i): particular[u] for u, (k, i, j) in enumerate(slots) if i == j and rows.get(u) == {}}
-    return GramFamily(bases, particular, free, rows, forced)
+        family.cut(_zero_equations(bases, points), _NO_ZERO_FACE)
+    return family
 
 
-def _solve(system, unknowns, inconsistent: str):
-    """(unknown, (value, row)) per pivot of the reduced echelon form of ``system``,
-    solving it as value - sum c * x_j over row = {j: c} of non-pivot unknowns.
-
-    Each equation lists its coefficients on ``unknowns``, then its right-hand
-    side; an inconsistent system raises GramInfeasibleError(inconsistent).
-    """
-    unknowns = list(unknowns)
-    pivots, reduced, den = _reduced(system)
-    if pivots and pivots[-1] == len(unknowns):
-        raise GramInfeasibleError(inconsistent)
-    for p, row in zip(pivots, reduced):
-        yield unknowns[p], (Fraction(row[-1], den),
-                            {unknowns[j]: Fraction(x, den) for j, x in enumerate(row[:-1]) if x and j != p})
+_NO_ZERO_FACE = "no Gram matrix G has G v(x) = 0 at the real zeros x of the target"
 
 
-def _solve_at_zeros(bases, points, particular, rows) -> None:
-    """Add G_k v_k(x) = 0 at each of ``points`` to the reduced equations, in place.
-
-    Row i of G_k v_k(x) sums G_ij v_j(x) over the monomials with v_j(x) != 0.
-    Each solved G_ij in it is replaced by its row, which leaves an equation
-    over free unknowns only.  These equations are reduced together over the
-    free unknowns they touch, and each new pivot is substituted into the
-    earlier rows, so that every row again holds free unknowns only.
-    """
+def _zero_equations(bases, points):
+    """G_k v_k(x) = 0 at each of ``points``, as equations ({unknown: coeff}, 0):
+    row i sums G_ij v_j(x) over the monomials with v_j(x) != 0."""
     index = {slot: u for u, slot in enumerate(_slots(bases))}
-    equations = []
-    for x in points:
-        for k, b in enumerate(bases):
-            v = [(j, vj) for j, vj in enumerate(prod(t**e for t, e in zip(x, a)) for a in b) if vj]
-            for i in range(len(b)) if v else ():
-                eq, rhs = {}, Fraction(0)
-                for j, vj in v:
-                    u = index[k, min(i, j), max(i, j)]
-                    if u in rows:
-                        rhs -= vj * particular[u]
-                        for w, c in rows[u].items():
-                            eq[w] = eq.get(w, 0) - vj * c
-                    else:
-                        eq[u] = eq.get(u, 0) + vj
-                equations.append((eq, rhs))
-    touched = sorted({u for eq, _ in equations for u, c in eq.items() if c})
-    solved = dict(_solve([[eq.get(u, 0) for u in touched] + [rhs] for eq, rhs in equations], touched,
-                         "no Gram matrix G has G v(x) = 0 at the real zeros x of the target"))
-    for p, row in rows.items():
-        for q in [q for q in row if q in solved]:
-            c = row.pop(q)
-            value, sub = solved[q]
-            particular[p] -= c * value
-            for j, d in sub.items():
-                row[j] = row.get(j, 0) - c * d
-                if not row[j]:
-                    del row[j]
-    for q, (value, row) in solved.items():
-        particular[q], rows[q] = value, row
+    for x, (k, b) in product(points, enumerate(bases)):
+        v = [(j, Fraction(vj)) for j, vj in enumerate(prod(t**e for t, e in zip(x, a)) for a in b) if vj]
+        for i in range(len(b)) if v else ():
+            yield {index[k, min(i, j), max(i, j)]: vj for j, vj in v}, 0
 
 
 def restrict_to_face(f: MPoly, family: GramFamily, generators, points=()):
@@ -291,8 +290,8 @@ def search(f: MPoly, bases, generators, points=None) -> Search:
     :func:`restrict_to_face`, which refutes f exactly when a target monomial
     is unreachable or the system inconsistent; on that face a negative
     forced diagonal proves infeasibility, and so does a point where f is
-    negative.  The real zeros among ``points`` then cut the face further
-    (G_k v_k(x) = 0), and the same refutations run on that final face.
+    negative.  The real zeros among ``points`` then cut that face in place
+    (G_k v_k(x) = 0), and the same refutations run on the final face.
     There, a family with one member is decided by that member, and otherwise
     :func:`_numeric_search` proposes one.
     """
@@ -300,9 +299,9 @@ def search(f: MPoly, bases, generators, points=None) -> Search:
     zeros = [x for x, value in points.items() if value == 0]
     dropped, used = {}, []
 
-    def face(start, at):
-        """The face from the bases ``start`` with the zeros ``at``, and its forced-negative refutation."""
-        family, cut = restrict_to_face(f, gram_family(f, start, generators, at), generators, at)
+    def face(family, at):
+        """The face of ``family`` with the zeros ``at``, and its forced-negative refutation."""
+        family, cut = restrict_to_face(f, family, generators, at)
         for k, monomials in enumerate(cut):
             if monomials:
                 dropped.setdefault(k, []).extend(monomials)
@@ -310,12 +309,13 @@ def search(f: MPoly, bases, generators, points=None) -> Search:
                              for (k, i), value in family.forced.items() if value < 0), None)
 
     try:
-        family, refuted = face(bases, [])
+        family, refuted = face(gram_family(f, bases, generators), [])
         refuted = refuted or next(
             (f"the target is {value} at the point {x}" for x, value in points.items() if value < 0), None)
         if zeros and family.free and not refuted:  # one member is decided without them
             used = zeros
-            family, refuted = face(family.bases, zeros)
+            family.cut(_zero_equations(family.bases, zeros), _NO_ZERO_FACE)
+            family, refuted = face(family, zeros)
     except GramInfeasibleError as exc:
         refuted = str(exc)
     if refuted:

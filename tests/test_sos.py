@@ -176,6 +176,72 @@ def test_empty_blocks_leave_the_family_unchanged(monkeypatch):
             fam.particular, fam.free, fam.rows, fam.forced)
 
 
+def test_module_family_is_reduced_group_by_group(monkeypatch):
+    """A module family with a multi-term generator is reduced one group of
+    linked gamma classes at a time: several eliminations, none over every
+    unknown, and still the family the dense elimination gives."""
+    rng = random.Random(149)
+    generators = [parse_poly("1", 2), parse_poly("1 - x^2 - y^2", 2)]
+    reduced = sos._reduced
+    for d in (4, 8):
+        bases = [monomials_upto(2, d // 2), monomials_upto(2, (d - 2) // 2)]
+        f = MPoly.zero(2)
+        for g, b in zip(generators, bases):
+            upper = [rand_frac(rng, -3, 3, max_den=5) for _ in range(len(b) * (len(b) + 1) // 2)]
+            f = f + g * gram_product(SymMat(len(b), upper), b)
+        widths = []
+        monkeypatch.setattr(sos, "_reduced", lambda rows: widths.append(len(rows[0])) or reduced(rows))
+        unknowns = len(gram_family(f, bases, generators).particular)
+        assert len(widths) > 1 and max(widths) <= unknowns, (d, widths, unknowns)
+        _assert_family_matches_dense_solve(f, bases, generators)
+
+
+def test_cut_solves_random_sparse_systems(monkeypatch):
+    """GramFamily.cut on random sparse rational systems over 6-20 unknowns, cut
+    in two batches: every member solves every equation, the free unknowns
+    number the unknowns minus the rank, an equation implied by the first
+    batch cancels to 0 = 0 in the second, and an inconsistent batch raises
+    with the reason it was given.  Each first batch has a group of one
+    equation and a group of several."""
+    rng = random.Random(509)
+    widths = []
+    reduced = sos._reduced
+    monkeypatch.setattr(sos, "_reduced", lambda rows: widths.append(len(rows[0])) or reduced(rows))
+    nonzero = lambda: rand_frac(rng, 1, 4, max_den=3) * rng.choice((-1, 1))  # noqa: E731
+    for _ in range(30):
+        n = rng.randint(6, 20)
+        point = [rand_frac(rng, -3, 3, max_den=4) for _ in range(n)]
+
+        def equation(unknowns):
+            eq = {u: nonzero() for u in unknowns}
+            return eq, sum(c * point[u] for u, c in eq.items())
+
+        lone = rng.sample(range(n), 2)  # the one-equation group of the first batch
+        rest = [u for u in range(n) if u not in lone]
+        first = [equation(lone)] + [equation(rng.sample(rest[:4], 3)) for _ in range(2)]
+        first += [equation(rng.sample(rest, rng.randint(1, 3))) for _ in range(rng.randint(0, n // 4))]
+        second = [equation(rng.sample(range(n), rng.randint(1, 4))) for _ in range(rng.randint(1, n // 3))]
+        # twice the sum of the first two equations, which share no unknown
+        implied = {u: 2 * c for eq, _ in first[:2] for u, c in eq.items()}
+        implied_rhs = 2 * (first[0][1] + first[1][1])
+        family = sos.GramFamily([[(0,)]] * n, [Fraction(0)] * n, {})
+        calls = len(widths)
+        family.cut(first, "first batch")
+        assert len(widths) - calls < len(first)  # the lone equation needs no elimination
+        family.cut(second + [(implied, implied_rhs)], "second batch")
+        equations = first + second
+        dense = [[eq.get(u, 0) for u in range(n)] for eq, _ in equations]
+        assert len(family.free) == n - len(pivot_columns(Mat(dense)))
+        for t in ([0] * len(family.free), [rand_frac(rng) for _ in family.free]):
+            member = [g[0, 0] for g in family.at(t)]
+            assert all(sum(c * member[u] for u, c in eq.items()) == rhs for eq, rhs in equations)
+        family = sos.GramFamily([[(0,)]] * n, [Fraction(0)] * n, {})
+        family.cut(first, "first batch")
+        with pytest.raises(GramInfeasibleError, match="^inconsistent second batch$"):
+            family.cut(second + [(implied, implied_rhs + 1)], "inconsistent second batch")
+    assert widths and max(widths) > 2
+
+
 def test_numeric_family_agrees_with_exact_rows():
     """The float family of numeric() is the exact one: every exact member is a
     fixed point of its projection, A has one independent row per solved
@@ -400,6 +466,32 @@ def test_zero_equations_keep_every_member_and_no_other():
             [g] = fam.at(t)
             assert gram_product(g, monomials) == f
             assert all(sum(x * w for x, w in zip(row, v)) == 0 for row in g.rows)
+
+
+def test_zero_cut_in_place_equals_the_rebuild():
+    """The plain face cut in place by the equations at its real grid zeros is
+    the family gram_family builds on that face's bases with those zeros: the
+    same particular member, rows in the same order, free unknowns and
+    forced entries; on Robinson's form both routes raise the same error."""
+    for text in (SEXTIC, "x^4+y^4-4*y+3", "x^8+y^8+z^8-8*z+7", ROBINSON):
+        nvars = 3 if "z" in text else 2
+        f = parse_poly(text, nvars)
+        one = [MPoly.constant(nvars, 1)]
+        face, _ = restrict_to_face(f, gram_family(f, [newton_halved_lattice(f)], one), one)
+        zeros = [x for x in itertools.product((-1, 0, 1), repeat=nvars) if f.eval(x) == 0]
+        assert face.free and zeros
+        try:
+            rebuilt = gram_family(f, face.bases, one, zeros)
+        except GramInfeasibleError as exc:
+            assert text == ROBINSON
+            with pytest.raises(GramInfeasibleError) as cut_exc:
+                face.cut(sos._zero_equations(face.bases, zeros), sos._NO_ZERO_FACE)
+            assert str(cut_exc.value) == str(exc)
+            continue
+        face.cut(sos._zero_equations(face.bases, zeros), sos._NO_ZERO_FACE)
+        assert face.particular == rebuilt.particular and list(face.rows) == list(rebuilt.rows)
+        assert (face.rows, face.free, face.forced) == (rebuilt.rows, rebuilt.free, rebuilt.forced)
+        assert text != ROBINSON
 
 
 def test_grid_scan_matches_exact_evaluation():
