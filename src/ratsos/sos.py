@@ -6,14 +6,13 @@ monomials (the lattice points of half the Newton polytope).  The same system,
 with one psd block per generator, gives the truncated-module certificates of
 :mod:`ratsos.lasserre`, so both searches are one call of :func:`search` here:
 :func:`gram_family` writes the affine family of coefficient-matching blocks
-down once, exactly, as reduced equations that :meth:`GramFamily.cut`, their
-one solver, reduces group by linked group, and the numeric search projects
-with the same rows; :func:`restrict_to_face` drops the monomials whose
-diagonal entries are forced to 0 before any float is used, and the search
-excludes forced negative diagonals, cuts the family by G v(x) = 0 at the
-rational real zeros x of the target that :func:`find_gram` scans (a scanned
-point where the target is negative refutes it), then lets a numeric search plus
-continued-fraction rounding propose members that are accepted only after an
+down once, exactly, as reduced equations, and every later step is a cut of
+that family by :meth:`GramFamily.cut`, its one solver: :func:`restrict_to_face`
+cuts off the monomials whose diagonal entries are forced to 0, and the search
+excludes forced negative diagonals and cuts by G v(x) = 0 at the rational real
+zeros x of the target that :func:`find_gram` scans (a scanned point where the
+target is negative refutes it).  A numeric search on the same rows plus
+continued-fraction rounding then proposes members, accepted only after an
 exact psd check.  Infeasibility is certified only from exact linear
 consequences and exact values of the target.
 """
@@ -69,7 +68,8 @@ class GramFamily:
     ``particular`` is the member with every free unknown 0.  ``forced`` maps
     (block, i) to diagonal entry (i, i) when its row is empty, so it is the
     same across the family; a negative one rules out any psd member.  Only
-    :meth:`cut` adds equations.
+    :meth:`cut` adds equations, and only :func:`restrict_to_face` removes
+    unknowns: those its cut solves to 0.
     """
 
     bases: list[list[tuple[int, ...]]]
@@ -192,17 +192,14 @@ def incidence(bases, generators):
             yield u, tuple(map(add, map(add, bases[k][i], bases[k][j]), delta)), c
 
 
-def gram_family(f: MPoly, bases, generators, points=()) -> GramFamily:
-    """All blocks G_k with sum_k g_k * (v_k^T G_k v_k) = f, one per generator
-    g_k, and G_k v_k(x) = 0 at each of ``points``.
+def gram_family(f: MPoly, bases, generators) -> GramFamily:
+    """All blocks G_k with sum_k g_k * (v_k^T G_k v_k) = f, one per generator g_k.
 
     Unknown G_ij of block k enters the coefficient of gamma = b_i + b_j + delta
     for each term c x^delta of g_k, with multiplier c on the diagonal and 2c
     off it.  The family is cut from all blocks by one equation per gamma
-    class, then by :func:`_zero_equations` at ``points``: real zeros of f at
-    which every generator is positive, so that every psd member has
-    v_k(x)^T G_k v_k(x) = 0, hence G_k v_k(x) = 0.  An unreachable target
-    monomial or an inconsistent system raises GramInfeasibleError.
+    class.  An unreachable target monomial or an inconsistent system raises
+    GramInfeasibleError.
     """
     bases = [[tuple(a) for a in b] for b in bases]
     slots = _slots(bases)
@@ -216,17 +213,17 @@ def gram_family(f: MPoly, bases, generators, points=()) -> GramFamily:
     family = GramFamily(bases, [Fraction(0)] * len(slots), {})
     family.cut(((members, f.coeff(gamma)) for gamma, members in classes.items()),
                "coefficient-match system is inconsistent")
-    if points:
-        family.cut(_zero_equations(bases, points), _NO_ZERO_FACE)
     return family
 
 
 _NO_ZERO_FACE = "no Gram matrix G has G v(x) = 0 at the real zeros x of the target"
+_NO_FACE = "no Gram matrix has zero rows at its diagonal entries forced to 0"
 
 
 def _zero_equations(bases, points):
     """G_k v_k(x) = 0 at each of ``points``, as equations ({unknown: coeff}, 0):
-    row i sums G_ij v_j(x) over the monomials with v_j(x) != 0."""
+    row i sums G_ij v_j(x) over the monomials with v_j(x) != 0.  A psd member
+    has them at real zeros of f where every generator is positive."""
     index = {slot: u for u, slot in enumerate(_slots(bases))}
     for x, (k, b) in product(points, enumerate(bases)):
         v = [(j, Fraction(vj)) for j, vj in enumerate(prod(t**e for t, e in zip(x, a)) for a in b) if vj]
@@ -234,23 +231,29 @@ def _zero_equations(bases, points):
             yield {index[k, min(i, j), max(i, j)]: vj for j, vj in v}, 0
 
 
-def restrict_to_face(f: MPoly, family: GramFamily, generators, points=()):
-    """Exact facial reduction: returns (face, dropped monomials per block).
+def restrict_to_face(family: GramFamily) -> list[list[tuple[int, ...]]]:
+    """Exact facial reduction of ``family`` in place; returns the dropped monomials per block.
 
-    A psd member has a zero row and column at a diagonal entry forced to 0,
-    so that monomial leaves its block's basis and :func:`gram_family`
-    rebuilds the system, with the equations at the same real zeros
-    ``points``, until no diagonal entry is forced to 0.  The psd members of
-    the face, padded with zeros, are those of ``family``; a
-    GramInfeasibleError from a rebuild refutes them all.
+    A psd member has a zero row and column at a diagonal entry forced to 0.
+    While there is one, the family is cut by G_k[i, j] = 0 for every j of each
+    such (k, i); those unknowns, then solved to 0 with empty rows and in no
+    other row, are deleted, the rows sorted by pivot and monomial i leaves
+    basis k.  The reduced form is unique for a column order, so this is the
+    family :func:`gram_family` builds on the smaller bases, with every earlier
+    cut.  A GramInfeasibleError from the cut refutes every psd member.
     """
     dropped = [[] for _ in family.bases]
     while zeros := {key for key, value in family.forced.items() if value == 0}:
+        gone = {u for u, (k, i, j) in enumerate(_slots(family.bases)) if {(k, i), (k, j)} & zeros}
+        family.cut((({u: Fraction(1)}, Fraction(0)) for u in gone), _NO_FACE)  # ints would divide to floats
+        number = {u: n for n, u in enumerate(u for u in range(len(family.particular)) if u not in gone)}
+        family.particular = [family.particular[u] for u in number]
+        family.rows = {number[p]: {number[j]: c for j, c in row.items()}
+                       for p, row in sorted(family.rows.items()) if p in number}
         for k, b in enumerate(family.bases):
             dropped[k] += [a for i, a in enumerate(b) if (k, i) in zeros]
-        bases = [[a for i, a in enumerate(b) if (k, i) not in zeros] for k, b in enumerate(family.bases)]
-        family = gram_family(f, bases, generators, points)
-    return family, dropped
+        family.bases = [[a for i, a in enumerate(b) if (k, i) not in zeros] for k, b in enumerate(family.bases)]
+    return dropped
 
 
 def _round(family: GramFamily, t):
@@ -285,37 +288,34 @@ def search(f: MPoly, bases, generators, points=None) -> Search:
     """Look for f = sum_k g_k * (v_k^T G_k v_k) with every block G_k psd.
 
     ``points`` maps rational points at which every generator is positive to
-    the exact value of f there (only values <= 0 matter).  The system of
-    :func:`gram_family` is first restricted to its face by
-    :func:`restrict_to_face`, which refutes f exactly when a target monomial
-    is unreachable or the system inconsistent; on that face a negative
-    forced diagonal proves infeasibility, and so does a point where f is
-    negative.  The real zeros among ``points`` then cut that face in place
-    (G_k v_k(x) = 0), and the same refutations run on the final face.
-    There, a family with one member is decided by that member, and otherwise
-    :func:`_numeric_search` proposes one.
+    the exact value of f there (only values <= 0 matter).  The one family of
+    :func:`gram_family` is restricted to its face by :func:`restrict_to_face`;
+    a negative forced diagonal there proves infeasibility, and so does a
+    point where f is negative.  The real zeros among ``points`` then cut the
+    face (G_k v_k(x) = 0), it is restricted again, and the same refutations
+    run, all in place.  A family with one member is decided by that member,
+    and otherwise :func:`_numeric_search` proposes one.
     """
     points = points or {}
     zeros = [x for x, value in points.items() if value == 0]
     dropped, used = {}, []
 
-    def face(family, at):
-        """The face of ``family`` with the zeros ``at``, and its forced-negative refutation."""
-        family, cut = restrict_to_face(f, family, generators, at)
-        for k, monomials in enumerate(cut):
+    def face(family):
+        """Restrict ``family`` to its face in place; the forced-negative refutation there."""
+        for k, monomials in enumerate(restrict_to_face(family)):
             if monomials:
                 dropped.setdefault(k, []).extend(monomials)
-        return family, next((f"diagonal entry for {family.bases[k][i]} forced to {value}"
-                             for (k, i), value in family.forced.items() if value < 0), None)
+        return next((f"diagonal entry for {family.bases[k][i]} forced to {value}"
+                     for (k, i), value in family.forced.items() if value < 0), None)
 
     try:
-        family, refuted = face(gram_family(f, bases, generators), [])
-        refuted = refuted or next(
+        family = gram_family(f, bases, generators)
+        refuted = face(family) or next(
             (f"the target is {value} at the point {x}" for x, value in points.items() if value < 0), None)
         if zeros and family.free and not refuted:  # one member is decided without them
             used = zeros
             family.cut(_zero_equations(family.bases, zeros), _NO_ZERO_FACE)
-            family, refuted = face(family, zeros)
+            refuted = face(family)
     except GramInfeasibleError as exc:
         refuted = str(exc)
     if refuted:

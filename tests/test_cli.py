@@ -141,6 +141,14 @@ def test_sos_find_empty_lattice_negative(poly):
     assert detail.endswith("of the target is not a sum of two candidate exponents")
 
 
+def test_sos_find_refuted_face():
+    """x*y is reachable only through the entry (1, x*y), which the face of the
+    forced-zero x^2*y^2 diagonal sets to 0: the face cut refutes the target
+    with its own detail, not an unreachable-monomial one."""
+    assert run(["sos", "find", "--poly", "x^4*y^2 + x^2*y^4 + 1 + x*y"]) == (
+        1, "certified-infeasible\nno Gram matrix has zero rows at its diagonal entries forced to 0")
+
+
 def test_sos_find_and_check(tmp_path):
     cert = tmp_path / "cert.json"
     code, out = run(["sos", "find", "--poly", "2*x^4 + 5*y^4 - x^2*y^2 + 2*x^3*y", "-o", str(cert)])
@@ -884,9 +892,12 @@ def test_sos_find_scales_to_a_large_lattice(tmp_path):
 
 
 #: ``--json`` output pinned byte for byte: a Gram-product SOS, a boundary
-#: instance with no interior, and two bisection bounds with their module
-#: certificates.  Each certificate is a rounding of a float point, so any
-#: move of the numeric phase or the rationalization shows up here.
+#: instance with no interior, two bisection bounds with their module
+#: certificates, a monomial dropped on the plain face, and the sextic, which
+#: drops one on the face of its real zeros (where the row order of the
+#: family moves the float point).  Each certificate but the face's unique
+#: one is a rounding of a float point, so any move of the numeric phase or
+#: the rationalization shows up here.
 GOLDEN = [
     (["--json", "sos", "find", "--poly=40*x^4 + 14*x^3*y + 51*x^2*y^2 - 24*x*y^3 + 53*y^4 - 24*x^3 "
       "+ 20*x^2*y - 20*x*y^2 + 30*y^3 + 72*x^2 - 34*x*y + 50*y^2 - 2*x + 4*y + 40"],
@@ -912,10 +923,23 @@ GOLDEN = [
      '{"poly": "x", "weight": "40931/11005000"}]}, {"terms": [{"poly": "-3763/2000*x + 1", "weight": '
      '"20/71"}, {"poly": "x", "weight": "561/200000"}]}, {"terms": []}], "target": "x^3 - x + 1/2"}, '
      '"certified": true, "exit": 0, "lo": "-1/2"}'),
+    (["--json", "sos", "find", "--poly=x^4*y^2 + x^2*y^4 + 1"],
+     '{"certificate": {"gram": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]], "monomials": [[0, 0], '
+     '[2, 1], [1, 2]], "target": "x^4*y^2 + x^2*y^4 + 1"}, "exit": 0, "status": "sos"}'),
+    (["--json", "sos", "find", "--poly=x^6 + y^6 + z^6 - x^4*y^2 - y^4*z^2 - z^4*x^2"],
+     '{"certificate": {"gram": [["1", "0", "0", "-637/1026", "-389/1026", "0", "0", "0", "0"], ["0", '
+     '"124/513", "0", "0", "0", "-28/57", "0", "128/513", "0"], ["0", "0", "389/513", "0", "0", "0", '
+     '"115/1026", "0", "-47/54"], ["-637/1026", "0", "0", "56/57", "-371/1026", "0", "0", "0", "0"], '
+     '["-389/1026", "0", "0", "-371/1026", "20/27", "0", "0", "0", "0"], ["0", "-28/57", "0", "0", "0", "1", '
+     '"0", "-29/57", "0"], ["0", "0", "115/1026", "0", "0", "0", "1/57", "0", "-7/54"], ["0", "128/513", "0", '
+     '"0", "0", "-29/57", "0", "7/27", "0"], ["0", "0", "-47/54", "0", "0", "0", "-7/54", "0", "1"]], '
+     '"monomials": [[3, 0, 0], [2, 1, 0], [2, 0, 1], [1, 2, 0], [1, 0, 2], [0, 3, 0], [0, 2, 1], [0, 1, 2], '
+     '[0, 0, 3]], "target": "x^6 - x^4*y^2 - x^2*z^4 + y^6 - y^4*z^2 + z^6"}, "exit": 0, "status": "sos"}'),
 ]
 
 
-@pytest.mark.parametrize("argv, expected", GOLDEN, ids=["gram-product", "boundary", "disk", "cubic"])
+@pytest.mark.parametrize("argv, expected", GOLDEN,
+                         ids=["gram-product", "boundary", "disk", "cubic", "plain-face", "zero-face"])
 def test_golden_certificates(argv, expected):
     assert run(argv) == (0, expected)
 

@@ -13,7 +13,7 @@ from ratsos import numeric, sos
 from ratsos.cli import run
 from ratsos.arith import Mat, affine_solution_set, pivot_columns
 from ratsos.conic import convex_membership, newton_halved_lattice
-from ratsos.lasserre import monomials_upto
+from ratsos.lasserre import _kept_generators, module_cert_search, monomials_upto
 from ratsos.poly import MPoly, UPoly, parse_poly, parse_upoly
 from ratsos.quadforms import SosCert, SymMat, gram_product, is_psd, weighted_square_decomposition
 from ratsos.sos import (
@@ -299,6 +299,8 @@ SEARCH_OUTCOMES = [
     ("x^4 + y^4 - 4*y + 3", None, ["1"], {"DENOMINATOR_LADDER": []}, "unknown",
      f"numeric phase stalled at gap {GAP}"),
     (SEC26, None, ["1"], {"DENOMINATOR_LADDER": []}, "unknown", "rationalization failed"),
+    ("x^4*y^2 + x^2*y^4 + 1 + x*y", None, ["1"], {}, "infeasible",
+     "no Gram matrix has zero rows at its diagonal entries forced to 0"),
 ]
 
 
@@ -319,10 +321,51 @@ def test_search_outcomes(monkeypatch, text, bases, generators, patches, status, 
         assert sum((g * gram_product(*pair) for g, pair in zip(generators, res.cert)), MPoly.zero(nvars)) == f
 
 
+def _module_systems(rng, count):
+    """(f, bases, generators) of ``count`` module searches set up as
+    module_cert_search does: random targets of degree at most d, one or two
+    random constraints of which one at least has several terms, and the
+    monomials up to each cap; only systems gram_family accepts are kept."""
+    out = []
+    while len(out) < count:
+        nvars, d = rng.randint(1, 2), rng.randint(2, 4)
+        gs = [rand_mpoly(rng, nvars=nvars, max_deg=2, max_terms=3) for _ in range(rng.randint(1, 2))]
+        f = rand_mpoly(rng, nvars=nvars, max_deg=d // nvars, max_terms=4)
+        if f.is_zero or f.degree() > d or all(len(g.terms) < 2 for g in gs):
+            continue
+        caps = {k: cap for k, _, cap in _kept_generators(gs, d, nvars)}
+        generators = [MPoly.constant(nvars, 1)] + gs
+        bases = [monomials_upto(nvars, caps.get(k, -1)) for k in range(len(generators))]
+        try:
+            gram_family(f, bases, generators)
+        except GramInfeasibleError:
+            continue
+        out.append((f, bases, generators))
+    return out
+
+
+def _replayed_face(f, bases, generators):
+    """(face, dropped) replayed round by round from gram_family: each round
+    drops the monomials whose diagonal entries are forced to exactly 0 and
+    rebuilds the family on the smaller bases."""
+    dropped = [[] for _ in bases]
+    family = gram_family(f, bases, generators)
+    while zeros := {(k, family.bases[k][i]) for (k, i), value in family.forced.items() if value == 0}:
+        for k, b in enumerate(family.bases):
+            dropped[k] += [a for a in b if (k, a) in zeros]
+        family = gram_family(f, [[a for a in b if (k, a) not in zeros] for k, b in enumerate(family.bases)],
+                             generators)
+    return family, dropped
+
+
 def test_restrict_to_face_drops_only_forced_zeros():
-    """Replayed round by round from the unreduced gram_family, every dropped
-    monomial has its diagonal entry forced to exactly 0 in the system it
-    leaves, every such entry is dropped, and the last system is the face."""
+    """The face cut in place is the one replayed from the unreduced
+    gram_family: every dropped monomial has its diagonal entry forced to
+    exactly 0 in the system it leaves, every such entry is dropped, and the
+    face has the last system's particular member, rows in the same order,
+    free unknowns and forced entries.  This holds on four fixed cases and on
+    seeded module systems with multi-term generators; where a rebuild is
+    inconsistent, the cut in place raises with the face's own detail."""
     x = lambda t: parse_poly(t, 1)  # noqa: E731
     cases = [
         (x("1"), [[(0,), (1,), (2,)]], [x("1")], [[(2,), (1,)]]),
@@ -331,20 +374,88 @@ def test_restrict_to_face_drops_only_forced_zeros():
         (parse_poly("x^4*y^2 + x^2*y^4 + 1", 2), [[(0, 0), (1, 1), (2, 1), (1, 2)]], [parse_poly("1", 2)],
          [[(1, 1)]]),
     ]
+    cases += [(f, bases, generators, None) for f, bases, generators in _module_systems(random.Random(613), 40)]
+    outcomes = []
     for f, bases, generators, expected in cases:
-        face, dropped = restrict_to_face(f, gram_family(f, bases, generators), generators)
-        assert dropped == expected
-        left = [list(d) for d in dropped]
-        family = gram_family(f, bases, generators)
-        while any(left):
-            zeros = {(k, family.bases[k][i]) for (k, i), value in family.forced.items() if value == 0}
-            assert zeros and all(a in left[k] for k, a in zeros)
-            for k, a in zeros:
-                left[k].remove(a)
-            family = gram_family(f, [[a for a in b if (k, a) not in zeros] for k, b in enumerate(family.bases)],
-                                 generators)
+        face = gram_family(f, bases, generators)
+        try:
+            family, replayed = _replayed_face(f, bases, generators)
+        except GramInfeasibleError:
+            with pytest.raises(GramInfeasibleError, match=f"^{sos._NO_FACE}$"):
+                restrict_to_face(face)
+            outcomes.append("refuted")
+            continue
+        dropped = restrict_to_face(face)
+        assert dropped == replayed and expected in (None, dropped)
         assert family.bases == face.bases and family.particular == face.particular
+        assert list(family.rows.items()) == list(face.rows.items())
+        assert (family.free, family.forced) == (face.free, face.forced)
         assert all(value != 0 for value in face.forced.values())
+        outcomes.append("dropped" if any(dropped) else "kept")
+    assert all(outcomes.count(kind) >= 5 for kind in ("refuted", "dropped", "kept")), outcomes
+
+
+def _padded(blocks, face_bases, bases):
+    """The unknowns over ``bases`` of blocks over ``face_bases`` (a part of
+    each basis), with zeros at the monomials the face dropped."""
+    entries = {(k, a, c): block[i, j] for k, (block, basis) in enumerate(zip(blocks, face_bases))
+               for i, a in enumerate(basis) for j, c in enumerate(basis)}
+    return [entries.get((k, bases[k][i], bases[k][j]), 0) for k, i, j in sos._slots(bases)]
+
+
+def test_face_keeps_earlier_cuts():
+    """restrict_to_face reduces the family it is given, so an equation that
+    gram_family never wrote survives it: G v(x) = 0 at the grid zeros of the
+    sextic, whose zero face drops x*y*z, and a seeded sparse equation through
+    a face member of each module system that drops a monomial, on an unknown
+    of a dropped row among others.  Members of the face, at free values 0
+    and at other rationals, match the target, and padded with zeros at the
+    dropped monomials they solve that equation and every row of the cut
+    family."""
+    f = parse_poly(SEXTIC, 3)
+    lattice = newton_halved_lattice(f)
+    zeros = [x for x in itertools.product((-1, 0, 1), repeat=3) if f.eval(x) == 0]
+    systems = [(f, [lattice], [MPoly.constant(3, 1)], list(sos._zero_equations([lattice], zeros)))]
+    rng = random.Random(617)
+    for g, bases, generators in _module_systems(rng, 30):
+        face = gram_family(g, bases, generators)
+        try:
+            if not any(dropped := restrict_to_face(face)):
+                continue
+        except GramInfeasibleError:
+            continue
+        member = _padded(face.at([0] * len(face.free)), face.bases, bases)
+        lost = [u for u, (k, i, j) in enumerate(sos._slots(bases)) if {bases[k][i], bases[k][j]} & {*dropped[k]}]
+        eq = {u: rand_frac(rng, 1, 4, max_den=3) for u in rng.sample(range(len(member)), 2) + lost[:1]}
+        systems.append((g, bases, generators, [(eq, sum(c * member[u] for u, c in eq.items()))]))
+    assert len(systems) > 5
+    for f, bases, generators, equations in systems:
+        family = gram_family(f, bases, generators)
+        family.cut(equations, "seeded cut")
+        particular, rows = list(family.particular), {p: dict(row) for p, row in family.rows.items()}
+        assert any(restrict_to_face(family))
+        for t in ([0] * len(family.free), [Fraction(k + 2, 3) for k in range(len(family.free))]):
+            blocks = family.at(t)
+            assert sum((g * gram_product(G, b) for g, G, b in zip(generators, blocks, family.bases) if b),
+                       MPoly.zero(f.nvars)) == f
+            vec = _padded(blocks, family.bases, bases)
+            assert all(sum(c * vec[u] for u, c in eq.items()) == rhs for eq, rhs in equations)
+            assert all(vec[p] == particular[p] - sum(c * vec[j] for j, c in row.items()) for p, row in rows.items())
+
+
+def test_each_search_builds_one_family(monkeypatch):
+    """search calls gram_family once and reduces that family in place, also
+    when its face drops monomials over several rounds (x^2, then x, of the
+    constant 1 at degree 4) or on the face of the real zeros (the sextic)."""
+    calls = []
+    build = sos.gram_family
+    monkeypatch.setattr(sos, "gram_family", lambda *args: calls.append(args) or build(*args))
+    res = module_cert_search(parse_poly("1", 1), [], 4)
+    assert (res.status, res.dropped, len(calls)) == ("found", {0: [(2,), (1,)]}, 1)
+    for text, nvars, dropped in ((SEXTIC, 3, {0: [(1, 1, 1)]}), ("x^4*y^2 + x^2*y^4 + 1", 2, {0: [(1, 1)]})):
+        calls.clear()
+        res = find_gram(parse_poly(text, nvars))
+        assert (res.status, res.dropped, len(calls)) == ("found", dropped, 1)
 
 
 def test_find_gram_reports_dropped_monomials():
@@ -439,9 +550,10 @@ def test_every_recorded_point_is_a_zero_of_the_certificate():
 
 
 def test_zero_equations_keep_every_member_and_no_other():
-    """gram_family with a real zero x is the solution set of the coefficient
-    match plus G v(x) = 0: every member it gives solves both, and it has as
-    many free unknowns as the dense system of both has non-pivot columns."""
+    """gram_family cut by the equations at a real zero x is the solution set
+    of the coefficient match plus G v(x) = 0: every member it gives solves
+    both, and it has as many free unknowns as the dense system of both has
+    non-pivot columns."""
     rng = random.Random(311)
     for _ in range(10):
         nvars = rng.randint(1, 2)
@@ -455,7 +567,8 @@ def test_zero_equations_keep_every_member_and_no_other():
             f = f + MPoly(nvars, q) ** 2
         if f.is_zero:
             continue
-        fam = gram_family(f, [monomials], [MPoly.constant(nvars, 1)], [zero])
+        fam = gram_family(f, [monomials], [MPoly.constant(nvars, 1)])
+        fam.cut(sos._zero_equations(fam.bases, [zero]), sos._NO_ZERO_FACE)
         slots = [(i, j) for i in range(len(monomials)) for j in range(i, len(monomials))]
         exponent = [tuple(map(add, monomials[i], monomials[j])) for i, j in slots]
         dense = [[(1 if i == j else 2) * (e == gamma) for (i, j), e in zip(slots, exponent)]
@@ -470,18 +583,22 @@ def test_zero_equations_keep_every_member_and_no_other():
 
 def test_zero_cut_in_place_equals_the_rebuild():
     """The plain face cut in place by the equations at its real grid zeros is
-    the family gram_family builds on that face's bases with those zeros: the
-    same particular member, rows in the same order, free unknowns and
-    forced entries; on Robinson's form both routes raise the same error."""
+    the family gram_family builds on that face's bases, cut by those zeros:
+    the same particular member, rows in the same order, free unknowns and
+    forced entries; on Robinson's form both routes raise the same error.
+    Restricted once more, the face equals that rebuild on its own bases,
+    with the rows in pivot order."""
     for text in (SEXTIC, "x^4+y^4-4*y+3", "x^8+y^8+z^8-8*z+7", ROBINSON):
         nvars = 3 if "z" in text else 2
         f = parse_poly(text, nvars)
         one = [MPoly.constant(nvars, 1)]
-        face, _ = restrict_to_face(f, gram_family(f, [newton_halved_lattice(f)], one), one)
+        face = gram_family(f, [newton_halved_lattice(f)], one)
+        restrict_to_face(face)
         zeros = [x for x in itertools.product((-1, 0, 1), repeat=nvars) if f.eval(x) == 0]
         assert face.free and zeros
         try:
-            rebuilt = gram_family(f, face.bases, one, zeros)
+            rebuilt = gram_family(f, face.bases, one)
+            rebuilt.cut(sos._zero_equations(rebuilt.bases, zeros), sos._NO_ZERO_FACE)
         except GramInfeasibleError as exc:
             assert text == ROBINSON
             with pytest.raises(GramInfeasibleError) as cut_exc:
@@ -492,6 +609,13 @@ def test_zero_cut_in_place_equals_the_rebuild():
         assert face.particular == rebuilt.particular and list(face.rows) == list(rebuilt.rows)
         assert (face.rows, face.free, face.forced) == (rebuilt.rows, rebuilt.free, rebuilt.forced)
         assert text != ROBINSON
+        dropped = restrict_to_face(face)
+        assert any(dropped) == (text == SEXTIC)
+        rebuilt = gram_family(f, face.bases, one)
+        rebuilt.cut(sos._zero_equations(rebuilt.bases, zeros), sos._NO_ZERO_FACE)
+        assert face.particular == rebuilt.particular
+        assert list(face.rows) == (sorted(rebuilt.rows) if any(dropped) else list(rebuilt.rows))
+        assert (face.rows, face.free, face.forced) == (rebuilt.rows, rebuilt.free, rebuilt.forced)
 
 
 def test_grid_scan_matches_exact_evaluation():
