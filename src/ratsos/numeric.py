@@ -18,11 +18,36 @@ reference; the search itself does not call it.
 
 Nothing here is trusted; every candidate leaving this module is rationalized
 and re-verified exactly by the callers.
+
+numpy is bound lazily: ``np`` is numpy's module object, but numpy's code runs
+at the first attribute read, the first float phase, so that a command that
+runs no float (root counts, signatures, psd verdicts, certificate checks)
+does not pay numpy's import at start-up.  :mod:`ratsos.sos` takes ``np`` from
+here.  Once loaded, ``np`` is a plain module, so the loops below read it
+with no extra step; where numpy is already imported, ``np`` is that module.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import importlib.util
+import sys
+
+
+def _lazy_import(name: str):
+    """The module ``name`` from sys.modules, or one whose code runs at its first attribute read."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy_import("numpy")
 
 #: a run stops as separated once every psd member X of the affine set has
 #: tr X above this multiple of 1 + tr y, tested every _SEPARATION_EVERY sweeps

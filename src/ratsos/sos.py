@@ -26,11 +26,9 @@ from itertools import product
 from math import prod
 from operator import add
 
-import numpy as np
-
 from .arith import _reduced, rat
 from .conic import newton_halved_lattice
-from .numeric import AffineFamily, alternating_projection
+from .numeric import AffineFamily, alternating_projection, np
 from .poly import MPoly, UPoly, _integer_terms, parse_poly, poly_text
 from .quadforms import SosCert, SymMat, gram_product, is_psd
 
@@ -86,7 +84,7 @@ class GramFamily:
                 if i == j and self.rows.get(u) == {}}
 
     def cut(self, equations, reason: str) -> None:
-        """Add the equations ({unknown: nonzero Fraction}, rhs), in place.
+        """Add the equations ({unknown: nonzero rational}, rhs), in place.
 
         Solved unknowns are replaced by their rows, equations linked by a
         shared unknown are reduced together (one alone already is), and the
@@ -109,9 +107,9 @@ class GramFamily:
                 raise GramInfeasibleError(reason)
         values, rows = {}, {}
         for group in groups.values():
-            if len(group) == 1:  # divided by its first coefficient
+            if len(group) == 1:  # divided by its first coefficient, a Fraction so ints stay exact
                 [(eq, rhs)] = group
-                c = eq.pop(p := min(eq))
+                c = Fraction(eq.pop(p := min(eq)))
                 values[p], rows[p] = rhs / c, {u: a / c for u, a in eq.items()}
                 continue
             cols = sorted({u for eq, _ in group for u in eq})
@@ -226,7 +224,7 @@ def _zero_equations(bases, points):
     has them at real zeros of f where every generator is positive."""
     index = {slot: u for u, slot in enumerate(_slots(bases))}
     for x, (k, b) in product(points, enumerate(bases)):
-        v = [(j, Fraction(vj)) for j, vj in enumerate(prod(t**e for t, e in zip(x, a)) for a in b) if vj]
+        v = [(j, vj) for j, vj in enumerate(prod(t**e for t, e in zip(x, a)) for a in b) if vj]
         for i in range(len(b)) if v else ():
             yield {index[k, min(i, j), max(i, j)]: vj for j, vj in v}, 0
 
@@ -245,7 +243,7 @@ def restrict_to_face(family: GramFamily) -> list[list[tuple[int, ...]]]:
     dropped = [[] for _ in family.bases]
     while zeros := {key for key, value in family.forced.items() if value == 0}:
         gone = {u for u, (k, i, j) in enumerate(_slots(family.bases)) if {(k, i), (k, j)} & zeros}
-        family.cut((({u: Fraction(1)}, Fraction(0)) for u in gone), _NO_FACE)  # ints would divide to floats
+        family.cut((({u: 1}, 0) for u in gone), _NO_FACE)
         number = {u: n for n, u in enumerate(u for u in range(len(family.particular)) if u not in gone)}
         family.particular = [family.particular[u] for u in number]
         family.rows = {number[p]: {number[j]: c for j, c in row.items()}

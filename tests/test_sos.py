@@ -242,6 +242,19 @@ def test_cut_solves_random_sparse_systems(monkeypatch):
     assert widths and max(widths) > 2
 
 
+def test_cut_keeps_integer_equations_exact():
+    """A lone equation given in ints is divided as Fractions, so a later cut
+    by a linked group of equations still reduces exactly."""
+    family = sos.GramFamily([[(0,)]] * 4, [Fraction(0)] * 4, {})
+    family.cut([({0: 2, 1: 1}, 1)], "r")
+    assert family.particular[0] == Fraction(1, 2) and type(family.particular[0]) is Fraction
+    assert family.rows == {0: {1: Fraction(1, 2)}} and type(family.rows[0][1]) is Fraction
+    family.cut([({0: 1, 2: 1}, 3), ({2: 1, 3: 1}, 2)], "r")
+    member = [g[0, 0] for g in family.at([Fraction(5)] * len(family.free))]
+    assert 2 * member[0] + member[1] == 1 and member[0] + member[2] == 3 and member[2] + member[3] == 2
+    assert all(type(x) is Fraction for x in member)
+
+
 def test_numeric_family_agrees_with_exact_rows():
     """The float family of numeric() is the exact one: every exact member is a
     fixed point of its projection, A has one independent row per solved
