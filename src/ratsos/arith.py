@@ -30,8 +30,8 @@ class DimensionError(ValueError):
 def rat(value) -> Fraction:
     """Coerce an int, Fraction or text into a rational.  Text is an optional
     sign and a polynomial coefficient ``nat ('/' nat)?``, blanks stripped;
-    its value is built from the matched digit runs, with the errors
-    ``Fraction(text)`` gives (ZeroDivisionError for a zero denominator)."""
+    its value is built from the matched digit runs, with the errors of
+    ``Fraction(text)``; a zero denominator's ZeroDivisionError names the text."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
@@ -45,6 +45,8 @@ def rat(value) -> Fraction:
     num, den = m.groups()
     if max(len(num), len(den or "")) > MAX_DIGITS:
         raise ValueError(f"rational literal with a number longer than {MAX_DIGITS} digits")
+    if den is not None and not int(den):
+        raise ZeroDivisionError(f"zero denominator in rational literal {s!r}")
     return Fraction(-int(num) if s.startswith("-") else int(num), int(den or 1))
 
 

@@ -87,11 +87,11 @@ class GramFamily:
         """Add the equations ({unknown: nonzero rational}, rhs), in place.
 
         Solved unknowns are replaced by their rows, equations linked by a
-        shared unknown are reduced together (one alone already is), and the
-        new pivots are substituted into the earlier rows.  The reduced form
-        with pivots greedy by column is the union of those of the groups, so
-        the family is the one a single reduction gives.  An inconsistent
-        equation raises GramInfeasibleError(reason).
+        shared unknown are reduced together (a lone equation as a group of
+        one), and the new pivots are substituted into the earlier rows.  The
+        reduced form with pivots greedy by column is the union of those of
+        the groups, so the family is the one a single reduction gives.  An
+        inconsistent equation raises GramInfeasibleError(reason).
         """
         groups, owner = {}, {}  # group id -> its equations; unknown -> id of its group
         for n, (eq, rhs) in enumerate(equations):
@@ -107,11 +107,6 @@ class GramFamily:
                 raise GramInfeasibleError(reason)
         values, rows = {}, {}
         for group in groups.values():
-            if len(group) == 1:  # divided by its first coefficient, a Fraction so ints stay exact
-                [(eq, rhs)] = group
-                c = Fraction(eq.pop(p := min(eq)))
-                values[p], rows[p] = rhs / c, {u: a / c for u, a in eq.items()}
-                continue
             cols = sorted({u for eq, _ in group for u in eq})
             pivots, reduced, den = _reduced([[eq.get(u, 0) for u in cols] + [rhs] for eq, rhs in group])
             if pivots[-1] == len(cols):

@@ -466,6 +466,7 @@ def test_input_errors_exit_2():
     (["lasserre", "check", "-n", "-1", "-d", "2", "--poly", "1", "--cert", "missing.json"],
      "--nvars -1 is negative"),
     (["newton", "--poly", "x^2 + " + "1" * 5000], "number longer than 600 digits (at position 6)"),
+    (["cassels", "--weights", "1/0", "--fs", "x", "--g", "x"], "zero denominator in rational literal '1/0'"),
 ])
 def test_polynomial_and_literal_errors_exit_2(argv, message):
     assert run(argv) == (2, f"error: {message}")
@@ -501,6 +502,10 @@ BAD_JSON_ARGS = [
     (["conic", "--vectors", "[[1]]", "--target", "5"], "--target must be a list, not int"),
     (["conic", "--vectors", "[[1]]", "--target", "[null]"],
      "--target entry must be a string or an integer, not NoneType"),
+    # a zero denominator names the literal
+    (["psd-check", "--matrix", '[["1/0"]]'], "zero denominator in rational literal '1/0'"),
+    (["psd-check", "--matrix", '[["-3/0"]]'], "zero denominator in rational literal '-3/0'"),
+    (["conic", "--vectors", "[[1]]", "--target", '["2/00"]'], "zero denominator in rational literal '2/00'"),
 ]
 
 
@@ -529,6 +534,19 @@ def test_long_json_integers_get_the_parser_digit_cap(tmp_path):
                  ["sos", "check", "--cert", str(gram)],
                  ["lasserre", "check", "--poly", "1", "-d", "0", "--cert", str(module)]):
         assert run(argv) == (2, f"error: {message}"), argv
+
+
+def test_zero_denominators_in_certificates_name_the_literal(tmp_path):
+    """A Gram entry or a module weight with a zero denominator is an input
+    error that names the literal, in text and in --json."""
+    gram = _write_json(tmp_path / "gram.json", {"gram": [["1/0"]], "monomials": [[0]], "target": "1"})
+    module = _write_json(tmp_path / "module.json", {"sigmas": [{"terms": [{"weight": "-1/0", "poly": "1"}]}]})
+    for argv, literal in ((["sos", "check", "--cert", gram], "1/0"),
+                          (["lasserre", "check", "--poly", "1", "-d", "0", "--cert", module], "-1/0")):
+        message = f"zero denominator in rational literal '{literal}'"
+        assert run(argv) == (2, f"error: {message}"), argv
+        code, out = run(["--json"] + argv)
+        assert code == 2 and json.loads(out) == {"error": message}, argv
 
 
 def test_diagonalize_prints_numbers_past_the_int_string_limit():

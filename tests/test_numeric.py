@@ -1,16 +1,6 @@
 import numpy as np
 
-from ratsos.numeric import AffineFamily, alternating_projection, jacobi_eigh, project_psd
-
-
-def test_jacobi_reconstructs():
-    rng = np.random.default_rng(0)
-    for n in (1, 2, 5, 8):
-        a = rng.normal(size=(n, n))
-        a = a + a.T
-        w, v = jacobi_eigh(a)
-        assert np.allclose(v @ np.diag(w) @ v.T, a, atol=1e-9)
-        assert np.allclose(v.T @ v, np.eye(n), atol=1e-9)
+from ratsos.numeric import AffineFamily, alternating_projection, project_psd
 
 
 def test_project_psd():
@@ -43,14 +33,6 @@ def test_alternating_projection_trivial_intersection():
 def _random_symmetric(rng, s):
     a = rng.normal(size=(s, s))
     return a + a.T
-
-
-def test_jacobi_eigenvalues_match_lapack():
-    rng = np.random.default_rng(1)
-    for n in (1, 3, 6):
-        a = _random_symmetric(rng, n)
-        w, _ = jacobi_eigh(a)
-        assert np.allclose(np.sort(w), np.linalg.eigvalsh(a), atol=1e-9)
 
 
 def test_batched_cone_projection_matches_blockwise():

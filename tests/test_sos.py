@@ -162,14 +162,12 @@ def test_gram_family_matches_dense_solve():
         _assert_family_matches_dense_solve(f, bases, generators)
 
 
-def test_empty_blocks_leave_the_family_unchanged(monkeypatch):
+def test_empty_blocks_leave_the_family_unchanged():
     """A generator with an empty block (a module generator past its degree
-    cap) adds no unknown: the family is the one without it, still written
-    down in closed form when every other generator is a single term."""
+    cap) adds no unknown: the family is the one without it."""
     f = parse_poly(SEC26, 2)
     lattice = newton_halved_lattice(f)
     fam = gram_family(f, [lattice], ONE)
-    monkeypatch.setattr(sos, "_reduced", None)  # no elimination
     for extra in ("1 - x^2 - y^2", "0"):
         padded = gram_family(f, [lattice, []], ONE + [parse_poly(extra, 2)])
         assert (padded.particular, padded.free, padded.rows, padded.forced) == (
@@ -227,7 +225,7 @@ def test_cut_solves_random_sparse_systems(monkeypatch):
         family = sos.GramFamily([[(0,)]] * n, [Fraction(0)] * n, {})
         calls = len(widths)
         family.cut(first, "first batch")
-        assert len(widths) - calls < len(first)  # the lone equation needs no elimination
+        assert len(widths) - calls < len(first)  # the two rest[:4] equations share an unknown: one group
         family.cut(second + [(implied, implied_rhs)], "second batch")
         equations = first + second
         dense = [[eq.get(u, 0) for u in range(n)] for eq, _ in equations]
@@ -243,7 +241,7 @@ def test_cut_solves_random_sparse_systems(monkeypatch):
 
 
 def test_cut_keeps_integer_equations_exact():
-    """A lone equation given in ints is divided as Fractions, so a later cut
+    """A lone equation given in ints is reduced to Fractions, so a later cut
     by a linked group of equations still reduces exactly."""
     family = sos.GramFamily([[(0,)]] * 4, [Fraction(0)] * 4, {})
     family.cut([({0: 2, 1: 1}, 1)], "r")
@@ -253,6 +251,30 @@ def test_cut_keeps_integer_equations_exact():
     member = [g[0, 0] for g in family.at([Fraction(5)] * len(family.free))]
     assert 2 * member[0] + member[1] == 1 and member[0] + member[2] == 3 and member[2] + member[3] == 2
     assert all(type(x) is Fraction for x in member)
+
+
+def test_cut_reduces_a_lone_equation_to_its_division_form():
+    """A group of one equation goes through the same reduction as any other
+    group, and its reduced form is the equation divided by its first
+    coefficient: on random lone equations with int or Fraction
+    coefficients, a first coefficient of either sign and a zero or nonzero
+    right-hand side, cut gives rhs / c and {u: a / c}, every value a Fraction."""
+    rng = random.Random(331)
+    nonzero = lambda: rng.choice((rng.randint(1, 9), rand_frac(rng, 1, 9, max_den=7))) * rng.choice((-1, 1))  # noqa: E731
+    for k in range(60):
+        n = rng.randint(1, 8)
+        unknowns = sorted(rng.sample(range(n), rng.randint(1, n)))
+        eq = {u: nonzero() for u in unknowns}
+        if k % 4 == 0:
+            eq[unknowns[0]] = -abs(eq[unknowns[0]])
+        rhs = 0 if k % 3 == 0 else rng.choice((rng.randint(-9, 9), rand_frac(rng, -9, 9, max_den=7)))
+        family = sos.GramFamily([[(0,)]] * n, [Fraction(0)] * n, {})
+        family.cut([(eq, rhs)], "lone")
+        p, *rest = unknowns
+        c = Fraction(eq[p])
+        assert family.particular[p] == rhs / c and family.rows == {p: {u: eq[u] / c for u in rest}}, (eq, rhs)
+        values = [family.particular[p], *family.rows[p].values()]
+        assert all(type(x) is Fraction for x in values), (eq, rhs)
 
 
 def test_numeric_family_agrees_with_exact_rows():

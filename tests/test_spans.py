@@ -35,7 +35,8 @@ def test_bench_tracer_installs_and_removes():
 def test_bench_reads_the_numeric_phase():
     """The bench counts affine projections and reads the converged flag as the
     third item of alternating_projection's result; one traced sos find must
-    show both."""
+    show both, and no call of the traced eigensolver name, since the
+    projections call LAPACK eigh directly."""
     spans = _load_spans()
     tracer = spans.Tracer()
     try:
@@ -43,15 +44,17 @@ def test_bench_reads_the_numeric_phase():
         assert run(["sos", "find", "--poly", "2*x^4 + 5*y^4 - x^2*y^2 + 2*x^3*y"])[0] == 0
     finally:
         tracer.remove()
-    metrics, _ = spans.layer_metrics(tracer.spans(), 1)
+    metrics, calls = spans.layer_metrics(tracer.spans(), 1)
     assert metrics["numeric.AffineFamily.project.calls"] > 0
     assert metrics["numeric.alternating_projection.converged_ratio"] == 1.0
+    assert calls["numeric.jacobi_eigh"] == 0
 
 
 def test_bench_bisect_keeps_its_interaction_map():
     """Every bisection level is an exact module search, so one traced
     lasserre bound calls each layer the bisect workload marks busy (exact
-    psd checks included) and none it marks idle."""
+    psd checks included) and none it marks idle; the traced eigensolver name
+    reads 0 calls, as in sos find."""
     spans = _load_spans()
     tracer = spans.Tracer()
     try:
@@ -62,6 +65,7 @@ def test_bench_bisect_keeps_its_interaction_map():
         tracer.remove()
     _, calls = spans.layer_metrics(tracer.spans(), 1)
     assert spans.check_interaction_map("bisect", calls) == []
+    assert calls["numeric.jacobi_eigh"] == 0
 
 
 def test_bench_traces_the_univariate_products_and_divisions():
