@@ -9,7 +9,8 @@ pivot.  Determinants (that last pivot), span checks (its pivot columns), and
 linear solutions and nullspaces (one integer entry over the last pivot each,
 read out by ``_reduced``) need no back-substitution.  ``conic`` reads its
 tableau off ``_reduced`` and pivots it with the same step, and
-``quadforms.diagonalize`` runs its congruence on it.
+``quadforms.diagonalize`` runs its congruence on it, over rows cleared by
+``_integer_rows`` and columns divided by their gcds.
 Characteristic polynomials, det(M + X*I), use Berkowitz's division-free
 algorithm on a denominator-cleared integer copy.  Everything is exact.
 """
@@ -61,6 +62,14 @@ class Mat:
         self.ncols = len(self.rows[0]) if self.rows else 0
         if any(len(r) != self.ncols for r in self.rows):
             raise DimensionError("ragged rows")
+
+    @classmethod
+    def _wrap(cls, rows) -> "Mat":
+        """The matrix on ``rows``, equal-length lists of ``Fraction``s, taken
+        as they are: no coercion and no copy."""
+        m = cls.__new__(cls)
+        m.rows, m.nrows, m.ncols = rows, len(rows), len(rows[0]) if rows else 0
+        return m
 
     @classmethod
     def from_columns(cls, cols) -> "Mat":

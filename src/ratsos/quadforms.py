@@ -4,7 +4,9 @@ A quadratic form is a :class:`SymMat`, a symmetric :class:`arith.Mat` built
 from its upper triangle or validated from full rows.  Congruence
 diagonalization M = P^T diag(D) P by square completion with a hyperbolic
 split on zero diagonals, both run as the fraction-free pivot step
-``arith._pivot`` on denominator-cleared integer rows; rank and signature (with
+``arith._pivot`` on denominator-cleared integer rows, each column divided by
+its gcd (on a Hankel trace form this strips the powers of the denominator
+lcm that clearing puts in); rank and signature (with
 an independent second method: Descartes' rule on det(M + X*I)), psd tests,
 and weighted-square certificates extracted from a diagonalization.  Both
 certificate expansions, w * p^2 summed over the squares and v^T M v, are
@@ -17,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 from operator import add
 
 from .arith import Mat, _integer_rows, _pivot, charpoly, det, rat
@@ -30,7 +32,8 @@ class CertificateError(ValueError):
 
 class SymMat(Mat):
     """Symmetric rational matrix: a :class:`Mat` built from its upper triangle,
-    read row by row, or checked from full rows by :meth:`from_rows`."""
+    read row by row, or checked from full rows by :meth:`from_rows`.  Each
+    entry is coerced by ``rat`` once."""
 
     __slots__ = ()
 
@@ -42,7 +45,7 @@ class SymMat(Mat):
         for i in range(dim):  # row i: column i of the rows above, then row i of the triangle
             rows.append([r[i] for r in rows] + upper[k : k + dim - i])
             k += dim - i
-        super().__init__(rows)
+        self.rows, self.nrows, self.ncols = rows, dim, dim
 
     @classmethod
     def from_rows(cls, rows) -> "SymMat":
@@ -51,9 +54,7 @@ class SymMat(Mat):
             raise ValueError("matrix is not square")
         if any(list(col) != row for row, col in zip(rows, zip(*rows))):
             raise ValueError("matrix is not symmetric")
-        m = cls.__new__(cls)
-        m.rows, m.nrows, m.ncols = rows, len(rows), len(rows)
-        return m
+        return cls._wrap(rows)
 
     dim = property(lambda self: self.nrows)
 
@@ -82,13 +83,20 @@ def diagonalize(m: SymMat) -> DiagCongruence:
     h1*h2 = ((h1+h2)/2)^2 - ((h1-h2)/2)^2, run as the two pivots (i, j) and
     (j, i) of one 2x2 block (Bunch-Kaufman 1977).
 
-    Row k of M is scaled to integers by s_k and the active block is
-    eliminated by ``arith._pivot``, so by Sylvester's identity its entry
-    (k, l) is s_k * prev times the current Schur complement, prev the last
-    pivot.  Pivot rows and columns are dropped after each step.
+    Row k of M is scaled to integers by s_k, column l of the result is
+    divided by its gcd c_l (1 for a zero column), and the active block is
+    eliminated by ``arith._pivot``.  By Sylvester's identity its entry (k, l)
+    is prev * s_k * X_kl / c_l, X the current Schur complement and prev the
+    last pivot, so a pivot is d_k = a_kk * c_k / (prev * s_k) and a row of P
+    is a_rj * c_j / (a_rc * c_c).  Positive scalings keep the zero pattern
+    of every Schur complement, so the pivots, P and D are those of the
+    row-scaled elimination, each minor smaller by the c_l of its columns.
+    Pivot rows and columns are dropped after each step.
     """
     n = m.dim
     a, scales = _integer_rows(m.rows)
+    cols = [gcd(*col) or 1 for col in zip(*a)]
+    a = [[x // c for x, c in zip(row, cols)] for row in a]
     active = list(range(n))
     prev = 1
     p_rows: list[list[Fraction]] = []
@@ -97,15 +105,16 @@ def diagonalize(m: SymMat) -> DiagCongruence:
     def form(r: int, c: int) -> list[Fraction]:
         """Row r of the active block over its entry in column c, as a row of P."""
         row = [Fraction(0)] * n
+        den = a[r][c] * cols[active[c]]
         for k, x in zip(active, a[r]):
-            row[k] = Fraction(x, a[r][c])
+            row[k] = Fraction(x * cols[k], den)
         return row
 
     while active:
         k = next((k for k in range(len(active)) if a[k][k]), None)
         if k is not None:
             p_rows.append(form(k, k))
-            d.append(Fraction(a[k][k], prev * scales[active[k]]))
+            d.append(Fraction(a[k][k] * cols[active[k]], prev * scales[active[k]]))
             _pivot(a, k, k, prev)
             prev, drop = a[k][k], (k,)
         else:
@@ -117,7 +126,7 @@ def diagonalize(m: SymMat) -> DiagCongruence:
                 break
             i, j = pair
             h1, h2 = form(j, i), form(i, j)
-            half = Fraction(a[i][j], 2 * prev * scales[active[i]])
+            half = Fraction(a[i][j] * cols[active[j]], 2 * prev * scales[active[i]])
             p_rows += [[x + y for x, y in zip(h1, h2)], [x - y for x, y in zip(h1, h2)]]
             d += [half, -half]
             _pivot(a, i, j, prev)
@@ -127,7 +136,7 @@ def diagonalize(m: SymMat) -> DiagCongruence:
             del a[r], active[r]
             for row in a:
                 del row[r]
-    return DiagCongruence(Mat(p_rows), d)
+    return DiagCongruence(Mat._wrap(p_rows), d)
 
 
 def inertia(m: SymMat) -> tuple[int, int, int]:

@@ -3,10 +3,11 @@ and the reference constructions the suites compare the library against."""
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
-from ratsos.arith import Mat
+from ratsos.arith import Mat, _integer_rows, _pivot
 from ratsos.poly import MPoly, UPoly
-from ratsos.quadforms import SymMat, rank
+from ratsos.quadforms import DiagCongruence, SymMat, rank
 
 
 def rand_frac(rng, lo=-6, hi=6, max_den=4) -> Fraction:
@@ -130,6 +131,51 @@ def gram_product_fold(m, monomials) -> MPoly:
                 key = tuple(x + y for x, y in zip(alpha, beta))
                 terms[key] = terms.get(key, Fraction(0)) + c
     return MPoly(nvars, terms)
+
+
+def diagonalize_row_scaled(m) -> DiagCongruence:
+    """The congruence of :func:`ratsos.quadforms.diagonalize` run on the
+    denominator-cleared rows alone, each column keeping its common factor:
+    the reference the column-reduced elimination is checked against.  Entry
+    (k, l) of the active block is prev * s_k times the Schur complement."""
+    n = m.dim
+    a, scales = _integer_rows(m.rows)
+    active = list(range(n))
+    prev = 1
+    p_rows, d = [], []
+
+    def form(r, c):
+        row = [Fraction(0)] * n
+        for k, x in zip(active, a[r]):
+            row[k] = Fraction(x, a[r][c])
+        return row
+
+    while active:
+        k = next((k for k in range(len(active)) if a[k][k]), None)
+        if k is not None:
+            p_rows.append(form(k, k))
+            d.append(Fraction(a[k][k], prev * scales[active[k]]))
+            _pivot(a, k, k, prev)
+            prev, drop = a[k][k], (k,)
+        else:
+            pair = next(((i, j) for i, j in combinations(range(len(active)), 2) if a[i][j]), None)
+            if pair is None:
+                p_rows += [[Fraction(int(i == k)) for i in range(n)] for k in active]
+                d += [Fraction(0)] * len(active)
+                break
+            i, j = pair
+            h1, h2 = form(j, i), form(i, j)
+            half = Fraction(a[i][j], 2 * prev * scales[active[i]])
+            p_rows += [[x + y for x, y in zip(h1, h2)], [x - y for x, y in zip(h1, h2)]]
+            d += [half, -half]
+            _pivot(a, i, j, prev)
+            _pivot(a, j, i, a[i][j])
+            prev, drop = a[j][i], (j, i)
+        for r in drop:
+            del a[r], active[r]
+            for row in a:
+                del row[r]
+    return DiagCongruence(Mat(p_rows), d)
 
 
 def reassemble(cong) -> SymMat:

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ratsos import quadforms
 from ratsos.arith import Mat, charpoly, det, pivot_columns
 from ratsos.poly import MPoly, UPoly, parse_poly
 from ratsos.quadforms import (
@@ -22,8 +24,17 @@ from ratsos.quadforms import (
     signature_via_descartes,
     weighted_square_decomposition,
 )
+from ratsos.rootcount import hermite_form
 
-from helpers import expand_fold, gram_product_fold, identity_rows, rand_symmetric_rows, reassemble
+from helpers import (
+    diagonalize_row_scaled,
+    expand_fold,
+    gram_product_fold,
+    identity_rows,
+    rand_symmetric_rows,
+    reassemble,
+    upoly_from_roots,
+)
 
 HYPERBOLIC_EXAMPLE = [[0, 1, 1, 0], [1, 0, 1, 0], [1, 1, 0, 1], [0, 0, 1, 0]]
 
@@ -121,6 +132,78 @@ def test_diagonalize_fuzz(rows):
     h = charpoly(m).compose_neg()
     zero_mult = next(i for i, c in enumerate(h.coeffs) if c != 0)
     assert (pos - neg, pos + neg) == (signature_via_descartes(m), m.dim - zero_mult)
+
+
+def _reference_cases(rng):
+    """Symmetric matrices with row and column denominators 1-9: plain,
+    zero-diagonal (every first step a hyperbolic split), with a zero column,
+    and of low rank."""
+    for kind in ("plain", "zero-diagonal", "zero-column", "low-rank") * 60:
+        n = rng.randint(1, 8)
+        dens = [rng.choice([1, 2, 3, 4, 6, 9]) for _ in range(n)]
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        if kind == "low-rank":
+            for _ in range(rng.randint(0, n - 1)):
+                b = [Fraction(rng.randint(-3, 3), den) for den in dens]
+                w = Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4))
+                rows = [[x + w * bi * bj for x, bj in zip(row, b)] for row, bi in zip(rows, b)]
+        else:
+            for i in range(n):
+                for j in range(i, n):
+                    if rng.random() < 0.7 and not (kind == "zero-diagonal" and i == j):
+                        rows[i][j] = rows[j][i] = Fraction(rng.randint(-9, 9), dens[i] * dens[j])
+        if kind == "zero-column":
+            k = rng.randrange(n)
+            for i in range(n):
+                rows[i][k] = rows[k][i] = Fraction(0)
+        yield SymMat.from_rows(rows)
+
+
+def test_diagonalize_matches_the_row_scaled_reference():
+    """Dividing each cleared column by its gcd leaves P and D as they were:
+    on random matrices, the hyperbolic examples, and the Hankel trace forms
+    of rational-root polynomials of degree 1-24, repeated roots included."""
+    rng = random.Random(89)
+    mats = [SymMat.from_rows(rows) for rows in ([], [[0, 0], [0, 0]], HYPERBOLIC_EXAMPLE,
+                                                [[0, "1/6", 0], ["1/6", 0, "1/4"], [0, "1/4", 0]])]
+    mats += _reference_cases(rng)
+    for deg in range(1, 25):
+        roots = [Fraction(rng.randint(-12, 12), rng.choice([1, 2, 3, 5])) for _ in range(deg)]
+        roots[-1] = roots[0]
+        mats.append(hermite_form(upoly_from_roots(roots)).matrix)
+    for m in mats:
+        cong, ref = diagonalize(m), diagonalize_row_scaled(m)
+        assert cong.p == ref.p and cong.d == ref.d
+        assert reassemble(cong) == m
+
+
+def test_congruence_integers_no_longer_than_on_the_integer_hankel_matrix(monkeypatch):
+    """The Hankel trace form H of a degree-16 f with the roots 1/2 and -1/3 is
+    congruent to the integer Hankel matrix T_(i+j) = L^(i+j) tr(C_f^(i+j)),
+    L the lcm of the denominators of f, by diag(L^i).  Row i of H clears to
+    T_(i+j) L^(d-1-j); the column gcds strip those powers of L, so
+    ``_pivot`` meets no integer longer than it does on T."""
+    f = upoly_from_roots([Fraction(1, 2), Fraction(-1, 3), *range(-7, 0), *range(1, 8)])
+    scale, d = lcm(*(c.denominator for c in f.coeffs)), f.degree()
+    data = hermite_form(f)
+    traces = [t * scale**k for k, t in enumerate(data.traces)]
+    assert all(t.denominator == 1 for t in traces)
+    integer_hankel = SymMat(d, [traces[i + j] for i in range(d) for j in range(i, d)])
+    seen = []
+    pivot = quadforms._pivot
+
+    def recording(rows, r, c, prev):
+        seen.append(max(abs(x).bit_length() for row in rows for x in row))
+        pivot(rows, r, c, prev)
+
+    monkeypatch.setattr(quadforms, "_pivot", recording)
+
+    def longest(m):
+        seen.clear()
+        assert signature(m) == d
+        return max(seen)
+
+    assert longest(data.matrix) <= longest(integer_hankel)
 
 
 def test_diagonalize_identity():
