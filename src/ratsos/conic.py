@@ -9,15 +9,20 @@ functional that is nonnegative on E and negative on x (variant B).
 ``conic_representation`` re-verifies every result before it returns it.
 
 Each question is one elimination of E with the targets and the unit
-vectors appended (:func:`_conic`; E need not span).  Its reduced echelon
+vectors appended (:func:`_tableau`; E need not span).  Its reduced echelon
 form, integers over one common denominator, is the tableau: row k holds the
 values of the dual functional of basis element k on E and the targets, and
-the functional itself on the unit columns.  A pivot step is the
-elimination's own ``arith._pivot`` (:func:`_bland`, the only pivot loop).
-A target with a pivot of its own lies outside span(E) and is separated by
-its row, which vanishes on E.  Membership, the halved Newton lattice and
-linear nonnegativity (its two targets, -1 and f, in one call) all read
-their answers off this one elimination.
+the functional itself on the unit columns.  :func:`_answer` reads one
+target's answer off it: a target with a pivot of its own lies outside
+span(E) and is separated by its row, which vanishes on E; every other runs
+Bland's rule on its own copy of the span rows, each pivot the elimination's
+own ``arith._pivot`` (:func:`_bland`, the only pivot loop).  A separating
+answer also returns its functional's values on every target.  Membership
+and linear nonnegativity (its two targets, -1 and f, in one call) take
+:func:`_answer` for every target (:func:`_conic`).  The halved Newton
+lattice tests a box point only when two exact rules leave it open: a point
+whose double is a support exponent is in the hull, and one on which a
+separating functional found for an earlier point is negative is outside.
 """
 
 from __future__ import annotations
@@ -27,8 +32,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from operator import mul
+from typing import NamedTuple
 
-from .arith import Mat, _dot, _pivot, _reduced, pivot_columns, rat
+from .arith import DimensionError, Mat, _dot, _pivot, _reduced, pivot_columns, rat
 from .poly import MPoly, _grlex_key
 
 
@@ -84,9 +90,35 @@ def _bland(rows, basis, ngen: int) -> int | None:
     raise RuntimeError("pivot loop failed to terminate")
 
 
-def _conic(e, targets) -> tuple[int, list[ConicResult]]:
-    """dim span(E) and the pivot algorithm's answer for each target, from one
-    elimination of E + targets + the unit vectors (E need not span).
+class _Tableau(NamedTuple):
+    """One elimination of E + targets + the unit vectors: generators are
+    columns 0..m-1, targets m..u-1 and the unit vectors u on.  ``span`` holds
+    the rows of span(E) (pivots[:len(span)], each den there) and ``outside``
+    the rows beyond it, which vanish on E."""
+
+    m: int
+    u: int
+    pivots: list[int]
+    span: list[list[int]]
+    outside: list[list[int]]
+    den: int
+
+
+def _tableau(e, targets) -> _Tableau:
+    """The one elimination of E + targets + the unit vectors (E need not span).
+    Entries are ints or ``Fraction``s; ``arith._reduced`` clears them."""
+    m, n = len(e), len(targets[0])
+    columns = e + targets + [[int(i == j) for j in range(n)] for i in range(n)]
+    if any(len(c) != n for c in columns):
+        raise DimensionError("ragged columns")
+    pivots, rows, den = _reduced(list(zip(*columns)))
+    dim = bisect_left(pivots, m)
+    return _Tableau(m, m + len(targets), pivots, rows[:dim], rows[dim:], den)
+
+
+def _answer(tab: _Tableau, j: int) -> tuple[ConicResult, list[int] | None]:
+    """The pivot algorithm's answer for target j, and when it separates, the
+    values of its functional on every target, up to one positive factor.
 
     Each row of the reduced form, read on the unit columns, is a functional
     whose values on E and the targets are the rest of the row.  A target
@@ -96,35 +128,36 @@ def _conic(e, targets) -> tuple[int, list[ConicResult]]:
     it may end on is >= 0 on E and a combination of the span rows, which
     gives its functional.
     """
-    m, n = len(e), len(targets[0])
-    units = [[int(i == j) for j in range(n)] for i in range(n)]
-    pivots, rows, den = _reduced(Mat.from_columns(e + targets + units).rows)
-    dim = bisect_left(pivots, m)
-    span, outside = rows[:dim], rows[dim:]
-    u = m + len(targets)
-    results = []
-    for t in range(m, u):
-        sep = next((row for row in outside if row[t]), None)
-        if sep is not None:
-            sign = -1 if sep[t] > 0 else 1
-            results.append(SeparatingFunctional([Fraction(sign * a, den) for a in sep[u:]], pivots[:dim]))
-            continue
-        tab = [row[:m] + [row[t]] for row in span]
-        basis = pivots[:dim]
-        r = _bland(tab, basis, m)
-        if r is None:
-            order = sorted(range(dim), key=basis.__getitem__)
-            results.append(ConicCombination([basis[k] for k in order],
-                                            [Fraction(tab[k][m], tab[k][basis[k]]) for k in order]))
-            continue
-        # the pivots only combine span rows, and span row k is den at column
-        # pivots[k] and 0 at the other span pivots: row r is the sum of span
-        # row k times its entry there over den, on the unit columns too
-        weights = [tab[r][p] for p in pivots[:dim]]
-        d = den * tab[r][basis[r]]
-        functional = [Fraction(sum(map(mul, weights, col)), d) for col in zip(*(row[u:] for row in span))]
-        results.append(SeparatingFunctional(functional, sorted(b for k, b in enumerate(basis) if k != r)))
-    return dim, results
+    m, u, pivots, span, outside, den = tab
+    t = m + j
+    dim = len(span)
+    sep = next((row for row in outside if row[t]), None)
+    if sep is not None:
+        sign = -1 if sep[t] > 0 else 1
+        return (SeparatingFunctional([Fraction(sign * a, den) for a in sep[u:]], pivots[:dim]),
+                [sign * a for a in sep[m:u]])
+    rows = [row[:m] + [row[t]] for row in span]
+    basis = pivots[:dim]
+    r = _bland(rows, basis, m)
+    if r is None:
+        order = sorted(range(dim), key=basis.__getitem__)
+        return ConicCombination([basis[k] for k in order],
+                                [Fraction(rows[k][m], rows[k][basis[k]]) for k in order]), None
+    # the pivots only combine span rows, and span row k is den at column
+    # pivots[k] and 0 at the other span pivots: row r is the sum of span
+    # row k times its entry there over den, on every other column too
+    weights = [rows[r][p] for p in pivots[:dim]]
+    d = den * rows[r][basis[r]]
+    functional = [Fraction(sum(map(mul, weights, col)), d) for col in zip(*(row[u:] for row in span))]
+    values = [sum(map(mul, weights, col)) for col in zip(*(row[m:u] for row in span))]
+    return SeparatingFunctional(functional, sorted(b for k, b in enumerate(basis) if k != r)), values
+
+
+def _conic(e, targets) -> tuple[int, list[ConicResult]]:
+    """dim span(E) and the pivot algorithm's answer for each target, from one
+    elimination of E + targets + the unit vectors (:func:`_tableau`)."""
+    tab = _tableau(e, targets)
+    return len(tab.span), [_answer(tab, j)[0] for j in range(len(targets))]
 
 
 def conic_representation(vectors, x) -> ConicResult:
@@ -202,19 +235,35 @@ def newton_halved_lattice(f: MPoly) -> list[tuple[int, ...]]:
     """Lattice points of half the Newton polytope of f.
 
     Enumerates the box 0..ceil(deg_i(f)/2) per variable and keeps the points
-    whose double lies in the convex hull of the support: the cone test over
-    height 1, with the lifted support and every lifted doubled box point
-    eliminated together once.  Sorted graded-lex.
+    whose double lies in the convex hull of the support, by two exact rules
+    before any pivot: a point whose double is a support exponent lies in the
+    hull, and a point on which a separating functional already found is
+    negative lies outside it.  The other points are cone tests over height
+    1 on one elimination of the lifted support with every lifted doubled
+    box point left (:func:`_tableau`), each answered by :func:`_answer` in
+    box order.  Sorted graded-lex.
     """
     if f.is_zero:
         raise ValueError("the zero polynomial has no Newton polytope")
     box = [()]
     for i in range(1, f.nvars + 1):
         box = [t + (k,) for t in box for k in range(-(-f.degree_in(i) // 2) + 1)]
-    lifted = [list(alpha) + [1] for alpha in f.support()]
-    _, results = _conic(lifted, [[2 * a for a in alpha] + [1] for alpha in box])
-    return sorted((alpha for alpha, r in zip(box, results) if isinstance(r, ConicCombination)),
-                  key=_grlex_key)
+    kept, rest = [], []
+    for alpha in box:
+        (kept if tuple(2 * a for a in alpha) in f.terms else rest).append(alpha)
+    if rest:
+        lifted = [list(alpha) + [1] for alpha in f.support()]
+        tab = _tableau(lifted, [[2 * a for a in alpha] + [1] for alpha in rest])
+        separating = []  # the target values of every separating functional found
+        for j, alpha in enumerate(rest):
+            if any(values[j] < 0 for values in separating):
+                continue
+            _, values = _answer(tab, j)
+            if values is None:
+                kept.append(alpha)
+            else:
+                separating.append(values)
+    return sorted(kept, key=_grlex_key)
 
 
 @dataclass

@@ -6,7 +6,8 @@ diagonalization M = P^T diag(D) P by square completion with a hyperbolic
 split on zero diagonals, both run as the fraction-free pivot step
 ``arith._pivot`` on denominator-cleared integer rows, each column divided by
 its gcd (on a Hankel trace form this strips the powers of the denominator
-lcm that clearing puts in); rank and signature (with
+lcm that clearing puts in), with the rows of P built from the kept pivot
+rows only when they are read; rank and signature (with
 an independent second method: Descartes' rule on det(M + X*I)), psd tests,
 and weighted-square certificates extracted from a diagonalization.  Both
 certificate expansions, w * p^2 summed over the squares and v^T M v, are
@@ -62,16 +63,26 @@ class SymMat(Mat):
         return f"SymMat.from_rows({[[str(x) for x in r] for r in self.rows]})"
 
 
-@dataclass
 class DiagCongruence:
     """Invertible P and diagonal D with M = P^T diag(D) P.
 
     The rows of P are the coefficient vectors of linearly independent linear
-    forms; D lists the corresponding weights (zeros included).
+    forms; D lists the corresponding weights (zeros included).  P is a
+    :class:`Mat`, or a function returning its rows that runs the first time
+    ``p`` is read: :func:`diagonalize` passes one, so a reader of D alone
+    (:func:`inertia`) builds no row of P.
     """
 
-    p: Mat
-    d: list[Fraction]
+    __slots__ = ("_p", "d")
+
+    def __init__(self, p, d: list[Fraction]):
+        self._p, self.d = p, d
+
+    @property
+    def p(self) -> Mat:
+        if not isinstance(self._p, Mat):
+            self._p = Mat._wrap(self._p())
+        return self._p
 
 
 def diagonalize(m: SymMat) -> DiagCongruence:
@@ -91,7 +102,9 @@ def diagonalize(m: SymMat) -> DiagCongruence:
     is a_rj * c_j / (a_rc * c_c).  Positive scalings keep the zero pattern
     of every Schur complement, so the pivots, P and D are those of the
     row-scaled elimination, each minor smaller by the c_l of its columns.
-    Pivot rows and columns are dropped after each step.
+    Pivot rows and columns are dropped after each step.  Each step keeps
+    its pivot rows, which no later step changes, for the rows of P
+    (:func:`_p_rows`).
     """
     n = m.dim
     a, scales = _integer_rows(m.rows)
@@ -99,21 +112,12 @@ def diagonalize(m: SymMat) -> DiagCongruence:
     a = [[x // c for x, c in zip(row, cols)] for row in a]
     active = list(range(n))
     prev = 1
-    p_rows: list[list[Fraction]] = []
+    steps = []  # (active, [(pivot row, its column)]) per step
     d: list[Fraction] = []
-
-    def form(r: int, c: int) -> list[Fraction]:
-        """Row r of the active block over its entry in column c, as a row of P."""
-        row = [Fraction(0)] * n
-        den = a[r][c] * cols[active[c]]
-        for k, x in zip(active, a[r]):
-            row[k] = Fraction(x * cols[k], den)
-        return row
-
     while active:
         k = next((k for k in range(len(active)) if a[k][k]), None)
         if k is not None:
-            p_rows.append(form(k, k))
+            steps.append((active[:], [(a[k], k)]))
             d.append(Fraction(a[k][k] * cols[active[k]], prev * scales[active[k]]))
             _pivot(a, k, k, prev)
             prev, drop = a[k][k], (k,)
@@ -121,13 +125,12 @@ def diagonalize(m: SymMat) -> DiagCongruence:
             pair = next(((i, j) for i, j in combinations(range(len(active)), 2) if a[i][j]), None)
             if pair is None:
                 # remaining form is identically zero
-                p_rows += [[Fraction(int(i == k)) for i in range(n)] for k in active]
+                steps.append((active[:], []))
                 d += [Fraction(0)] * len(active)
                 break
             i, j = pair
-            h1, h2 = form(j, i), form(i, j)
+            steps.append((active[:], [(a[j], i), (a[i], j)]))
             half = Fraction(a[i][j] * cols[active[j]], 2 * prev * scales[active[i]])
-            p_rows += [[x + y for x, y in zip(h1, h2)], [x - y for x, y in zip(h1, h2)]]
             d += [half, -half]
             _pivot(a, i, j, prev)
             _pivot(a, j, i, a[i][j])
@@ -136,7 +139,32 @@ def diagonalize(m: SymMat) -> DiagCongruence:
             del a[r], active[r]
             for row in a:
                 del row[r]
-    return DiagCongruence(Mat._wrap(p_rows), d)
+    return DiagCongruence(lambda: _p_rows(n, cols, steps), d)
+
+
+def _p_rows(n: int, cols, steps) -> list[list[Fraction]]:
+    """The rows of P from the steps of :func:`diagonalize`.  A pivot row of
+    the active block over its entry in column c, each entry times its
+    column's scale, is a linear form; a square completion gives one, a
+    hyperbolic split the sum and the difference of its two, and an
+    identically zero remainder the unit forms of its indices."""
+    rows = []
+    for active, pivots in steps:
+        forms = []
+        for row, c in pivots:
+            form = [Fraction(0)] * n
+            den = row[c] * cols[active[c]]
+            for k, x in zip(active, row):
+                form[k] = Fraction(x * cols[k], den)
+            forms.append(form)
+        if not forms:
+            rows += [[Fraction(int(i == k)) for i in range(n)] for k in active]
+        elif len(forms) == 1:
+            rows += forms
+        else:
+            h1, h2 = forms
+            rows += [[x + y for x, y in zip(h1, h2)], [x - y for x, y in zip(h1, h2)]]
+    return rows
 
 
 def inertia(m: SymMat) -> tuple[int, int, int]:

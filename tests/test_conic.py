@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from operator import mul
 
 import pytest
 
-from ratsos import arith
+from ratsos import arith, conic
 from ratsos.arith import DimensionError, Mat, pivot_columns, solve_linear
 from ratsos.conic import (
     ConicCombination,
@@ -20,6 +21,7 @@ from ratsos.conic import (
     newton_halved_lattice,
 )
 from ratsos.poly import MPoly, parse_poly
+from ratsos.quadforms import SymMat, gram_product
 
 from helpers import gram_rank, planted_rows, rand_frac, rand_mpoly
 
@@ -140,6 +142,85 @@ def test_newton_halved_lattice_against_barycentric_oracle():
         expected = [a for a in box if convex_oracle(f.support(), [2 * e for e in a])]
         expected.sort(key=lambda a: (sum(a), [-e for e in a]))
         assert newton_halved_lattice(f) == expected, f
+
+
+def _det(rows):
+    """Exact determinant of a small integer matrix by Laplace expansion."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * a * _det([r[:j] + r[j + 1 :] for r in rows[1:]]) for j, a in enumerate(rows[0]) if a)
+
+
+def facet_functionals(points):
+    """The functionals on (alpha, 1) through d lifted points that are >= 0 on
+    every lifted point: the generalized cross product of each d-subset, kept
+    when the points lie on one side of it.  For a full-dimensional set they
+    include the facets, so alpha is in the hull iff none is negative on it."""
+    lifted = [list(p) + [1] for p in points]
+    out = []
+    for subset in combinations(lifted, len(lifted[0]) - 1):
+        ell = [(-1) ** i * _det([q[:i] + q[i + 1 :] for q in subset]) for i in range(len(subset) + 1)]
+        values = [sum(map(mul, ell, q)) for q in lifted]
+        if all(v >= 0 for v in values):
+            out.append(ell)
+        elif all(v <= 0 for v in values):
+            out.append([-a for a in ell])
+    return out
+
+
+def dense_gram_product(rng, nvars, half, zero_diagonals=0):
+    """v^T G v over all monomials of degree <= half, G a random symmetric
+    integer matrix with a positive diagonal, some of it set to 0."""
+    monos = [a for a in product(range(half + 1), repeat=nvars) if sum(a) <= half]
+    n = len(monos)
+    upper = []
+    for i in range(n):
+        upper += [rng.randint(1, 5)] + [rng.randint(-2, 2) for _ in range(n - i - 1)]
+    for i in rng.sample(range(n), zero_diagonals):
+        upper[i * n - i * (i - 1) // 2] = 0
+    return gram_product(SymMat(n, upper), monos)
+
+
+@pytest.mark.parametrize("nvars, half, zeros", [(2, 2, 0), (2, 2, 2), (2, 3, 0), (2, 3, 3), (3, 2, 0), (3, 2, 3)])
+def test_newton_halved_lattice_dense_against_barycentric_oracle(monkeypatch, nvars, half, zeros):
+    """Dense supports, where both rules fire: the box points whose doubles
+    are support exponents need no cone test, and a separating functional
+    found once rules out later points with no pivot run.  A point no facet
+    functional separates is confirmed by barycentric coordinates."""
+    rng = random.Random(f"dense:{nvars}:{half}:{zeros}")
+    f = dense_gram_product(rng, nvars, half, zeros)
+    support = f.support()
+    assert len(support) > 10
+    facets = facet_functionals(support)
+    box = list(product(*(range(-(-f.degree_in(i) // 2) + 1) for i in range(1, nvars + 1))))
+    expected = []
+    for a in box:
+        doubled = [2 * e for e in a] + [1]
+        if all(sum(map(mul, ell, doubled)) >= 0 for ell in facets):
+            assert convex_oracle(support, doubled[:-1])
+            expected.append(a)
+    expected.sort(key=lambda a: (sum(a), [-e for e in a]))
+
+    answers = []
+    answer = conic._answer
+    monkeypatch.setattr(conic, "_answer", lambda tab, j: answers.append(j) or answer(tab, j))
+    assert newton_halved_lattice(f) == expected
+    on_support = sum(1 for a in box if tuple(2 * e for e in a) in f.terms)
+    assert on_support > 0 and len(answers) < len(box) - on_support
+
+
+def test_newton_dense_quartic_runs_at_most_two_pivot_loops(monkeypatch):
+    """The dense 3-variable quartic of the gram/n=3/k=2 shape: 10 of its 27
+    box points have their doubles in the support, and the first separating
+    functional the pivot loop finds rules out the other 17."""
+    m = parse_poly("x^2 + y^2 + z^2 + x*y + y*z + z*x + x + y + z + 1", 3)
+    calls = []
+    bland = conic._bland
+    monkeypatch.setattr(conic, "_bland", lambda *args: calls.append(args) or bland(*args))
+    expected = sorted((a for a in product(range(3), repeat=3) if sum(a) <= 2),
+                      key=lambda a: (sum(a), [-e for e in a]))
+    assert newton_halved_lattice(m * m) == expected and len(expected) == 10
+    assert len(calls) <= 2
 
 
 def test_newton_square_support_property():

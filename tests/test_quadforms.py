@@ -206,6 +206,20 @@ def test_congruence_integers_no_longer_than_on_the_integer_hankel_matrix(monkeyp
     assert longest(data.matrix) <= longest(integer_hankel)
 
 
+def test_inertia_builds_no_row_of_p(monkeypatch):
+    """The rows of P are built once, when ``p`` is first read, and never for
+    the signs of D alone."""
+    calls = []
+    p_rows = quadforms._p_rows
+    monkeypatch.setattr(quadforms, "_p_rows", lambda *args: calls.append(args) or p_rows(*args))
+    m = SymMat.from_rows(HYPERBOLIC_EXAMPLE)
+    assert inertia(m) == (2, 2, 0) and signature(m) == 0 and rank(m) == 4
+    assert calls == []
+    cong = diagonalize(m)
+    assert cong.p is cong.p and len(calls) == 1
+    assert reassemble(cong) == m
+
+
 def test_diagonalize_identity():
     cong = diagonalize(SymMat.from_rows(identity_rows(3)))
     assert all(x > 0 for x in cong.d)
