@@ -195,6 +195,9 @@ def module_cert_search(f: MPoly, gs, d: int) -> Search:
     monomials, and the certificate is re-verified exactly before return.
     ``found`` is the only verdict that puts f in the module; ``unknown`` (a
     separated, stalled or unrounded numeric run) proves nothing either way.
+    ``infeasible`` is exact: an inconsistent or non-psd face, or a rational
+    point where every generator is >= 0 and f < 0, read off the moments of
+    the float run, whose detail names the point and the value of f there.
     """
     gs = list(gs)
     if f.degree() > d:

@@ -11,7 +11,11 @@ stops as soon as its own iterates bound the trace of every psd member of the
 affine set from below by a huge multiple of the current scale.  That bound is
 a float stopping rule, not a claim: it only ends a run early, as not
 converged.  The kernel keeps no rounding policy: where a point is moved
-toward the interior before it is rounded is the caller's choice.
+toward the interior before it is rounded is the caller's choice.  Nor does
+it draw a conclusion from the residual y - x, which is normal to the affine
+set: a caller may pass a stopping rule that reads it and ends the run once
+that rule has proved something exactly (:mod:`ratsos.sos` reads a point
+off it).
 
 LAPACK ``eigh`` is the one eigensolver.  ``jacobi_eigh`` is that call under
 the name the benchmark traces; the search calls ``eigh`` directly.
@@ -109,12 +113,17 @@ class AffineFamily:
         return out
 
 
-def alternating_projection(family: AffineFamily, max_sweeps: int = 3000, tol: float = 1e-8):
+def alternating_projection(family: AffineFamily, max_sweeps: int = 3000, tol: float = 1e-8, stop=None):
     """Alternate projections onto the psd cone and the affine set, from ``family.particular``.
 
     Returns (x, gap, converged, separated): x is the last affine point, gap
     the final distance between the two projections.  The defaults are the
     one budget every certificate search runs at.
+
+    ``stop``, when given, is called with the residual r (below) every
+    _SEPARATION_EVERY sweeps that did not converge, before the separation
+    test, and a true answer ends the run, neither converged nor separated.
+    The caller decides what r proves; this module claims nothing of it.
 
     ``separated`` reports a run ended early by the separation bound.  With
     y = P(x_k) onto the psd cone, x_{k+1} the affine projection of y,
@@ -136,6 +145,8 @@ def alternating_projection(family: AffineFamily, max_sweeps: int = 3000, tol: fl
         if gap < tol:
             break
         if sweep % _SEPARATION_EVERY == 0:
+            if stop is not None and stop(r):
+                break
             lower = -(r @ x)
             separated = bool(lower > _SEPARATION * (1.0 + eye @ y) * np.linalg.norm(x - x_prev))
             if separated:

@@ -13,8 +13,10 @@ excludes forced negative diagonals and cuts by G v(x) = 0 at the rational real
 zeros x of the target that :func:`find_gram` scans (a scanned point where the
 target is negative refutes it).  A numeric search on the same rows plus
 continued-fraction rounding then proposes members, accepted only after an
-exact psd check.  Infeasibility is certified only from exact linear
-consequences and exact values of the target.
+exact psd check; a run that heads for separation proposes instead a point
+read off its residual's moment block, where an exact negative value of the
+target on the constraint set refutes it.  Infeasibility is certified only
+from exact linear consequences and exact values of the target.
 """
 
 from __future__ import annotations
@@ -287,7 +289,9 @@ def search(f: MPoly, bases, generators, points=None) -> Search:
     point where f is negative.  The real zeros among ``points`` then cut the
     face (G_k v_k(x) = 0), it is restricted again, and the same refutations
     run, all in place.  A family with one member is decided by that member,
-    and otherwise :func:`_numeric_search` proposes one.
+    and otherwise :func:`_numeric_search` proposes one, or refutes f at a
+    rational point where every generator is >= 0 and f < 0, read off its
+    float run and checked exactly.
     """
     points = points or {}
     zeros = [x for x, value in points.items() if value == 0]
@@ -304,7 +308,7 @@ def search(f: MPoly, bases, generators, points=None) -> Search:
     try:
         family = gram_family(f, bases, generators)
         refuted = face(family) or next(
-            (f"the target is {value} at the point {x}" for x, value in points.items() if value < 0), None)
+            (_negative_at(x, value) for x, value in points.items() if value < 0), None)
         if zeros and family.free and not refuted:  # one member is decided without them
             used = zeros
             family.cut(_zero_equations(family.bases, zeros), _NO_ZERO_FACE)
@@ -318,18 +322,73 @@ def search(f: MPoly, bases, generators, points=None) -> Search:
         if all(is_psd(b) for b in blocks):
             return Search("found", list(zip(blocks, family.bases)), "unique Gram matrix", dropped, used)
         return Search("infeasible", None, "unique Gram matrix is not psd", dropped, used)
-    return Search(*_numeric_search(family), dropped, used)
+    return Search(*_numeric_search(family, f, generators), dropped, used)
 
 
-def _numeric_search(family: GramFamily):
+def _negative_at(x, value) -> str:
+    """The refutation text of a point x where the target has the value < 0, entries as p/q."""
+    return f"the target is {value} at the point ({', '.join(map(str, x))}{',' * (len(x) == 1)})"
+
+
+def _point_check(family: GramFamily, f: MPoly, generators, refutations: list):
+    """The stopping rule of the first numeric run, or None where it does not apply.
+
+    The residual r of :func:`~ratsos.numeric.alternating_projection` is
+    A^T w, so its block 0, for the generator 1, is the pseudo-moment matrix
+    [w_(b_i + b_j)]; as r nears the minimal displacement of an empty
+    intersection, w is a functional that is nonnegative on the module and
+    negative on f (Bauschke-Borwein 1993), and its first moments point at a
+    violating point (single-atom extraction, Henrion-Lasserre 2005).  With 1
+    and every x_i in basis 0, the rule reads m0 = r0[1, 1] and
+    x_i = r0[1, x_i] / m0; when m0 > 0 and f(x) < 0 in floats it rounds x
+    down the denominator ladder.  At the first rounding x0 with every
+    generator >= 0 and f(x0) < 0, both exact, f is no sum of sigma_k g_k (each
+    term is >= 0 at x0): the rule appends the refutation text to
+    ``refutations`` and answers true.  A rounding once rejected is not
+    evaluated again.
+    """
+    n, basis = f.nvars, family.bases[0]
+    units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    if generators[0] != MPoly.constant(n, 1) or not {(0,) * n, *units} <= set(basis):
+        return None
+    start = basis.index((0,) * n) * len(basis)
+    moments = [start + basis.index(a) for a in [(0,) * n, *units]]
+    exponents = np.array(list(f.terms), dtype=float).reshape(len(f.terms), n)
+    coeffs = np.array([float(c) for c in f.terms.values()])
+    rejected = set()
+
+    def check(r) -> bool:
+        m0, *first = r[moments]
+        with np.errstate(all="ignore"):
+            x = np.array(first) / m0
+            screen = coeffs @ np.prod(x**exponents, axis=1)
+        if not (m0 > 0 and np.isfinite(x).all() and screen < 0):
+            return False
+        for bound in DENOMINATOR_LADDER:
+            x0 = tuple(Fraction(float(t)).limit_denominator(bound) for t in x)
+            if x0 not in rejected:
+                if all(g.eval(x0) >= 0 for g in generators) and (value := f.eval(x0)) < 0:
+                    refutations.append(_negative_at(x0, value))
+                    return True
+                rejected.add(x0)
+        return False
+
+    return check
+
+
+def _numeric_search(family: GramFamily, f: MPoly, generators):
     """(status, cert, detail) of the numeric phase on a family with free unknowns.
 
     Alternating projections, at the one budget of
-    :func:`~ratsos.numeric.alternating_projection`, propose a point.  A
-    converged one is nudged off the psd boundary, to the affine projection of
-    x + _NUDGE * I, and its free unknowns are rounded down the denominator
-    ladder; if none rounds, a second run at the same budget on the family
-    shifted by -_FLOOR * I from that point pushes it to {X >= _FLOOR * I}
+    :func:`~ratsos.numeric.alternating_projection`, propose a point.  Every
+    _SEPARATION_EVERY sweeps the first run also reads a point off its
+    residual's moment block and rounds it (:func:`_point_check`); a rounding
+    x0 in the constraint set with f(x0) < 0, both checked exactly, ends the
+    search ``infeasible``.  A converged point is nudged off the psd
+    boundary, to the affine projection of x + _NUDGE * I, and its free
+    unknowns are rounded down the denominator ladder; if none rounds, a
+    second run at the same budget on the family shifted by -_FLOOR * I from
+    that point pushes it to {X >= _FLOOR * I}
     (max(w - e, 0) + e = max(w, e)), and the ladder runs once more.  A member
     is accepted only when every block passes the exact psd test.  A run that
     separated (a float stopping rule) is not rounded, and neither is a family
@@ -345,7 +404,11 @@ def _numeric_search(family: GramFamily):
             except MemoryError:
                 return "unknown", None, "the float Gram system does not fit in memory"
             eye = numeric.eye_vector()
-            x, gap, converged, separated = alternating_projection(numeric)
+            refutations = []
+            stop = _point_check(family, f, generators, refutations)
+            x, gap, converged, separated = alternating_projection(numeric, stop=stop)
+            if refutations:
+                return "infeasible", None, refutations[0]
             if separated:
                 return "unknown", None, f"numeric phase separated at gap {gap:.2e}"
             if converged:

@@ -962,6 +962,15 @@ def test_golden_certificates(argv, expected):
     assert run(argv) == (0, expected)
 
 
+def test_sos_find_refutes_at_a_point_of_the_float_run():
+    """x^4 - x + 1/4 is negative off the grid {-1, 0, 1}: the point 3/4, read
+    off the moments of the separating float run, refutes it exactly."""
+    assert run(["sos", "find", "--poly", "x^4 - x + 1/4"]) == (
+        1, "certified-infeasible\nthe target is -47/256 at the point (3/4,)")
+    assert run(["--json", "sos", "find", "--poly", "x^4 - x + 1/4"]) == (
+        1, '{"detail": "the target is -47/256 at the point (3/4,)", "exit": 1, "status": "certified-infeasible"}')
+
+
 def _readme_examples():
     """(command line, expected output lines, expected exit) of the README CLI block."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -1,11 +1,12 @@
 import random
+import re
 from fractions import Fraction
 from math import comb
 from pathlib import Path
 
 import pytest
 
-from ratsos import lasserre, sos
+from ratsos import lasserre, numeric, sos
 from ratsos.lasserre import (
     ModuleCert,
     blocks_at_point,
@@ -21,7 +22,7 @@ from ratsos.lasserre import (
 from ratsos.poly import MPoly, parse_poly
 from ratsos.quadforms import SosCert, SymMat, is_psd
 
-from helpers import parse_sdpa
+from helpers import parse_sdpa, rand_frac
 
 G1 = parse_poly("1 - x + y", 2)
 G2 = parse_poly("1 - x^4 - y^4", 2)
@@ -251,6 +252,73 @@ def test_module_search_does_not_round_a_separated_run(monkeypatch):
     res = module_cert_search(parse_poly("x*y + 1/4", 2), [parse_poly("1 - x^2 - y^2", 2)], 2)
     assert res.status == "unknown" and res.detail.startswith("numeric phase separated")
     assert calls == []
+
+
+class _CountingFamily(numeric.AffineFamily):
+    """The float family of the searches, counting its projections: one per sweep."""
+
+    calls = 0
+
+    def project(self, y):
+        _CountingFamily.calls += 1
+        return super().project(y)
+
+
+@pytest.mark.parametrize("level", ["3/8", "19/50"])
+def test_a_level_below_the_minimum_is_refuted_at_a_point(monkeypatch, level):
+    """x^3 - x has the minimum -2/(3 sqrt 3) = -0.3849... on [-1, 1], so these
+    levels have no certificate; the first numeric run reads a point of K
+    where the target is negative off its residual within 4 checks (the two
+    runs took 2,968 and 3,000 sweeps to end unknown without the check)."""
+    monkeypatch.setattr(sos, "AffineFamily", _CountingFamily)
+    monkeypatch.setattr(_CountingFamily, "calls", 0)
+    f = parse_poly(f"x^3 - x + {level}", 1)
+    gs = [parse_poly("1 + x", 1), parse_poly("1 - x", 1)]
+    res = module_cert_search(f, gs, 4)
+    assert res.status == "infeasible" and _CountingFamily.calls <= 32
+    value, x0 = re.fullmatch(r"the target is (\S+) at the point \((\S+),\)", res.detail).groups()
+    x0 = Fraction(x0)
+    assert f.eval([x0]) == Fraction(value) < 0 and all(g.eval([x0]) >= 0 for g in gs)
+
+
+def _square_sum(rng, nvars, degree, count, zero=None):
+    """A sum of ``count`` squares of random polynomials of degree <= ``degree``,
+    each vanishing at ``zero`` when one is given."""
+    total = MPoly.zero(nvars)
+    for _ in range(count):
+        p = MPoly(nvars, {a: rand_frac(rng, -3, 3) for a in monomials_upto(nvars, degree) if rng.random() < 0.7})
+        if zero is not None:
+            p = p - MPoly.constant(nvars, p.eval(zero))
+        total = total + p * p
+    return total
+
+
+def test_no_member_by_construction_is_refuted(monkeypatch):
+    """SOS targets and module members sigma_0 + sigma_1 g on [-1, 1] and on the
+    disk, some with a zero on the boundary of K (where the float screen can
+    pass and only the exact values may reject), never end infeasible, and
+    the point check is asked along the way."""
+    asked = []
+    point_check = sos._point_check
+
+    def counted(*args):
+        check = point_check(*args)
+        return check and (lambda r: asked.append(1) or check(r))
+
+    monkeypatch.setattr(sos, "_point_check", counted)
+    rng = random.Random(34)
+    for n in range(20):
+        nvars, g = [(1, "1 - x^2"), (2, "1 - x^2 - y^2")][n % 2]
+        g = parse_poly(g, nvars)
+        zero = [(Fraction(-1),), (Fraction(3, 5), Fraction(-4, 5))][n % 2] if n % 4 > 1 else None
+        f = _square_sum(rng, nvars, 2, rng.randint(1, 3), zero)
+        if n % 3:  # a module member, else a plain SOS target
+            f = f + _square_sum(rng, nvars, 1, 1) * g
+        if f.is_zero:
+            continue
+        res = (sos.find_gram(f) if n % 3 == 0 else module_cert_search(f, [g], 4))
+        assert res.status != "infeasible", (n, f, res.detail)
+    assert asked
 
 
 def test_module_cert_json_round_trip():

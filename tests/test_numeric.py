@@ -129,3 +129,27 @@ def test_empty_basis_not_psd_separates():
     _, gap, converged, separated = alternating_projection(family, max_sweeps=5000)
     assert not converged and separated and abs(gap - 1.0) < 1e-12
     assert family.calls <= 40
+
+
+def test_a_stopping_rule_that_answers_true_ends_the_run_at_sweep_8():
+    # the separating pencil above: the rule is asked before the separation test
+    family = _pencil([1, 0, 0, -1], [0, 1, 1, 0])
+    seen = []
+    _, _, converged, separated = alternating_projection(
+        family, max_sweeps=5000, stop=lambda r: seen.append(r.copy()) or True)
+    assert family.calls == 8 and len(seen) == 1
+    assert not converged and not separated
+    # it is handed the residual of sweep 8, normal to the affine set
+    assert abs(seen[0] @ np.array([0.0, 1.0, 1.0, 0.0])) < 1e-12 and abs(seen[0]).max() > 0.5
+
+
+def test_a_stopping_rule_that_answers_false_leaves_the_run_unchanged():
+    # a run that creeps to the cap and one that separates: the same iterates and
+    # verdict with the rule as without, which was asked every 8th sweep
+    for particular, direction in (([1.5, 1, 1, 0.5], [1, 0, 0, -1]), ([1, 0, 0, -1], [0, 1, 1, 0])):
+        asked, runs, families = [], [], []
+        for stop in (None, lambda r: asked.append(r) and False):
+            families.append(_pencil(particular, direction))
+            runs.append(alternating_projection(families[-1], max_sweeps=100, stop=stop))
+        assert all(np.array_equal(a, b) for a, b in zip(*runs))
+        assert families[0].calls == families[1].calls and len(asked) == families[1].calls // 8

@@ -336,6 +336,7 @@ SEARCH_OUTCOMES = [
     (SEC26, None, ["1"], {"DENOMINATOR_LADDER": []}, "unknown", "rationalization failed"),
     ("x^4*y^2 + x^2*y^4 + 1 + x*y", None, ["1"], {}, "infeasible",
      "no Gram matrix has zero rows at its diagonal entries forced to 0"),
+    ("x^4 - x + 1/4", None, ["1"], {}, "infeasible", r"the target is -47/256 at the point \(3/4,\)"),
 ]
 
 
@@ -671,12 +672,53 @@ def test_grid_scan_matches_exact_evaluation():
 
 def test_point_refutation_after_the_exact_refutations():
     """A grid point where f is negative refutes it, with the point and the
-    value in the detail, once the plain face has no refutation of its own."""
+    value in the detail, once the plain face has no refutation of its own.
+    Off the grid, a point read off the moments of the float run does: x^4 -
+    x + 1/4 is positive on {-1, 0, 1} and negative near 0.63."""
     res = find_gram(parse_poly("x^4 - 3*x^2 + 1", 1))
     assert (res.status, res.detail) == ("infeasible", "the target is -1 at the point (-1,)")
+    res = find_gram(parse_poly("x^4 - x + 1/4", 1))
+    assert (res.status, res.detail) == ("infeasible", "the target is -47/256 at the point (3/4,)")
     # f(1, 0, 0) = -1 too, but 3^3 exceeds the 15 Gram unknowns: no scan
     res = find_gram(parse_poly("x^4 - 3*x^2 + 1 + y^2 + z^2", 3))
     assert res.status == "unknown" and res.points == []
+
+
+def _moments(point, basis):
+    """The s*s moment matrix v v^T of the point, v the monomials of ``basis`` there, as a flat float vector."""
+    v = np.array([float(prod(Fraction(t) ** e for t, e in zip(point, a))) for a in basis])
+    return np.outer(v, v).reshape(-1)
+
+
+def _point_verdict(family, f, generators, r):
+    """What the point check of the family says of the residual r: its refutation text, else None."""
+    refutations = []
+    stop = sos._point_check(family, f, generators, refutations)
+    assert stop(r) == bool(refutations) and len(refutations) <= 1
+    return refutations[0] if refutations else None
+
+
+def test_point_check_reads_the_moments_and_checks_them_exactly():
+    f, one = parse_poly("1 - x^2", 1), parse_poly("1", 1)
+    line = [(0,), (1,)]
+    family = gram_family(f, [line, [(0,)]], [one, f])
+    tail = np.zeros(1)  # block 1, which the check does not read
+    # 2 is no point of K = {1 - x^2 >= 0}, though f(2) < 0 there
+    assert _point_verdict(family, f, [one, f], np.concatenate([3 * _moments([2], line), tail])) is None
+    family = gram_family(f, [line], [one])
+    assert _point_verdict(family, f, [one], 3 * _moments([2], line)) == "the target is -3 at the point (2,)"
+    # a point near 2 is rounded down the ladder; -1 times a point's moments are no measure's
+    near = _moments([Fraction(19999999, 10**7)], line)
+    assert _point_verdict(family, f, [one], near) == "the target is -3 at the point (2,)"
+    assert _point_verdict(family, f, [one], -_moments([2], line)) is None
+    assert _point_verdict(family, f, [one], _moments([Fraction(1, 2)], line)) is None  # f(1/2) > 0
+    g = parse_poly("x^4 + x*y + 1/4 - y^2", 2)
+    family = gram_family(g, [[(0, 0), (1, 0), (0, 1), (2, 0)]], ONE)
+    assert _point_verdict(family, g, ONE, _moments([Fraction(1, 2), Fraction(-3, 5)], family.bases[0])) \
+        == "the target is -139/400 at the point (1/2, -3/5)"
+    # the check needs the generator 1 and, in its basis, 1 and every x_i
+    assert sos._point_check(family, g, [parse_poly("2", 2)], []) is None
+    assert sos._point_check(gram_family(f, [[(0,), (2,)]], [one]), f, [one], []) is None
 
 
 def test_robinson_form_is_refuted_at_its_real_zeros():
