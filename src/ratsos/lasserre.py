@@ -14,13 +14,13 @@ searches: a level counts as feasible only when its certificate is found.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import rat
 from .poly import MPoly, _grlex_key, poly_text
 from .quadforms import SosCert, SymMat, weighted_square_decomposition
-from .sos import Search, VerifyResult, _slots, incidence, json_field, search, terms_from_json, terms_to_json
+from .sos import Search, VerifyResult, _blocks, _slots, incidence, json_field, search, terms_from_json, terms_to_json
 
 
 def monomials_upto(nvars: int, degree: int) -> list[tuple[int, ...]]:
@@ -34,26 +34,17 @@ def monomials_upto(nvars: int, degree: int) -> list[tuple[int, ...]]:
 
 
 @dataclass
-class Block:
-    """One localizing block: entry (i,j) is sum_delta g_delta * y_(b_i+b_j+delta)."""
-
-    generator_index: int  # 0 for the moment block, 1-based into gs otherwise
-    generator: MPoly
-    basis: list[tuple[int, ...]]
-    entries: list[dict[int, Fraction]]  # upper triangle, row by row: {moment index: g_delta}, y_0 = 1
-
-    @property
-    def size(self) -> int:
-        return len(self.basis)
-
-
-@dataclass
 class LasserreRelaxation:
+    """The degree-d relaxation over the generators the degree-d module keeps:
+    block k is the localizing block of generators[k] (the moment block for
+    the constant 1) over the monomials bases[k], its entries read off
+    :func:`ratsos.sos.incidence`."""
+
     nvars: int
     degree: int
-    gs: list[MPoly]
     monomials: list[tuple[int, ...]]  # index 0 is the constant monomial
-    blocks: list[Block] = field(default_factory=list)
+    generators: list[MPoly]
+    bases: list[list[tuple[int, ...]]]
 
     @property
     def num_moment_vars(self) -> int:
@@ -61,19 +52,19 @@ class LasserreRelaxation:
 
     @property
     def block_sizes(self) -> list[int]:
-        return [b.size for b in self.blocks]
+        return [len(b) for b in self.bases]
 
 
-def _kept_generators(gs, d: int, nvars: int) -> list[tuple[int, MPoly, int]]:
-    """(index into [1] + gs, generator, cap) for every generator the degree-d module keeps.
+def _module(gs, d: int, nvars: int) -> tuple[list[MPoly], list[int]]:
+    """[1] + gs and the cap of each generator in the degree-d module.
 
-    A generator is kept when it is nonzero and of degree at most d; the
-    monomials of its Gram block have degree at most the cap
-    r = floor((d - deg g) / 2).  Relaxation blocks, the certificate search and
-    its verification all read this one rule.
+    The monomials of a generator's Gram block have degree at most the cap
+    r = floor((d - deg g) / 2); a generator that is zero or of degree above d
+    has cap -1, no block.  Relaxation blocks, the certificate search and its
+    verification all read this one rule.
     """
-    generators = enumerate([MPoly.constant(nvars, 1)] + list(gs))
-    return [(k, g, (d - int(g.degree())) // 2) for k, g in generators if not g.is_zero and g.degree() <= d]
+    generators = [MPoly.constant(nvars, 1)] + list(gs)
+    return generators, [-1 if g.is_zero or g.degree() > d else (d - int(g.degree())) // 2 for g in generators]
 
 
 def build_relaxation(gs, degree: int, nvars: int) -> LasserreRelaxation:
@@ -84,28 +75,20 @@ def build_relaxation(gs, degree: int, nvars: int) -> LasserreRelaxation:
     """
     if degree < 1:
         raise ValueError("relaxation degree must be at least 1")
-    gs = list(gs)
-    monomials = monomials_upto(nvars, degree)
-    index = {alpha: k for k, alpha in enumerate(monomials)}
-    rel = LasserreRelaxation(nvars, degree, gs, monomials)
-    kept = _kept_generators(gs, degree, nvars)
-    bases = [monomials_upto(nvars, r) for _, _, r in kept]
-    entries = [{} for _ in _slots(bases)]
-    for u, gamma, c in incidence(bases, [g for _, g, _ in kept]):
-        entries[u][index[gamma]] = c
-    for (gen_index, g, _), basis in zip(kept, bases):
-        n = len(basis) * (len(basis) + 1) // 2
-        rel.blocks.append(Block(gen_index, g, basis, entries[:n]))
-        entries = entries[n:]
-    return rel
+    generators, caps = _module(gs, degree, nvars)
+    kept = [k for k, r in enumerate(caps) if r >= 0]
+    return LasserreRelaxation(nvars, degree, monomials_upto(nvars, degree), [generators[k] for k in kept],
+                              [monomials_upto(nvars, caps[k]) for k in kept])
 
 
 def blocks_at_point(rel: LasserreRelaxation, point) -> list[SymMat]:
     """Instantiate every block with the moment vector y_alpha = point^alpha."""
     point = [rat(x) for x in point]
-    y = [MPoly.monomial(alpha).eval(point) for alpha in rel.monomials]
-    return [SymMat(block.size, [sum(c * y[k] for k, c in entry.items()) for entry in block.entries])
-            for block in rel.blocks]
+    y = {alpha: MPoly.monomial(alpha).eval(point) for alpha in rel.monomials}
+    upper = [Fraction(0)] * len(_slots(rel.bases))
+    for u, gamma, c in incidence(rel.bases, rel.generators):
+        upper[u] += c * y[gamma]
+    return _blocks(rel.bases, upper)
 
 
 # --- SDPA sparse output ----------------------------------------------------
@@ -140,15 +123,14 @@ def emit_sdpa(rel: LasserreRelaxation, objective: MPoly) -> str:
         k = index[alpha]
         if k > 0:
             cvec[k - 1] = c
-    lines = [str(m), str(len(rel.blocks)), " ".join(str(b.size) for b in rel.blocks)]
+    lines = [str(m), str(len(rel.bases)), " ".join(map(str, rel.block_sizes))]
     lines.append(" ".join(_sdpa_value(c) for c in cvec))
-    entry_lines: list[list] = []
-    for bno, block in enumerate(rel.blocks, start=1):
-        for (_, i, j), entry in zip(_slots([block.basis]), block.entries):
-            for k, c in entry.items():
-                entry_lines.append([k, bno, i + 1, j + 1, -c if k == 0 else c])
-    entry_lines.sort(key=lambda e: e[:4])
-    for matno, bno, i, j, v in entry_lines:
+    slots = _slots(rel.bases)
+    entries = []  # (moment index, block, i, j, value), unique in their first four fields
+    for u, gamma, c in incidence(rel.bases, rel.generators):
+        k, i, j = slots[u]
+        entries.append((index[gamma], k + 1, i + 1, j + 1, c if index[gamma] else -c))
+    for matno, bno, i, j, v in sorted(entries):
         lines.append(f"{matno} {bno} {i} {j} {_sdpa_value(v)}")
     return "\n".join(lines) + "\n"
 
@@ -167,17 +149,15 @@ def verify_module_membership(f: MPoly, gs, d: int, cert: ModuleCert) -> VerifyRe
 
     A generator the degree-d module does not keep admits no nonzero term.
     """
-    gs = list(gs)
-    generators = [MPoly.constant(f.nvars, 1)] + gs
+    generators, caps = _module(gs, d, f.nvars)
     if len(cert.sigmas) != len(generators):
         return VerifyResult(False, "arity")
-    caps = {k: cap for k, _, cap in _kept_generators(gs, d, f.nvars)}
     total = MPoly.zero(f.nvars)
-    for k, (g, sigma) in enumerate(zip(generators, cert.sigmas)):
+    for g, cap, sigma in zip(generators, caps, cert.sigmas):
         for w, p in sigma.terms:
             if w < 0:
                 return VerifyResult(False, "negative-weight")
-            if p.degree() > caps.get(k, -1):
+            if p.degree() > cap:
                 return VerifyResult(False, "degree-cap")
         total = total + sigma.expand(MPoly.zero(f.nvars)) * g
     if total != f:
@@ -199,15 +179,13 @@ def module_cert_search(f: MPoly, gs, d: int) -> Search:
     point where every generator is >= 0 and f < 0, read off the moments of
     the float run, whose detail names the point and the value of f there.
     """
-    gs = list(gs)
     if f.degree() > d:
         raise ValueError("target degree exceeds the relaxation degree")
-    caps = {k: cap for k, _, cap in _kept_generators(gs, d, f.nvars)}
-    generators = [MPoly.constant(f.nvars, 1)] + gs
-    res = search(f, [monomials_upto(f.nvars, caps.get(k, -1)) for k in range(len(generators))], generators)
+    generators, caps = _module(gs, d, f.nvars)
+    res = search(f, [monomials_upto(f.nvars, r) for r in caps], generators)
     if res.status == "found":
         res.cert = ModuleCert([weighted_square_decomposition(block, basis) for block, basis in res.cert])
-        check = verify_module_membership(f, gs, d, res.cert)
+        check = verify_module_membership(f, generators[1:], d, res.cert)
         if not check:
             raise AssertionError(f"reconstructed certificate failed verification: {check.reason}")
     return res
@@ -273,13 +251,9 @@ def lower_bound_bisect(f: MPoly, gs, d: int, iterations: int = 12) -> BisectResu
 
 # --- module certificate JSON -----------------------------------------------
 
-def module_cert_to_json(cert: ModuleCert, target: MPoly | None = None, degree: int | None = None) -> dict:
-    doc = {"sigmas": [{"terms": terms_to_json(sigma.terms)} for sigma in cert.sigmas]}
-    if target is not None:
-        doc["target"] = poly_text(target)
-    if degree is not None:
-        doc["degree"] = degree
-    return doc
+def module_cert_to_json(cert: ModuleCert, target: MPoly, degree: int) -> dict:
+    return {"sigmas": [{"terms": terms_to_json(sigma.terms)} for sigma in cert.sigmas],
+            "target": poly_text(target), "degree": degree}
 
 
 def module_cert_from_json(doc: dict, nvars: int) -> ModuleCert:

@@ -291,8 +291,8 @@ def weighted_square_decomposition(m: SymMat, monomials) -> SosCert:
     return SosCert(tuple(terms))
 
 
-def gram_product(m: SymMat, monomials) -> MPoly:
-    """The polynomial v^T M v for the monomial vector v given by exponent tuples.
+def gram_product(m: SymMat, monomials, nvars: int) -> MPoly:
+    """The polynomial v^T M v in nvars variables for the monomial vector v given by exponent tuples.
 
     Fraction-free: row i of M is scaled to integers by s_i
     (``arith._integer_rows``), and the upper triangle of the rows, cross
@@ -303,7 +303,6 @@ def gram_product(m: SymMat, monomials) -> MPoly:
     monomials = [tuple(a) for a in monomials]
     if len(monomials) != m.dim:
         raise ValueError(f"monomial vector has length {len(monomials)}, expected {m.dim}")
-    nvars = len(monomials[0]) if monomials else 0
     for alpha in monomials:
         if len(alpha) != nvars:
             raise ValueError(f"exponent vector {alpha} has wrong length for {nvars} variables")

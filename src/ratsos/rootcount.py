@@ -138,10 +138,8 @@ def positive_root_count_bound(f: UPoly) -> tuple[int, int]:
 
 def is_real_rooted(f: UPoly) -> bool:
     """True iff f has no non-real complex roots (its trace form has no negative square)."""
-    f = _checked_nonzero(f)
-    if f.degree() == 0:
-        return True
-    return inertia(hermite_form(f).matrix)[1] == 0
+    real, cplx = count_roots(f)
+    return real == cplx
 
 
 def decide_strict_system(gs) -> bool:

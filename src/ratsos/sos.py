@@ -127,12 +127,7 @@ class GramFamily:
             vec[u] = x
         for p, row in self.rows.items():
             vec[p] -= sum(c * vec[j] for j, c in row.items())
-        blocks, start = [], 0
-        for b in self.bases:
-            n = len(b) * (len(b) + 1) // 2
-            blocks.append(SymMat(len(b), vec[start : start + n]))
-            start += n
-        return blocks
+        return _blocks(self.bases, vec)
 
     def positions(self) -> np.ndarray:
         """The float positions (i, j) and (j, i) of every unknown in full s*s block coordinates."""
@@ -170,6 +165,16 @@ def _substitute(eq: dict, rhs, values, rows):
 def _slots(bases) -> list[tuple[int, int, int]]:
     """(block, i, j) of every unknown, in order."""
     return [(k, i, j) for k, b in enumerate(bases) for i in range(len(b)) for j in range(i, len(b))]
+
+
+def _blocks(bases, upper) -> list[SymMat]:
+    """The blocks whose upper triangles, in :func:`_slots` order, make up ``upper``."""
+    blocks, start = [], 0
+    for b in bases:
+        n = len(b) * (len(b) + 1) // 2
+        blocks.append(SymMat(len(b), upper[start : start + n]))
+        start += n
+    return blocks
 
 
 def incidence(bases, generators):
@@ -480,7 +485,7 @@ def find_gram(f: MPoly) -> Search:
     res = search(f, [lattice], [MPoly.constant(f.nvars, 1)], points)
     if res.status == "found":
         [res.cert] = res.cert
-        if gram_product(*res.cert) != f:
+        if gram_product(*res.cert, f.nvars) != f:
             raise AssertionError("family member does not reproduce the target")
     return res
 
@@ -496,8 +501,7 @@ def verify_sos(f: MPoly, cert) -> VerifyResult:
     gram, monomials = cert
     if not is_psd(gram):
         return VerifyResult(False, "gram-not-psd")
-    # terms, not polynomials: an empty monomial vector gives no variable count
-    if gram_product(gram, monomials).terms != f.terms:
+    if gram_product(gram, monomials, f.nvars) != f:
         return VerifyResult(False, "gram-product-mismatch")
     return VerifyResult(True, "ok")
 
@@ -561,21 +565,16 @@ def cassels_descent(weights, fs, g: UPoly, degree_trace: list | None = None) -> 
 
 # --- certificate JSON ------------------------------------------------------
 
-def cert_to_json(cert: SosCert, target=None) -> dict:
-    doc = {"terms": terms_to_json(cert.terms)}
-    if target is not None:
-        doc["target"] = poly_text(target)
-    return doc
+def cert_to_json(cert: SosCert) -> dict:
+    return {"terms": terms_to_json(cert.terms)}
 
 
-def gram_to_json(gram: SymMat, monomials, target=None) -> dict:
-    doc = {
+def gram_to_json(gram: SymMat, monomials, target: MPoly) -> dict:
+    return {
         "monomials": [list(a) for a in monomials],
         "gram": [[str(x) for x in row] for row in gram.rows],
+        "target": poly_text(target),
     }
-    if target is not None:
-        doc["target"] = poly_text(target)
-    return doc
 
 
 _JSON_KINDS = {list: "a list", str: "a string", int: "an integer"}

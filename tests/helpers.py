@@ -119,11 +119,11 @@ def expand_fold(cert, zero):
     return acc
 
 
-def gram_product_fold(m, monomials) -> MPoly:
-    """v^T M v summed in Fractions over every entry of M, both triangles: the
-    reference :func:`ratsos.quadforms.gram_product` is checked against."""
+def gram_product_fold(m, monomials, nvars: int) -> MPoly:
+    """v^T M v in nvars variables, summed in Fractions over every entry of M,
+    both triangles: the reference :func:`ratsos.quadforms.gram_product` is
+    checked against."""
     monomials = [tuple(a) for a in monomials]
-    nvars = len(monomials[0]) if monomials else 0
     terms: dict = {}
     for alpha, row in zip(monomials, m.rows):
         for beta, c in zip(monomials, row):

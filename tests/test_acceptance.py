@@ -136,7 +136,7 @@ def test_criterion_6_gram_golden():
             assert (g[0, 0], g[0, 1], g[1, 2], g[2, 2]) == (2, 1, 0, 5)
             assert g[1, 1] == -2 * g[0, 2] - 1
         a_member = SymMat.from_rows([[2, 1, -3], [1, 5, 0], [-3, 0, 5]])
-        assert gram_product(a_member, monoms) == f
+        assert gram_product(a_member, monoms, 2) == f
         assert is_psd(a_member)
         cert = weighted_square_decomposition(a_member, monoms)
         assert cert.expand(MPoly.zero(2)) == f

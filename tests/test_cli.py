@@ -751,7 +751,7 @@ def test_internal_errors_exit_3(tmp_path, monkeypatch, capsys):
     """A failed internal check ends in exit 3 with a one-line message, also
     under --json and inside batch; here find_gram's re-check of the member it
     accepted is made to fail."""
-    monkeypatch.setattr(sos, "gram_product", lambda gram, monomials: MPoly.zero(1))
+    monkeypatch.setattr(sos, "gram_product", lambda gram, monomials, nvars: MPoly.zero(1))
     argv = ["sos", "find", "--poly", "x^4+x^2+1"]
     assert run(argv) == (3, WRONG_TARGET)
     code, out = run(["--json"] + argv)

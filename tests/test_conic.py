@@ -178,7 +178,7 @@ def dense_gram_product(rng, nvars, half, zero_diagonals=0):
         upper += [rng.randint(1, 5)] + [rng.randint(-2, 2) for _ in range(n - i - 1)]
     for i in rng.sample(range(n), zero_diagonals):
         upper[i * n - i * (i - 1) // 2] = 0
-    return gram_product(SymMat(n, upper), monos)
+    return gram_product(SymMat(n, upper), monos, nvars)
 
 
 @pytest.mark.parametrize("nvars, half, zeros", [(2, 2, 0), (2, 2, 2), (2, 3, 0), (2, 3, 3), (3, 2, 0), (3, 2, 3)])

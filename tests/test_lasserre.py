@@ -48,9 +48,9 @@ def test_build_relaxation_trivial():
 
 def test_build_relaxation_ignores_high_degree():
     rel = build_relaxation([G1, G2], 2, 2)  # deg g2 = 4 > 2: skipped
-    assert [b.generator_index for b in rel.blocks] == [0, 1]
+    assert rel.generators == [MPoly.constant(2, 1), G1]
     rel = build_relaxation([MPoly.zero(2), G1], 3, 2)
-    assert [b.generator_index for b in rel.blocks] == [0, 2]
+    assert rel.generators == [MPoly.constant(2, 1), G1]
 
 
 def test_block_sizes_binomial():
@@ -58,9 +58,9 @@ def test_block_sizes_binomial():
         for d in (2, 3, 4):
             gs = [parse_poly("1 - x", n)]
             rel = build_relaxation(gs, d, n)
-            for block in rel.blocks:
-                r = (d - max(int(block.generator.degree()), 0)) // 2
-                assert block.size == comb(n + r, n)
+            for g, size in zip(rel.generators, rel.block_sizes):
+                r = (d - max(int(g.degree()), 0)) // 2
+                assert size == comb(n + r, n)
 
 
 def test_emit_sdpa_header_and_objective():
@@ -106,11 +106,14 @@ def test_emit_sdpa_localizing_block_hand_encoded():
 
 DATA = Path(__file__).resolve().parent / "data"
 
-#: (constraints, degree, nvars, objective, golden file): the README system and
-#: a 3-variable system with a rational coefficient
+#: (constraints, degree, nvars, objective, golden file): the README system,
+#: a 3-variable system with a rational coefficient, and a system whose zero
+#: constraint and constraint of degree above d get no block, so the block of
+#: 1 - x^2 is numbered 2
 SDPA_GOLDENS = [
     (["1 - x + y", "1 - x^4 - y^4"], 4, 2, "x", "readme_system.dat-s"),
     (["1-x^2-y^2-z^2", "x*y-1/3*z", "x^3-2"], 5, 3, "x*y*z-z^4", "rational_3var.dat-s"),
+    (["0", "1 - x^2", "x^5"], 3, 2, "x*y", "skipped_generators.dat-s"),
 ]
 
 
@@ -129,10 +132,10 @@ def test_blocks_at_point_match_their_definition(gs, d, n):
     for _ in range(5):
         p = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(n)]
         blocks = blocks_at_point(rel, p)
-        assert len(blocks) == len(rel.blocks)
-        for block, got in zip(rel.blocks, blocks):
-            v = [MPoly.monomial(b).eval(p) for b in block.basis]
-            gp = block.generator.eval(p)
+        assert len(blocks) == len(rel.bases)
+        for g, basis, got in zip(rel.generators, rel.bases, blocks):
+            v = [MPoly.monomial(b).eval(p) for b in basis]
+            gp = g.eval(p)
             assert got == SymMat.from_rows([[gp * a * b for b in v] for a in v])
 
 

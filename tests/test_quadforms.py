@@ -355,7 +355,7 @@ def test_weighted_square_decomposition_random_psd():
         if len(set(v)) != n:
             continue
         cert = weighted_square_decomposition(m, v)
-        assert cert.expand(parse_poly("0", 2)) == gram_product(m, v)
+        assert cert.expand(parse_poly("0", 2)) == gram_product(m, v, 2)
         assert all(w >= 0 for w, _ in cert.terms)
 
 
@@ -416,9 +416,9 @@ def test_gram_product_matches_the_fold():
     """gram_product's integer sum over the upper triangle equals the entry by
     entry Fraction sum over all of M, repeated monomials and cancellation included."""
     rng = random.Random(79)
-    cases = [(SymMat.from_rows([]), []),
+    cases = [(SymMat.from_rows([]), [], 2),
              # 2*x^2 - 2*x^2: every term cancels
-             (SymMat.from_rows([[0, 0, 1], [0, -2, 0], [1, 0, 0]]), [(0,), (1,), (2,)])]
+             (SymMat.from_rows([[0, 0, 1], [0, -2, 0], [1, 0, 0]]), [(0,), (1,), (2,)], 1)]
     for _ in range(60):
         nvars, dim = rng.randint(0, 4), rng.randint(1, 7)
         rows = [[Fraction(0)] * dim for _ in range(dim)]
@@ -426,13 +426,20 @@ def test_gram_product_matches_the_fold():
             for j in range(i, dim):
                 rows[i][j] = rows[j][i] = _big_frac(rng, zero_share=0.3)
         monomials = [tuple(rng.randint(0, 2) for _ in range(nvars)) for _ in range(dim)]
-        cases.append((SymMat.from_rows(rows), monomials))
-    for m, monomials in cases:
-        got = gram_product(m, monomials)
-        assert got == gram_product_fold(m, monomials) and _normal_form(got)
+        cases.append((SymMat.from_rows(rows), monomials, nvars))
+    for m, monomials, nvars in cases:
+        got = gram_product(m, monomials, nvars)
+        assert got == gram_product_fold(m, monomials, nvars) and _normal_form(got)
     assert gram_product(*cases[1]).is_zero
     with pytest.raises(ValueError, match=r"exponent vector \(0, 1, 0\)"):
-        gram_product(SymMat.from_rows([[1, 0], [0, 1]]), [(1, 0), (0, 1, 0)])
+        gram_product(SymMat.from_rows([[1, 0], [0, 1]]), [(1, 0), (0, 1, 0)], 2)
+
+
+def test_gram_product_of_no_monomials_has_the_given_variables():
+    """An empty monomial vector gives the zero polynomial in the variables
+    asked for, so it combines with the caller's own polynomials."""
+    product = MPoly.constant(2, 1) * gram_product(SymMat(0, []), [], 2)
+    assert product == MPoly.zero(2)
 
 
 def test_weighted_square_decomposition_requires_psd():

@@ -13,8 +13,8 @@ from ratsos import numeric, sos
 from ratsos.cli import run
 from ratsos.arith import Mat, affine_solution_set, pivot_columns
 from ratsos.conic import convex_membership, newton_halved_lattice
-from ratsos.lasserre import _kept_generators, module_cert_search, monomials_upto
-from ratsos.poly import MPoly, UPoly, parse_poly, parse_upoly
+from ratsos.lasserre import _module, module_cert_search, monomials_upto
+from ratsos.poly import MPoly, UPoly, parse_poly, parse_upoly, poly_text
 from ratsos.quadforms import SosCert, SymMat, gram_product, is_psd, weighted_square_decomposition
 from ratsos.sos import (
     GramInfeasibleError,
@@ -49,7 +49,7 @@ def test_gram_family_sec26_shape():
         assert g[0, 0] == 2 and g[2, 2] == 5
         assert g[0, 1] == 1 and g[1, 2] == 0
         assert g[1, 1] == -2 * g[0, 2] - 1
-        assert gram_product(g, fam.bases[0]) == f
+        assert gram_product(g, fam.bases[0], 2) == f
 
 
 def test_gram_family_unique_square():
@@ -116,7 +116,7 @@ def _assert_family_matches_dense_solve(f, bases, generators=None):
         member = [x + sum(tj * b[u] for tj, b in zip(t, basis)) for u, x in enumerate(particular)]
         assert [g[i, j] for g in blocks for i in range(g.dim) for j in range(i, g.dim)] == member
         assert sum(
-            (g * gram_product(G, b) for g, G, b in zip(generators, blocks, fam.bases)), MPoly.zero(f.nvars)
+            (g * gram_product(G, b, f.nvars) for g, G, b in zip(generators, blocks, fam.bases)), MPoly.zero(f.nvars)
         ) == f
 
 
@@ -136,7 +136,7 @@ def _random_families():
         n = len(monomials)
         # fractional entries, about a third of them zero
         upper = [rand_frac(rng, -3, 3, max_den=5) for _ in range(n * (n + 1) // 2)]
-        f = gram_product(SymMat(n, upper), monomials)
+        f = gram_product(SymMat(n, upper), monomials, nvars)
         if not f.is_zero:
             yield f, [monomials], None
     # several blocks, one generator each: single-term generators (the closed
@@ -149,7 +149,7 @@ def _random_families():
             f = MPoly.zero(2)
             for g, b in zip(generators, bases):
                 upper = [rand_frac(rng, -3, 3, max_den=5) for _ in range(len(b) * (len(b) + 1) // 2)]
-                f = f + g * gram_product(SymMat(len(b), upper), b)
+                f = f + g * gram_product(SymMat(len(b), upper), b, 2)
             if not f.is_zero:
                 yield f, bases, generators
 
@@ -186,7 +186,7 @@ def test_module_family_is_reduced_group_by_group(monkeypatch):
         f = MPoly.zero(2)
         for g, b in zip(generators, bases):
             upper = [rand_frac(rng, -3, 3, max_den=5) for _ in range(len(b) * (len(b) + 1) // 2)]
-            f = f + g * gram_product(SymMat(len(b), upper), b)
+            f = f + g * gram_product(SymMat(len(b), upper), b, 2)
         widths = []
         monkeypatch.setattr(sos, "_reduced", lambda rows: widths.append(len(rows[0])) or reduced(rows))
         unknowns = len(gram_family(f, bases, generators).particular)
@@ -354,7 +354,7 @@ def test_search_outcomes(monkeypatch, text, bases, generators, patches, status, 
     assert (res.cert is not None) == (status == "found")
     if res.cert is not None:
         assert all(is_psd(block) for block, _ in res.cert)
-        assert sum((g * gram_product(*pair) for g, pair in zip(generators, res.cert)), MPoly.zero(nvars)) == f
+        assert sum((g * gram_product(*pair, nvars) for g, pair in zip(generators, res.cert)), MPoly.zero(nvars)) == f
 
 
 def _module_systems(rng, count):
@@ -369,9 +369,8 @@ def _module_systems(rng, count):
         f = rand_mpoly(rng, nvars=nvars, max_deg=d // nvars, max_terms=4)
         if f.is_zero or f.degree() > d or all(len(g.terms) < 2 for g in gs):
             continue
-        caps = {k: cap for k, _, cap in _kept_generators(gs, d, nvars)}
-        generators = [MPoly.constant(nvars, 1)] + gs
-        bases = [monomials_upto(nvars, caps.get(k, -1)) for k in range(len(generators))]
+        generators, caps = _module(gs, d, nvars)
+        bases = [monomials_upto(nvars, r) for r in caps]
         try:
             gram_family(f, bases, generators)
         except GramInfeasibleError:
@@ -472,7 +471,7 @@ def test_face_keeps_earlier_cuts():
         assert any(restrict_to_face(family))
         for t in ([0] * len(family.free), [Fraction(k + 2, 3) for k in range(len(family.free))]):
             blocks = family.at(t)
-            assert sum((g * gram_product(G, b) for g, G, b in zip(generators, blocks, family.bases) if b),
+            assert sum((g * gram_product(G, b, f.nvars) for g, G, b in zip(generators, blocks, family.bases)),
                        MPoly.zero(f.nvars)) == f
             vec = _padded(blocks, family.bases, bases)
             assert all(sum(c * vec[u] for u, c in eq.items()) == rhs for eq, rhs in equations)
@@ -613,7 +612,7 @@ def test_zero_equations_keep_every_member_and_no_other():
         assert len(fam.free) == len(slots) - len(pivot_columns(Mat(dense)))
         for t in ([0] * len(fam.free), [Fraction(k + 1, 3) for k in range(len(fam.free))]):
             [g] = fam.at(t)
-            assert gram_product(g, monomials) == f
+            assert gram_product(g, monomials, nvars) == f
             assert all(sum(x * w for x, w in zip(row, v)) == 0 for row in g.rows)
 
 
@@ -968,10 +967,10 @@ def test_certificate_json_round_trip():
     f = parse_poly(SEC26, 2)
     res = find_gram(f)
     cert = weighted_square_decomposition(*res.cert)
-    doc = cert_to_json(cert, target=f)
+    doc = cert_to_json(cert) | {"target": poly_text(f)}
     loaded, target = cert_from_json(doc)
     assert target == f
     assert verify_sos(f, loaded)
-    gram_doc = gram_to_json(*res.cert, target=f)
+    gram_doc = gram_to_json(*res.cert, f)
     loaded, target = cert_from_json(gram_doc)
     assert verify_sos(f, loaded)
