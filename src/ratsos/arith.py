@@ -12,7 +12,8 @@ tableau off ``_reduced`` and pivots it with the same step, and
 ``quadforms.diagonalize`` runs its congruence on it, over rows cleared by
 ``_integer_rows`` and columns divided by their gcds.
 Characteristic polynomials, det(M + X*I), use Berkowitz's division-free
-algorithm on a denominator-cleared integer copy.  Everything is exact.
+algorithm on a denominator-cleared integer copy, over half powers: a
+symmetric matrix makes half the matrix-vector products.  Everything is exact.
 """
 
 from __future__ import annotations
@@ -146,6 +147,8 @@ def charpoly(m: Mat) -> UPoly:
     matrix B = -L*M, L the lcm of the entry denominators: the X^k coefficient
     of det(X*I - B), divided by L^(n-k), is the X^k coefficient of
     det(X*I + M).  det(X*I - M) is (-1)^n times this polynomial at -X.
+    Each r.B^t.c a step reads is (r.B^i).(B^j.c), i = t // 2 and j = t - i,
+    so a symmetric M, where r.B^i is B^i.c, needs only the column powers.
     """
     if not m.is_square:
         raise DimensionError("characteristic polynomial of a non-square matrix")
@@ -154,17 +157,24 @@ def charpoly(m: Mat) -> UPoly:
     # p lists the coefficients of det(X*I - B_k), highest degree first, where
     # B_k is the leading k x k block.  Bordering B_(k-1) by column c, row r and
     # corner a multiplies p by the lower-triangular Toeplitz matrix whose first
-    # column is 1, -a, -r.c, -r.B_(k-1).c, ..., -r.B_(k-1)^(k-2).c.
-    p = [1]
+    # column is 1, -a, -r.c, -r.B_(k-1).c, ..., -r.B_(k-1)^(k-2).c.  u and v
+    # hold the powers B^j.c and r.B^i.  v is u only while every border so far
+    # had r = c: over a non-symmetric B, r = c still gives r.B != (B.c)^T.
+    p, symmetric = [1], True
     for k in range(m.nrows):
         lead = [row[:k] for row in b[:k]]
         r = b[k][:k]
-        col = [row[k] for row in b[:k]]
+        u = [[row[k] for row in b[:k]]]
+        symmetric = symmetric and r == u[0]
+        v = u if symmetric else [r]
         q = [1, -b[k][k]]
         for t in range(k):
-            if t:
-                col = [sum(map(mul, row, col)) for row in lead]
-            q.append(-sum(map(mul, r, col)))
+            i, j = t // 2, (t + 1) // 2
+            if j == len(u):
+                u.append([sum(map(mul, row, u[-1])) for row in lead])
+            if i == len(v):
+                v.append([sum(map(mul, v[-1], col)) for col in zip(*lead)])
+            q.append(-sum(map(mul, v[i], u[j])))
         p = [sum(q[i - j] * p[j] for j in range(min(i, k) + 1)) for i in range(k + 2)]
     coeffs = [Fraction(c, scale**i) for i, c in enumerate(p)]
     coeffs.reverse()

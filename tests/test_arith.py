@@ -180,13 +180,35 @@ def _assert_charpoly_matches_det(m: Mat, rng):
 
 
 def test_charpoly_against_determinant_oracle():
-    """charpoly evaluated at n + 1 points equals the Bareiss det of M +/- t*I."""
+    """charpoly evaluated at n + 1 points equals the Bareiss det of M +/- t*I,
+    on non-symmetric, symmetric and mixed matrices.  A mixed matrix has a
+    symmetric border over a non-symmetric leading block, which a row power
+    r.B^i must not take from the column power B^i.c."""
     rng = random.Random(29)
     for n in range(9):
         for _ in range(3):
             # non-symmetric, with denominators that differ from entry to entry
             m = Mat([[rand_frac(rng, -9, 9, max_den=12) for _ in range(n)] for _ in range(n)])
             _assert_charpoly_matches_det(m, rng)
+    for n in range(10):
+        for _ in range(3):
+            rows = [[rand_frac(rng, -9, 9, max_den=12) for _ in range(n)] for _ in range(n)]
+            for i in range(n):
+                for j in range(i):
+                    rows[i][j] = rows[j][i]
+            _assert_charpoly_matches_det(Mat(rows), rng)
+            if n >= 4:
+                # one non-symmetric border k, then symmetric ones
+                k = rng.randint(1, n - 2)
+                mixed = [row[:] for row in rows]
+                mixed[k][rng.randrange(k)] += rng.randint(1, 5)
+                _assert_charpoly_matches_det(Mat(mixed), rng)
+                # a non-symmetric leading s x s block, then symmetric borders
+                s = rng.randint(2, n - 1)
+                mixed = [row[:] for row in rows]
+                for i in range(s):
+                    mixed[i][:s] = [rand_frac(rng, -9, 9, max_den=12) for _ in range(s)]
+                _assert_charpoly_matches_det(Mat(mixed), rng)
     n = 24
     b = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
     gram = Mat([[sum(r[i] * r[j] for r in b) for j in range(n)] for i in range(n)])
