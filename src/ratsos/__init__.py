@@ -18,7 +18,6 @@ from .conic import (
 from .lasserre import (
     BisectResult,
     LasserreRelaxation,
-    ModuleCert,
     build_relaxation,
     emit_sdpa,
     lower_bound_bisect,

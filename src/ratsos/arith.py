@@ -11,9 +11,10 @@ read out by ``_reduced``) need no back-substitution.  ``conic`` reads its
 tableau off ``_reduced`` and pivots it with the same step, and
 ``quadforms.diagonalize`` runs its congruence on it, over rows cleared by
 ``_integer_rows`` and columns divided by their gcds.
-Characteristic polynomials, det(M + X*I), use Berkowitz's division-free
-algorithm on a denominator-cleared integer copy, over half powers: a
-symmetric matrix makes half the matrix-vector products.  Everything is exact.
+Characteristic polynomials, det(M + X*I), of symmetric matrices use
+Berkowitz's division-free algorithm on a denominator-cleared integer copy,
+over the column powers alone; a non-symmetric matrix is an error.
+Everything is exact.
 """
 
 from __future__ import annotations
@@ -92,17 +93,11 @@ class Mat:
     def transpose(self) -> "Mat":
         return Mat([[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)])
 
-    def __mul__(self, other):
-        if isinstance(other, Mat):
-            if self.ncols != other.nrows:
-                raise DimensionError(f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
-            bt = other.transpose().rows
-            return Mat([[_dot(r, c) for c in bt] for r in self.rows])
-        if isinstance(other, (int, Fraction)):
-            return Mat([[x * other for x in r] for r in self.rows])
-        return NotImplemented
-
-    __rmul__ = __mul__
+    def __mul__(self, other: "Mat") -> "Mat":
+        if self.ncols != other.nrows:
+            raise DimensionError(f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
+        bt = other.transpose().rows
+        return Mat([[_dot(r, c) for c in bt] for r in self.rows])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Mat) and self.rows == other.rows
@@ -141,40 +136,37 @@ def det(m: Mat) -> Fraction:
 
 
 def charpoly(m: Mat) -> UPoly:
-    """det(M + X*I), monic of degree exactly the dimension of M.
+    """det(M + X*I) of a symmetric M, monic of degree exactly its dimension.
 
     Computed exactly by Berkowitz's division-free algorithm on the integer
     matrix B = -L*M, L the lcm of the entry denominators: the X^k coefficient
     of det(X*I - B), divided by L^(n-k), is the X^k coefficient of
     det(X*I + M).  det(X*I - M) is (-1)^n times this polynomial at -X.
-    Each r.B^t.c a step reads is (r.B^i).(B^j.c), i = t // 2 and j = t - i,
-    so a symmetric M, where r.B^i is B^i.c, needs only the column powers.
+    Each c.B^t.c a step reads is (B^i.c).(B^j.c), i = t // 2 and j = t - i,
+    so only the column powers are made.  A non-square matrix raises
+    DimensionError and a non-symmetric one ValueError.
     """
     if not m.is_square:
         raise DimensionError("characteristic polynomial of a non-square matrix")
     scale = lcm(*(x.denominator for row in m.rows for x in row))
     b = [[-x.numerator * (scale // x.denominator) for x in row] for row in m.rows]
     # p lists the coefficients of det(X*I - B_k), highest degree first, where
-    # B_k is the leading k x k block.  Bordering B_(k-1) by column c, row r and
-    # corner a multiplies p by the lower-triangular Toeplitz matrix whose first
-    # column is 1, -a, -r.c, -r.B_(k-1).c, ..., -r.B_(k-1)^(k-2).c.  u and v
-    # hold the powers B^j.c and r.B^i.  v is u only while every border so far
-    # had r = c: over a non-symmetric B, r = c still gives r.B != (B.c)^T.
-    p, symmetric = [1], True
+    # B_k is the leading k x k block.  Bordering B_(k-1) by column c, its
+    # transpose as row and corner a multiplies p by the lower-triangular
+    # Toeplitz matrix whose first column is 1, -a, -c.c, -c.B_(k-1).c, ...,
+    # -c.B_(k-1)^(k-2).c.  u holds the powers B^j.c.
+    p = [1]
     for k in range(m.nrows):
-        lead = [row[:k] for row in b[:k]]
-        r = b[k][:k]
         u = [[row[k] for row in b[:k]]]
-        symmetric = symmetric and r == u[0]
-        v = u if symmetric else [r]
+        if b[k][:k] != u[0]:
+            raise ValueError("characteristic polynomial of a non-symmetric matrix")
+        lead = [row[:k] for row in b[:k]]
         q = [1, -b[k][k]]
         for t in range(k):
             i, j = t // 2, (t + 1) // 2
             if j == len(u):
                 u.append([sum(map(mul, row, u[-1])) for row in lead])
-            if i == len(v):
-                v.append([sum(map(mul, v[-1], col)) for col in zip(*lead)])
-            q.append(-sum(map(mul, v[i], u[j])))
+            q.append(-sum(map(mul, u[i], u[j])))
         p = [sum(q[i - j] * p[j] for j in range(min(i, k) + 1)) for i in range(k + 2)]
     coeffs = [Fraction(c, scale**i) for i, c in enumerate(p)]
     coeffs.reverse()

@@ -8,8 +8,10 @@ rows are the Gram system of the certificates below.  The module also
 searches and verifies exact weighted-SOS membership certificates for the
 degree-d truncated module sum_i sigma_i g_i (one :func:`ratsos.sos.search`,
 one block per generator, restricted exactly to the face its forced zeros
-define) and computes certified lower bounds by bisection on those exact
-searches: a level counts as feasible only when its certificate is found.
+define); a certificate is the list of weighted-square multipliers sigma_i,
+aligned with [1] + gs.  It also computes certified lower bounds by
+bisection on those exact searches: a level counts as feasible only when its
+certificate is found.
 """
 
 from __future__ import annotations
@@ -137,23 +139,16 @@ def emit_sdpa(rel: LasserreRelaxation, objective: MPoly) -> str:
 
 # --- module membership certificates ----------------------------------------
 
-@dataclass
-class ModuleCert:
-    """Weighted-square multipliers sigma_i, aligned with [1] + gs."""
-
-    sigmas: list[SosCert]
-
-
-def verify_module_membership(f: MPoly, gs, d: int, cert: ModuleCert) -> VerifyResult:
+def verify_module_membership(f: MPoly, gs, d: int, sigmas: list[SosCert]) -> VerifyResult:
     """Exact check that f = sum sigma_i g_i with the degree-d caps honored.
 
     A generator the degree-d module does not keep admits no nonzero term.
     """
     generators, caps = _module(gs, d, f.nvars)
-    if len(cert.sigmas) != len(generators):
+    if len(sigmas) != len(generators):
         return VerifyResult(False, "arity")
     total = MPoly.zero(f.nvars)
-    for g, cap, sigma in zip(generators, caps, cert.sigmas):
+    for g, cap, sigma in zip(generators, caps, sigmas):
         for w, p in sigma.terms:
             if w < 0:
                 return VerifyResult(False, "negative-weight")
@@ -172,7 +167,7 @@ def module_cert_search(f: MPoly, gs, d: int) -> Search:
     [1] + gs, over the monomials up to its degree-d cap (none for a generator
     the module does not keep), at the numeric budget ``sos find`` runs at
     too.  An accepted member is turned into weighted squares over the kept
-    monomials, and the certificate is re-verified exactly before return.
+    monomials, one ``SosCert`` per generator, and re-verified exactly.
     ``found`` is the only verdict that puts f in the module; ``unknown`` (a
     separated, stalled or unrounded numeric run) proves nothing either way.
     ``infeasible`` is exact: an inconsistent or non-psd face, or a rational
@@ -184,7 +179,7 @@ def module_cert_search(f: MPoly, gs, d: int) -> Search:
     generators, caps = _module(gs, d, f.nvars)
     res = search(f, [monomials_upto(f.nvars, r) for r in caps], generators)
     if res.status == "found":
-        res.cert = ModuleCert([weighted_square_decomposition(block, basis) for block, basis in res.cert])
+        res.cert = [weighted_square_decomposition(block, basis) for block, basis in res.cert]
         check = verify_module_membership(f, generators[1:], d, res.cert)
         if not check:
             raise AssertionError(f"reconstructed certificate failed verification: {check.reason}")
@@ -200,7 +195,7 @@ class BisectResult:
 
     lo: Fraction | None
     hi: Fraction | None
-    cert: ModuleCert | None
+    cert: list[SosCert] | None
 
     @property
     def certified(self) -> bool:
@@ -221,7 +216,7 @@ def lower_bound_bisect(f: MPoly, gs, d: int, iterations: int = 12) -> BisectResu
     if iterations < 0:
         raise ValueError(f"iterations must be nonnegative, not {iterations}")
     gs = list(gs)
-    certs: dict[Fraction, ModuleCert | None] = {}
+    certs: dict[Fraction, list[SosCert] | None] = {}
 
     def feasible(lam: Fraction) -> bool:
         certs[lam] = module_cert_search(f - lam, gs, d).cert
@@ -251,13 +246,11 @@ def lower_bound_bisect(f: MPoly, gs, d: int, iterations: int = 12) -> BisectResu
 
 # --- module certificate JSON -----------------------------------------------
 
-def module_cert_to_json(cert: ModuleCert, target: MPoly, degree: int) -> dict:
-    return {"sigmas": [{"terms": terms_to_json(sigma.terms)} for sigma in cert.sigmas],
+def module_cert_to_json(sigmas: list[SosCert], target: MPoly, degree: int) -> dict:
+    return {"sigmas": [{"terms": terms_to_json(sigma.terms)} for sigma in sigmas],
             "target": poly_text(target), "degree": degree}
 
 
-def module_cert_from_json(doc: dict, nvars: int) -> ModuleCert:
-    return ModuleCert([
-        SosCert(terms_from_json(json_field(item, "terms", list), nvars))
-        for item in json_field(doc, "sigmas", list)
-    ])
+def module_cert_from_json(doc: dict, nvars: int) -> list[SosCert]:
+    return [SosCert(terms_from_json(json_field(item, "terms", list), nvars))
+            for item in json_field(doc, "sigmas", list)]

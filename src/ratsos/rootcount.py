@@ -32,8 +32,6 @@ class HermiteData:
     (i, j) equals ``traces[i + j]``.
     """
 
-    f: UPoly
-    g: UPoly
     matrix: SymMat
     traces: tuple
 
@@ -76,7 +74,7 @@ def hermite_form(f: UPoly, g: UPoly | None = None) -> HermiteData:
         for k in range(2 * d - 1)
     )
     upper = [traces[i + j] for i in range(d) for j in range(i, d)]
-    return HermiteData(f, g, SymMat(d, upper), traces)
+    return HermiteData(SymMat(d, upper), traces)
 
 
 def _checked_nonzero(f: UPoly) -> UPoly:

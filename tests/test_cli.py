@@ -29,6 +29,8 @@ def test_count_roots_golden():
 def test_count_with_signs():
     code, out = run(["count-with-signs", "--poly", "x^3 - x", "-g", "x"])
     assert code == 0 and out == "count=1"
+    # a constant has no roots to count
+    assert run(["count-with-signs", "--poly", "5", "-g", "x"]) == (0, "count=0")
 
 
 def test_decide_strict_exit_codes():
@@ -156,6 +158,12 @@ def test_sos_find_and_check(tmp_path):
     code, out = run(["sos", "check", "--cert", str(cert)])
     assert code == 0 and out == "valid"
     doc = json.loads(cert.read_text())
+    # the psd Gram matrix of another target
+    mismatched = tmp_path / "mismatched.json"
+    mismatched.write_text(json.dumps({**doc, "target": doc["target"] + " + 1"}))
+    assert run(["sos", "check", "--cert", str(mismatched)]) == (1, "invalid (gram-product-mismatch)")
+    code, out = run(["--json", "sos", "check", "--cert", str(mismatched)])
+    assert code == 1 and json.loads(out) == {"exit": 1, "reason": "gram-product-mismatch", "valid": False}
     doc["gram"][0][0] = "1"  # corrupt
     cert.write_text(json.dumps(doc))
     code, out = run(["sos", "check", "--cert", str(cert)])
@@ -382,11 +390,18 @@ def test_lasserre_bound_and_check(tmp_path):
     assert code == 0
     assert "certified=true" in out
     lo = out.split()[0].split("=")[1]
-    code, out = run(
-        ["lasserre", "check", "--poly", f"x - {lo}" if not lo.startswith("-") else f"x + {lo[1:]}",
-         "-g", "x", "-g", "1 - x", "-d", "2", "--cert", str(cert)]
-    )
+    check = ["lasserre", "check", "--poly", f"x - {lo}" if not lo.startswith("-") else f"x + {lo[1:]}",
+             "-g", "x", "-g", "1 - x", "-d", "2", "--cert", str(cert)]
+    code, out = run(check)
     assert code == 0 and out == "valid"
+    # the same certificate with one weight negated
+    doc = json.loads(cert.read_text())
+    term = next(t for sigma in doc["sigmas"] for t in sigma["terms"])
+    term["weight"] = f"-{term['weight']}"
+    cert.write_text(json.dumps(doc))
+    assert run(check) == (1, "invalid (negative-weight)")
+    code, out = run(["--json"] + check)
+    assert code == 1 and json.loads(out) == {"exit": 1, "reason": "negative-weight", "valid": False}
 
 
 def test_lasserre_bound_cubic_on_interval(tmp_path):
@@ -467,6 +482,10 @@ def test_input_errors_exit_2():
      "--nvars -1 is negative"),
     (["newton", "--poly", "x^2 + " + "1" * 5000], "number longer than 600 digits (at position 6)"),
     (["cassels", "--weights", "1/0", "--fs", "x", "--g", "x"], "zero denominator in rational literal '1/0'"),
+    (["lasserre", "build", "-n", "1", "-d", "0", "-g", "x"], "relaxation degree must be at least 1"),
+    (["lasserre", "bound", "--poly", "x^3", "-g", "x", "-d", "2"], "target degree exceeds the relaxation degree"),
+    (["sos", "find", "--poly", "0"], "the zero polynomial needs no certificate"),
+    (["cassels", "--weights", "1", "--fs", "x,x", "--g", "1"], "weights and polynomials differ in length"),
 ])
 def test_polynomial_and_literal_errors_exit_2(argv, message):
     assert run(argv) == (2, f"error: {message}")

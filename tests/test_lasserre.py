@@ -8,7 +8,6 @@ import pytest
 
 from ratsos import lasserre, numeric, sos
 from ratsos.lasserre import (
-    ModuleCert,
     blocks_at_point,
     build_relaxation,
     emit_sdpa,
@@ -191,10 +190,9 @@ def test_verify_module_membership_generator():
         SosCert(((Fraction(1), MPoly.constant(2, 1)),)),
         SosCert(()),
     ]
-    cert = ModuleCert(sigmas)
-    assert verify_module_membership(G1, [G1, G2], 4, cert)
+    assert verify_module_membership(G1, [G1, G2], 4, sigmas)
     # same certificate fails against the wrong target
-    assert not verify_module_membership(G2, [G1, G2], 4, cert)
+    assert not verify_module_membership(G2, [G1, G2], 4, sigmas)
 
 
 def test_verify_module_membership_degree_cap():
@@ -205,7 +203,7 @@ def test_verify_module_membership_degree_cap():
         SosCert(((Fraction(1), parse_poly("x", 2)),)),
     ]
     target = parse_poly("x", 2) ** 2 * G2
-    verdict = verify_module_membership(target, [G1, G2], 4, ModuleCert(sigmas))
+    verdict = verify_module_membership(target, [G1, G2], 4, sigmas)
     assert not verdict and verdict.reason == "degree-cap"
 
 
@@ -402,7 +400,7 @@ def test_face_chain_drops_x2_then_x():
     res = module_cert_search(MPoly.constant(1, 1), [], 4)
     assert res.status == "found" and res.detail == "unique Gram matrix"
     assert res.dropped == {0: [(2,), (1,)]}
-    assert [p for _, p in res.cert.sigmas[0].terms] == [MPoly.constant(1, 1)]
+    assert [p for _, p in res.cert[0].terms] == [MPoly.constant(1, 1)]
 
 
 def test_face_empties_a_block():
@@ -410,7 +408,7 @@ def test_face_empties_a_block():
     res = module_cert_search(MPoly.constant(1, 1), [parse_poly("x^3", 1)], 3)
     assert res.status == "found"
     assert res.dropped == {0: [(1,)], 1: [(0,)]}
-    assert res.cert.sigmas[1].terms == ()
+    assert res.cert[1].terms == ()
     # the same next to a block with free entries, so the numeric phase runs
     f, gs = parse_poly("x^4 + y^4 + 1", 2), [parse_poly("x^5", 2)]
     res = module_cert_search(f, gs, 5)
