@@ -1,6 +1,6 @@
 """Exact rational matrices with fraction-free elimination kernels.
 
-All row elimination runs through one integer step, ``_pivot``: the
+Row elimination runs through one integer step, ``_pivot``: the
 fraction-free Gauss-Jordan update of Bareiss (1968), which keeps every entry
 an integer minor of the input so each division by the previous pivot is
 exact.  ``_echelon`` applies it at every pivot of denominator-cleared rows
@@ -8,9 +8,9 @@ and returns the reduced echelon form, whose pivot entries all equal the last
 pivot.  Determinants (that last pivot), span checks (its pivot columns), and
 linear solutions and nullspaces (one integer entry over the last pivot each,
 read out by ``_reduced``) need no back-substitution.  ``conic`` reads its
-tableau off ``_reduced`` and pivots it with the same step, and
-``quadforms.diagonalize`` runs its congruence on it, over rows cleared by
-``_integer_rows`` and columns divided by their gcds.
+tableau off ``_reduced`` and pivots it with the same step.  The congruence,
+``quadforms.diagonalize``, has its own symmetric step on the upper triangle,
+over rows and columns scaled by the multipliers ``_integer_rows`` returns.
 Characteristic polynomials, det(M + X*I), of symmetric matrices use
 Berkowitz's division-free algorithm on a denominator-cleared integer copy,
 over the column powers alone; a non-symmetric matrix is an error.

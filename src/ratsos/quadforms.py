@@ -3,11 +3,12 @@
 A quadratic form is a :class:`SymMat`, a symmetric :class:`arith.Mat` built
 from its upper triangle or validated from full rows.  Congruence
 diagonalization M = P^T diag(D) P by square completion with a hyperbolic
-split on zero diagonals, both run as the fraction-free pivot step
-``arith._pivot`` on denominator-cleared integer rows, each column divided by
-its gcd (on a Hankel trace form this strips the powers of the denominator
-lcm that clearing puts in), with the rows of P built from the kept pivot
-rows only when they are read; rank and signature (with
+split on zero diagonals, both run as one symmetric fraction-free step
+(``_symmetric_step``) on the upper triangle of an integer matrix, row and
+column k of M scaled by the same denominator lcm and the whole divided by
+the gcd of its entries (on a Hankel trace form this strips the powers of
+the denominator lcm that clearing puts in), with the rows of P built from
+the kept pivot rows only when they are read; rank and signature (with
 an independent second method: Descartes' rule on det(M + X*I)), psd tests,
 and weighted-square certificates extracted from a diagonalization.  Both
 certificate expansions, w * p^2 summed over the squares and v^T M v, are
@@ -23,7 +24,7 @@ from itertools import combinations
 from math import gcd, lcm
 from operator import add
 
-from .arith import Mat, _integer_rows, _pivot, charpoly, det, rat
+from .arith import Mat, _integer_rows, charpoly, det, rat
 from .poly import MPoly, _from_integers, _integer_terms, sign_changes
 
 
@@ -91,61 +92,104 @@ def diagonalize(m: SymMat) -> DiagCongruence:
     Pivots on the first nonzero diagonal entry (completing the square); when
     every active diagonal entry is zero, the first nonzero off-diagonal pair
     (i, j) is handled by the hyperbolic split
-    h1*h2 = ((h1+h2)/2)^2 - ((h1-h2)/2)^2, run as the two pivots (i, j) and
-    (j, i) of one 2x2 block (Bunch-Kaufman 1977).
+    h1*h2 = ((h1+h2)/2)^2 - ((h1-h2)/2)^2, run as one symmetric step on the
+    2x2 block (Bunch-Kaufman 1977).
 
-    Row k of M is scaled to integers by s_k, column l of the result is
-    divided by its gcd c_l (1 for a zero column), and the active block is
-    eliminated by ``arith._pivot``.  By Sylvester's identity its entry (k, l)
-    is prev * s_k * X_kl / c_l, X the current Schur complement and prev the
-    last pivot, so a pivot is d_k = a_kk * c_k / (prev * s_k) and a row of P
-    is a_rj * c_j / (a_rc * c_c).  Positive scalings keep the zero pattern
-    of every Schur complement, so the pivots, P and D are those of the
-    row-scaled elimination, each minor smaller by the c_l of its columns.
-    Pivot rows and columns are dropped after each step.  Each step keeps
-    its pivot rows, which no later step changes, for the rows of P
-    (:func:`_p_rows`).
+    Row and column k of M are scaled by the same s_k, the lcm of row k's
+    denominators, and the integer matrix is divided by the gcd g of its
+    entries, so it stays symmetric and only its upper triangle is kept and
+    eliminated (:func:`_symmetric_step`).  By Sylvester's identity its
+    active entry (k, l) is prev * s_k * s_l * X_kl / g, X the current Schur
+    complement and prev the last fraction-free pivot, so a pivot is
+    d_k = a_kk * g / (prev * s_k^2), a split gives the pair
+    +-a_ij * g / (2 * prev * s_i * s_j), and a row of P is
+    a_rj * s_c / (a_rc * s_j).  Positive scalings keep the zero pattern of
+    every Schur complement, so the pivots, P and D are those of the
+    row-scaled elimination.  Each step keeps its full pivot rows, which no
+    later step changes, for the rows of P (:func:`_p_rows`).
     """
     n = m.dim
-    a, scales = _integer_rows(m.rows)
-    cols = [gcd(*col) or 1 for col in zip(*a)]
-    a = [[x // c for x, c in zip(row, cols)] for row in a]
+    rows, scales = _integer_rows(m.rows)
+    tri = [[x * s for x, s in zip(row[i:], scales[i:])] for i, row in enumerate(rows)]
+    g = gcd(*[gcd(*row) for row in tri]) or 1
+    if g > 1:
+        tri = [[x // g for x in row] for row in tri]
     active = list(range(n))
     prev = 1
     steps = []  # (active, [(pivot row, its column)]) per step
     d: list[Fraction] = []
     while active:
-        k = next((k for k in range(len(active)) if a[k][k]), None)
+        k = next((k for k, row in enumerate(tri) if row[0]), None)
         if k is not None:
-            steps.append((active[:], [(a[k], k)]))
-            d.append(Fraction(a[k][k] * cols[active[k]], prev * scales[active[k]]))
-            _pivot(a, k, k, prev)
-            prev, drop = a[k][k], (k,)
+            i = j = k
+            s = scales[active[k]]
+            d.append(Fraction(tri[k][0] * g, prev * s * s))
         else:
-            pair = next(((i, j) for i, j in combinations(range(len(active)), 2) if a[i][j]), None)
+            pair = next(((i, i + c) for i, row in enumerate(tri) for c, x in enumerate(row) if x), None)
             if pair is None:
                 # remaining form is identically zero
                 steps.append((active[:], []))
                 d += [Fraction(0)] * len(active)
                 break
             i, j = pair
-            steps.append((active[:], [(a[j], i), (a[i], j)]))
-            half = Fraction(a[i][j] * cols[active[j]], 2 * prev * scales[active[i]])
+            half = Fraction(tri[i][j - i] * g, 2 * prev * scales[active[i]] * scales[active[j]])
             d += [half, -half]
-            _pivot(a, i, j, prev)
-            _pivot(a, j, i, a[i][j])
-            prev, drop = a[j][i], (j, i)
-        for r in drop:  # highest index first
-            del a[r], active[r]
-            for row in a:
-                del row[r]
-    return DiagCongruence(lambda: _p_rows(n, cols, steps), d)
+        prev, pivot_rows = _symmetric_step(tri, i, j, prev)
+        steps.append((active[:], pivot_rows))
+        del active[j]
+        if i != j:
+            del active[i]
+    return DiagCongruence(lambda: _p_rows(n, scales, steps), d)
 
 
-def _p_rows(n: int, cols, steps) -> list[list[Fraction]]:
-    """The rows of P from the steps of :func:`diagonalize`.  A pivot row of
-    the active block over its entry in column c, each entry times its
-    column's scale, is a linear form; a square completion gives one, a
+def _symmetric_step(tri, i: int, j: int, prev: int):
+    """One fraction-free congruence step on the upper triangle ``tri`` of a
+    symmetric integer matrix (row r holds the entries (r, s), s >= r), in
+    place: rows and columns i and j leave, and every kept entry (r, s), r <= s,
+    becomes a minor of the input again (Bareiss 1968, Sylvester's identity).
+
+    For i == j it completes the square on p = a_ii:
+    a_rs <- (p * a_rs - a_ri * a_is) // prev, and p is the next prev.  For
+    i < j, with a_ii = a_jj = 0 and b = a_ij, it eliminates the 2x2 block:
+    a_rs <- b * (a_ri * a_js + a_rj * a_is - b * a_rs) // prev^2, and the
+    next prev is -b^2 / prev, the determinant of the block's leading minor.
+    Returns the next prev and the full pivot rows, each with the column of
+    its pivot entry, as :func:`_p_rows` reads them: [(row i, i)] for a square
+    completion, [(row j, i), (row i, j)] for a split.  Taking the pivot rows
+    out in place keeps the order of the other indices, so every later pivot
+    is the one the row-scaled elimination chooses.
+    """
+    if i == j:
+        row_i = _take(tri, i)
+        p = row_i[i]
+        u = row_i[:i] + row_i[i + 1 :]
+        for r, row in enumerate(tri):
+            f = u[r]
+            tri[r] = [(p * x - f * y) // prev for x, y in zip(row, u[r:])]
+        return p, [(row_i, i)]
+    row_j = _take(tri, j)
+    row_i = _take(tri, i)  # without column j, which holds b
+    b = row_j[i]
+    u = row_i[:i] + row_i[i + 1 :]
+    v = row_j[:i] + row_j[i + 1 : j] + row_j[j + 1 :]
+    pp = prev * prev
+    for r, row in enumerate(tri):
+        fu, fv = u[r], v[r]
+        tri[r] = [b * (fu * y + fv * x - b * a) // pp for a, x, y in zip(row, u[r:], v[r:])]
+    row_i.insert(j, b)
+    return -(b * b) // prev, [(row_j, i), (row_i, j)]
+
+
+def _take(tri, k: int) -> list[int]:
+    """Remove row and column k from the upper triangle ``tri``, in place, and
+    return the full row k."""
+    return [r.pop(k - s) for s, r in enumerate(tri[:k])] + tri.pop(k)
+
+
+def _p_rows(n: int, scales, steps) -> list[list[Fraction]]:
+    """The rows of P from the steps of :func:`diagonalize`.  A full pivot
+    row of the active block over its entry in column c, entry k times
+    s_c / s_k, is a linear form; a square completion gives one, a
     hyperbolic split the sum and the difference of its two, and an
     identically zero remainder the unit forms of its indices."""
     rows = []
@@ -153,9 +197,9 @@ def _p_rows(n: int, cols, steps) -> list[list[Fraction]]:
         forms = []
         for row, c in pivots:
             form = [Fraction(0)] * n
-            den = row[c] * cols[active[c]]
+            num, den = scales[active[c]], row[c]
             for k, x in zip(active, row):
-                form[k] = Fraction(x * cols[k], den)
+                form[k] = Fraction(x * num, den * scales[k])
             forms.append(form)
         if not forms:
             rows += [[Fraction(int(i == k)) for i in range(n)] for k in active]

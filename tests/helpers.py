@@ -134,10 +134,11 @@ def gram_product_fold(m, monomials, nvars: int) -> MPoly:
 
 
 def diagonalize_row_scaled(m) -> DiagCongruence:
-    """The congruence of :func:`ratsos.quadforms.diagonalize` run on the
-    denominator-cleared rows alone, each column keeping its common factor:
-    the reference the column-reduced elimination is checked against.  Entry
-    (k, l) of the active block is prev * s_k times the Schur complement."""
+    """The congruence of :func:`ratsos.quadforms.diagonalize` run as
+    ``arith._pivot`` steps on the full denominator-cleared rows, each column
+    keeping its common factor: the reference the symmetric step on the
+    upper triangle is checked against.  Entry (k, l) of the active block is
+    prev * s_k times the Schur complement."""
     n = m.dim
     a, scales = _integer_rows(m.rows)
     active = list(range(n))

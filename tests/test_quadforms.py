@@ -134,13 +134,13 @@ def test_diagonalize_fuzz(rows):
     assert (pos - neg, pos + neg) == (signature_via_descartes(m), m.dim - zero_mult)
 
 
-def _reference_cases(rng):
-    """Symmetric matrices with row and column denominators 1-9: plain,
-    zero-diagonal (every first step a hyperbolic split), with a zero column,
-    and of low rank."""
+def _reference_cases(rng, den_choices=(1, 2, 3, 4, 6, 9)):
+    """Symmetric matrices with row and column denominators drawn from
+    den_choices: plain, zero-diagonal (every first step a hyperbolic split),
+    with a zero column, and of low rank."""
     for kind in ("plain", "zero-diagonal", "zero-column", "low-rank") * 60:
         n = rng.randint(1, 8)
-        dens = [rng.choice([1, 2, 3, 4, 6, 9]) for _ in range(n)]
+        dens = [rng.choice(den_choices) for _ in range(n)]
         rows = [[Fraction(0)] * n for _ in range(n)]
         if kind == "low-rank":
             for _ in range(rng.randint(0, n - 1)):
@@ -159,10 +159,75 @@ def _reference_cases(rng):
         yield SymMat.from_rows(rows)
 
 
-def test_diagonalize_matches_the_row_scaled_reference():
-    """Dividing each cleared column by its gcd leaves P and D as they were:
-    on random matrices, the hyperbolic examples, and the Hankel trace forms
-    of rational-root polynomials of degree 1-24, repeated roots included."""
+#: Matrices for each branch of the symmetric congruence step, checked to
+#: reach it by test_diagonalize_matches_the_row_scaled_reference.
+BRANCH_CASES = {
+    "a zero leading diagonal entry before a nonzero one": [
+        [[0, 1, 0], [1, 2, 1], [0, 1, 3]],
+        [[0, 0, "1/3", 1], [0, 0, "1/2", 0], ["1/3", "1/2", "5/7", 1], [1, 0, 1, 2]],
+        [[0, "1/10", 0, 0], ["1/10", 0, "3/100", 0], [0, "3/100", "7/1000", 1], [0, 0, 1, 0]],
+    ],
+    "a hyperbolic split that leaves a non-empty remainder": [
+        HYPERBOLIC_EXAMPLE,
+        [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+        [[0, "2/7", "1/11", 3], ["2/7", 0, "5/13", 0], ["1/11", "5/13", 0, "1/3"], [3, 0, "1/3", 0]],
+    ],
+    "two hyperbolic splits in a row": [
+        [[0, "1/2", 1, 0], ["1/2", 0, 0, "1/3"], [1, 0, 0, "2/5"], [0, "1/3", "2/5", 0]],
+        [[0, 2, 0, 0], [2, 0, 0, 0], [0, 0, 0, 3], [0, 0, 3, 0]],
+        [[0, 1, 0, 0, 0, 0], [1, 0, 1, 0, 0, 0], [0, 1, 0, 1, 0, 0],
+         [0, 0, 1, 0, 1, 0], [0, 0, 0, 1, 0, 1], [0, 0, 0, 0, 1, 0]],
+    ],
+    "an identically zero remainder": [
+        [[0, 0], [0, 0]],
+        [[2, 1, 0], [1, "1/2", 0], [0, 0, 0]],
+        [[0, "1/7", 0], ["1/7", 0, 0], [0, 0, 0]],
+        [["1/3", "1/3", "1/3"], ["1/3", "1/3", "1/3"], ["1/3", "1/3", "1/3"]],
+    ],
+}
+
+
+def _branches(m, calls) -> set[str]:
+    """The branches of BRANCH_CASES that one diagonalization reached, from
+    the (i, j, active size) of each call of the symmetric step."""
+    reached, eliminated = set(), 0
+    for k, (i, j, size) in enumerate(calls):
+        if i == j and i > 0:
+            reached.add("a zero leading diagonal entry before a nonzero one")
+        if i < j and size > 2:
+            reached.add("a hyperbolic split that leaves a non-empty remainder")
+        if i < j and k and calls[k - 1][0] < calls[k - 1][1]:
+            reached.add("two hyperbolic splits in a row")
+        eliminated += 1 if i == j else 2
+    if eliminated < m.dim:
+        reached.add("an identically zero remainder")
+    return reached
+
+
+def _rank_deficient_hermite_forms(rng):
+    """Hermite forms of degree 2-24 with a double rational root and, from
+    degree 5, a complex pair, repeated from degree 7, so the rank is below
+    the degree."""
+    for deg in range(2, 25):
+        roots = [Fraction(rng.randint(-12, 12), rng.choice([1, 2, 3, 5, 10])) for _ in range(deg // 4 + 1)]
+        f = upoly_from_roots([roots[0], *roots])
+        quad = UPoly([Fraction(rng.randint(2, 9), rng.choice([1, 2])), Fraction(rng.randint(-1, 1)), Fraction(1)])
+        while f.degree() + 2 <= deg:
+            f = f * quad
+        while f.degree() < deg:
+            f = f * upoly_from_roots([rng.choice(roots)])
+        m = hermite_form(f).matrix
+        assert m.dim == deg and rank(m) < deg
+        yield m
+
+
+def test_diagonalize_matches_the_row_scaled_reference(monkeypatch):
+    """The symmetric step on the upper triangle leaves P and D as the
+    row-scaled elimination has them: on random matrices with mixed, power of
+    10 and coprime denominators, the hyperbolic examples, a case set for
+    each branch of the step (each checked to reach it), and the Hankel trace
+    forms of rational-root polynomials of degree 1-24, repeated roots
+    included, and of rank-deficient ones with a repeated complex pair."""
     rng = random.Random(89)
     mats = [SymMat.from_rows(rows) for rows in ([], [[0, 0], [0, 0]], HYPERBOLIC_EXAMPLE,
                                                 [[0, "1/6", 0], ["1/6", 0, "1/4"], [0, "1/4", 0]])]
@@ -171,18 +236,35 @@ def test_diagonalize_matches_the_row_scaled_reference():
         roots = [Fraction(rng.randint(-12, 12), rng.choice([1, 2, 3, 5])) for _ in range(deg)]
         roots[-1] = roots[0]
         mats.append(hermite_form(upoly_from_roots(roots)).matrix)
-    for m in mats:
+    mats += _reference_cases(rng, (1, 10, 100, 1000))
+    mats += _reference_cases(rng, (1, 7, 11, 13, 17))
+    mats += _rank_deficient_hermite_forms(rng)
+    calls = []
+    step = quadforms._symmetric_step
+    monkeypatch.setattr(quadforms, "_symmetric_step",
+                        lambda tri, i, j, prev: calls.append((i, j, len(tri))) or step(tri, i, j, prev))
+
+    def check(m):
+        calls.clear()
         cong, ref = diagonalize(m), diagonalize_row_scaled(m)
         assert cong.p == ref.p and cong.d == ref.d
         assert reassemble(cong) == m
+        return _branches(m, calls)
+
+    for m in mats:
+        check(m)
+    for branch, cases in BRANCH_CASES.items():
+        for rows in cases:
+            assert branch in check(SymMat.from_rows(rows)), (branch, rows)
 
 
 def test_congruence_integers_no_longer_than_on_the_integer_hankel_matrix(monkeypatch):
     """The Hankel trace form H of a degree-16 f with the roots 1/2 and -1/3 is
     congruent to the integer Hankel matrix T_(i+j) = L^(i+j) tr(C_f^(i+j)),
-    L the lcm of the denominators of f, by diag(L^i).  Row i of H clears to
-    T_(i+j) L^(d-1-j); the column gcds strip those powers of L, so
-    ``_pivot`` meets no integer longer than it does on T."""
+    L the lcm of the denominators of f, by diag(L^i).  Row and column i of H
+    clear by the same L^(d-1+i), so H clears to L^(2d-2) T, and the one gcd
+    strips those powers of L: the symmetric step meets no integer longer
+    than it does on T, neither on its input triangle nor on its output."""
     f = upoly_from_roots([Fraction(1, 2), Fraction(-1, 3), *range(-7, 0), *range(1, 8)])
     scale, d = lcm(*(c.denominator for c in f.coeffs)), f.degree()
     data = hermite_form(f)
@@ -190,17 +272,23 @@ def test_congruence_integers_no_longer_than_on_the_integer_hankel_matrix(monkeyp
     assert all(t.denominator == 1 for t in traces)
     integer_hankel = SymMat(d, [traces[i + j] for i in range(d) for j in range(i, d)])
     seen = []
-    pivot = quadforms._pivot
+    step = quadforms._symmetric_step
 
-    def recording(rows, r, c, prev):
-        seen.append(max(abs(x).bit_length() for row in rows for x in row))
-        pivot(rows, r, c, prev)
+    def bits(tri):
+        return max((abs(x).bit_length() for row in tri for x in row), default=0)
 
-    monkeypatch.setattr(quadforms, "_pivot", recording)
+    def recording(tri, i, j, prev):
+        seen.append(bits(tri))
+        out = step(tri, i, j, prev)
+        seen.append(max(bits(tri), abs(out[0]).bit_length()))
+        return out
+
+    monkeypatch.setattr(quadforms, "_symmetric_step", recording)
 
     def longest(m):
         seen.clear()
         assert signature(m) == d
+        assert len(seen) == 2 * d
         return max(seen)
 
     assert longest(data.matrix) <= longest(integer_hankel)
