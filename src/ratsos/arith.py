@@ -34,7 +34,8 @@ def rat(value) -> Fraction:
     """Coerce an int, Fraction or text into a rational.  Text is an optional
     sign and a polynomial coefficient ``nat ('/' nat)?``, blanks stripped;
     its value is built from the matched digit runs, with the errors of
-    ``Fraction(text)``; a zero denominator's ZeroDivisionError names the text."""
+    ``Fraction(text)`` (an integer as ``Fraction(n)``, which needs no gcd);
+    a zero denominator's ZeroDivisionError names the text."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
@@ -48,9 +49,12 @@ def rat(value) -> Fraction:
     num, den = m.groups()
     if max(len(num), len(den or "")) > MAX_DIGITS:
         raise ValueError(f"rational literal with a number longer than {MAX_DIGITS} digits")
-    if den is not None and not int(den):
+    num = -int(num) if s.startswith("-") else int(num)
+    if den is None:
+        return Fraction(num)
+    if not (den := int(den)):
         raise ZeroDivisionError(f"zero denominator in rational literal {s!r}")
-    return Fraction(-int(num) if s.startswith("-") else int(num), int(den or 1))
+    return Fraction(num, den)
 
 
 class Mat:

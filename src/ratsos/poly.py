@@ -414,10 +414,11 @@ def parse_poly(text: str, nvars: int | None = None) -> MPoly:
             for k in (1, 2):
                 if len(coef.group(k) or "") > MAX_DIGITS:
                     raise PolyParseError(f"number longer than {MAX_DIGITS} digits", coef.start(k))
-            if den is not None and int(den) == 0:
+            if den is not None and not (den := int(den)):
                 raise PolyParseError("zero denominator", coef.start(2))
             pos = coef.end()
-        coeff = Fraction(-int(num) if sign.group(1) == "-" else int(num), int(den or 1))
+        num = -int(num) if sign.group(1) == "-" else int(num)
+        coeff = Fraction(num) if den is None else Fraction(num, den)
         exps = [0] * nvars
         while (factor := _FACTOR.match(text, pos)).group(2):
             var, digits, power = factor.group(2, 3, 4)

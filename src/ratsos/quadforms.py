@@ -9,11 +9,13 @@ column k of M scaled by the same denominator lcm and the whole divided by
 the gcd of its entries (on a Hankel trace form this strips the powers of
 the denominator lcm that clearing puts in), with the rows of P built from
 the kept pivot rows only when they are read; rank and signature (with
-an independent second method: Descartes' rule on det(M + X*I)), psd tests,
-and weighted-square certificates extracted from a diagonalization.  Both
-certificate expansions, w * p^2 summed over the squares and v^T M v, are
-one fraction-free accumulation over the upper triangle of each form
-(``_add_form_row``), with one ``Fraction`` per term of the result.
+an independent second method: Descartes' rule on det(M + X*I)), psd tests
+(``is_psd`` rejects a negative diagonal entry, or a zero one in a nonzero
+row, before it runs Berkowitz), and weighted-square certificates extracted
+from a diagonalization.  Both certificate expansions, w * p^2 summed over
+the squares and v^T M v, are one fraction-free accumulation over the upper
+triangle of each form (``_add_form_row``), with one ``Fraction`` per term
+of the result.
 """
 
 from __future__ import annotations
@@ -241,7 +243,17 @@ def signature_via_descartes(m: SymMat) -> int:
 
 
 def is_psd(m: SymMat) -> bool:
-    """Positive semidefiniteness: all coefficients of det(M + X*I) nonnegative."""
+    """Positive semidefiniteness: all coefficients of det(M + X*I) nonnegative.
+
+    The diagonal is read first: a negative entry, or a zero entry in a row
+    that is not zero, rules out psd (e_i^T M e_i = 0 for a psd M forces
+    M e_i = 0; Horn-Johnson, Obs. 7.1.2), and every other matrix goes to
+    the Berkowitz characteristic polynomial.
+    """
+    for i, row in enumerate(m.rows):
+        x = row[i]
+        if x < 0 or (not x and any(row)):
+            return False
     return all(c >= 0 for c in charpoly(m).coeffs)
 
 

@@ -10,6 +10,13 @@ from ratsos.poly import MPoly, UPoly
 from ratsos.quadforms import DiagCongruence, SymMat, rank
 
 
+#: rational literals that arith.rat and poly.parse_poly both read: signs,
+#: blanks, leading zeros, decimal digits int() reads outside ASCII, 9- and
+#: 10-digit runs, and 600-digit runs
+LITERALS = ["+7", "-7", "  -12/34 ", "\t+0012/0034\n", "007", "-0", "0/5", "٣/٤", "١٢", "٠٠٧",
+            "123456789", "1234567890", "-000000001/0000000002", "9" * 600, "-1/" + "9" * 600]
+
+
 def rand_frac(rng, lo=-6, hi=6, max_den=4) -> Fraction:
     return Fraction(rng.randint(lo, hi), rng.randint(1, max_den))
 

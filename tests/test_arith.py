@@ -17,7 +17,7 @@ from ratsos.arith import (
 )
 from ratsos.poly import UPoly
 
-from helpers import gram_rank, identity_rows, matvec, planted_rows, rand_frac
+from helpers import LITERALS, gram_rank, identity_rows, matvec, planted_rows, rand_frac
 
 
 def cofactor_det(rows):
@@ -79,6 +79,38 @@ def test_rat_matches_fraction_on_random_literals():
             assert str(got.value) == str(expected.value)
     with pytest.raises(ValueError, match="decimal point"):
         rat("1.5")  # which Fraction reads
+
+
+#: (text, exception type, message) of every rat error on the same edges
+RAT_ERRORS = [
+    ("9" * 601, ValueError, "rational literal with a number longer than 600 digits"),
+    ("1/" + "9" * 601, ValueError, "rational literal with a number longer than 600 digits"),
+    ("1/0", ZeroDivisionError, "zero denominator in rational literal '1/0'"),
+    (" -3/000 ", ZeroDivisionError, "zero denominator in rational literal '-3/000'"),
+    ("3/", ValueError, "Invalid literal for Fraction: '3/'"),
+    ("x^", ValueError, "Invalid literal for Fraction: 'x^'"),
+    ("x65", ValueError, "Invalid literal for Fraction: 'x65'"),
+    ("x^65", ValueError, "Invalid literal for Fraction: 'x^65'"),
+    ("- 3", ValueError, "Invalid literal for Fraction: '- 3'"),
+    ("  ", ValueError, "Invalid literal for Fraction: ''"),
+    ("1/-2", ValueError, "Invalid literal for Fraction: '1/-2'"),
+    ("1.5", ValueError, "decimal point forbidden in rational literal '1.5'"),
+]
+
+
+def test_rat_literal_values_and_errors():
+    """An integer is built as Fraction(n) and a quotient as Fraction(n, d):
+    either way the value is Fraction(text), of type Fraction, and each error
+    keeps its type and text."""
+    for text in LITERALS:
+        value = rat(text)
+        assert type(value) is Fraction and value == Fraction(text), text
+    for n in (0, -3, 10**40):
+        assert type(rat(n)) is Fraction and rat(n) == n
+    for text, kind, message in RAT_ERRORS:
+        with pytest.raises(kind) as err:
+            rat(text)
+        assert type(err.value) is kind and str(err.value) == message
 
 
 def test_det_identity_and_permutation():

@@ -21,7 +21,7 @@ from ratsos.poly import (
     sign_changes,
 )
 
-from helpers import rand_frac, rand_mpoly, rand_upoly, upoly_from_roots, upoly_mul_fold
+from helpers import LITERALS, rand_frac, rand_mpoly, rand_upoly, upoly_from_roots, upoly_mul_fold
 
 
 def test_parse_motzkin():
@@ -128,6 +128,56 @@ def test_digit_runs_up_to_the_limit_are_read():
     assert parse_poly(f"{run}*x").coeff((1,)) == 10**MAX_DIGITS - 1
     zeros = "0" * 5000  # an index or exponent is read by its value
     assert parse_poly(f"x{zeros}2^{zeros}3") == parse_poly("y^3")
+
+
+def test_parse_literal_values():
+    """A coefficient is Fraction(text) of its literal, stored as a Fraction,
+    alone and before a factor; index and exponent runs read the same with
+    leading zeros and in any decimal digit."""
+    for text in LITERALS:
+        for poly, alpha in ((text, (0,)), (text.strip() + "*x", (1,))):
+            f = parse_poly(poly, 1)
+            assert f.coeff(alpha) == Fraction(text) and all(type(c) is Fraction for c in f.terms.values())
+    for text in ["x000000003", "x0000000003", "x٣", "x٠٠٠٠٠٠٠٠٠٣"]:
+        assert parse_poly(text) == parse_poly("z")
+    for text in ["x^000000064", "x^0000000064", "x^٦٤", "x^٠٠٠٠٠٠٠٠٠٦٤"]:
+        assert parse_poly(text) == MPoly.monomial((64,))
+
+
+#: (text, message, position) of parser errors on literal edges, and on index
+#: and exponent runs over the cap, with and without leading zeros
+LITERAL_ERRORS = [
+    ("9" * 601, "number longer than 600 digits", 0),
+    ("1/" + "9" * 601, "number longer than 600 digits", 2),
+    ("1/0", "zero denominator", 2),
+    ("3/", "expected a number", 2),
+    ("x^", "expected a number", 2),
+    ("1/-2", "expected a number", 2),
+    ("x65", "variable x65 exceeds the cap 64", 0),
+    ("x٦٥", "variable x٦٥ exceeds the cap 64", 0),
+    ("x000000065", "variable x65 exceeds the cap 64", 0),
+    ("x0000000065", "variable x65 exceeds the cap 64", 0),
+    ("x999999999", "variable x999999999 exceeds the cap 64", 0),
+    ("x9999999999", "variable x9999999999 exceeds the cap 64", 0),
+    ("x^65", "exponent 65 exceeds the cap 64", 2),
+    ("x^٦٥", "exponent ٦٥ exceeds the cap 64", 2),
+    ("x^٠٦٥", "exponent ٠٦٥ exceeds the cap 64", 2),
+    ("x^000000065", "exponent 65 exceeds the cap 64", 2),
+    ("x^0000000065", "exponent 65 exceeds the cap 64", 2),
+    ("x^999999999", "exponent 999999999 exceeds the cap 64", 2),
+    ("x^9999999999", "exponent 9999999999 exceeds the cap 64", 2),
+    ("  ", "expected a term", 2),
+    ("1.5", "unexpected character '.'", 1),
+]
+
+
+@pytest.mark.parametrize("text,message,position", LITERAL_ERRORS)
+def test_parse_literal_errors(text, message, position):
+    for nvars in (None, 3):
+        with pytest.raises(PolyParseError) as err:
+            parse_poly(text, nvars)
+        assert str(err.value) == f"{message} (at position {position})"
+        assert err.value.position == position
 
 
 #: the grammar's alphabet, with blanks, a digit int() reads and one it does not

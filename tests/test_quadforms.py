@@ -408,6 +408,76 @@ def test_psd_agreement_at_benchmark_scale():
             assert is_psd(m) == is_psd_via_diagonal(m) == expected
 
 
+def _cleared(rows, a):
+    """rows with row and column a set to zero."""
+    return [[Fraction(0) if a in (i, j) else x for j, x in enumerate(row)] for i, row in enumerate(rows)]
+
+
+def _diagonal_kinds(rng):
+    """(kind, rows) on small symmetric rationals: a negative diagonal entry, a
+    zero one in a nonzero row (both not psd), a zero one in a zero row (psd
+    or not), and a singular Gram matrix with a positive diagonal (psd) with
+    its twin of test_psd_agreement_at_benchmark_scale at share 1/8 (not psd,
+    diagonal still positive)."""
+    for _ in range(12):
+        n = rng.randint(3, 6)
+        b = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)] for _ in range(rng.randint(1, n + 1))]
+        gram = [[sum(r[i] * r[j] for r in b) for j in range(n)] for i in range(n)]
+        a = rng.randrange(n)
+        rows = [row[:] for row in gram]
+        rows[a][a] = -Fraction(rng.randint(1, 9), rng.randint(1, 4))
+        yield "negative", rows
+        rows = _cleared(gram, a)
+        c = rng.choice([k for k in range(n) if k != a])
+        rows[a][c] = rows[c][a] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 3))
+        yield "zero-in-nonzero-row", rows
+        yield "zero-row", _cleared(gram, a)  # psd: a Gram matrix with row and column a cleared
+        other = rand_symmetric_rows(rng, n)
+        for r in range(n):
+            other[r][r] = abs(other[r][r]) + 1
+        yield "zero-row", _cleared(other, a)
+        # a Gram matrix of rank n - 2 with no zero column: it and its twin keep
+        # a positive diagonal, so only Berkowitz decides them
+        b = [[Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4)) for _ in range(n)] for _ in range(n - 2)]
+        gram = [[sum(r[i] * r[j] for r in b) for j in range(n)] for i in range(n)]
+        yield "gram", gram
+        p, q = rng.sample([k for k in range(n) if k != a], 2)
+        w = gram[a][a] / 8
+        twin = [row[:] for row in gram]
+        twin[a][a] -= 2 * w
+        twin[p][q] += w
+        twin[q][p] += w
+        yield "twin", twin
+
+
+def test_psd_diagonal_check_agrees_and_skips_berkowitz(monkeypatch):
+    """is_psd reads the diagonal before Berkowitz: on every kind, its verdict
+    agrees with the minors, the congruence diagonal and the Berkowitz test
+    alone, and det(M + X*I) is computed exactly when the diagonal does not
+    reject the matrix."""
+    calls = []
+    monkeypatch.setattr(quadforms, "charpoly", lambda m: calls.append(m) or charpoly(m))
+    verdicts = {}
+    for kind, rows in _diagonal_kinds(random.Random(89)):
+        m = SymMat.from_rows(rows)
+        calls.clear()
+        verdict = is_psd(m)
+        rejected = kind in ("negative", "zero-in-nonzero-row")
+        assert len(calls) == (0 if rejected else 1), kind
+        berkowitz = all(c >= 0 for c in charpoly(m).coeffs)
+        assert verdict == berkowitz == is_psd_via_minors(m) == is_psd_via_diagonal(m), (kind, rows)
+        if kind == "twin":
+            assert all(row[i] > 0 for i, row in enumerate(rows))
+        verdicts.setdefault(kind, set()).add(verdict)
+    assert verdicts == {
+        "negative": {False},
+        "zero-in-nonzero-row": {False},
+        "zero-row": {False, True},
+        "gram": {True},
+        "twin": {False},
+    }
+
+
 def test_rank_equals_dim_minus_zero_multiplicity():
     rng = random.Random(53)
     for _ in range(20):
