@@ -14,11 +14,13 @@ over rows and columns scaled by the multipliers ``_integer_rows`` returns.
 Characteristic polynomials, det(M + X*I), of symmetric matrices use
 Berkowitz's division-free algorithm on a denominator-cleared integer copy,
 over the column powers alone; a non-symmetric matrix is an error.
-Everything is exact.
+Everything is exact.  The package's immutable results are ``record``
+classes: namedtuples that equal only records of their own class.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm, prod
 from operator import mul
@@ -28,6 +30,23 @@ from .poly import _COEF, MAX_DIGITS, UPoly
 
 class DimensionError(ValueError):
     pass
+
+
+def record(name: str, fields: str) -> type:
+    """The namedtuple ``name`` of ``fields``, whose instances equal only
+    instances of the same class (never a bare tuple) and hash as tuples.
+    A subclass declares ``__slots__ = ()`` and adds its methods."""
+    class Record(namedtuple(name, fields)):
+        __slots__ = ()
+        __hash__ = tuple.__hash__
+
+        def __eq__(self, other):
+            return type(other) is type(self) and tuple.__eq__(self, other)
+
+        def __ne__(self, other):  # tuple's own != would compare the fields alone
+            return not self == other
+
+    return Record
 
 
 def rat(value) -> Fraction:

@@ -28,13 +28,11 @@ separating functional found for an earlier point is negative is outside.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from operator import mul
-from typing import NamedTuple
 
-from .arith import DimensionError, Mat, _dot, _pivot, _reduced, pivot_columns, rat
+from .arith import DimensionError, Mat, _dot, _pivot, _reduced, pivot_columns, rat, record
 from .poly import MPoly, _grlex_key
 
 
@@ -42,22 +40,18 @@ class SpanError(ValueError):
     pass
 
 
-@dataclass
-class ConicCombination:
+class ConicCombination(record("ConicCombination", "indices coefficients")):
     """Variant A: x = sum of coefficients[k] * E[indices[k]], a basis of the space."""
 
-    indices: list[int]
-    coefficients: list[Fraction]
+    __slots__ = ()
 
 
-@dataclass
-class SeparatingFunctional:
+class SeparatingFunctional(record("SeparatingFunctional", "functional kernel_indices")):
     """Variant B: functional >= 0 on E, < 0 on x; kernel_indices are a linearly
     independent subset of E inside its kernel: dim span(E) - 1 of them, or a
     basis of span(E) when x lies outside it."""
 
-    functional: list[Fraction]
-    kernel_indices: list[int]
+    __slots__ = ()
 
 
 ConicResult = ConicCombination | SeparatingFunctional
@@ -90,18 +84,13 @@ def _bland(rows, basis, ngen: int) -> int | None:
     raise RuntimeError("pivot loop failed to terminate")
 
 
-class _Tableau(NamedTuple):
+class _Tableau(record("_Tableau", "m u pivots span outside den")):
     """One elimination of E + targets + the unit vectors: generators are
     columns 0..m-1, targets m..u-1 and the unit vectors u on.  ``span`` holds
     the rows of span(E) (pivots[:len(span)], each den there) and ``outside``
     the rows beyond it, which vanish on E."""
 
-    m: int
-    u: int
-    pivots: list[int]
-    span: list[list[int]]
-    outside: list[list[int]]
-    den: int
+    __slots__ = ()
 
 
 def _tableau(e, targets) -> _Tableau:
@@ -266,26 +255,23 @@ def newton_halved_lattice(f: MPoly) -> list[tuple[int, ...]]:
     return sorted(kept, key=_grlex_key)
 
 
-@dataclass
-class LinearCertificate:
+class LinearCertificate(record("LinearCertificate", "coefficients")):
     """f = coefficients[0] * 1 + sum coefficients[i] * ls[i-1], all nonnegative."""
 
-    coefficients: list[Fraction]
+    __slots__ = ()
 
 
-@dataclass
-class LinearWitness:
+class LinearWitness(record("LinearWitness", "point")):
     """A rational point satisfying every constraint with f negative there."""
 
-    point: list[Fraction]
+    __slots__ = ()
 
 
-@dataclass
-class EmptyFeasibleSet:
+class EmptyFeasibleSet(record("EmptyFeasibleSet", "farkas")):
     """The constraint set is empty; farkas gives -1 as a nonnegative combination
     of 1 and the constraints."""
 
-    farkas: list[Fraction]
+    __slots__ = ()
 
 
 LinearNnsResult = LinearCertificate | LinearWitness | EmptyFeasibleSet

@@ -16,10 +16,9 @@ certificate is found.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import rat
+from .arith import rat, record
 from .poly import MPoly, _grlex_key, poly_text
 from .quadforms import SosCert, SymMat, weighted_square_decomposition
 from .sos import Search, VerifyResult, _blocks, _slots, incidence, json_field, search, terms_from_json, terms_to_json
@@ -35,18 +34,13 @@ def monomials_upto(nvars: int, degree: int) -> list[tuple[int, ...]]:
     return sorted(out, key=_grlex_key)
 
 
-@dataclass
-class LasserreRelaxation:
+class LasserreRelaxation(record("LasserreRelaxation", "nvars degree monomials generators bases")):
     """The degree-d relaxation over the generators the degree-d module keeps:
     block k is the localizing block of generators[k] (the moment block for
     the constant 1) over the monomials bases[k], its entries read off
-    :func:`ratsos.sos.incidence`."""
+    :func:`ratsos.sos.incidence`.  ``monomials`` starts with the constant one."""
 
-    nvars: int
-    degree: int
-    monomials: list[tuple[int, ...]]  # index 0 is the constant monomial
-    generators: list[MPoly]
-    bases: list[list[tuple[int, ...]]]
+    __slots__ = ()
 
     @property
     def num_moment_vars(self) -> int:
@@ -179,23 +173,20 @@ def module_cert_search(f: MPoly, gs, d: int) -> Search:
     generators, caps = _module(gs, d, f.nvars)
     res = search(f, [monomials_upto(f.nvars, r) for r in caps], generators)
     if res.status == "found":
-        res.cert = [weighted_square_decomposition(block, basis) for block, basis in res.cert]
+        res = res._replace(cert=[weighted_square_decomposition(block, basis) for block, basis in res.cert])
         check = verify_module_membership(f, generators[1:], d, res.cert)
         if not check:
             raise AssertionError(f"reconstructed certificate failed verification: {check.reason}")
     return res
 
 
-@dataclass
-class BisectResult:
+class BisectResult(record("BisectResult", "lo hi cert")):
     """The bisection's final bracket: lo is a certified level and hi the last
     level without a certificate, which proves nothing (the relaxation or the
-    numeric phase may have failed there).  Both are None when the doubling
-    walk never found a bracket."""
+    numeric phase may have failed there).  All three are None when the
+    doubling walk never found a bracket; else cert is lo's list of SosCerts."""
 
-    lo: Fraction | None
-    hi: Fraction | None
-    cert: list[SosCert] | None
+    __slots__ = ()
 
     @property
     def certified(self) -> bool:

@@ -20,13 +20,12 @@ of the result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 from operator import add
 
-from .arith import Mat, _integer_rows, charpoly, det, rat
+from .arith import Mat, _integer_rows, charpoly, det, rat, record
 from .poly import MPoly, _from_integers, _integer_terms, sign_changes
 
 
@@ -268,11 +267,10 @@ def is_psd_via_minors(m: SymMat) -> bool:
     return all(det(Mat([[m[i, j] for j in s] for i in s])) >= 0 for s in subsets)
 
 
-@dataclass(frozen=True)
-class SosCert:
-    """Weighted-square certificate: a list of (nonnegative weight, polynomial)."""
+class SosCert(record("SosCert", "terms")):
+    """Weighted-square certificate: a tuple of (nonnegative weight, polynomial)."""
 
-    terms: tuple
+    __slots__ = ()
 
     def weights_ok(self) -> bool:
         return all(w >= 0 for w, _ in self.terms)

@@ -14,26 +14,23 @@ univariate sign conditions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm
 
-from .arith import _integer_rows
+from .arith import _integer_rows, record
 from .poly import UPoly, sign_changes  # noqa: F401  (sign_changes is part of this API)
 from .quadforms import SymMat, inertia, signature
 
 
-@dataclass
-class HermiteData:
-    """Hankel trace form of a monic f with respect to g.
+class HermiteData(record("HermiteData", "matrix traces")):
+    """Hankel trace form of a monic f with respect to g: a ``SymMat`` and a tuple.
 
     ``traces[k]`` is tr(g(C_f) * C_f^k) for k = 0..2d-2 and the matrix entry
     (i, j) equals ``traces[i + j]``.
     """
 
-    matrix: SymMat
-    traces: tuple
+    __slots__ = ()
 
 
 def hermite_form(f: UPoly, g: UPoly | None = None) -> HermiteData:

@@ -22,16 +22,15 @@ from exact linear consequences and exact values of the target.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import prod
 from operator import add
 
-from .arith import _reduced, rat
+from .arith import _reduced, rat, record
 from .conic import newton_halved_lattice
 from .numeric import AffineFamily, alternating_projection, np
-from .poly import MPoly, UPoly, _integer_terms, parse_poly, poly_text
+from .poly import MPoly, UPoly, _integer_terms, infer_nvars, parse_poly, poly_text
 from .quadforms import SosCert, SymMat, gram_product, is_psd
 
 #: continued-fraction rounding bounds tried during rationalization
@@ -48,16 +47,13 @@ class GramInfeasibleError(ValueError):
     pass
 
 
-@dataclass
-class VerifyResult:
-    ok: bool
-    reason: str
+class VerifyResult(record("VerifyResult", "ok reason")):
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-@dataclass
 class GramFamily:
     """Affine set of coefficient-matching block tuples, in constraint form.
 
@@ -72,9 +68,11 @@ class GramFamily:
     unknowns: those its cut solves to 0.
     """
 
-    bases: list[list[tuple[int, ...]]]
-    particular: list[Fraction]
-    rows: dict[int, dict[int, Fraction]]
+    __slots__ = ("bases", "particular", "rows")
+
+    def __init__(self, bases: list[list[tuple[int, ...]]], particular: list[Fraction],
+                 rows: dict[int, dict[int, Fraction]]):
+        self.bases, self.particular, self.rows = bases, particular, rows
 
     @property
     def free(self) -> list[int]:
@@ -265,23 +263,23 @@ def _round(family: GramFamily, t):
     return None
 
 
-@dataclass
-class Search:
+class Search(record("Search", "status cert detail dropped points")):
     """Outcome of a Gram search: status found / infeasible / unknown.
 
     ``cert`` is None unless found.  :func:`search` leaves there one
     (gram, monomials) pair per generator, and :func:`find_gram` and
-    :func:`~ratsos.lasserre.module_cert_search` replace it by what their
-    verifier takes.  ``dropped`` maps a generator index to the monomials
-    facial reduction cut off its basis, and ``points`` lists the real zeros
-    whose equations G_k v_k(x) = 0 cut the family.
+    :func:`~ratsos.lasserre.module_cert_search` return a copy, made by
+    ``_replace(cert=...)``, holding what their verifier takes instead.
+    ``dropped`` maps a generator index to the monomials facial reduction cut
+    off its basis, and ``points`` lists the real zeros whose equations
+    G_k v_k(x) = 0 cut the family; each defaults to a new empty dict or list.
     """
 
-    status: str
-    cert: object
-    detail: str
-    dropped: dict[int, list[tuple[int, ...]]] = field(default_factory=dict)
-    points: list[tuple] = field(default_factory=list)
+    __slots__ = ()
+
+    def __new__(cls, status: str, cert, detail: str, dropped=None, points=None):
+        return super().__new__(cls, status, cert, detail, {} if dropped is None else dropped,
+                               [] if points is None else points)
 
 
 def search(f: MPoly, bases, generators, points=None) -> Search:
@@ -484,7 +482,8 @@ def find_gram(f: MPoly) -> Search:
     points = _nonpositive_grid_values(f, len(lattice) * (len(lattice) + 1) // 2)
     res = search(f, [lattice], [MPoly.constant(f.nvars, 1)], points)
     if res.status == "found":
-        [res.cert] = res.cert
+        [cert] = res.cert
+        res = res._replace(cert=cert)
         if gram_product(*res.cert, f.nvars) != f:
             raise AssertionError("family member does not reproduce the target")
     return res
@@ -634,30 +633,35 @@ def _exponents(alpha) -> tuple[int, ...]:
 
 
 def cert_from_json(doc: dict, nvars: int | None = None):
-    """Load a certificate document; returns (cert-or-gram-pair, target poly or None)."""
+    """Load a certificate document; returns (cert-or-gram-pair, target poly or None).
+
+    Without ``nvars``, the target is read in the variables it names, and in a
+    Gram document in at least the length of its monomials (so x^4 + y - y
+    keeps its y); a target naming a higher variable fails the length check.
+    """
     if not isinstance(doc, dict):
         raise ValueError("certificate document must be a JSON object")
-    target = None
-    if "target" in doc:
-        target = parse_poly(json_field(doc, "target", str), nvars)
-        nvars = target.nvars
-    if "terms" in doc:
-        return SosCert(terms_from_json(json_field(doc, "terms", list), nvars)), target
-    if "gram" in doc:
+    text = json_field(doc, "target", str) if "target" in doc else None
+    gram = None
+    if "gram" in doc and "terms" not in doc:
         gram = SymMat.from_rows(json_rows(json_field(doc, "gram", list), "certificate field 'gram'"))
         monomials = [_exponents(a) for a in json_field(doc, "monomials", list)]
-        length = nvars if nvars is not None or not monomials else len(monomials[0])
-        for alpha in monomials:
-            if len(alpha) != length:
-                raise ValueError(
-                    f"certificate monomial {list(alpha)} has length {len(alpha)}, expected {length}"
-                )
-        if gram.dim != len(monomials):
-            raise ValueError(
-                f"certificate field 'gram' is {gram.dim}x{gram.dim} but 'monomials' lists {len(monomials)}"
-            )
-        return (gram, monomials), target
-    raise ValueError("certificate document has neither 'terms' nor 'gram'")
+        if nvars is None and monomials:
+            nvars = max(len(monomials[0]), 0 if text is None else infer_nvars(text))
+    target = None if text is None else parse_poly(text, nvars)
+    nvars = nvars if target is None else target.nvars
+    if "terms" in doc:
+        return SosCert(terms_from_json(json_field(doc, "terms", list), nvars)), target
+    if gram is None:
+        raise ValueError("certificate document has neither 'terms' nor 'gram'")
+    for alpha in monomials:
+        if len(alpha) != nvars:
+            raise ValueError(f"certificate monomial {list(alpha)} has length {len(alpha)}, expected {nvars}")
+    if gram.dim != len(monomials):
+        raise ValueError(
+            f"certificate field 'gram' is {gram.dim}x{gram.dim} but 'monomials' lists {len(monomials)}"
+        )
+    return (gram, monomials), target
 
 
 def dump_cert(cert_doc: dict) -> str:

@@ -269,6 +269,21 @@ def test_gram_monomials_are_checked_where_they_are_read(tmp_path):
     assert run(["sos", "check", "--cert", good, "--poly", "x^2 + y^2"]) == (0, "valid")
 
 
+def test_gram_certificate_round_trip_when_the_target_loses_its_last_variable(tmp_path):
+    """x^4 + y - y is written with target "x^4" over the monomial (2, 0); read
+    back without --poly, the target takes the monomials' two variables, and
+    a target naming a variable past them still fails the length check."""
+    cert = tmp_path / "cert.json"
+    assert run(["sos", "find", "--poly", "x^4 + y - y", "-o", str(cert)])[0] == 0
+    doc = json.loads(cert.read_text())
+    assert (doc["target"], doc["monomials"]) == ("x^4", [[2, 0]])
+    assert run(["sos", "check", "--cert", str(cert)]) == (0, "valid")
+    assert run(["sos", "check", "--cert", str(cert), "--poly", "x^4 + y - y"]) == (0, "valid")
+    wider = _write_json(tmp_path / "wider.json", {**doc, "target": "x^4 + z - z"})
+    message = "error: certificate monomial [2, 0] has length 2, expected 3"
+    assert run(["sos", "check", "--cert", wider]) == (2, message)
+
+
 def test_batch_survives_mistyped_certificate(tmp_path):
     bad = _write_json(tmp_path / "bad.json", {"gram": 3, "monomials": [[1]], "target": "x^2"})
     good = _write_json(tmp_path / "good.json", {"gram": [["1"]], "monomials": [[1]], "target": "x^2"})

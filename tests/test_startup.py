@@ -1,4 +1,5 @@
-"""numpy is loaded by the float phases only: each case runs in a fresh interpreter."""
+"""numpy is loaded by the float phases only, and dataclasses and inspect not at
+all: each case runs in a fresh interpreter."""
 
 import json
 import os
@@ -49,6 +50,15 @@ def workdir(tmp_path_factory):
 
 def test_import_loads_no_numpy_module(workdir):
     code = "import sys, ratsos.cli; print(sorted(m for m in sys.modules if m.startswith('numpy.')))"
+    assert _fresh(code, cwd=workdir) == "[]\n"
+
+
+def test_import_loads_neither_dataclasses_nor_inspect(workdir):
+    # against a snapshot taken before the import, since a site hook may load modules first
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import ratsos.cli\n"
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
     assert _fresh(code, cwd=workdir) == "[]\n"
 
 
