@@ -6,8 +6,10 @@ and prints deterministic human output or, with --json, a stable JSON object.
 
 Each command is declared once, by ``@command`` on its handler: its words
 ("count-roots", "sos find"), help line and options (shared ones are named
-specs: POLY, MATRIX, ...).  ``build_parser`` adds them in definition order,
-opening a group's subparsers (dest ``<group>_command``) at its first command.
+specs: POLY, MATRIX, ...).  ``build_parser`` adds them, or only the one whose
+words it is given, in definition order, opening a group's subparsers (dest
+``<group>_command``) at its first command.  A call builds only its command;
+help, a group alone and an unknown command build the full tree, listing all.
 
 Exit codes: 0 success, 1 proved mathematical negative (not SOS, not psd,
 unsatisfiable, ...), 2 input error, 3 unknown / numeric failure / a failed
@@ -356,7 +358,7 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _ParseExit(INPUT_ERROR, message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(keep=None) -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="ratsos",
         description="Exact real-root counting, SOS certificates and moment relaxations over Q.",
@@ -365,6 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     top = parser.add_subparsers(dest="command", required=True)
     groups = {}
     for words, help, options, handler in COMMANDS:
+        if keep and words != keep:
+            continue
         *group, name = words
         sub = top
         if group:
@@ -385,6 +389,16 @@ def _input_error(as_json: bool, message: str) -> tuple[int, str]:
     return INPUT_ERROR, f"error: {message}"
 
 
+def _command_words(argv) -> list:
+    """The words of the command argv names after an optional leading --json, or
+    [] where only the full parser gives argparse's text: help anywhere, a group
+    without its command, an unknown command or another option before it."""
+    if "-h" in argv or "--help" in argv:
+        return []
+    rest = argv[1:] if argv[:1] == ["--json"] else argv
+    return next((words for words, *_ in COMMANDS if rest[: len(words)] == words), [])
+
+
 def run(argv, *, in_batch: bool = False) -> tuple[int, str]:
     """Execute one command line; returns (exit code, stdout payload).
 
@@ -395,7 +409,7 @@ def run(argv, *, in_batch: bool = False) -> tuple[int, str]:
     # argument error is already set when the error is raised
     args = argparse.Namespace(in_batch=in_batch)
     try:
-        build_parser().parse_args(argv, namespace=args)
+        build_parser(_command_words(list(argv))).parse_args(argv, namespace=args)
     except _ParseExit as exc:
         code, text = exc.args
         return (OK, text) if code == OK else _input_error(getattr(args, "json", False), text)

@@ -110,8 +110,9 @@ def diagonalize(m: SymMat) -> DiagCongruence:
     later step changes, for the rows of P (:func:`_p_rows`).
     """
     n = m.dim
-    rows, scales = _integer_rows(m.rows)
-    tri = [[x * s for x, s in zip(row[i:], scales[i:])] for i, row in enumerate(rows)]
+    scales = [lcm(*(x.denominator for x in row)) for row in m.rows]
+    tri = [[x.numerator * (s // x.denominator) * t for x, t in zip(row[i:], scales[i:])]
+           for i, (row, s) in enumerate(zip(m.rows, scales))]
     g = gcd(*[gcd(*row) for row in tri]) or 1
     if g > 1:
         tri = [[x // g for x in row] for row in tri]

@@ -1,3 +1,4 @@
+import argparse
 import copy
 import itertools
 import json
@@ -736,6 +737,52 @@ def test_help_comes_back_through_run(capsys):
             group_help = " ".join(run([words[0], "--help"])[1].split())
             assert f"{words[1]} {help_line}" in group_help, words
     assert capsys.readouterr() == ("", "")
+
+
+#: argv on either side of the choice between one command's parser and the full
+#: tree, with the text the full tree gives: a misspelled command or group
+#: command, an abbreviated top-level option or command option, and an option
+#: inside a group
+FULL_PARSER_TEXTS = [
+    (["count-root", "--poly", "x"], 2,
+     "error: argument command: invalid choice: 'count-root' (choose from 'count-roots', 'count-with-signs', "
+     "'decide-strict', 'descartes', 'signature', 'diagonalize', 'psd-check', 'conic', 'lin-nns', 'newton', "
+     "'sos', 'cassels', 'lasserre', 'batch')"),
+    (["sos", "finder"], 2, "error: argument sos_command: invalid choice: 'finder' (choose from 'find', 'check')"),
+    (["--js", "count-roots", "--poly", "x^2-1"], 0, '{"complex_distinct": 2, "exit": 0, "real": 2}'),
+    (["count-roots", "--pol", "x^2-1"], 0, "real=2 complex_distinct=2"),
+    (["sos", "--json", "find", "--poly", "x^2"], 2, "error: unrecognized arguments: --json"),
+]
+
+
+@pytest.mark.parametrize("argv,code,out", FULL_PARSER_TEXTS)
+def test_argv_outside_one_command_keeps_the_full_parser_text(argv, code, out, capsys):
+    assert run(argv) == (code, out)
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("argv,added", [
+    (["count-roots", "--poly", "x"], ["count-roots"]),
+    (["--json", "count-roots", "--poly", "x"], ["count-roots"]),
+    (["sos", "find", "--poly", "x^2"], ["sos", "find"]),
+    (["--help"], None),
+    (["sos", "find", "-h"], None),
+    (["sos"], None),
+    (["count-root", "--poly", "x"], None),
+    (["--js", "count-roots", "--poly", "x"], None),
+])
+def test_a_call_builds_only_the_parser_of_its_command(argv, added, monkeypatch):
+    """A named command adds only its own subparsers; help, a group alone, an
+    unknown command or a leading option other than --json add every one."""
+    names = []
+    add_parser = argparse._SubParsersAction.add_parser
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
+                        lambda self, name, **kw: names.append(name) or add_parser(self, name, **kw))
+    run(argv)
+    if added is None:
+        assert len(names) == len(COMMANDS)
+    else:
+        assert names == added
 
 
 def test_batch_survives_bad_argument_lines(tmp_path, capsys):
