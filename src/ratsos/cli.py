@@ -6,10 +6,11 @@ and prints deterministic human output or, with --json, a stable JSON object.
 
 Each command is declared once, by ``@command`` on its handler: its words
 ("count-roots", "sos find"), help line and options (shared ones are named
-specs: POLY, MATRIX, ...).  ``build_parser`` adds them, or only the one whose
-words it is given, in definition order, opening a group's subparsers (dest
-``<group>_command``) at its first command.  A call builds only its command;
-help, a group alone and an unknown command build the full tree, listing all.
+specs: POLY, MATRIX, ...).  A call that names a command parses the rest of
+its argv with that command's own parser alone, the one ``build_parser``
+would add to its tree; help, a group alone, an unknown command and any
+other argv go to the full tree, which adds every command in definition
+order, opening a group's subparsers (dest ``<group>_command``) at its first.
 
 Exit codes: 0 success, 1 proved mathematical negative (not SOS, not psd,
 unsatisfiable, ...), 2 input error, 3 unknown / numeric failure / a failed
@@ -358,7 +359,14 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _ParseExit(INPUT_ERROR, message)
 
 
-def build_parser(keep=None) -> argparse.ArgumentParser:
+def _add_options(parser, options, handler):
+    """Give ``parser`` a command's options and its handler."""
+    for flags, kwargs in options:
+        parser.add_argument(*flags, **kwargs)
+    parser.set_defaults(handler=handler)
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="ratsos",
         description="Exact real-root counting, SOS certificates and moment relaxations over Q.",
@@ -367,8 +375,6 @@ def build_parser(keep=None) -> argparse.ArgumentParser:
     top = parser.add_subparsers(dest="command", required=True)
     groups = {}
     for words, help, options, handler in COMMANDS:
-        if keep and words != keep:
-            continue
         *group, name = words
         sub = top
         if group:
@@ -376,10 +382,7 @@ def build_parser(keep=None) -> argparse.ArgumentParser:
                 p = top.add_parser(group[0], help=GROUPS[group[0]])
                 groups[group[0]] = p.add_subparsers(dest=f"{group[0]}_command", required=True)
             sub = groups[group[0]]
-        p = sub.add_parser(name, help=help)
-        for flags, kwargs in options:
-            p.add_argument(*flags, **kwargs)
-        p.set_defaults(handler=handler)
+        _add_options(sub.add_parser(name, help=help), options, handler)
     return parser
 
 
@@ -389,30 +392,33 @@ def _input_error(as_json: bool, message: str) -> tuple[int, str]:
     return INPUT_ERROR, f"error: {message}"
 
 
-def _command_words(argv) -> list:
-    """The words of the command argv names after an optional leading --json, or
-    [] where only the full parser gives argparse's text: help anywhere, a group
-    without its command, an unknown command or another option before it."""
-    if "-h" in argv or "--help" in argv:
-        return []
-    rest = argv[1:] if argv[:1] == ["--json"] else argv
-    return next((words for words, *_ in COMMANDS if rest[: len(words)] == words), [])
-
-
 def run(argv, *, in_batch: bool = False) -> tuple[int, str]:
     """Execute one command line; returns (exit code, stdout payload).
 
     ``in_batch`` marks a line of a batch file, where a ``batch`` command is
     an input error.
     """
+    argv = list(argv)
     # argparse fills this namespace as it reads, so a --json given before an
-    # argument error is already set when the error is raised
-    args = argparse.Namespace(in_batch=in_batch)
+    # argument error is already set when the error is raised; a leading one is
+    # set here, as a named command's own parser reads only the argv after it
+    args = argparse.Namespace(in_batch=in_batch, json=argv[:1] == ["--json"])
+    rest = argv[1:] if args.json else argv
+    # help anywhere, a group alone, an unknown command or another option
+    # before it get the full tree, whose texts list the commands
+    named = None if "-h" in argv or "--help" in argv else next(
+        (entry for entry in COMMANDS if rest[: len(entry[0])] == entry[0]), None)
     try:
-        build_parser(_command_words(list(argv))).parse_args(argv, namespace=args)
+        if named:
+            words, _, options, handler = named
+            parser = _ArgumentParser(prog="ratsos " + " ".join(words))
+            _add_options(parser, options, handler)
+            parser.parse_args(rest[len(words):], namespace=args)
+        else:
+            build_parser().parse_args(argv, namespace=args)
     except _ParseExit as exc:
         code, text = exc.args
-        return (OK, text) if code == OK else _input_error(getattr(args, "json", False), text)
+        return (OK, text) if code == OK else _input_error(args.json, text)
     # an exact answer may have any number of digits, and input text has caps of
     # its own (MAX_DIGITS), so the interpreter's int-string limit is lifted here
     limit = sys.get_int_max_str_digits()

@@ -25,7 +25,7 @@ from itertools import combinations
 from math import gcd, lcm
 from operator import add
 
-from .arith import Mat, _integer_rows, charpoly, det, rat, record
+from .arith import Mat, charpoly, det, rat, record
 from .poly import MPoly, _from_integers, _integer_terms, sign_changes
 
 
@@ -300,19 +300,19 @@ class SosCert(record("SosCert", "terms")):
         for w, s, alphas, coeffs in squares:
             k = w.numerator * (den // (w.denominator * s))
             for i, c in enumerate(coeffs):
-                _add_form_row(acc, alphas, i, k * c, coeffs)
+                _add_form_row(acc, alphas, i, k * c, coeffs[i:])
         return _from_integers(nvars, acc, den, type(zero))
 
 
-def _add_form_row(acc: dict, alphas, i: int, scale: int, row) -> None:
-    """Add scale * x^a_i * (row[i] * x^a_i + 2 * sum_(j > i) row[j] * x^a_j) to
-    the integer sum ``acc``: row i of a symmetric form on the monomials x^a,
-    its upper triangle with the cross terms doubled."""
+def _add_form_row(acc: dict, alphas, i: int, scale: int, upper) -> None:
+    """Add scale * x^a_i * (u_0 * x^a_i + 2 * sum_(j > i) u_(j-i) * x^a_j) to
+    the integer sum ``acc``, u = ``upper``: row i of a symmetric form on the
+    monomials x^a from its diagonal on, the cross terms doubled."""
     a = alphas[i]
     key = tuple(map(add, a, a))
-    acc[key] = acc.get(key, 0) + scale * row[i]
+    acc[key] = acc.get(key, 0) + scale * upper[0]
     scale *= 2
-    for b, x in zip(alphas[i + 1 :], row[i + 1 :]):
+    for b, x in zip(alphas[i + 1 :], upper[1:]):
         if x:
             key = tuple(map(add, a, b))
             acc[key] = acc.get(key, 0) + scale * x
@@ -349,11 +349,11 @@ def weighted_square_decomposition(m: SymMat, monomials) -> SosCert:
 def gram_product(m: SymMat, monomials, nvars: int) -> MPoly:
     """The polynomial v^T M v in nvars variables for the monomial vector v given by exponent tuples.
 
-    Fraction-free: row i of M is scaled to integers by s_i
-    (``arith._integer_rows``), and the upper triangle of the rows, cross
-    terms doubled, is summed per exponent vector in integers over the common
-    denominator lcm(s_i).  One ``Fraction`` is built per nonzero term of the
-    result.
+    Fraction-free: s_i is the lcm of the denominators of row i of M, only
+    the entries j >= i of the row are scaled to integers by it, and that
+    upper triangle, cross terms doubled, is summed per exponent vector in
+    integers over the common denominator lcm(s_i).  One ``Fraction`` is
+    built per nonzero term of the result.
     """
     monomials = [tuple(a) for a in monomials]
     if len(monomials) != m.dim:
@@ -361,9 +361,9 @@ def gram_product(m: SymMat, monomials, nvars: int) -> MPoly:
     for alpha in monomials:
         if len(alpha) != nvars:
             raise ValueError(f"exponent vector {alpha} has wrong length for {nvars} variables")
-    rows, scales = _integer_rows(m.rows)
+    scales = [lcm(*(x.denominator for x in row)) for row in m.rows]
     den = lcm(*scales)
     acc: dict = {}
-    for i, (row, s) in enumerate(zip(rows, scales)):
-        _add_form_row(acc, monomials, i, den // s, row)
+    for i, (row, s) in enumerate(zip(m.rows, scales)):
+        _add_form_row(acc, monomials, i, den // s, [x.numerator * (s // x.denominator) for x in row[i:]])
     return _from_integers(nvars, acc, den)

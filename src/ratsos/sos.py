@@ -588,14 +588,22 @@ def _json_typed(value, kind, what: str):
     return value
 
 
-def json_rationals(value, what: str, entry: str) -> list[Fraction]:
-    """A JSON list ``what`` of integers and "p/q" strings (each an ``entry``), as rationals."""
-    return [rat(_json_typed(x, (str, int), entry)) for x in _json_typed(value, list, what)]
+def json_rationals(value, what: str, entry: str, seen=None) -> list[Fraction]:
+    """A JSON list ``what`` of integers and "p/q" strings (each an ``entry``), as rationals; ``seen``
+    maps each literal read, its type checked first, to its one ``Fraction`` (so ``true`` is no ``1``)."""
+    seen = {} if seen is None else seen
+    values = []
+    for x in _json_typed(value, list, what):
+        if (q := seen.get(_json_typed(x, (str, int), entry))) is None:
+            q = seen[x] = rat(x)
+        values.append(q)
+    return values
 
 
 def json_rows(value, what: str) -> list[list[Fraction]]:
     """A JSON list of lists of integers and "p/q" strings, as rows of rationals."""
-    return [json_rationals(row, f"{what} row", f"{what} entry") for row in _json_typed(value, list, what)]
+    seen: dict = {}
+    return [json_rationals(row, f"{what} row", f"{what} entry", seen) for row in _json_typed(value, list, what)]
 
 
 def json_field(doc, key: str, kind):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ratsos import quadforms, rootcount, sos
+from ratsos import cli, quadforms, rootcount, sos
 from ratsos.cli import run
 from ratsos.poly import MPoly, parse_poly
 
@@ -541,6 +541,8 @@ BAD_JSON_ARGS = [
     (["psd-check", "--matrix", '[["1/0"]]'], "zero denominator in rational literal '1/0'"),
     (["psd-check", "--matrix", '[["-3/0"]]'], "zero denominator in rational literal '-3/0'"),
     (["conic", "--vectors", "[[1]]", "--target", '["2/00"]'], "zero denominator in rational literal '2/00'"),
+    # a bool after an equal integer is no cached literal
+    (["psd-check", "--matrix", "[[1, true]]"], "--matrix entry must be a string or an integer, not bool"),
 ]
 
 
@@ -549,6 +551,19 @@ def test_bad_json_matrices_and_vectors_exit_2(argv, message):
     assert run(argv) == (2, f"error: {message}")
     code, out = run(["--json"] + argv)
     assert code == 2 and json.loads(out) == {"error": message}
+
+
+def test_json_rows_read_each_literal_once():
+    """Equal literals of one matrix give one shared Fraction; "1", 1 and "01"
+    are three literals of one value."""
+    rows = sos.json_rows([["1/2", 1, "01"], [1, "1/2", "1"], ["01", "1", "2/4"]], "m")
+    assert rows == [[Fraction(1, 2), 1, 1], [1, Fraction(1, 2), 1], [1, 1, Fraction(1, 2)]]
+    assert rows[0][0] is rows[1][1] and rows[0][1] is rows[1][0] and rows[0][2] is rows[2][0]
+    assert rows[0][1] is not rows[0][2] is not rows[1][2] and rows[2][2] is not rows[0][0]
+    assert all(type(x) is Fraction for row in rows for x in row)
+    assert run(["signature", "--matrix", '[["1", 1, "01"], [1, "01", "1"], ["01", "1", 1]]']) == (
+        0, "dim=3 rank=1 signature=1")
+    assert run(["psd-check", "--matrix", '[["1/2", "-1/2"], ["-1/2", "1/2"]]']) == (0, "psd")
 
 
 def test_long_json_integers_get_the_parser_digit_cap(tmp_path):
@@ -761,10 +776,19 @@ def test_argv_outside_one_command_keeps_the_full_parser_text(argv, code, out, ca
     assert capsys.readouterr() == ("", "")
 
 
+def _built_parsers(monkeypatch) -> list:
+    """Every ``_ArgumentParser`` built from now on, in order."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(cli._ArgumentParser, "__init__",
+                        lambda self, *a, **kw: built.append(self) or init(self, *a, **kw))
+    return built
+
+
 @pytest.mark.parametrize("argv,added", [
-    (["count-roots", "--poly", "x"], ["count-roots"]),
-    (["--json", "count-roots", "--poly", "x"], ["count-roots"]),
-    (["sos", "find", "--poly", "x^2"], ["sos", "find"]),
+    (["count-roots", "--poly", "x"], ["ratsos count-roots"]),
+    (["--json", "count-roots", "--poly", "x"], ["ratsos count-roots"]),
+    (["sos", "find", "--poly", "x^2"], ["ratsos sos find"]),
     (["--help"], None),
     (["sos", "find", "-h"], None),
     (["sos"], None),
@@ -772,17 +796,82 @@ def test_argv_outside_one_command_keeps_the_full_parser_text(argv, code, out, ca
     (["--js", "count-roots", "--poly", "x"], None),
 ])
 def test_a_call_builds_only_the_parser_of_its_command(argv, added, monkeypatch):
-    """A named command adds only its own subparsers; help, a group alone, an
-    unknown command or a leading option other than --json add every one."""
+    """A named command builds its own parser alone (``added`` its prog) and no
+    subparser; help, a group alone, an unknown command or a leading option
+    other than --json add every subparser to the full tree."""
     names = []
     add_parser = argparse._SubParsersAction.add_parser
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
                         lambda self, name, **kw: names.append(name) or add_parser(self, name, **kw))
+    built = _built_parsers(monkeypatch)
     run(argv)
     if added is None:
-        assert len(names) == len(COMMANDS)
+        assert len(names) == len(COMMANDS) and len(built) == len(COMMANDS) + 1
     else:
-        assert names == added
+        assert names == [] and [p.prog for p in built] == added
+
+
+def _subparser(parser, words):
+    """The parser the full tree hands ``words`` to."""
+    for word in words:
+        parser = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices[word]
+    return parser
+
+
+def _argv_tails(options):
+    """argv after a command with ``options``: its flags, every abbreviation of
+    its long ones and a junk flag, each with a value, joined by ``=`` or
+    alone, and junk."""
+    flags = [f for option_flags, _ in options for f in option_flags if f.startswith("-")] + ["--bogus"]
+    flags += [f[:k] for f in flags if f.startswith("--") for k in range(3, len(f))]
+    values = ["x", "x^2-1", "2", "-1", "1/0", "-x", ""]
+    junk = ["--json", "--", "-", "--he", "-z", "-d2", "-gx", "junk"]
+    pair = st.tuples(st.sampled_from(flags), st.sampled_from(values))
+    # a flag with its value is drawn twice as often as each other piece, so
+    # that some tails hold every required option
+    piece = st.one_of(pair.map(list), pair.map(list), pair.map(lambda fv: ["=".join(fv)]),
+                      st.sampled_from(junk + values + flags).map(lambda t: [t]))
+    return st.lists(piece, max_size=4).map(lambda pieces: sum(pieces, []))
+
+
+@pytest.mark.parametrize("words", [words for words, *_ in cli.COMMANDS], ids=" ".join)
+def test_a_command_parser_reads_argv_as_the_full_tree_does(words, monkeypatch):
+    """The one parser ``run`` builds for a named command has the prog, usage
+    and help of its subparser in the full tree, and on any argv tail gives
+    the full tree's namespace, less the ``command`` and ``<group>_command``
+    choices, or its help or error text.  No real handler runs: each command
+    gets one that only keeps its namespace."""
+    seen = []
+    monkeypatch.setattr(cli, "COMMANDS", [(w, h, o, lambda args: seen.append(vars(args)) or (0, [], {}))
+                                          for w, h, o, _ in cli.COMMANDS])
+    with monkeypatch.context() as m:
+        built = _built_parsers(m)
+        run(list(words))
+    sub = _subparser(cli.build_parser(), words)
+    assert [(p.prog, p.format_usage(), p.format_help()) for p in built] == [
+        (sub.prog, sub.format_usage(), sub.format_help())]
+    options = next(o for w, _, o, _ in cli.COMMANDS if w == words)
+
+    def choices_dropped(namespace: dict) -> dict:
+        return {k: v for k, v in namespace.items() if k not in {"command", f"{words[0]}_command"}}
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.booleans(), _argv_tails(options))
+    def check(leading_json, tail):
+        argv = ["--json"] * leading_json + [*words, *tail]
+        expected = argparse.Namespace(in_batch=False)
+        seen.clear()
+        try:
+            cli.build_parser().parse_args(argv, namespace=expected)
+        except cli._ParseExit as exc:
+            code, text = exc.args
+            want = (code, text) if code == 0 else cli._input_error(getattr(expected, "json", False), text)
+            assert run(argv) == want and seen == []
+        else:
+            assert run(argv) == (0, '{"exit": 0}' if expected.json else "")
+            assert [choices_dropped(ns) for ns in seen] == [choices_dropped(vars(expected))]
+
+    check()
 
 
 def test_batch_survives_bad_argument_lines(tmp_path, capsys):
