@@ -76,6 +76,36 @@ def rat(value) -> Fraction:
     return Fraction(num, den)
 
 
+_JSON_KINDS = {list: "a list", str: "a string", int: "an integer"}
+
+
+def _json_typed(value, kind, what: str):
+    """``value`` when it is a ``kind`` (a type or tuple of types, never bool); else ValueError."""
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        expected = " or ".join(_JSON_KINDS[k] for k in kinds)
+        raise ValueError(f"{what} must be {expected}, not {type(value).__name__}")
+    return value
+
+
+def json_rationals(value, what: str, entry: str, seen=None) -> list[Fraction]:
+    """A JSON list ``what`` of integers and "p/q" strings (each an ``entry``), as rationals; ``seen``
+    maps each literal read, its type checked first, to its one ``Fraction`` (so ``true`` is no ``1``)."""
+    seen = {} if seen is None else seen
+    values = []
+    for x in _json_typed(value, list, what):
+        if (q := seen.get(_json_typed(x, (str, int), entry))) is None:
+            q = seen[x] = rat(x)
+        values.append(q)
+    return values
+
+
+def json_rows(value, what: str) -> list[list[Fraction]]:
+    """A JSON list of lists of integers and "p/q" strings, as rows of rationals."""
+    seen: dict = {}
+    return [json_rationals(row, f"{what} row", f"{what} entry", seen) for row in _json_typed(value, list, what)]
+
+
 class Mat:
     """Dense rational matrix stored as a list of rows."""
 

@@ -8,9 +8,13 @@ Each command is declared once, by ``@command`` on its handler: its words
 ("count-roots", "sos find"), help line and options (shared ones are named
 specs: POLY, MATRIX, ...).  A call that names a command parses the rest of
 its argv with that command's own parser alone, the one ``build_parser``
-would add to its tree; help, a group alone, an unknown command and any
-other argv go to the full tree, which adds every command in definition
-order, opening a group's subparsers (dest ``<group>_command``) at its first.
+would add to its tree, and its -h/--help too; a group alone, an unknown
+command and any other argv go to the full tree, which adds every command in
+definition order, opening a group's subparsers (dest ``<group>_command``) at
+its first.  The search layers ``conic``, ``sos`` and ``lasserre`` imported
+here are the package's lazy modules, so an exact command (root counts,
+signatures, psd checks) runs none of their code; JSON matrices are read by
+``arith``.
 
 Exit codes: 0 success, 1 proved mathematical negative (not SOS, not psd,
 unsatisfiable, ...), 2 input error, 3 unknown / numeric failure / a failed
@@ -25,7 +29,7 @@ import shlex
 import sys
 
 from . import conic, lasserre, rootcount, sos
-from .arith import rat
+from .arith import json_rationals, json_rows, rat
 from .poly import MAX_VARIABLES, MPoly, PolyParseError, infer_nvars, parse_poly, parse_upoly
 from .quadforms import SymMat, diagonalize, inertia, is_psd
 
@@ -45,7 +49,7 @@ def _json(text: str):
 
 
 def _matrix(text: str) -> SymMat:
-    return SymMat.from_rows(sos.json_rows(_json(text), "--matrix"))
+    return SymMat.from_rows(json_rows(_json(text), "--matrix"))
 
 
 def _cert_file(path: str):
@@ -188,8 +192,8 @@ def cmd_psd_check(args):
          _option("--vectors", required=True, help="JSON list of generator vectors"),
          _option("--target", required=True, help="JSON target vector"))
 def cmd_conic(args):
-    vectors = sos.json_rows(_json(args.vectors), "--vectors")
-    target = sos.json_rationals(_json(args.target), "--target", "--target entry")
+    vectors = json_rows(_json(args.vectors), "--vectors")
+    target = json_rationals(_json(args.target), "--target", "--target entry")
     result = conic.conic_representation(vectors, target)
     if isinstance(result, conic.ConicCombination):
         coeffs = [str(c) for c in result.coefficients]
@@ -404,10 +408,9 @@ def run(argv, *, in_batch: bool = False) -> tuple[int, str]:
     # set here, as a named command's own parser reads only the argv after it
     args = argparse.Namespace(in_batch=in_batch, json=argv[:1] == ["--json"])
     rest = argv[1:] if args.json else argv
-    # help anywhere, a group alone, an unknown command or another option
-    # before it get the full tree, whose texts list the commands
-    named = None if "-h" in argv or "--help" in argv else next(
-        (entry for entry in COMMANDS if rest[: len(entry[0])] == entry[0]), None)
+    # help before a command, a group alone, an unknown command or another
+    # option before it get the full tree, whose texts list the commands
+    named = next((entry for entry in COMMANDS if rest[: len(entry[0])] == entry[0]), None)
     try:
         if named:
             words, _, options, handler = named

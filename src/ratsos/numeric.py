@@ -23,7 +23,8 @@ the name the benchmark traces; the search calls ``eigh`` directly.
 Nothing here is trusted; every candidate leaving this module is rationalized
 and re-verified exactly by the callers.
 
-numpy is bound lazily: ``np`` is numpy's module object, but numpy's code runs
+numpy is bound lazily, by the package's ``_lazy_import``, which defers this
+module itself too: ``np`` is numpy's module object, but numpy's code runs
 at the first attribute read, the first float phase, so that a command that
 runs no float (root counts, signatures, psd verdicts, certificate checks)
 does not pay numpy's import at start-up.  :mod:`ratsos.sos` takes ``np`` from
@@ -33,23 +34,7 @@ with no extra step; where numpy is already imported, ``np`` is that module.
 
 from __future__ import annotations
 
-import importlib.util
-import sys
-
-
-def _lazy_import(name: str):
-    """The module ``name`` from sys.modules, or one whose code runs at its first attribute read."""
-    if name in sys.modules:
-        return sys.modules[name]
-    spec = importlib.util.find_spec(name)
-    if spec is None:
-        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
-
+from . import _lazy_import
 
 np = _lazy_import("numpy")
 

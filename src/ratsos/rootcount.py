@@ -58,10 +58,11 @@ def hermite_form(f: UPoly, g: UPoly | None = None) -> HermiteData:
     scale = lcm(*(c.denominator for c in fs))
     powers = [scale**e for e in range(top + 2 * d)]
     a = [c.numerator * (powers[d - i] // c.denominator) for i, c in enumerate(fs)]
-    # Newton's identities for P_1..P_(3d-3), the first term only while m <= d:
+    # Newton's identities for P_1..P_(top+2d-2), the last one the traces read,
+    # the first term only while m <= d:
     # P_m = -m A_(d-m) - sum_(i=1..min(m-1, d)) A_(d-i) P_(m-i)
     p = [d]
-    for m in range(1, 3 * d - 2):
+    for m in range(1, top + 2 * d - 1):
         s = m * a[d - m] if m <= d else 0
         for i in range(1, min(m - 1, d) + 1):
             s += a[d - i] * p[m - i]

@@ -27,7 +27,7 @@ from itertools import product
 from math import prod
 from operator import add
 
-from .arith import _reduced, rat, record
+from .arith import _json_typed, _reduced, json_rows, rat, record
 from .conic import newton_halved_lattice
 from .numeric import AffineFamily, alternating_projection, np
 from .poly import MPoly, UPoly, _integer_terms, infer_nvars, parse_poly, poly_text
@@ -574,36 +574,6 @@ def gram_to_json(gram: SymMat, monomials, target: MPoly) -> dict:
         "gram": [[str(x) for x in row] for row in gram.rows],
         "target": poly_text(target),
     }
-
-
-_JSON_KINDS = {list: "a list", str: "a string", int: "an integer"}
-
-
-def _json_typed(value, kind, what: str):
-    """``value`` when it is a ``kind`` (a type or tuple of types, never bool); else ValueError."""
-    kinds = kind if isinstance(kind, tuple) else (kind,)
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        expected = " or ".join(_JSON_KINDS[k] for k in kinds)
-        raise ValueError(f"{what} must be {expected}, not {type(value).__name__}")
-    return value
-
-
-def json_rationals(value, what: str, entry: str, seen=None) -> list[Fraction]:
-    """A JSON list ``what`` of integers and "p/q" strings (each an ``entry``), as rationals; ``seen``
-    maps each literal read, its type checked first, to its one ``Fraction`` (so ``true`` is no ``1``)."""
-    seen = {} if seen is None else seen
-    values = []
-    for x in _json_typed(value, list, what):
-        if (q := seen.get(_json_typed(x, (str, int), entry))) is None:
-            q = seen[x] = rat(x)
-        values.append(q)
-    return values
-
-
-def json_rows(value, what: str) -> list[list[Fraction]]:
-    """A JSON list of lists of integers and "p/q" strings, as rows of rationals."""
-    seen: dict = {}
-    return [json_rationals(row, f"{what} row", f"{what} entry", seen) for row in _json_typed(value, list, what)]
 
 
 def json_field(doc, key: str, kind):

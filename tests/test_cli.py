@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ratsos import cli, quadforms, rootcount, sos
+from ratsos import arith, cli, quadforms, rootcount, sos
 from ratsos.cli import run
 from ratsos.poly import MPoly, parse_poly
 
@@ -556,7 +556,7 @@ def test_bad_json_matrices_and_vectors_exit_2(argv, message):
 def test_json_rows_read_each_literal_once():
     """Equal literals of one matrix give one shared Fraction; "1", 1 and "01"
     are three literals of one value."""
-    rows = sos.json_rows([["1/2", 1, "01"], [1, "1/2", "1"], ["01", "1", "2/4"]], "m")
+    rows = arith.json_rows([["1/2", 1, "01"], [1, "1/2", "1"], ["01", "1", "2/4"]], "m")
     assert rows == [[Fraction(1, 2), 1, 1], [1, Fraction(1, 2), 1], [1, 1, Fraction(1, 2)]]
     assert rows[0][0] is rows[1][1] and rows[0][1] is rows[1][0] and rows[0][2] is rows[2][0]
     assert rows[0][1] is not rows[0][2] is not rows[1][2] and rows[2][2] is not rows[0][0]
@@ -790,15 +790,16 @@ def _built_parsers(monkeypatch) -> list:
     (["--json", "count-roots", "--poly", "x"], ["ratsos count-roots"]),
     (["sos", "find", "--poly", "x^2"], ["ratsos sos find"]),
     (["--help"], None),
-    (["sos", "find", "-h"], None),
+    (["sos", "find", "-h"], ["ratsos sos find"]),
     (["sos"], None),
     (["count-root", "--poly", "x"], None),
     (["--js", "count-roots", "--poly", "x"], None),
 ])
 def test_a_call_builds_only_the_parser_of_its_command(argv, added, monkeypatch):
-    """A named command builds its own parser alone (``added`` its prog) and no
-    subparser; help, a group alone, an unknown command or a leading option
-    other than --json add every subparser to the full tree."""
+    """A named command builds its own parser alone (``added`` its prog), its
+    help included, and no subparser; help before any command, a group alone,
+    an unknown command or a leading option other than --json add every
+    subparser to the full tree."""
     names = []
     add_parser = argparse._SubParsersAction.add_parser
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser",

@@ -9,7 +9,7 @@ from operator import add
 import numpy as np
 import pytest
 
-from ratsos import numeric, sos
+from ratsos import arith, numeric, sos
 from ratsos.cli import run
 from ratsos.arith import Mat, affine_solution_set, pivot_columns
 from ratsos.conic import convex_membership, newton_halved_lattice
@@ -979,12 +979,12 @@ def test_certificate_json_round_trip():
 def test_json_rationals_reads_plain_entries_and_names_the_others():
     """Integers and "p/q" strings become Fractions; any other entry, bool
     included, is an error naming the entry and its type."""
-    values = sos.json_rationals([3, "-2/4", " 007 ", -10**30, "٣"], "v", "v entry")
+    values = arith.json_rationals([3, "-2/4", " 007 ", -10**30, "٣"], "v", "v entry")
     assert values == [3, Fraction(-1, 2), 7, -10**30, 3]
     assert all(type(x) is Fraction for x in values)
     for bad, name in ((True, "bool"), (1.5, "float"), (None, "NoneType"), ([1], "list")):
         with pytest.raises(ValueError) as err:
-            sos.json_rationals([1, bad], "v", "v entry")
+            arith.json_rationals([1, bad], "v", "v entry")
         assert str(err.value) == f"v entry must be a string or an integer, not {name}"
     with pytest.raises(ValueError, match="^v must be a list, not str$"):
-        sos.json_rationals("1", "v", "v entry")
+        arith.json_rationals("1", "v", "v entry")
