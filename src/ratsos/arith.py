@@ -9,8 +9,8 @@ pivot.  Determinants (that last pivot), span checks (its pivot columns), and
 linear solutions and nullspaces (one integer entry over the last pivot each,
 read out by ``_reduced``) need no back-substitution.  ``conic`` reads its
 tableau off ``_reduced`` and pivots it with the same step.  The congruence,
-``quadforms.diagonalize``, has its own symmetric step on the upper triangle,
-over rows and columns scaled by the multipliers ``_integer_rows`` returns.
+``quadforms.diagonalize``, scales rows and columns by its own row lcms and
+runs a symmetric step of its own on the upper triangle.
 Characteristic polynomials, det(M + X*I), of symmetric matrices use
 Berkowitz's division-free algorithm on a denominator-cleared integer copy,
 over the column powers alone; a non-symmetric matrix is an error.

@@ -207,11 +207,14 @@ def lower_bound_bisect(f: MPoly, gs, d: int, iterations: int = 12) -> BisectResu
     if iterations < 0:
         raise ValueError(f"iterations must be nonnegative, not {iterations}")
     gs = list(gs)
-    certs: dict[Fraction, list[SosCert] | None] = {}
+    cert: list[SosCert] | None = None  # the last feasible level's, which is always lo's
 
     def feasible(lam: Fraction) -> bool:
-        certs[lam] = module_cert_search(f - lam, gs, d).cert
-        return certs[lam] is not None
+        nonlocal cert
+        found = module_cert_search(f - lam, gs, d).cert
+        if found is not None:
+            cert = found
+        return found is not None
 
     # walk away from 0 with doubling steps, upward while feasible, downward
     # while infeasible, until the verdict flips
@@ -232,7 +235,7 @@ def lower_bound_bisect(f: MPoly, gs, d: int, iterations: int = 12) -> BisectResu
             lo = mid
         else:
             hi = mid
-    return BisectResult(lo, hi, certs[lo])
+    return BisectResult(lo, hi, cert)
 
 
 # --- module certificate JSON -----------------------------------------------

@@ -19,7 +19,7 @@ from itertools import product
 from math import lcm
 
 from .arith import _integer_rows, record
-from .poly import UPoly, sign_changes  # noqa: F401  (sign_changes is part of this API)
+from .poly import UPoly, sign_changes
 from .quadforms import SymMat, inertia, signature
 
 

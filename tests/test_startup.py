@@ -146,25 +146,35 @@ def test_import_registers_every_search_layer(workdir):
     assert _fresh(code, cwd=workdir) == f"{[True] * 4} {[False] * 4}\n"
 
 
-#: the names ``ratsos`` has always exported from its search layers
-SEARCH_NAMES = {
-    "conic": ["ConicCombination", "EmptyFeasibleSet", "LinearCertificate", "LinearWitness",
-            "SeparatingFunctional", "cone_contains", "conic_representation", "convex_membership",
-            "linear_nns", "newton_halved_lattice"],
-    "lasserre": ["BisectResult", "LasserreRelaxation", "build_relaxation", "emit_sdpa",
-               "lower_bound_bisect", "module_cert_search", "monomials_upto", "verify_module_membership"],
-    "sos": ["GramFamily", "Search", "VerifyResult", "cassels_descent", "find_gram", "gram_family", "search",
-          "verify_sos"],
+#: the names ``ratsos`` re-exported from its modules until it bound its modules only
+FORMER_NAMES = {
+    "arith": "Mat affine_solution_set charpoly det rat solve_linear",
+    "poly": "MPoly NEG_INF PolyParseError UPoly gcd_upoly parse_poly parse_upoly poly_text sign_changes",
+    "quadforms": "DiagCongruence SosCert SymMat diagonalize gram_product inertia is_psd rank signature"
+                 " signature_via_descartes weighted_square_decomposition",
+    "rootcount": "HermiteData count_complex_distinct count_real_roots count_real_with_signs count_roots"
+                 " decide_strict_system hermite_form is_real_rooted positive_root_count_bound",
+    "conic": "ConicCombination EmptyFeasibleSet LinearCertificate LinearWitness SeparatingFunctional"
+             " cone_contains conic_representation convex_membership linear_nns newton_halved_lattice",
+    "lasserre": "BisectResult LasserreRelaxation build_relaxation emit_sdpa lower_bound_bisect"
+                " module_cert_search monomials_upto verify_module_membership",
+    "sos": "GramFamily Search VerifyResult cassels_descent find_gram gram_family search verify_sos",
 }
 
 
-@pytest.mark.parametrize("module, name", [(m, n) for m, names in SEARCH_NAMES.items() for n in names])
-def test_a_search_name_is_its_modules_object(module, name):
-    """``ratsos.name`` and ``from ratsos import name`` give the module's own object,
-    and ``dir(ratsos)`` lists the name."""
-    own = getattr(sys.modules["ratsos." + module], name)
-    assert getattr(ratsos, name) is own and getattr(__import__("ratsos", fromlist=[name]), name) is own
-    assert name in dir(ratsos)
+def test_ratsos_binds_its_modules_and_none_of_their_names(workdir):
+    """``ratsos.<module>`` is each of the eight modules, and none of the 61
+    former names is bound on the package or resolves through it.  Asking for
+    them runs no search layer, and each is still its own module's."""
+    modules = ["arith", "poly", "quadforms", "rootcount", *LAZY]
+    code = ("import json, sys, types, ratsos\n"
+            f"names = [(m, n) for m, ns in {FORMER_NAMES!r}.items() for n in ns.split()]\n"
+            f"bound = [m for m in {modules!r} if getattr(ratsos, m) is sys.modules['ratsos.' + m]]\n"
+            "aliased = [n for _, n in names if n in vars(ratsos) or hasattr(ratsos, n)]\n"
+            f"executed = [m for m in {LAZY!r} if type(sys.modules['ratsos.' + m]) is types.ModuleType]\n"
+            "owned = all(hasattr(sys.modules['ratsos.' + m], n) for m, n in names)\n"
+            "print(json.dumps([bound, aliased, executed, owned, len(names)]))")
+    assert json.loads(_fresh(code, cwd=workdir)) == [modules, [], [], True, 61]
 
 
 def test_an_unknown_name_is_an_attribute_error():
