@@ -177,6 +177,20 @@ def test_ratsos_binds_its_modules_and_none_of_their_names(workdir):
     assert json.loads(_fresh(code, cwd=workdir)) == [modules, [], [], True, 61]
 
 
+#: the names of the search layers, each now read from its own module only
+SEARCH_NAMES = {m: FORMER_NAMES[m].split() for m in ("conic", "lasserre", "sos")}
+
+
+@pytest.mark.parametrize("module, name", [(m, n) for m, names in SEARCH_NAMES.items() for n in names])
+def test_a_search_name_is_its_modules_object(module, name):
+    """``ratsos.<module>.name`` and ``from ratsos.<module> import name`` give the
+    module's own object, and ``ratsos`` neither binds nor lists the name."""
+    own = getattr(sys.modules["ratsos." + module], name)
+    assert getattr(getattr(ratsos, module), name) is own
+    assert getattr(__import__("ratsos." + module, fromlist=[name]), name) is own
+    assert name not in vars(ratsos) and not hasattr(ratsos, name) and name not in dir(ratsos)
+
+
 def test_an_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="^module 'ratsos' has no attribute 'no_such_name'$"):
         ratsos.no_such_name  # noqa: B018
