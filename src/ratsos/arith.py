@@ -126,15 +126,6 @@ class Mat:
         m.rows, m.nrows, m.ncols = rows, len(rows), len(rows[0]) if rows else 0
         return m
 
-    @classmethod
-    def from_columns(cls, cols) -> "Mat":
-        cols = [list(c) for c in cols]
-        if not cols:
-            return cls([])
-        if any(len(c) != len(cols[0]) for c in cols):
-            raise DimensionError("ragged columns")
-        return cls([[cols[j][i] for j in range(len(cols))] for i in range(len(cols[0]))])
-
     @property
     def is_square(self) -> bool:
         return self.nrows == self.ncols

@@ -30,7 +30,7 @@ import sys
 
 from . import conic, lasserre, rootcount, sos
 from .arith import json_rationals, json_rows, rat
-from .poly import MAX_VARIABLES, MPoly, PolyParseError, infer_nvars, parse_poly, parse_upoly
+from .poly import MAX_VARIABLES, MPoly, infer_nvars, parse_poly, parse_upoly
 from .quadforms import SymMat, diagonalize, inertia, is_psd
 
 OK, NEGATIVE, INPUT_ERROR, UNKNOWN = 0, 1, 2, 3
@@ -63,6 +63,11 @@ def _verdict(verdict):
     if verdict:
         return OK, ["valid"], {"valid": True}
     return NEGATIVE, [f"invalid ({verdict.reason})"], {"valid": False, "reason": verdict.reason}
+
+
+def _pairs(**payload):
+    """The answer of a count: its text line is its payload as key=value pairs."""
+    return OK, [" ".join(f"{k}={v}" for k, v in payload.items())], payload
 
 
 def _save(path: str, text: str, what: str) -> str:
@@ -125,7 +130,7 @@ def command(words: str, help: str, *options):
 @command("count-roots", "count distinct real/complex roots", POLY)
 def cmd_count_roots(args):
     real, cplx = rootcount.count_roots(_univariate(args.poly))
-    return OK, [f"real={real} complex_distinct={cplx}"], {"real": real, "complex_distinct": cplx}
+    return _pairs(real=real, complex_distinct=cplx)
 
 
 @command("count-with-signs", "count real roots with positivity conditions",
@@ -133,8 +138,7 @@ def cmd_count_roots(args):
 def cmd_count_with_signs(args):
     f = _univariate(args.poly)
     gs = [_univariate(g) for g in args.condition]
-    n = rootcount.count_real_with_signs(f, gs)
-    return OK, [f"count={n}"], {"count": n}
+    return _pairs(count=rootcount.count_real_with_signs(f, gs))
 
 
 @command("decide-strict", "decide a strict univariate inequality system",
@@ -150,12 +154,7 @@ def cmd_decide_strict(args):
 def cmd_descartes(args):
     f = _univariate(args.poly)
     bound, parity = rootcount.positive_root_count_bound(f)
-    parity_word = "odd" if parity else "even"
-    return (
-        OK,
-        [f"sign_changes={bound} max_positive_roots={bound} parity={parity_word}"],
-        {"sign_changes": bound, "max_positive_roots": bound, "parity": parity_word},
-    )
+    return _pairs(sign_changes=bound, max_positive_roots=bound, parity="odd" if parity else "even")
 
 
 @command("signature", "rank and signature of a symmetric matrix",
@@ -163,12 +162,7 @@ def cmd_descartes(args):
 def cmd_signature(args):
     m = _matrix(args.matrix)
     pos, neg, _ = inertia(m)
-    sig, rk = pos - neg, pos + neg
-    return (
-        OK,
-        [f"dim={m.dim} rank={rk} signature={sig}"],
-        {"dim": m.dim, "rank": rk, "signature": sig},
-    )
+    return _pairs(dim=m.dim, rank=pos + neg, signature=pos - neg)
 
 
 @command("diagonalize", "congruence diagonalization M = P^T D P", MATRIX)
@@ -431,7 +425,7 @@ def run(argv, *, in_batch: bool = False) -> tuple[int, str]:
         if args.json:
             return code, json.dumps({"exit": code, **payload}, sort_keys=True, default=str)
         return code, "\n".join(lines)
-    except (PolyParseError, ValueError, OSError, json.JSONDecodeError, ZeroDivisionError) as exc:
+    except (ValueError, OSError, ZeroDivisionError) as exc:
         return _input_error(args.json, str(exc))
     except (AssertionError, RuntimeError, ArithmeticError) as exc:  # a failed internal check
         message = "internal error: " + (" ".join(str(exc).split()) or type(exc).__name__)

@@ -199,7 +199,8 @@ def _verify_functional(e, x, result: SeparatingFunctional, n: int):
         raise AssertionError("variant B kernel subset has the wrong size")
     if any(_dot(ell, e[i]) != 0 for i in result.kernel_indices):
         raise AssertionError("variant B kernel subset is not in the kernel")
-    if len(pivot_columns(Mat.from_columns([e[i] for i in result.kernel_indices]))) != n - 1:
+    # the rank of the subset, read on its rows: row rank is column rank
+    if len(pivot_columns(Mat([e[i] for i in result.kernel_indices]))) != n - 1:
         raise AssertionError("variant B kernel subset is linearly dependent")
 
 

@@ -17,6 +17,7 @@ certificate is found.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 from .arith import rat, record
 from .poly import MPoly, _grlex_key, poly_text
@@ -80,7 +81,9 @@ def build_relaxation(gs, degree: int, nvars: int) -> LasserreRelaxation:
 def blocks_at_point(rel: LasserreRelaxation, point) -> list[SymMat]:
     """Instantiate every block with the moment vector y_alpha = point^alpha."""
     point = [rat(x) for x in point]
-    y = {alpha: MPoly.monomial(alpha).eval(point) for alpha in rel.monomials}
+    if len(point) != rel.nvars:
+        raise ValueError(f"point has length {len(point)}, expected {rel.nvars}")
+    y = {alpha: prod(t**e for t, e in zip(point, alpha)) for alpha in rel.monomials}
     upper = [Fraction(0)] * len(_slots(rel.bases))
     for u, gamma, c in incidence(rel.bases, rel.generators):
         upper[u] += c * y[gamma]

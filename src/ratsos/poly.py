@@ -296,9 +296,6 @@ class UPoly(MPoly):
         """Exact evaluation at the rational x."""
         return MPoly.eval(self, [x])
 
-    def to_mpoly(self) -> MPoly:
-        return MPoly._normal(1, dict(self.terms))
-
     def __repr__(self) -> str:
         return f"UPoly({list(self.coeffs)!r})"
 

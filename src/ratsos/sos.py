@@ -525,38 +525,32 @@ def cassels_descent(weights, fs, g: UPoly, degree_trace: list | None = None) -> 
     if not rem.is_zero:
         raise ValueError("sum of weighted squares is not divisible by g^2")
 
-    active = [(w, fi) for w, fi in zip(weights, fs) if w > 0]
-    cur = [fi for _, fi in active]
-    ws = [w for w, _ in active]
+    # a zero-weight square is the zero polynomial, which every step maps to 0
+    cur = [fi if w else UPoly.zero() for w, fi in zip(weights, fs)]
     cur_g = g
-    if degree_trace is not None:
-        degree_trace.append(cur_g.degree())
-    while cur_g.degree() >= 1:
+    while True:
+        if degree_trace is not None:
+            degree_trace.append(cur_g.degree())
+        if cur_g.degree() < 1:
+            break
         pairs = [divmod(fi, cur_g) for fi in cur]
+        qs = [q for q, _ in pairs]
         if all(r.is_zero for _, r in pairs):
-            new_f = [q for q, _ in pairs]
-            new_g = UPoly.one()
+            new_f, new_g = qs, UPoly.one()
         else:
-            qs = [q for q, _ in pairs]
-            s = SosCert(tuple(zip(ws, qs))).expand(UPoly.zero()) - h
+            s = SosCert(tuple(zip(weights, qs))).expand(UPoly.zero()) - h
             t = -(cur_g * h)
-            for w, fi, qi in zip(ws, cur, qs):
+            for w, fi, qi in zip(weights, cur, qs):
                 t = t + fi * qi * w
             new_f = [s * fi - (t * qi) * 2 for fi, qi in zip(cur, qs)]
             new_g = s * cur_g - t * 2
         if new_g.is_zero or not new_g.degree() < cur_g.degree():
             raise ArithmeticError("descent failed to lower the denominator degree")
-        if SosCert(tuple(zip(ws, new_f))).expand(UPoly.zero()) != h * new_g * new_g:
+        if SosCert(tuple(zip(weights, new_f))).expand(UPoly.zero()) != h * new_g * new_g:
             raise ArithmeticError("descent identity violated")
         cur, cur_g = new_f, new_g
-        if degree_trace is not None:
-            degree_trace.append(cur_g.degree())
     c = cur_g.coeffs[0]
-    reduced = iter([fi * (1 / c) for fi in cur])
-    terms = []
-    for w in weights:
-        terms.append((w, next(reduced) if w > 0 else UPoly.zero()))
-    cert = SosCert(tuple(terms))
+    cert = SosCert(tuple(zip(weights, [fi * (1 / c) for fi in cur])))
     if cert.expand(UPoly.zero()) != h:
         raise ArithmeticError("final descent identity violated")
     return cert

@@ -385,6 +385,12 @@ def test_cassels():
     assert len(doc["terms"]) == 2
 
 
+def test_cassels_keeps_a_zero_weight_through_a_general_step():
+    code, out = run(["--json", "cassels", "--weights", "1,0,1", "--fs", "x^2-1,x^7,2*x", "--g", "x^2+1"])
+    assert (code, out) == (0, '{"certificate": {"terms": [{"poly": "1", "weight": "1"}, {"poly": "0", "weight": "0"}, '
+                              '{"poly": "0", "weight": "1"}]}, "exit": 0}')
+
+
 def test_lasserre_build(tmp_path):
     out_file = tmp_path / "out.dat-s"
     code, out = run(

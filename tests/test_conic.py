@@ -31,7 +31,7 @@ def cone_membership_oracle(vectors, x):
     n = len(x)
     for size in range(1, n + 1):
         for subset in combinations(range(len(vectors)), size):
-            cols = Mat.from_columns([vectors[i] for i in subset])
+            cols = Mat([vectors[i] for i in subset]).transpose()
             lam = solve_linear(cols, x)
             if lam is not None and all(c >= 0 for c in lam):
                 return True
@@ -51,6 +51,13 @@ def test_variant_b_golden():
     assert sum(a * b for a, b in zip(ell, [-1, 0])) < 0
     assert all(sum(a * b for a, b in zip(ell, v)) >= 0 for v in ([1, 0], [0, 1]))
     assert res.kernel_indices == [1]
+
+
+def test_a_dependent_kernel_subset_is_rejected():
+    e = [[Fraction(c) for c in v] for v in ([1, 0, 0], [2, 0, 0], [0, 1, 0], [0, 0, 1])]
+    bad = SeparatingFunctional([Fraction(0), Fraction(0), Fraction(1)], [0, 1])
+    with pytest.raises(AssertionError, match="variant B kernel subset is linearly dependent"):
+        conic._verify_functional(e, [Fraction(0), Fraction(0), Fraction(-1)], bad, 3)
 
 
 def test_span_errors():
@@ -366,7 +373,7 @@ def test_cone_contains_rejects_length_mismatch():
 
 def test_span_basis_is_greedy_by_index():
     """conic's span basis, the pivot columns of the elimination kernel on
-    Mat.from_columns(vectors), picks index k exactly when the rank of the
+    Mat(vectors).transpose(), picks index k exactly when the rank of the
     Gram matrix of the vectors chosen so far rises."""
     rng = random.Random(43)
     for _ in range(40):
@@ -378,4 +385,4 @@ def test_span_basis_is_greedy_by_index():
         for k, v in enumerate(vectors):
             if gram_rank([vectors[i] for i in chosen] + [v]) > len(chosen):
                 chosen.append(k)
-        assert pivot_columns(Mat.from_columns(vectors)) == chosen
+        assert pivot_columns(Mat(vectors).transpose()) == chosen

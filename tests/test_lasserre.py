@@ -136,6 +136,9 @@ def test_blocks_at_point_match_their_definition(gs, d, n):
             v = [MPoly.monomial(b).eval(p) for b in basis]
             gp = g.eval(p)
             assert got == SymMat.from_rows([[gp * a * b for b in v] for a in v])
+    for wrong in ([Fraction(1)] * (n + 1), [Fraction(1)] * (n - 1)):
+        with pytest.raises(ValueError, match=f"point has length {len(wrong)}, expected {n}"):
+            blocks_at_point(rel, wrong)
 
 
 def test_sdpa_structural_round_trip():

@@ -963,6 +963,16 @@ def test_cassels_zero_weights_preserved():
     assert cert.expand(UPoly.zero()) == parse_upoly("x^2")
 
 
+def test_cassels_zero_weight_rides_through_a_general_step():
+    """A zero weight beside a nondivisible f_i: the step from x^2 + 1 is the
+    general one, and the zero-weight square stays 0 through it."""
+    fs = [parse_upoly(t) for t in ("x^2 - 1", "x^7", "2*x")]
+    trace: list = []
+    cert = cassels_descent([1, 0, 1], fs, parse_upoly("x^2 + 1"), degree_trace=trace)
+    assert trace == [2, 0]
+    assert cert.terms == ((1, UPoly.one()), (0, UPoly.zero()), (1, UPoly.zero()))
+
+
 def test_certificate_json_round_trip():
     f = parse_poly(SEC26, 2)
     res = find_gram(f)
