@@ -134,15 +134,6 @@ class Mat:
         i, j = key
         return self.rows[i][j]
 
-    def transpose(self) -> "Mat":
-        return Mat([[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)])
-
-    def __mul__(self, other: "Mat") -> "Mat":
-        if self.ncols != other.nrows:
-            raise DimensionError(f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
-        bt = other.transpose().rows
-        return Mat([[_dot(r, c) for c in bt] for r in self.rows])
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Mat) and self.rows == other.rows
 

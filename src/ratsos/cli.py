@@ -246,13 +246,9 @@ def cmd_newton(args):
 def cmd_sos_find(args):
     f = parse_poly(args.poly)
     result = sos.find_gram(f)
-    if result.status == "infeasible":
-        return NEGATIVE, ["certified-infeasible", result.detail], {
-            "status": "certified-infeasible",
-            "detail": result.detail,
-        }
-    if result.status == "unknown":
-        return UNKNOWN, ["unknown", result.detail], {"status": "unknown", "detail": result.detail}
+    if result.status != "found":
+        code, status = (NEGATIVE, "certified-infeasible") if result.status == "infeasible" else (UNKNOWN, "unknown")
+        return code, [status, result.detail], {"status": status, "detail": result.detail}
     doc = sos.gram_to_json(*result.cert, target=f)
     return _write_or_print(args, "certificate", sos.dump_cert(doc), ["sos"], {"status": "sos"},
                            {"certificate": doc})

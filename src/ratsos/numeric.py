@@ -65,7 +65,8 @@ class AffineFamily:
     """Affine set {X : A X = b = A @ particular} in concatenated s*s block coordinates.
 
     A has full row rank; with rows symmetric in each block, symmetric points
-    project to the symmetric members.  (A A^T)^-1 is computed once."""
+    project to the symmetric members.  (A A^T)^-1 is computed once, and so
+    is ``eye``, the block identity in the same coordinates."""
 
     def __init__(self, particular: np.ndarray, a: np.ndarray, sizes: list[int]):
         self.particular = np.asarray(particular, dtype=float)
@@ -76,9 +77,12 @@ class AffineFamily:
         # per distinct block size s: the (k, s*s) positions of its k blocks
         starts = np.cumsum([0] + [s * s for s in self.sizes])
         self.groups = []
+        self.eye = np.zeros(self.particular.shape)
         for s in sorted(set(self.sizes) - {0}):  # an empty block has no entry
             firsts = np.array([starts[i] for i, t in enumerate(self.sizes) if t == s])
-            self.groups.append((s, firsts[:, None] + np.arange(s * s)))
+            idx = firsts[:, None] + np.arange(s * s)
+            self.groups.append((s, idx))
+            self.eye[idx] = np.eye(s).reshape(-1)
 
     def project(self, y: np.ndarray) -> np.ndarray:
         """Orthogonal projection of y onto the affine set: y + A^T (A A^T)^-1 (b - A y)."""
@@ -89,12 +93,6 @@ class AffineFamily:
         out = np.empty_like(y)
         for s, idx in self.groups:
             out[idx] = project_psd(y[idx].reshape(-1, s, s)).reshape(idx.shape)
-        return out
-
-    def eye_vector(self) -> np.ndarray:
-        out = np.zeros(self.particular.shape)
-        for s, idx in self.groups:
-            out[idx] = np.eye(s).reshape(-1)
         return out
 
 
@@ -119,7 +117,6 @@ def alternating_projection(family: AffineFamily, max_sweeps: int = 3000, tol: fl
     not a certificate of infeasibility.
     """
     x = family.particular
-    eye = family.eye_vector()
     gap, separated = np.inf, False
     for sweep in range(1, max_sweeps + 1):
         y = family.project_psd_cone(x)
@@ -133,7 +130,7 @@ def alternating_projection(family: AffineFamily, max_sweeps: int = 3000, tol: fl
             if stop is not None and stop(r):
                 break
             lower = -(r @ x)
-            separated = bool(lower > _SEPARATION * (1.0 + eye @ y) * np.linalg.norm(x - x_prev))
+            separated = bool(lower > _SEPARATION * (1.0 + family.eye @ y) * np.linalg.norm(x - x_prev))
             if separated:
                 break
     return x, gap, gap < tol, separated

@@ -395,18 +395,16 @@ def _numeric_search(family: GramFamily, f: MPoly, generators):
     (max(w - e, 0) + e = max(w, e)), and the ladder runs once more.  A member
     is accepted only when every block passes the exact psd test.  A run that
     separated (a float stopping rule) is not rounded, and neither is a family
-    whose coefficients or iterates floats cannot hold, or whose float matrix
-    does not fit in memory: each ends ``unknown``, as does a run that stalled
-    at the sweep cap and did not round.
+    whose coefficients or iterates floats cannot hold: each ends ``unknown``,
+    as does a float phase that runs out of memory anywhere, from building the
+    float family to the second run, and a run that stalled at the sweep cap
+    and did not round.
     """
     free = family.positions()[family.free, 0]
     try:
         with np.errstate(over="raise"):
-            try:
-                numeric = family.numeric()
-            except MemoryError:
-                return "unknown", None, "the float Gram system does not fit in memory"
-            eye = numeric.eye_vector()
+            numeric = family.numeric()
+            eye = numeric.eye
             refutations = []
             stop = _point_check(family, f, generators, refutations)
             x, gap, converged, separated = alternating_projection(numeric, stop=stop)
@@ -422,6 +420,8 @@ def _numeric_search(family: GramFamily, f: MPoly, generators):
                 rounded = _round(family, (x + _FLOOR * eye)[free])
     except (OverflowError, FloatingPointError):
         return "unknown", None, "a coefficient of the Gram system exceeds the float range"
+    except MemoryError:
+        return "unknown", None, "the float Gram system does not fit in memory"
     if rounded is not None:
         blocks, detail = rounded
         return "found", list(zip(blocks, family.bases)), detail

@@ -186,10 +186,20 @@ def diagonalize_row_scaled(m) -> DiagCongruence:
     return DiagCongruence(Mat(p_rows), d)
 
 
+def transpose(m: Mat) -> Mat:
+    return Mat([[r[j] for r in m.rows] for j in range(m.ncols)])
+
+
+def matmul(a: Mat, b: Mat) -> Mat:
+    """The exact product a b, entry by entry."""
+    assert a.ncols == b.nrows, "inner dimensions differ"
+    return Mat([[sum((x * y for x, y in zip(r, c)), Fraction(0)) for c in transpose(b).rows] for r in a.rows])
+
+
 def reassemble(cong) -> SymMat:
     """P^T diag(D) P for a congruence diagonalization (P, D)."""
     dp = Mat([[w * x for x in row] for w, row in zip(cong.d, cong.p.rows)])
-    return SymMat.from_rows((cong.p.transpose() * dp).rows)
+    return SymMat.from_rows(matmul(transpose(cong.p), dp).rows)
 
 
 @dataclass

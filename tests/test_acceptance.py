@@ -38,7 +38,7 @@ from ratsos.rootcount import (
 )
 from ratsos.sos import cassels_descent, find_gram, gram_family, verify_sos
 
-from helpers import parse_sdpa, rand_symmetric_rows, rand_upoly, upoly_from_roots
+from helpers import matmul, parse_sdpa, rand_symmetric_rows, rand_upoly, transpose, upoly_from_roots
 from test_conic import cone_membership_oracle
 from test_rootcount import random_constructed
 from test_sos import gaussian_pair_instance
@@ -118,7 +118,7 @@ def test_criterion_5_psd_three_way():
             rows = rand_symmetric_rows(rng, n)
             if rng.random() < 0.5:
                 a = Mat(rows)
-                rows = (a.transpose() * a).rows
+                rows = matmul(transpose(a), a).rows
             m = SymMat.from_rows(rows)
             assert is_psd(m) == is_psd_via_diagonal(m) == is_psd_via_minors(m)
 

@@ -17,7 +17,7 @@ from ratsos.arith import (
 )
 from ratsos.poly import UPoly
 
-from helpers import LITERALS, gram_rank, identity_rows, matvec, planted_rows, rand_frac
+from helpers import LITERALS, gram_rank, identity_rows, matmul, matvec, planted_rows, rand_frac
 
 
 def cofactor_det(rows):
@@ -131,7 +131,7 @@ def test_det_multiplicative():
         n = rng.randint(1, 6)
         a = Mat([[rand_frac(rng) for _ in range(n)] for _ in range(n)])
         b = Mat([[rand_frac(rng) for _ in range(n)] for _ in range(n)])
-        assert det(a * b) == det(a) * det(b)
+        assert det(matmul(a, b)) == det(a) * det(b)
 
 
 def test_det_singular_and_fractional():
@@ -150,6 +150,8 @@ def test_det_singular_and_fractional():
 def test_det_rejects_non_square():
     with pytest.raises(DimensionError):
         det(Mat([[1, 2, 3], [4, 5, 6]]))
+    with pytest.raises(DimensionError, match="^ragged rows$"):
+        Mat([[1, 2], [3]])
 
 
 def test_echelon_is_reduced():

@@ -465,6 +465,8 @@ def test_searches_beyond_float_range_are_unknown(capsys):
     big = "1" + "0" * 400
     detail = "a coefficient of the Gram system exceeds the float range"
     assert run(["sos", "find", "--poly", f"x^4 + {big}*x^2*y^2 + y^4 + 1"]) == (3, f"unknown\n{detail}")
+    assert run(["--json", "sos", "find", "--poly", f"x^4 + {big}*x^2*y^2 + y^4 + 1"]) == (
+        3, f'{{"detail": "{detail}", "exit": 3, "status": "unknown"}}')
     large = "1" + "0" * 300  # a float, but its products are not
     assert run(["sos", "find", "--poly", f"x^4 + {large}*x^2*y^2 + y^4 + 1"]) == (3, f"unknown\n{detail}")
     assert capsys.readouterr().err == ""

@@ -23,7 +23,7 @@ from ratsos.conic import (
 from ratsos.poly import MPoly, parse_poly
 from ratsos.quadforms import SymMat, gram_product
 
-from helpers import gram_rank, planted_rows, rand_frac, rand_mpoly
+from helpers import gram_rank, planted_rows, rand_frac, rand_mpoly, transpose
 
 
 def cone_membership_oracle(vectors, x):
@@ -31,7 +31,7 @@ def cone_membership_oracle(vectors, x):
     n = len(x)
     for size in range(1, n + 1):
         for subset in combinations(range(len(vectors)), size):
-            cols = Mat([vectors[i] for i in subset]).transpose()
+            cols = transpose(Mat([vectors[i] for i in subset]))
             lam = solve_linear(cols, x)
             if lam is not None and all(c >= 0 for c in lam):
                 return True
@@ -112,6 +112,10 @@ def test_convex_membership_goldens():
     assert convex_membership([(0,), (2,)], (1,))
     assert convex_membership([(4, 2), (2, 4), (0, 0)], (2, 2))
     assert not convex_membership([(4, 2), (2, 4), (0, 0)], (3, 0))
+    with pytest.raises(ValueError, match="^empty point set$"):
+        convex_membership([], [0])
+    with pytest.raises(ValueError, match="^point dimension mismatch$"):
+        convex_membership([[0, 0]], [1])
 
 
 def test_convex_membership_against_barycentric_oracle():
@@ -354,6 +358,8 @@ def test_linear_nns_runs_one_elimination(monkeypatch, nvars, f, ls, kind):
 def test_linear_nns_rejects_nonlinear():
     with pytest.raises(ValueError):
         linear_nns(parse_poly("x^2", 1), [])
+    with pytest.raises(ValueError, match="^mixed variable counts$"):
+        linear_nns(parse_poly("x", 1), [parse_poly("x", 2)])
 
 
 def test_cone_contains_outside_span():
@@ -373,7 +379,7 @@ def test_cone_contains_rejects_length_mismatch():
 
 def test_span_basis_is_greedy_by_index():
     """conic's span basis, the pivot columns of the elimination kernel on
-    Mat(vectors).transpose(), picks index k exactly when the rank of the
+    transpose(Mat(vectors)), picks index k exactly when the rank of the
     Gram matrix of the vectors chosen so far rises."""
     rng = random.Random(43)
     for _ in range(40):
@@ -385,4 +391,4 @@ def test_span_basis_is_greedy_by_index():
         for k, v in enumerate(vectors):
             if gram_rank([vectors[i] for i in chosen] + [v]) > len(chosen):
                 chosen.append(k)
-        assert pivot_columns(Mat(vectors).transpose()) == chosen
+        assert pivot_columns(transpose(Mat(vectors))) == chosen

@@ -173,6 +173,8 @@ def test_emit_sdpa_rejects_bad_objective():
     rel = build_relaxation([], 2, 1)
     with pytest.raises(ValueError):
         emit_sdpa(rel, parse_poly("x^3", 1))
+    with pytest.raises(ValueError, match="^objective variable count mismatch$"):
+        emit_sdpa(rel, parse_poly("x", 2))
 
 
 def test_containment_moment_blocks_psd_on_feasible_grid():

@@ -43,7 +43,7 @@ def test_batched_cone_projection_matches_blockwise():
     family = AffineFamily(np.zeros_like(y), np.zeros((0, y.size)), sizes)
     expected = np.concatenate([project_psd(b).reshape(-1) for b in blocks])
     assert np.allclose(family.project_psd_cone(y), expected, atol=1e-12)
-    assert np.array_equal(family.eye_vector(), np.concatenate([np.eye(s).reshape(-1) for s in sizes]))
+    assert np.array_equal(family.eye, np.concatenate([np.eye(s).reshape(-1) for s in sizes]))
 
 
 def test_affine_projection_matches_lstsq_and_is_idempotent():

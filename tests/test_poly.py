@@ -325,6 +325,10 @@ def test_upoly_division():
         q, r = divmod(f, g)
         assert q * g + r == f
         assert r.degree() < g.degree() or r.is_zero
+    with pytest.raises(ZeroDivisionError, match="^polynomial division by zero$"):
+        divmod(UPoly([1]), UPoly())
+    with pytest.raises(TypeError):
+        divmod(UPoly([1]), MPoly(1, {(1,): 1}))
 
 
 def test_sign_changes_rejects_zero():
@@ -363,6 +367,8 @@ def test_ring_operators_keep_mpoly_rules():
     m = parse_poly("x*y - 2*z", 3)
     with pytest.raises(ValueError, match="^mixed variable counts$"):
         m - parse_poly("x", 2)
+    with pytest.raises(ValueError, match=r"^exponent vector \(1,\) has wrong length for 2 variables$"):
+        MPoly(2, {(1,): 1})
     assert list((2 - m).terms) == [(0, 0, 0), (1, 1, 0), (0, 0, 1)]  # the constant first
     assert list((m - 2).terms) == [(1, 1, 0), (0, 0, 1), (0, 0, 0)]
     assert 2 - m == -(m - 2) and 2 + m == m + 2 and 2 * m == m * 2
@@ -383,6 +389,8 @@ def test_upoly_is_the_one_variable_mpoly():
     assert UPoly.constant(1, 2) == UPoly([2]) and UPoly.monomial((3,), -1) == -UPoly.x() ** 3
     assert UPoly([1]) != MPoly.constant(1, 1) and MPoly.constant(1, 1) != UPoly([1])
     assert type(MPoly(1, f.terms)) is MPoly and type(MPoly(1, f.terms).to_upoly()) is UPoly
+    with pytest.raises(ValueError, match="^only single-variable polynomials convert to UPoly$"):
+        MPoly(2, {(1, 0): 1}).to_upoly()
 
 
 def _upoly_in_normal_form(r):

@@ -31,8 +31,10 @@ from helpers import (
     expand_fold,
     gram_product_fold,
     identity_rows,
+    matmul,
     rand_symmetric_rows,
     reassemble,
+    transpose,
     upoly_from_roots,
 )
 
@@ -87,7 +89,7 @@ def test_symmat_is_a_symmetric_mat(case):
     m = SymMat(n, upper)
     full = Mat(m.rows)
     assert isinstance(m, Mat) and m.dim == m.nrows == m.ncols == n
-    assert m.transpose() == m
+    assert transpose(m) == m
     assert SymMat.from_rows(m.rows) == m
     assert [m[i, j] for i in range(n) for j in range(i, n)] == upper
     assert (charpoly(m), det(m), pivot_columns(m)) == (charpoly(full), det(full), pivot_columns(full))
@@ -338,7 +340,7 @@ def test_sylvester_consistency_under_congruence():
             q = Mat([[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)])
             if det(q) != 0:
                 break
-        conj = q.transpose() * m * q
+        conj = matmul(matmul(transpose(q), m), q)
         m2 = SymMat.from_rows(conj.rows)
         assert signature(m2) == signature(m)
         assert rank(m2) == rank(m)
@@ -363,7 +365,7 @@ def test_psd_gram_construction():
     for _ in range(20):
         n = rng.randint(1, 5)
         a = Mat([[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(rng.randint(1, 5))])
-        m = SymMat.from_rows((a.transpose() * a).rows)
+        m = SymMat.from_rows(matmul(transpose(a), a).rows)
         assert is_psd(m)
 
 
@@ -374,7 +376,7 @@ def test_psd_three_way_agreement():
         rows = rand_symmetric_rows(rng, n)
         if rng.random() < 0.5:  # bias toward psd instances
             a = Mat(rows)
-            rows = (a.transpose() * a).rows
+            rows = matmul(transpose(a), a).rows
         m = SymMat.from_rows(rows)
         e = is_psd(m)
         assert e == is_psd_via_diagonal(m) == is_psd_via_minors(m)
@@ -507,7 +509,7 @@ def test_weighted_square_decomposition_random_psd():
     for _ in range(15):
         n = rng.randint(1, 4)
         a = Mat([[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)])
-        m = SymMat.from_rows((a.transpose() * a).rows)
+        m = SymMat.from_rows(matmul(transpose(a), a).rows)
         v = [tuple(rng.randint(0, 2) for _ in range(2)) for _ in range(n)]
         # monomials must be distinct for the certificate to expand cleanly
         if len(set(v)) != n:
@@ -606,6 +608,9 @@ def test_weighted_square_decomposition_requires_psd():
     with pytest.raises(CertificateError):
         # a positive diagonal, yet not psd
         weighted_square_decomposition(SymMat.from_rows([[1, 2], [2, 1]]), [(1, 0), (0, 1)])
+    for build in (weighted_square_decomposition, lambda m, v: gram_product(m, v, 1)):
+        with pytest.raises(ValueError, match="^monomial vector has length 2, expected 1$"):
+            build(SymMat.from_rows([[1]]), [(0,), (1,)])
 
 
 def test_inertia_counts():

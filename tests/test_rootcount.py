@@ -71,6 +71,10 @@ def test_hermite_golden_x2_plus_1():
     data = hermite_form(parse_upoly("x^2 + 1"))
     assert data.matrix.rows == [[2, 0], [0, -2]]
     assert data.traces == (2, 0, -2)
+    with pytest.raises(ValueError, match="^the Hankel trace form needs degree at least 1$"):
+        hermite_form(UPoly([2]))
+    with pytest.raises(ValueError, match="^the Hankel trace form requires a monic polynomial$"):
+        hermite_form(UPoly([0, 2]))
 
 
 def companion_traces(f, g):

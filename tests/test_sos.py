@@ -731,17 +731,21 @@ def test_robinson_form_is_refuted_at_its_real_zeros():
     assert len(res.points) == 21
 
 
-def test_a_float_family_out_of_memory_ends_unknown(monkeypatch):
-    """A MemoryError from the dense float family is a budget, not a verdict:
-    the search ends unknown and the command in exit 3."""
+@pytest.mark.parametrize("owner, method", [(sos.GramFamily, "numeric"), (numeric.AffineFamily, "project_psd_cone")])
+def test_a_float_family_out_of_memory_ends_unknown(monkeypatch, owner, method):
+    """A MemoryError anywhere in the float phase, building the dense float
+    family or mid-run in the projections, is a budget, not a verdict: the
+    search ends unknown and the command in exit 3."""
 
-    def numeric(self):
+    def out_of_memory(*args):
         raise MemoryError("Unable to allocate 6.53 GiB")
 
-    monkeypatch.setattr(sos.GramFamily, "numeric", numeric)
+    monkeypatch.setattr(owner, method, out_of_memory)
     res = find_gram(parse_poly(SEC26, 2))
     assert (res.status, res.detail) == ("unknown", "the float Gram system does not fit in memory")
     assert run(["sos", "find", "--poly", SEC26]) == (3, "unknown\nthe float Gram system does not fit in memory")
+    bound = ["lasserre", "bound", "--poly", "x^2 - x", "-g", "x", "-g", "1 - x", "-d", "2", "--iterations", "3"]
+    assert run(bound) == (3, "unknown (no initial bracket found)")
 
 
 def test_zero_face_budget():

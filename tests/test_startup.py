@@ -196,3 +196,5 @@ def test_an_unknown_name_is_an_attribute_error():
         ratsos.no_such_name  # noqa: B018
     with pytest.raises(ImportError):
         from ratsos import no_such_name  # noqa: F401
+    with pytest.raises(ModuleNotFoundError, match="^No module named 'ratsos_no_such_module'$"):
+        ratsos._lazy_import("ratsos_no_such_module")
