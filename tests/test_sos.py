@@ -731,12 +731,7 @@ def test_robinson_form_is_refuted_at_its_real_zeros():
     assert len(res.points) == 21
 
 
-@pytest.mark.parametrize("owner, method", [(sos.GramFamily, "numeric"), (numeric.AffineFamily, "project_psd_cone")])
-def test_a_float_family_out_of_memory_ends_unknown(monkeypatch, owner, method):
-    """A MemoryError anywhere in the float phase, building the dense float
-    family or mid-run in the projections, is a budget, not a verdict: the
-    search ends unknown and the command in exit 3."""
-
+def check_float_phase_out_of_memory_ends_unknown(monkeypatch, owner, method):
     def out_of_memory(*args):
         raise MemoryError("Unable to allocate 6.53 GiB")
 
@@ -746,6 +741,18 @@ def test_a_float_family_out_of_memory_ends_unknown(monkeypatch, owner, method):
     assert run(["sos", "find", "--poly", SEC26]) == (3, "unknown\nthe float Gram system does not fit in memory")
     bound = ["lasserre", "bound", "--poly", "x^2 - x", "-g", "x", "-g", "1 - x", "-d", "2", "--iterations", "3"]
     assert run(bound) == (3, "unknown (no initial bracket found)")
+
+
+def test_a_float_family_out_of_memory_ends_unknown(monkeypatch):
+    """A MemoryError from building the dense float family is a budget, not a
+    verdict: the search ends unknown and the command in exit 3."""
+    check_float_phase_out_of_memory_ends_unknown(monkeypatch, sos.GramFamily, "numeric")
+
+
+def test_a_float_projection_out_of_memory_ends_unknown(monkeypatch):
+    """A MemoryError mid-run in the projections ends the search the same way
+    as one from building the family."""
+    check_float_phase_out_of_memory_ends_unknown(monkeypatch, numeric.AffineFamily, "project_psd_cone")
 
 
 def test_zero_face_budget():
